@@ -20,7 +20,7 @@ from .expressions import (
     trajectory,
 )
 from .imitation import ImitationSession, imitate, vote_to_intensity
-from .kernels import AutoRbf, PolyKernel, RbfKernel, compute_gram
+from .kernels import AutoRbf, PolyKernel, RbfKernel
 from .lipsync import (
     MorphWeights,
     blend_expression,
@@ -28,12 +28,13 @@ from .lipsync import (
     render_timeline,
     smooth_weights,
 )
-from .mkl import BinaryMklSolution, decision_value, train_binary_mkl
+from .mkl import BinaryMklSolution, train_binary_mkl
 from .multiclass import (
     MulticlassModel,
     VoteResult,
     classify,
     cross_validate,
+    decision_values,
     train_multiclass,
 )
 from .pca import PcaModel, fit_pca, pca_project
@@ -72,9 +73,8 @@ __all__ = [
     "VoteResult",
     "blend_expression",
     "classify",
-    "compute_gram",
     "cross_validate",
-    "decision_value",
+    "decision_values",
     "default_calibration",
     "ear_oscillation",
     "fit_pca",

@@ -15,6 +15,7 @@ little-endian bytes in base64, so every value round-trips bit-exactly.
 from __future__ import annotations
 
 import base64
+import math
 from pathlib import Path
 from typing import Mapping
 
@@ -97,7 +98,18 @@ def parse_store(text: str) -> dict[str, object]:
                 raise ValueError(f"entry {name!r}: missing payload line")
             raw = base64.b64decode(lines[index])
             index += 1
-            array = np.frombuffer(raw, dtype=_DTYPES[code]).reshape(shape)
+            dtype = np.dtype(_DTYPES[code])
+            if any(s < 0 for s in shape):
+                raise ValueError(
+                    f"entry {name!r}: negative dimension in shape {shape_text}"
+                )
+            needed = math.prod(shape) * dtype.itemsize
+            if len(raw) != needed:
+                raise ValueError(
+                    f"entry {name!r}: payload holds {len(raw)} bytes, "
+                    f"shape {shape_text} of {code} needs {needed}"
+                )
+            array = np.frombuffer(raw, dtype=dtype).reshape(shape)
             entries[name] = array.copy()
         else:
             raise ValueError(f"unknown store entry kind {kind!r}")

@@ -32,7 +32,7 @@ from .lipsync import (
     write_timeline_csv,
     write_timeline_jsonl,
 )
-from .manifest import read_manifest
+from .manifest import read_manifest, training_labels
 from .modelio import FeatureParams, ModelBundle, load_model, save_model
 from .multiclass import VoteResult, classify, cross_validate, train_multiclass
 from .registration import read_landmarks
@@ -186,7 +186,8 @@ def cmd_classify(args: argparse.Namespace) -> int:
     with open(path, "w", encoding="utf-8") as handle:
         for record in records:
             handle.write(json.dumps(record, sort_keys=True) + "\n")
-    correct = sum(1 for r in records if r["winner"] == r["label"])
+    expected = training_labels(manifest)
+    correct = sum(1 for r, label in zip(records, expected) if r["winner"] == label)
     print(f"classified {len(records)} images ({correct} match their labels) -> {path}")
     return 0
 
@@ -382,7 +383,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
-    except (CliError, FileNotFoundError, ValueError, KeyError) as error:
+    except (CliError, OSError, ValueError, KeyError) as error:
         record = {"error": str(error), "kind": type(error).__name__}
         print(json.dumps(record, sort_keys=True), file=sys.stderr)
         return 2

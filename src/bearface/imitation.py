@@ -31,20 +31,6 @@ from .lipsync import DEFAULT_FRAME_RATE, MorphWeights, blend_expression, silence
 from .multiclass import VoteResult
 
 
-@dataclass(frozen=True)
-class ImitationCommand:
-    """One retargeting decision: which expression, how strongly, when."""
-
-    expression: Expression
-    intensity: float
-    mode: Mode
-    timestamp: float
-
-    def __post_init__(self) -> None:
-        if not (0.0 <= self.intensity <= 1.0):
-            raise ValueError(f"intensity {self.intensity} outside [0, 1]")
-
-
 def vote_to_intensity(votes: int, class_count: int) -> float:
     """Map a winner's vote count to a shared expression intensity.
 
@@ -160,7 +146,6 @@ class ImitationSession:
         self._streak_winner: str | None = None
         self._streak = 0
         self.records: list[ImitationRecord] = []
-        self.commands: list[ImitationCommand] = []
 
     def consume(
         self, result: VoteResult, timestamp: float
@@ -189,21 +174,12 @@ class ImitationSession:
         self.current_pose = frames[-1][1] if expression is not Expression.NEUTRAL else (
             self.templates.neutral_pose
         )
-        intensity = vote_to_intensity(result.votes, len(result.class_names))
-        self.commands.append(
-            ImitationCommand(
-                expression=expression,
-                intensity=0.0 if expression is Expression.NEUTRAL else intensity,
-                mode=self.mode,
-                timestamp=timestamp,
-            )
-        )
         self.records.append(
             ImitationRecord(
                 timestamp=timestamp,
                 winner=result.winner,
                 votes=result.votes,
-                intensity=intensity,
+                intensity=vote_to_intensity(result.votes, len(result.class_names)),
                 pose=frames[-1][1],
             )
         )

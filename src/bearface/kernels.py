@@ -89,18 +89,6 @@ def kernel_matrix(
     return K
 
 
-def compute_gram(features: np.ndarray, spec: KernelSpec) -> np.ndarray:
-    """Symmetric Gram matrix of one kernel over a sample set."""
-    return kernel_matrix(spec, features)
-
-
-def kernel_rows(
-    spec: KernelSpec, train: np.ndarray, x: np.ndarray
-) -> np.ndarray:
-    """k(x_i, x) for one query point, as a 1-D vector over the training set."""
-    return kernel_matrix(spec, train, np.atleast_2d(x))[:, 0]
-
-
 def median_sq_distance(X: np.ndarray) -> float:
     """Median pairwise squared Euclidean distance over a sample set."""
     X = np.asarray(X, dtype=np.float64)

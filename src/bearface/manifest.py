@@ -98,6 +98,23 @@ def write_manifest(manifest: DatasetManifest, path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def training_labels(manifest: DatasetManifest) -> list[str]:
+    """Per entry, the label sequence ingestion trains it under.
+
+    The first frame of each (subject, sequence) is a neutral sample; every
+    other entry keeps its own label.
+    """
+    first: dict[tuple[str, str], int] = {}
+    for entry in manifest.entries:
+        key = (entry.subject, entry.sequence)
+        first[key] = min(entry.frame, first.get(key, entry.frame))
+    return [
+        NEUTRAL_LABEL if entry.frame == first[(entry.subject, entry.sequence)]
+        else entry.label
+        for entry in manifest.entries
+    ]
+
+
 @dataclass(frozen=True)
 class Sample:
     """One training sample after sequence ingestion."""

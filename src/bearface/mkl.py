@@ -229,27 +229,3 @@ def train_binary_mkl(
         objective=objective,
         history=tuple(history),
     )
-
-
-def decision_value(
-    solution: BinaryMklSolution, kernel_rows: Sequence[np.ndarray]
-) -> float:
-    """Discriminant h(x) = sum_m d_m sum_i alpha_i y_i k^m(x_i, x) + bias.
-
-    `kernel_rows` holds one vector per basis kernel, evaluated between every
-    training sample of this binary problem and the query point.
-    """
-    M = len(solution.kernel_weights)
-    if len(kernel_rows) != M:
-        raise ValueError(f"need {M} kernel rows, got {len(kernel_rows)}")
-    n = solution.alphas.shape[0]
-    v = solution.alphas * solution.labels
-    total = 0.0
-    for weight, row in zip(solution.kernel_weights, kernel_rows):
-        row = np.asarray(row, dtype=np.float64)
-        if row.shape != (n,):
-            raise ValueError(
-                f"kernel row covers {row.shape} samples, expected ({n},)"
-            )
-        total += float(weight) * float(row @ v)
-    return total + solution.bias

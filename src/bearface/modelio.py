@@ -1,10 +1,11 @@
 """Persistence of trained classifier bundles.
 
 A bundle carries everything classification of a fresh image needs: the
-pairwise classifiers with their kernel weights and support vectors, the
-per-block PCA models, the registration reference shape and the descriptor
-settings used at extraction time. Arrays are stored as raw bytes, so a
-save/load round trip is bit-exact.
+pairwise kernel weights and biases, the shared support-vector pool with its
+(pool rows x pairs) dual coefficients, the per-block PCA models, the
+registration reference shape and the descriptor settings used at
+extraction time. Arrays are stored as raw bytes, so a save/load round trip
+is bit-exact.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 
 from .arraystore import read_store, write_store
 from .kernels import format_kernel, parse_kernel
-from .multiclass import BankEntry, MulticlassModel, PairClassifier
+from .multiclass import BankEntry, MulticlassModel
 from .pca import PcaModel
 from .registration import LandmarkSet
 
@@ -64,19 +65,12 @@ def save_model(bundle: ModelBundle, path: str | Path) -> None:
         entries[f"pca_{name}_variances"] = pca.variances
         entries[f"pca_{name}_retained"] = pca.retained
         entries[f"pca_{name}_energy"] = pca.energy
-    entries["pair_count"] = len(model.pairs)
-    for p, pair in enumerate(model.pairs):
-        entries[f"pair{p}_a"] = pair.class_a
-        entries[f"pair{p}_b"] = pair.class_b
-        entries[f"pair{p}_bias"] = pair.bias
-        entries[f"pair{p}_C"] = pair.C
-        entries[f"pair{p}_weights"] = pair.kernel_weights
-        entries[f"pair{p}_alphas"] = pair.sv_alphas
-        entries[f"pair{p}_labels"] = pair.sv_labels
-        for block in sorted(pair.sv_features):
-            entries[f"pair{p}_sv_{block}"] = np.asarray(
-                pair.sv_features[block], dtype=np.float64
-            )
+    entries["pairs"] = np.asarray(model.pairs, dtype=np.int64).reshape(-1, 2)
+    entries["bias"] = model.bias
+    entries["kernel_weights"] = model.kernel_weights
+    entries["dual_coef"] = model.dual_coef
+    for block in sorted(model.pool):
+        entries[f"pool_{block}"] = model.pool[block]
     if bundle.reference is not None:
         entries["reference"] = bundle.reference.points
     if bundle.feature is not None:
@@ -86,38 +80,17 @@ def save_model(bundle: ModelBundle, path: str | Path) -> None:
     write_store(entries, path)
 
 
-def save_pca(model: PcaModel, path: str | Path) -> None:
-    """Persist one PCA model on its own (outside a classifier bundle)."""
-    write_store(
-        {
-            "kind": "pca",
-            "mean": model.mean,
-            "components": model.components,
-            "variances": model.variances,
-            "retained": model.retained,
-            "energy": model.energy,
-        },
-        path,
-    )
-
-
-def load_pca(path: str | Path) -> PcaModel:
-    entries = read_store(path)
-    if entries.get("kind") != "pca":
-        raise ValueError(f"{path} is not a stored PCA model")
-    return PcaModel(
-        mean=entries["mean"],
-        components=entries["components"],
-        variances=entries["variances"],
-        retained=float(entries["retained"]),
-        energy=float(entries["energy"]),
-    )
-
-
 def load_model(path: str | Path) -> ModelBundle:
     entries = read_store(path)
     if entries.get("kind") != "model":
         raise ValueError(f"{path} is not a model bundle")
+    pooled = ("pairs", "bias", "kernel_weights", "dual_coef")
+    missing = [key for key in pooled if key not in entries]
+    if missing:
+        raise ValueError(
+            f"{path} lacks the {missing[0]!r} entry of the shared support-vector "
+            f"pool layout; retrain the model"
+        )
     class_names = tuple(str(entries["classes"]).split())
     bank = tuple(
         BankEntry(
@@ -136,27 +109,16 @@ def load_model(path: str | Path) -> ModelBundle:
             retained=float(entries[f"pca_{name}_retained"]),
             energy=float(entries[f"pca_{name}_energy"]),
         )
-    blocks = sorted({entry.block for entry in bank})
-    pairs = []
-    for p in range(int(entries["pair_count"])):
-        pairs.append(
-            PairClassifier(
-                class_a=int(entries[f"pair{p}_a"]),
-                class_b=int(entries[f"pair{p}_b"]),
-                kernel_weights=entries[f"pair{p}_weights"],
-                bias=float(entries[f"pair{p}_bias"]),
-                sv_alphas=entries[f"pair{p}_alphas"],
-                sv_labels=entries[f"pair{p}_labels"],
-                sv_features={
-                    block: entries[f"pair{p}_sv_{block}"] for block in blocks
-                },
-                C=float(entries[f"pair{p}_C"]),
-            )
-        )
     model = MulticlassModel(
         class_names=class_names,
         bank=bank,
-        pairs=tuple(pairs),
+        pairs=entries["pairs"],
+        kernel_weights=entries["kernel_weights"],
+        bias=entries["bias"],
+        pool={
+            block: entries[f"pool_{block}"] for block in sorted({e.block for e in bank})
+        },
+        dual_coef=entries["dual_coef"],
         pca=pca,
         include_bias=bool(int(entries["include_bias"])),
     )

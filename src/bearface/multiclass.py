@@ -63,59 +63,74 @@ class BankEntry:
 
 
 @dataclass(frozen=True)
-class PairClassifier:
-    """Inference payload of one trained pairwise classifier."""
-
-    class_a: int
-    class_b: int
-    kernel_weights: np.ndarray        # (M,)
-    bias: float
-    sv_alphas: np.ndarray             # (k,)
-    sv_labels: np.ndarray             # (k,) +/-1, +1 means class_a
-    sv_features: Mapping[str, np.ndarray]  # block -> (k, d_block)
-    C: float
-
-    def __post_init__(self) -> None:
-        for name in ("kernel_weights", "sv_alphas", "sv_labels"):
-            array = np.ascontiguousarray(getattr(self, name), dtype=np.float64)
-            array.setflags(write=False)
-            object.__setattr__(self, name, array)
-
-    def decide(self, bank: Sequence[BankEntry], x_blocks: FeatureBlocks) -> float:
-        if self.sv_alphas.size == 0:
-            return self.bias  # degenerate classifier: constant decision
-        v = self.sv_alphas * self.sv_labels
-        total = 0.0
-        for weight, entry in zip(self.kernel_weights, bank):
-            sv = self.sv_features[entry.block]
-            row = kernel_matrix(entry.spec, sv, np.atleast_2d(x_blocks[entry.block]))[:, 0]
-            total += float(weight) * float(row @ v)
-        return total + self.bias
-
-
-@dataclass(frozen=True)
 class MulticlassModel:
-    """All pairwise classifiers plus everything needed to score new samples."""
+    """All pairwise classifiers plus everything needed to score new samples.
+
+    The pairs share one support-vector pool, stored once: `pool` holds, per
+    feature block, the reduced training rows that are a support vector of
+    at least one pair (in training order), and column p of `dual_coef`
+    holds alpha_i * y_i of pair p over those rows (zero where a row is not
+    one of that pair's support vectors).
+    """
 
     class_names: tuple[str, ...]
     bank: tuple[BankEntry, ...]
-    pairs: tuple[PairClassifier, ...]
+    pairs: tuple[tuple[int, int], ...]   # (a, b) class indices, a < b
+    kernel_weights: np.ndarray           # (pairs, M)
+    bias: np.ndarray                     # (pairs,)
+    pool: Mapping[str, np.ndarray]       # block -> (S, d_block)
+    dual_coef: np.ndarray                # (S, pairs)
     pca: Mapping[str, PcaModel] = field(default_factory=dict)
     include_bias: bool = True
 
     def __post_init__(self) -> None:
         P = len(self.class_names)
+        table = np.asarray(self.pairs, dtype=np.int64).reshape(-1, 2)
+        pairs = tuple(map(tuple, table.tolist()))
+        object.__setattr__(self, "pairs", pairs)
         expected = {(a, b) for a in range(P) for b in range(a + 1, P)}
-        got = {(p.class_a, p.class_b) for p in self.pairs}
-        if got != expected:
+        got = set(pairs)
+        if got != expected or len(pairs) != len(expected):
             raise ValueError(
                 f"need exactly one classifier per unordered class pair; "
                 f"missing {sorted(expected - got)}, extra {sorted(got - expected)}"
             )
+        for name in ("kernel_weights", "bias", "dual_coef"):
+            object.__setattr__(self, name, _frozen(getattr(self, name)))
+        pool = {name: _frozen(rows) for name, rows in self.pool.items()}
+        object.__setattr__(self, "pool", pool)
+        count = len(pairs)
+        if self.kernel_weights.shape != (count, len(self.bank)):
+            raise ValueError(
+                f"kernel weights have shape {self.kernel_weights.shape}, "
+                f"expected ({count}, {len(self.bank)}) for pairs x bank kernels"
+            )
+        if self.bias.shape != (count,):
+            raise ValueError(f"bias has shape {self.bias.shape}, expected ({count},)")
+        if self.dual_coef.ndim != 2 or self.dual_coef.shape[1] != count:
+            raise ValueError(
+                f"dual coefficients have shape {self.dual_coef.shape}, "
+                f"expected (pool rows, {count})"
+            )
+        for entry in self.bank:
+            if entry.block not in pool:
+                raise ValueError(f"support-vector pool lacks block {entry.block!r}")
+        for name, rows in pool.items():
+            if rows.ndim != 2 or rows.shape[0] != self.dual_coef.shape[0]:
+                raise ValueError(
+                    f"pool block {name!r} has shape {rows.shape}, expected "
+                    f"{self.dual_coef.shape[0]} rows"
+                )
 
     @property
     def class_count(self) -> int:
         return len(self.class_names)
+
+
+def _frozen(array) -> np.ndarray:
+    array = np.ascontiguousarray(array, dtype=np.float64)
+    array.setflags(write=False)
+    return array
 
 
 @dataclass(frozen=True)
@@ -206,69 +221,70 @@ def train_multiclass(
         raise ValueError("kernel bank is empty")
     grams = [kernel_matrix(entry.spec, used[entry.block]) for entry in bank]
 
-    pairs = []
     P = len(names)
-    for a in range(P):
-        for b in range(a + 1, P):
-            mask = (y_index == a) | (y_index == b)
-            subset = np.nonzero(mask)[0]
-            y = np.where(y_index[subset] == a, 1.0, -1.0)
-            pair_grams = [K[np.ix_(subset, subset)] for K in grams]
-            solution = train_binary_mkl(
-                pair_grams, y, C, class_a=a, class_b=b, include_bias=include_bias
-            )
-            sv_local = solution.support_indices
-            sv_global = subset[sv_local]
-            pairs.append(
-                PairClassifier(
-                    class_a=a,
-                    class_b=b,
-                    kernel_weights=solution.kernel_weights,
-                    bias=solution.bias,
-                    sv_alphas=solution.alphas[sv_local],
-                    sv_labels=solution.labels[sv_local],
-                    sv_features={
-                        name: np.ascontiguousarray(data[sv_global])
-                        for name, data in used.items()
-                    },
-                    C=C,
-                )
-            )
+    pairs = [(a, b) for a in range(P) for b in range(a + 1, P)]
+    weights = np.zeros((len(pairs), len(bank)))
+    bias = np.zeros(len(pairs))
+    coef = np.zeros((n, len(pairs)))  # alpha * y over all training rows
+    for p, (a, b) in enumerate(pairs):
+        subset = np.nonzero((y_index == a) | (y_index == b))[0]
+        y = np.where(y_index[subset] == a, 1.0, -1.0)
+        pair_grams = [K[np.ix_(subset, subset)] for K in grams]
+        solution = train_binary_mkl(
+            pair_grams, y, C, class_a=a, class_b=b, include_bias=include_bias
+        )
+        sv = solution.support_indices
+        coef[subset[sv], p] = solution.alphas[sv] * solution.labels[sv]
+        weights[p] = solution.kernel_weights
+        bias[p] = solution.bias
+    in_pool = np.nonzero(coef.any(axis=1))[0]
+    blocks_used = sorted({entry.block for entry in bank})
     return MulticlassModel(
         class_names=names,
         bank=bank,
         pairs=tuple(pairs),
+        kernel_weights=weights,
+        bias=bias,
+        pool={block: used[block][in_pool] for block in blocks_used},
+        dual_coef=coef[in_pool],
         pca=pca_models,
         include_bias=include_bias,
     )
 
 
-def _apply_pca(model: MulticlassModel, x_blocks: FeatureBlocks) -> dict[str, np.ndarray]:
-    out = {}
-    for name in {entry.block for entry in model.bank}:
-        x = np.asarray(x_blocks[name], dtype=np.float64)
-        if name in model.pca:
-            x = _reduce_block(model.pca[name], x)
-        out[name] = x
-    return out
+def decision_values(model: MulticlassModel, x_blocks: FeatureBlocks) -> np.ndarray:
+    """Pairwise discriminants of a batch of queries, shape (n, pairs).
+
+    h_p(x) = sum_m w[p, m] * sum_i dual_coef[i, p] * k_m(x, pool_i) + bias[p];
+    a single query may be given as 1-D block vectors. h >= 0 is a vote for
+    the pair's first class.
+    """
+    x = {
+        name: np.atleast_2d(np.asarray(x_blocks[name], dtype=np.float64))
+        for name in model.pool
+    }
+    for name in model.pca:
+        if name in x:
+            x[name] = _reduce_block(model.pca[name], x[name])
+    n = next(iter(x.values())).shape[0]
+    total = np.zeros((n, len(model.pairs)))
+    for m, entry in enumerate(model.bank):
+        K = kernel_matrix(entry.spec, x[entry.block], model.pool[entry.block])
+        total += model.kernel_weights[:, m] * (K @ model.dual_coef)
+    return total + model.bias
 
 
 def classify(model: MulticlassModel, x_blocks: FeatureBlocks) -> VoteResult:
-    """Score a query with every pairwise classifier and vote."""
-    x = _apply_pca(model, x_blocks)
-    indexed: dict[tuple[int, int], float] = {}
-    named: dict[tuple[str, str], float] = {}
-    for pair in model.pairs:
-        h = pair.decide(model.bank, x)
-        indexed[(pair.class_a, pair.class_b)] = h
-        named[(model.class_names[pair.class_a], model.class_names[pair.class_b])] = h
-    votes, winner = tally_votes(model.class_count, indexed)
+    """Score one query with every pairwise classifier and vote."""
+    h = decision_values(model, x_blocks)[0].tolist()
+    votes, winner = tally_votes(model.class_count, dict(zip(model.pairs, h)))
+    names = model.class_names
     return VoteResult(
-        winner=model.class_names[winner],
+        winner=names[winner],
         votes=int(votes[winner]),
         tally=tuple(int(v) for v in votes),
-        decisions=named,
-        class_names=model.class_names,
+        decisions={(names[a], names[b]): value for (a, b), value in zip(model.pairs, h)},
+        class_names=names,
     )
 
 
@@ -392,10 +408,10 @@ def cross_validate(
             pca_energy=pca_energy,
             include_bias=include_bias,
         )
-        for index in test:
-            sample = {name: data[index] for name, data in blocks.items()}
-            result = classify(model, sample)
-            counts[index_of[labels[index]], index_of[result.winner]] += 1
+        h = decision_values(model, {name: data[test] for name, data in blocks.items()})
+        for index, row in zip(test, h.tolist()):
+            _, winner = tally_votes(model.class_count, dict(zip(model.pairs, row)))
+            counts[index_of[labels[index]], winner] += 1
     return CvResult(
         class_names=names,
         counts=counts,

@@ -63,13 +63,17 @@ def test_eval_person_independent_scheme(pipeline_out, fast_config, tmp_path):
     assert "seed = 9" in report  # CLI override lands in the config echo
 
 
-def test_classify_command(pipeline_out, synthetic_dataset, fast_config, tmp_path):
+def test_classify_command(
+    pipeline_out, synthetic_dataset, fast_config, tmp_path, capsys
+):
     out = tmp_path / "cls"
     code = main(
         ["classify", "--manifest", str(synthetic_dataset), "--config", fast_config,
          "--model", str(pipeline_out / "model.store"), "--out", str(out)]
     )
     assert code == 0
+    # Frame 0 of every sequence trains as neutral and counts as a match there.
+    assert "classified 48 images (48 match their labels)" in capsys.readouterr().out
     records = [
         json.loads(line)
         for line in (out / "classifications.jsonl").read_text().splitlines()
@@ -78,6 +82,36 @@ def test_classify_command(pipeline_out, synthetic_dataset, fast_config, tmp_path
     for record in records:
         assert record["winner"] in record["tally"]
         assert 0.0 <= record["intensity"] <= 1.0
+
+
+def _single_error(capsys) -> dict:
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    return json.loads(lines[0])
+
+
+def test_config_directory_reports_error(tmp_path, capsys):
+    code = main(["animate", "--config", str(tmp_path), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert _single_error(capsys)["kind"] == "IsADirectoryError"
+
+
+def test_truncated_model_reports_entry(
+    pipeline_out, synthetic_dataset, tmp_path, capsys
+):
+    lines = (pipeline_out / "model.store").read_text().splitlines()
+    header = next(i for i, line in enumerate(lines) if line.startswith("array dual_coef "))
+    lines[header + 1] = lines[header + 1][:-8]
+    truncated = tmp_path / "model.store"
+    truncated.write_text("\n".join(lines) + "\n")
+    code = main(
+        ["classify", "--manifest", str(synthetic_dataset), "--model", str(truncated),
+         "--out", str(tmp_path / "cls")]
+    )
+    assert code == 2
+    record = _single_error(capsys)
+    assert record["kind"] == "ValueError"
+    assert "'dual_coef'" in record["error"]
 
 
 def test_classify_missing_model(tmp_path, synthetic_dataset, capsys):

@@ -1,16 +1,14 @@
 """Kernel-weight learning: reductions, synthetic selection, invariants."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from bearface.kernels import AutoRbf, RbfKernel, kernel_matrix, resolve_kernel
-from bearface.mkl import (
-    decision_value,
-    mkl_gradient,
-    project_simplex,
-    train_binary_mkl,
-)
+from bearface.mkl import mkl_gradient, project_simplex, train_binary_mkl
+from bearface.multiclass import decision_values, train_multiclass
 from bearface.svm import solve_svm_dual
 
 
@@ -108,38 +106,36 @@ def test_gradient_formula():
     assert mkl_gradient(alpha, y, [K])[0] == pytest.approx(expected, rel=1e-12)
 
 
+def _two_class_model(X, y, specs, C, include_bias=True):
+    """One pairwise classifier on a single block, without PCA; y = +1 is class a."""
+    labels = ["anger" if label > 0 else "joy" for label in y]
+    return train_multiclass(
+        {"x": X}, labels, [("x", spec) for spec in specs], C,
+        include_bias=include_bias,
+    )
+
+
 def test_decision_value_margin_at_free_sv():
     rng = np.random.default_rng(35)
     X, y = _blob_problem(rng, per_class=15, dims=4, gap=3.0)
-    spec = RbfKernel(gamma=0.2)
-    K = kernel_matrix(spec, X)
-    solution = train_binary_mkl([K], y, C=10.0, inner_tol=2e-4)
+    model = _two_class_model(X, y, [RbfKernel(gamma=0.2)], C=10.0)
     eps = 1e-6
-    free = (solution.alphas > eps) & (solution.alphas < 10.0 - eps)
-    positive_free = np.nonzero(free & (solution.labels > 0))[0]
+    coef = model.dual_coef[:, 0]  # alpha * y; the pool is X without PCA
+    free = (np.abs(coef) > eps) & (np.abs(coef) < 10.0 - eps)
+    positive_free = np.nonzero(free & (coef > 0))[0]
     assert positive_free.size > 0
-    index = int(positive_free[0])
-    rows = [kernel_matrix(spec, X, X[index : index + 1])[:, 0]]
-    assert decision_value(solution, rows) == pytest.approx(1.0, abs=1e-3)
+    query = model.pool["x"][int(positive_free[0])]
+    assert decision_values(model, {"x": query})[0, 0] == pytest.approx(1.0, abs=1e-3)
 
 
 def test_decision_value_degenerate_all_zero():
     rng = np.random.default_rng(36)
     X, y = _blob_problem(rng, per_class=4, dims=2)
-    K = kernel_matrix(RbfKernel(gamma=1.0), X)
-    solution = train_binary_mkl([K], y, C=1.0)
-    zeroed = type(solution)(
-        class_a=solution.class_a,
-        class_b=solution.class_b,
-        alphas=np.zeros_like(solution.alphas),
-        kernel_weights=solution.kernel_weights,
-        bias=0.7,
-        labels=solution.labels,
-        C=solution.C,
-        objective=0.0,
+    model = _two_class_model(X, y, [RbfKernel(gamma=1.0)], C=1.0)
+    zeroed = dataclasses.replace(
+        model, dual_coef=np.zeros_like(model.dual_coef), bias=np.array([0.7])
     )
-    rows = [np.ones(len(y))]
-    assert decision_value(zeroed, rows) == 0.7
+    assert decision_values(zeroed, {"x": X[:3]}).tolist() == [[0.7]] * 3
 
 
 def test_decision_sign_invariant_under_weight_scaling():
@@ -149,35 +145,13 @@ def test_decision_sign_invariant_under_weight_scaling():
     rng = np.random.default_rng(38)
     X, y = _blob_problem(rng, per_class=8, dims=3)
     specs = [RbfKernel(gamma=0.2), RbfKernel(gamma=2.0)]
-    grams = [kernel_matrix(s, X) for s in specs]
-    solution = train_binary_mkl(grams, y, C=5.0, include_bias=False)
-    query = rng.normal(size=3) + 1.0
-    rows = [kernel_matrix(s, X, query[None, :])[:, 0] for s in specs]
-    h = decision_value(solution, rows)
-    scaled = type(solution)(
-        class_a=solution.class_a,
-        class_b=solution.class_b,
-        alphas=solution.alphas,
-        kernel_weights=solution.kernel_weights * 3.0,
-        bias=0.0,
-        labels=solution.labels,
-        C=solution.C,
-        objective=solution.objective,
-    )
-    h_scaled = decision_value(scaled, rows)
+    model = _two_class_model(X, y, specs, C=5.0, include_bias=False)
+    query = {"x": rng.normal(size=3) + 1.0}
+    h = decision_values(model, query)[0, 0]
+    scaled = dataclasses.replace(model, kernel_weights=model.kernel_weights * 3.0)
+    h_scaled = decision_values(scaled, query)[0, 0]
     assert h_scaled == pytest.approx(3.0 * h, rel=1e-12)
     assert np.sign(h_scaled) == np.sign(h)
-
-
-def test_decision_value_validates_rows():
-    rng = np.random.default_rng(37)
-    X, y = _blob_problem(rng, per_class=4, dims=2)
-    K = kernel_matrix(RbfKernel(gamma=1.0), X)
-    solution = train_binary_mkl([K], y, C=1.0)
-    with pytest.raises(ValueError, match="kernel rows"):
-        decision_value(solution, [])
-    with pytest.raises(ValueError, match="covers"):
-        decision_value(solution, [np.ones(3)])
 
 
 def test_train_input_validation():

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from bearface import multiclass
 from bearface.kernels import AutoRbf, PolyKernel, RbfKernel
 from bearface.multiclass import (
     classify,
     cross_validate,
+    decision_values,
     order_classes,
     random_folds,
     subject_folds,
@@ -107,6 +109,54 @@ def test_classify_reports_full_tally():
     assert result.class_names == ("anger", "fear", "joy")
 
 
+def test_batch_decisions_match_single_queries():
+    rng = np.random.default_rng(51)
+    names = ["anger", "surprise", "disgust", "fear", "joy", "sadness", "neutral"]
+    X, labels = make_blobs(rng, names, per_class=6, dims=5, spread=2.0)
+    blocks = {"x": X, "y": X[:, :3] ** 2}
+    model = train_multiclass(
+        blocks, labels, [("x", AutoRbf()), ("y", PolyKernel())], C=10.0,
+        pca_energy=0.95,
+    )
+    queries = {name: data + rng.normal(size=data.shape) for name, data in blocks.items()}
+    batch = decision_values(model, queries)
+    assert batch.shape == (len(labels), 21)
+    named = [(model.class_names[a], model.class_names[b]) for a, b in model.pairs]
+    for i, row in enumerate(batch):
+        single = classify(model, {name: data[i] for name, data in queries.items()})
+        expected = [single.decisions[key] for key in named]
+        np.testing.assert_allclose(row, expected, rtol=0, atol=1e-12)
+        _, winner = tally_votes(model.class_count, dict(zip(model.pairs, row.tolist())))
+        assert model.class_names[winner] == single.winner
+
+
+def test_pool_holds_each_support_vector_once(monkeypatch):
+    rng = np.random.default_rng(52)
+    X, labels = make_blobs(
+        rng, ["anger", "joy", "fear", "sadness"], per_class=10, dims=4, spread=1.5
+    )
+    solutions = []
+    original = multiclass.train_binary_mkl
+
+    def recording(*args, **kwargs):
+        solutions.append(original(*args, **kwargs))
+        return solutions[-1]
+
+    monkeypatch.setattr(multiclass, "train_binary_mkl", recording)
+    model = train_multiclass({"x": X}, labels, [("x", AutoRbf())], C=1.0)
+    label_array = np.asarray(labels)
+    support = np.zeros(len(labels), dtype=bool)
+    for (a, b), solution in zip(model.pairs, solutions):
+        members = np.nonzero(
+            (label_array == model.class_names[a]) | (label_array == model.class_names[b])
+        )[0]
+        support[members[solution.alphas > 0]] = True
+    # Without PCA the pool is the support rows of X, in training order.
+    assert np.array_equal(model.pool["x"], X[support])
+    assert len(np.unique(model.pool["x"], axis=0)) == len(model.pool["x"])
+    assert support.sum() < sum(len(s.support_indices) for s in solutions)
+
+
 def test_random_folds_partition_and_stratification():
     labels = ["a"] * 30 + ["b"] * 30
     assignment = random_folds(labels, 10, np.random.default_rng(0))
@@ -195,7 +245,7 @@ def test_bias_can_be_switched_off():
     model = train_multiclass(
         {"x": X}, labels, [("x", AutoRbf())], C=50.0, include_bias=False
     )
-    assert all(pair.bias == 0.0 for pair in model.pairs)
+    assert (model.bias == 0.0).all()
     errors = sum(
         classify(model, {"x": row}).winner != label for row, label in zip(X, labels)
     )

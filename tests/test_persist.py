@@ -1,20 +1,15 @@
 """Array store and model bundle round trips."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from bearface.arraystore import dump_store, parse_store, read_store, write_store
 from bearface.kernels import AutoRbf, PolyKernel
-from bearface.modelio import (
-    FeatureParams,
-    ModelBundle,
-    load_model,
-    load_pca,
-    save_model,
-    save_pca,
-)
+from bearface.modelio import FeatureParams, ModelBundle, load_model, save_model
 from bearface.multiclass import classify, train_multiclass
-from bearface.pca import fit_pca, pca_project
+from bearface.pca import pca_project
 from bearface.registration import LANDMARK_COUNT, LandmarkSet
 
 
@@ -60,6 +55,10 @@ def test_store_rejects_bad_input():
     text = dump_store({"a": 1}) + "int a 2\n"
     with pytest.raises(ValueError, match="duplicate"):
         parse_store(text)
+    text = dump_store({"grid": np.zeros((2, 3))})
+    for shape in ("2,4", "-2,-3"):
+        with pytest.raises(ValueError, match="entry 'grid'"):
+            parse_store(text.replace("f8 2,3", f"f8 {shape}"))
 
 
 def _small_model():
@@ -77,7 +76,7 @@ def _small_model():
 
 
 def test_model_bundle_round_trip(tmp_path):
-    model, blocks = _small_model()
+    model, _ = _small_model()
     reference = LandmarkSet(np.random.default_rng(1).uniform(0, 127, (LANDMARK_COUNT, 2)))
     feature = FeatureParams(descriptors=("lbph", "hog"), grid=8, hog_bins=59)
     bundle = ModelBundle(model=model, reference=reference, feature=feature)
@@ -89,12 +88,12 @@ def test_model_bundle_round_trip(tmp_path):
     assert loaded.model.include_bias == model.include_bias
     assert loaded.feature == feature
     assert np.array_equal(loaded.reference.points, reference.points)
-    for original, restored in zip(model.pairs, loaded.model.pairs):
-        assert np.array_equal(original.kernel_weights, restored.kernel_weights)
-        assert np.array_equal(original.sv_alphas, restored.sv_alphas)
-        assert original.bias == restored.bias
-    for name, pca in model.pca.items():
-        assert np.array_equal(pca.components, loaded.model.pca[name].components)
+    assert loaded.model.pairs == model.pairs
+    for name in ("kernel_weights", "bias", "dual_coef"):
+        assert np.array_equal(getattr(loaded.model, name), getattr(model, name))
+    assert loaded.model.pool.keys() == model.pool.keys()
+    for block, rows in model.pool.items():
+        assert np.array_equal(loaded.model.pool[block], rows)
 
     # Saving the loaded bundle reproduces the file byte for byte.
     second = tmp_path / "model2.store"
@@ -103,24 +102,55 @@ def test_model_bundle_round_trip(tmp_path):
 
 
 def test_pca_model_round_trip(tmp_path):
-    rng = np.random.default_rng(52)
-    samples = rng.normal(size=(40, 9)) * np.linspace(4, 0.2, 9)
-    model = fit_pca(samples, energy=0.9)
-    path = tmp_path / "pca.store"
-    save_pca(model, path)
-    loaded = load_pca(path)
-    assert np.array_equal(loaded.mean, model.mean)
-    assert np.array_equal(loaded.components, model.components)
-    assert np.array_equal(loaded.variances, model.variances)
-    assert loaded.retained == model.retained
-    x = rng.normal(size=9)
-    assert np.array_equal(pca_project(loaded, x), pca_project(model, x))
+    model, blocks = _small_model()
+    path = tmp_path / "model.store"
+    save_model(ModelBundle(model=model), path)
+    loaded = load_model(path).model
+    assert loaded.pca.keys() == model.pca.keys()
+    for name, pca in model.pca.items():
+        restored = loaded.pca[name]
+        assert np.array_equal(pca.mean, restored.mean)
+        assert np.array_equal(pca.components, restored.components)
+        assert np.array_equal(pca.variances, restored.variances)
+        assert restored.retained == pca.retained
+        x = blocks[name][0]
+        assert np.array_equal(pca_project(restored, x), pca_project(pca, x))
+
     # Kind tags keep the store types from being confused for each other.
-    with pytest.raises(ValueError, match="not a model bundle"):
-        load_model(path)
     write_store({"kind": "features"}, tmp_path / "other.store")
-    with pytest.raises(ValueError, match="not a stored PCA"):
-        load_pca(tmp_path / "other.store")
+    with pytest.raises(ValueError, match="not a model bundle"):
+        load_model(tmp_path / "other.store")
+
+
+def test_model_without_shared_pool_is_rejected(tmp_path):
+    model, _ = _small_model()
+    path = tmp_path / "model.store"
+    save_model(ModelBundle(model=model), path)
+    pooled = ("pairs", "bias", "kernel_weights", "dual_coef", "pool_")
+    entries = {
+        name: value
+        for name, value in read_store(path).items()
+        if not name.startswith(pooled)
+    }
+    entries["pair_count"] = 3
+    entries["pair0_alphas"] = np.ones(3)
+    old = tmp_path / "old.store"
+    write_store(entries, old)
+    with pytest.raises(ValueError, match="old.store.*retrain"):
+        load_model(old)
+
+
+def test_model_shapes_must_agree():
+    model, _ = _small_model()
+    pairs, kernels = model.kernel_weights.shape
+    with pytest.raises(ValueError, match="kernel weights"):
+        dataclasses.replace(model, kernel_weights=np.ones((pairs, kernels + 1)))
+    with pytest.raises(ValueError, match="bias"):
+        dataclasses.replace(model, bias=np.zeros(pairs + 1))
+    with pytest.raises(ValueError, match="dual coefficients"):
+        dataclasses.replace(model, dual_coef=model.dual_coef[:, 1:])
+    with pytest.raises(ValueError, match="pool block"):
+        dataclasses.replace(model, dual_coef=model.dual_coef[1:])
 
 
 def test_loaded_model_classifies_identically(tmp_path):
