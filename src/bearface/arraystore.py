@@ -116,9 +116,25 @@ def parse_store(text: str) -> dict[str, object]:
     return entries
 
 
+class StoreEntries(dict):
+    """Entries read from one store file.
+
+    Looking up an entry the file lacks raises a `ValueError` that names the
+    file, the kind of store and the entry, not a bare `KeyError`.
+    """
+
+    def __init__(self, entries: Mapping[str, object], path: "str | Path") -> None:
+        super().__init__(entries)
+        self.path = path
+
+    def __missing__(self, name: str) -> object:
+        kind = self.get("kind", "untyped")
+        raise ValueError(f"{self.path}: {kind} store lacks the {name!r} entry")
+
+
 def write_store(entries: Mapping[str, object], path: "str | Path") -> None:
     Path(path).write_text(dump_store(entries), encoding="utf-8")
 
 
-def read_store(path: "str | Path") -> dict[str, object]:
-    return parse_store(Path(path).read_text(encoding="utf-8"))
+def read_store(path: "str | Path") -> StoreEntries:
+    return StoreEntries(parse_store(Path(path).read_text(encoding="utf-8")), path)

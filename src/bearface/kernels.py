@@ -146,6 +146,10 @@ def parse_kernel(text: str) -> KernelSpec:
 
 
 def combine_grams(grams: Sequence[np.ndarray], weights: np.ndarray) -> np.ndarray:
-    """Convex combination sum_m d_m * K_m."""
+    """Convex combination sum_m d_m * K_m.
+
+    `grams` is a sequence of M (n, n) matrices or one (M, n, n) stack; a
+    float64 stack is combined without being copied.
+    """
     stacked = np.asarray(grams)
     return np.tensordot(np.asarray(weights, dtype=np.float64), stacked, axes=1)

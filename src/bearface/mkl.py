@@ -172,6 +172,9 @@ def train_binary_mkl(
     for K in grams:
         if K.shape != (n, n):
             raise ValueError("Gram matrices must share one square shape")
+    # One (M, n, n) stack for the whole fit, so no inner solve or curvature
+    # step re-stacks the Grams.
+    grams = np.stack(grams)
     y = np.asarray(labels, dtype=np.float64)
     M = len(grams)
     d = np.full(M, 1.0 / M)

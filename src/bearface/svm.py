@@ -2,10 +2,30 @@
 
 Sequential two-variable coordinate optimization: each step picks the
 maximal-violating index and pairs it with the partner giving the best
-second-order gain, then solves that two-variable subproblem exactly.
-Convergence is declared when the largest KKT violation falls below the
-tolerance. The bias comes from the free support vectors, or from the
-midpoint of the bound constraints when none are free.
+second-order gain (WSS2 of Fan, Chen & Lin, JMLR 6, 2005), then solves that
+two-variable subproblem exactly. Convergence is declared when the largest
+KKT violation falls below the tolerance. The bias comes from the free
+support vectors, or from the midpoint of the bound constraints when none
+are free.
+
+The working set is kept the way LIBSVM keeps it (Chang & Lin, ACM TIST
+2011), so a step costs O(1) Python work and a fixed number of vector
+operations:
+- membership of I_up and I_low lives in two additive penalty vectors (0 in
+  the set, -inf / +inf outside), built once per solve; a step changes only
+  alpha_i and alpha_j, so it rewrites only those two entries of each;
+- the curvature of every candidate pair is one (n, n) matrix built once per
+  solve, and row i is the partner search's curvature vector;
+- the two-variable update runs on Python floats.
+
+Exact-identity rule: the loop must return the multipliers, bias, objective,
+violation and iteration count of the plain loop that rebuilds the masks
+every step (`reference_solve` in tests/test_svm.py), bit for bit. So every
+value that feeds a comparison, the gradient update or the result is
+computed from the same operands in the same order. Adding a 0 penalty
+leaves a score unchanged (a -0.0 turns into +0.0, which compares equal; at
+most the sign of a zero violation can differ), and because y is +/-1,
+2.0 * y[i] * y[j] * Q[i, j] equals 2.0 * K[i, j] exactly.
 """
 
 from __future__ import annotations
@@ -101,39 +121,43 @@ def solve_svm_dual(
         gradient = -np.ones(n)
 
     diag = np.diag(Q).copy()
+    # Row i is the partner search's curvature vector (module docstring).
+    curvature = (diag[:, None] + diag[None, :]) - 2.0 * K
+    curvature = np.where(curvature > 0, curvature, _TAU)
+    up_pen = np.where(((y > 0) & (alpha < C)) | ((y < 0) & (alpha > 0)), 0.0, -np.inf)
+    low_pen = np.where(((y > 0) & (alpha > 0)) | ((y < 0) & (alpha < C)), 0.0, np.inf)
+    alpha_l = alpha.tolist()
+    diag_l = diag.tolist()
+    y_l = y.tolist()
     iterations = 0
     violation = np.inf
     for iterations in range(1, max_iter + 1):
         yg = -y * gradient
-        up = ((y > 0) & (alpha < C)) | ((y < 0) & (alpha > 0))
-        low = ((y > 0) & (alpha > 0)) | ((y < 0) & (alpha < C))
-        up_scores = np.where(up, yg, -np.inf)
-        low_scores = np.where(low, yg, np.inf)
-        i = int(np.argmax(up_scores))
-        m_up = up_scores[i]
-        m_low = float(low_scores.min())
+        i = int((yg + up_pen).argmax())
+        m_up = float(yg[i]) if up_pen[i] == 0.0 else -np.inf  # -inf: I_up empty
+        low_scores = yg + low_pen
+        m_low = float(low_scores[low_scores.argmin()])  # cheaper than .min()
         violation = m_up - m_low
         if violation < tol:
             break
 
         # Second-order partner selection among violating candidates.
         b_vec = m_up - yg
-        eligible = low & (yg < m_up)
-        a_vec = diag[i] + diag - 2.0 * y[i] * y * Q[i]
-        a_vec = np.where(a_vec > 0, a_vec, _TAU)
-        gain = np.where(eligible, (b_vec * b_vec) / a_vec, -np.inf)
-        j = int(np.argmax(gain))
+        gain = np.where(low_scores < m_up, (b_vec * b_vec) / curvature[i], -np.inf)
+        j = int(gain.argmax())
 
-        # Exact two-variable update with box clipping.
-        s = y[i] * y[j]
-        e_i = y[i] * gradient[i]
-        e_j = y[j] * gradient[j]
-        eta = diag[i] + diag[j] - 2.0 * y[i] * y[j] * Q[i, j]
+        # Exact two-variable update with box clipping, on Python floats.
+        y_i = y_l[i]
+        y_j = y_l[j]
+        s = y_i * y_j
+        e_i = y_i * float(gradient[i])
+        e_j = y_j * float(gradient[j])
+        eta = diag_l[i] + diag_l[j] - 2.0 * float(K[i, j])
         if eta <= 0:
             eta = _TAU
-        alpha_j_old = alpha[j]
-        alpha_i_old = alpha[i]
-        candidate = alpha_j_old + y[j] * (e_i - e_j) / eta
+        alpha_j_old = alpha_l[j]
+        alpha_i_old = alpha_l[i]
+        candidate = alpha_j_old + y_j * (e_i - e_j) / eta
         if s < 0:
             lo = max(0.0, alpha_j_old - alpha_i_old)
             hi = min(C, C + alpha_j_old - alpha_i_old)
@@ -146,8 +170,12 @@ def solve_svm_dual(
         delta_j = alpha_j_new - alpha_j_old
         if delta_i == 0.0 and delta_j == 0.0:
             break  # no movable pair left at this precision
-        alpha[i] = alpha_i_new
-        alpha[j] = alpha_j_new
+        alpha_l[i] = alpha_i_new
+        alpha_l[j] = alpha_j_new
+        for k, a_k in ((i, alpha_i_new), (j, alpha_j_new)):
+            lower, upper = (a_k > 0, a_k < C) if y_l[k] > 0 else (a_k < C, a_k > 0)
+            up_pen[k] = 0.0 if upper else -np.inf
+            low_pen[k] = 0.0 if lower else np.inf
         gradient += Q[:, i] * delta_i + Q[:, j] * delta_j
     else:
         warnings.warn(
@@ -156,6 +184,7 @@ def solve_svm_dual(
             NumericsWarning,
             stacklevel=2,
         )
+    alpha = np.array(alpha_l, dtype=np.float64)
 
     yg = -y * gradient
     eps = 1e-9 * C

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from bearface.arraystore import read_store, write_store
 from bearface.cli import main
 from bearface.servo import decode_servo_commands
 
@@ -112,6 +113,34 @@ def test_truncated_model_reports_entry(
     record = _single_error(capsys)
     assert record["kind"] == "ValueError"
     assert "'dual_coef'" in record["error"]
+
+
+@pytest.mark.parametrize(
+    ("store", "entry", "kind", "command"),
+    [
+        ("model.store", "pool_hog", "model", "classify"),
+        ("features.store", "reference", "features", "train"),
+    ],
+)
+def test_missing_store_entry_names_file(
+    pipeline_out, synthetic_dataset, fast_config, tmp_path, capsys,
+    store, entry, kind, command,
+):
+    entries = dict(read_store(pipeline_out / store))
+    del entries[entry]
+    damaged = tmp_path / store
+    write_store(entries, damaged)
+    if command == "classify":
+        argv = ["classify", "--manifest", str(synthetic_dataset), "--model", str(damaged)]
+    else:
+        argv = ["train", "--config", fast_config, "--features", str(damaged)]
+    code = main(argv + ["--out", str(tmp_path / "out")])
+    assert code == 2
+    record = _single_error(capsys)
+    assert record["kind"] == "ValueError"
+    assert str(damaged) in record["error"]
+    assert f"{kind} store" in record["error"]
+    assert repr(entry) in record["error"]
 
 
 def test_classify_missing_model(tmp_path, synthetic_dataset, capsys):

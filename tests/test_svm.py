@@ -1,11 +1,119 @@
-"""Dual solver against analytic solutions and an exhaustive-search oracle."""
+"""Dual solver against analytic solutions, an exhaustive-search oracle, the
+plain reference loop and a general-purpose optimizer."""
 
 import numpy as np
 import pytest
 
 from bearface.diagnostics import NumericsWarning
-from bearface.kernels import RbfKernel, kernel_matrix
-from bearface.svm import dual_objective, solve_svm_dual
+from bearface.kernels import PolyKernel, RbfKernel, kernel_matrix
+from bearface.svm import DEFAULT_KKT_TOL, dual_objective, solve_svm_dual
+
+_TAU = 1e-12
+
+
+def reference_solve(K, y, C, tol=DEFAULT_KKT_TOL, max_iter=None, warm_alpha=None):
+    """The SMO loop written out with full-length masks at every step.
+
+    A plain restatement of the working-set rule, kept as the reference the
+    solver's incremental bookkeeping must reproduce bit for bit. Takes a
+    PSD Gram (no jitter step) and valid labels. Returns the solution fields
+    and how many steps took the `eta <= 0` branch.
+    """
+    K = np.asarray(K, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    n = K.shape[0]
+    if max_iter is None:
+        max_iter = max(20000, 200 * n)
+    Q = (y[:, None] * y[None, :]) * K
+    if warm_alpha is not None:
+        alpha = np.clip(np.asarray(warm_alpha, dtype=np.float64).copy(), 0.0, C)
+        gradient = Q @ alpha - 1.0
+    else:
+        alpha = np.zeros(n)
+        gradient = -np.ones(n)
+    diag = np.diag(Q).copy()
+    flat_steps = 0
+    iterations = 0
+    violation = np.inf
+    for iterations in range(1, max_iter + 1):
+        yg = -y * gradient
+        up = ((y > 0) & (alpha < C)) | ((y < 0) & (alpha > 0))
+        low = ((y > 0) & (alpha > 0)) | ((y < 0) & (alpha < C))
+        up_scores = np.where(up, yg, -np.inf)
+        low_scores = np.where(low, yg, np.inf)
+        i = int(np.argmax(up_scores))
+        m_up = up_scores[i]
+        m_low = float(low_scores.min())
+        violation = m_up - m_low
+        if violation < tol:
+            break
+        b_vec = m_up - yg
+        eligible = low & (yg < m_up)
+        a_vec = diag[i] + diag - 2.0 * y[i] * y * Q[i]
+        a_vec = np.where(a_vec > 0, a_vec, _TAU)
+        gain = np.where(eligible, (b_vec * b_vec) / a_vec, -np.inf)
+        j = int(np.argmax(gain))
+        s = y[i] * y[j]
+        e_i = y[i] * gradient[i]
+        e_j = y[j] * gradient[j]
+        eta = diag[i] + diag[j] - 2.0 * y[i] * y[j] * Q[i, j]
+        if eta <= 0:
+            eta = _TAU
+            flat_steps += 1
+        alpha_j_old = alpha[j]
+        alpha_i_old = alpha[i]
+        candidate = alpha_j_old + y[j] * (e_i - e_j) / eta
+        if s < 0:
+            lo = max(0.0, alpha_j_old - alpha_i_old)
+            hi = min(C, C + alpha_j_old - alpha_i_old)
+        else:
+            lo = max(0.0, alpha_i_old + alpha_j_old - C)
+            hi = min(C, alpha_i_old + alpha_j_old)
+        alpha_j_new = min(hi, max(lo, candidate))
+        alpha_i_new = alpha_i_old + s * (alpha_j_old - alpha_j_new)
+        delta_i = alpha_i_new - alpha_i_old
+        delta_j = alpha_j_new - alpha_j_old
+        if delta_i == 0.0 and delta_j == 0.0:
+            break
+        alpha[i] = alpha_i_new
+        alpha[j] = alpha_j_new
+        gradient += Q[:, i] * delta_i + Q[:, j] * delta_j
+    yg = -y * gradient
+    eps = 1e-9 * C
+    free = (alpha > eps) & (alpha < C - eps)
+    if free.any():
+        bias = float(yg[free].mean())
+    else:
+        up = ((y > 0) & (alpha < C)) | ((y < 0) & (alpha > 0))
+        low = ((y > 0) & (alpha > 0)) | ((y < 0) & (alpha < C))
+        hi = yg[up].max() if up.any() else 0.0
+        lo = yg[low].min() if low.any() else 0.0
+        bias = float(0.5 * (hi + lo))
+    fields = dict(
+        alpha=alpha,
+        bias=bias,
+        objective=dual_objective(alpha, K, y),
+        kkt_violation=float(max(violation, 0.0)),
+        iterations=iterations,
+    )
+    return fields, flat_steps
+
+
+def assert_matches_reference(K, y, C, **options):
+    """Solve with both loops; returns the reference's `eta <= 0` step count."""
+    expected, flat_steps = reference_solve(K, y, C, **options)
+    solution = solve_svm_dual(K, y, C, psd_check=False, **options)
+    assert solution.alpha.tobytes() == expected["alpha"].tobytes()
+    for name in ("bias", "objective", "kkt_violation", "iterations"):
+        assert getattr(solution, name) == expected[name], name
+    return flat_steps
+
+
+def random_labels(rng, n):
+    while True:
+        y = rng.choice([-1.0, 1.0], size=n)
+        if (y > 0).any() and (y < 0).any():
+            return y
 
 
 def oracle_dual_objective(K, y, C, levels=12, points=7):
@@ -191,3 +299,102 @@ def test_agrees_with_external_solver_on_medium_problems():
         ref_decision = reference.decision_function(K)
         our_decision = (ours.alpha * y) @ K + ours.bias
         assert np.allclose(our_decision, ref_decision, atol=1e-4)
+
+
+@pytest.mark.parametrize("C", [0.5, 1.0, 10.0])
+def test_loop_matches_reference_on_random_problems(C):
+    rng = np.random.default_rng(int(C * 10) + 40)
+    for n in (2, 3, 5, 8, 13, 21, 34, 55, 89, 120):
+        y = random_labels(rng, n)
+        X = rng.normal(size=(n, 3)) + y[:, None] * rng.uniform(0.0, 1.5)
+        K = kernel_matrix(RbfKernel(gamma=float(rng.uniform(0.1, 2.0))), X)
+        assert_matches_reference(K, y, C)
+        assert_matches_reference(K, y, C, tol=1e-6)
+
+
+def test_loop_matches_reference_from_warm_starts():
+    # The MKL trainer's pattern: the solution under one kernel seeds the
+    # solve under a nearby kernel. Both warm starts are feasible.
+    rng = np.random.default_rng(50)
+    for n in (6, 30, 90):
+        y = random_labels(rng, n)
+        X = rng.normal(size=(n, 4)) + 0.7 * y[:, None]
+        K1 = kernel_matrix(RbfKernel(gamma=0.3), X)
+        K2 = 0.6 * K1 + 0.4 * kernel_matrix(RbfKernel(gamma=1.5), X)
+        for C in (0.5, 10.0):
+            seed = solve_svm_dual(K1, y, C, psd_check=False).alpha
+            assert abs(float(seed @ y)) <= 1e-8
+            assert_matches_reference(K2, y, C, warm_alpha=seed)
+            assert_matches_reference(K1, y, C, tol=1e-6, warm_alpha=seed)
+
+
+def test_loop_matches_reference_with_duplicate_rows():
+    rng = np.random.default_rng(51)
+    flat_steps = 0
+    for n in (4, 12, 40):
+        X = rng.normal(size=(n // 2, 2))
+        X = np.vstack([X, X])
+        y = random_labels(rng, n)
+        K = kernel_matrix(RbfKernel(gamma=0.8), X)
+        for C in (1.0, 10.0):
+            flat_steps += assert_matches_reference(K, y, C)
+    assert flat_steps > 0  # the cases reach the eta <= 0 branch
+
+
+def test_loop_matches_reference_on_large_polynomial_grams():
+    # Diagonals from a few hundred to a few 1e4, like the benchmark's quadratic
+    # kernels on whitened PCA features.
+    rng = np.random.default_rng(52)
+    for n in (20, 60, 90):
+        y = random_labels(rng, n)
+        X = rng.normal(size=(n, 60)) * rng.uniform(0.6, 1.5, size=(n, 1))
+        X += 0.3 * y[:, None]
+        K = kernel_matrix(PolyKernel(degree=2), X)
+        diag = np.diag(K)
+        assert 3e2 < diag.min() and diag.max() < 4e4 and diag.max() > 10 * diag.min()
+        # Duals scale like 1 / diag, so only small C makes the box bind.
+        for C in (1e-4, 1e-3, 10.0):
+            assert_matches_reference(K, y, C)
+
+
+def test_loop_matches_reference_at_the_iteration_cap():
+    rng = np.random.default_rng(53)
+    y = random_labels(rng, 30)
+    K = kernel_matrix(RbfKernel(gamma=0.5), rng.normal(size=(30, 3)))
+    expected, _ = reference_solve(K, y, 10.0, max_iter=3)
+    with pytest.warns(NumericsWarning, match="iteration cap"):
+        solution = solve_svm_dual(K, y, 10.0, max_iter=3)
+    assert solution.iterations == expected["iterations"] == 3
+    assert solution.alpha.tobytes() == expected["alpha"].tobytes()
+    assert solution.bias == expected["bias"]
+    assert solution.kkt_violation == expected["kkt_violation"] > 1e-3
+
+
+def test_objective_agrees_with_scipy_on_medium_problems():
+    # A general-purpose constrained optimizer on the same dual. At a point
+    # whose maximal violation m_up - m_low is at most tol, concavity bounds
+    # the objective gap by sum_k |alpha*_k - alpha_k| * tol / 2
+    # <= n * C * tol / 2, so that is the tolerance, fixed in advance.
+    optimize = pytest.importorskip("scipy.optimize")
+    rng = np.random.default_rng(54)
+    for n, C in ((20, 1.0), (30, 0.5), (40, 1.0)):
+        y = random_labels(rng, n)
+        X = rng.normal(size=(n, 3)) + 0.5 * y[:, None]
+        K = kernel_matrix(RbfKernel(gamma=0.5), X)
+        Q = np.outer(y, y) * K
+        ours = solve_svm_dual(K, y, C)
+        result = optimize.minimize(
+            lambda a: 0.5 * a @ Q @ a - a.sum(),
+            np.zeros(n),
+            jac=lambda a: Q @ a - 1.0,
+            bounds=[(0.0, C)] * n,
+            constraints=[{"type": "eq", "fun": lambda a: a @ y, "jac": lambda a: y}],
+            method="SLSQP",
+            options={"ftol": 1e-12, "maxiter": 1000},
+        )
+        assert result.success, result.message
+        assert abs(float(result.x @ y)) < 1e-8
+        reference = dual_objective(np.clip(result.x, 0.0, C), K, y)
+        bound = n * C * DEFAULT_KKT_TOL / 2
+        assert ours.objective == pytest.approx(reference, abs=bound)
+        assert ours.kkt_violation < DEFAULT_KKT_TOL
