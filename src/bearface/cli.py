@@ -80,6 +80,39 @@ def _require(path: Path, artifact: str, command: str) -> Path:
     return path
 
 
+_TRACK_FIELDS = (("time", float), ("expression", str), ("level", float))
+_VOTE_FIELDS = (("time", float), ("winner", str), ("votes", int))
+
+
+def _read_records(path: str, fields: tuple[tuple[str, type], ...]) -> list[tuple]:
+    """Whitespace-separated records, one per line; '#' starts a comment.
+
+    `fields` holds a (name, type) per column. A wrong field count or a
+    value its type rejects raises ValueError naming path:line.
+    """
+    layout = " ".join(name for name, _ in fields)
+    records = []
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    for number, raw in enumerate(lines, 1):
+        texts = raw.split("#", 1)[0].split()
+        if not texts:
+            continue
+        if len(texts) != len(fields):
+            raise ValueError(
+                f"{path}:{number}: expected '{layout}', got {len(texts)} fields"
+            )
+        record = []
+        for (name, kind), text in zip(fields, texts):
+            try:
+                record.append(kind(text))
+            except ValueError:
+                raise ValueError(
+                    f"{path}:{number}: {name} must be {kind.__name__}, got {text!r}"
+                ) from None
+        records.append(tuple(record))
+    return records
+
+
 def _templates(config: RunConfig):
     path = None if config.templates == "builtin" else config.templates
     return load_templates(path)
@@ -201,13 +234,7 @@ def cmd_animate(args: argparse.Namespace) -> int:
     else:
         transcript = bundled_transcript()
     if args.track:
-        track = []
-        for raw in Path(args.track).read_text(encoding="utf-8").splitlines():
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            time_text, name, level_text = line.split()
-            track.append((float(time_text), name, float(level_text)))
+        track = _read_records(args.track, _TRACK_FIELDS)
     elif args.expression:
         track = [(0.0, args.expression, args.intensity)]
     else:
@@ -242,19 +269,15 @@ def cmd_imitate(args: argparse.Namespace) -> int:
         hold_duration=config.hold_duration,
     )
     emitted = 0
-    for raw in Path(args.votes).read_text(encoding="utf-8").splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        time_text, winner, votes_text = line.split()
+    for time, winner, votes in _read_records(args.votes, _VOTE_FIELDS):
         result = VoteResult(
             winner=winner,
-            votes=int(votes_text),
+            votes=votes,
             tally=(),
             decisions={},
             class_names=class_names,
         )
-        motion = session.consume(result, float(time_text))
+        motion = session.consume(result, time)
         if motion is None:
             continue
         frames, morphs = motion

@@ -9,6 +9,11 @@ one catch-all bin, for 59 bins per window.
 Windows are independent: each window's histogram counts only the pixels
 whose full 3x3 neighbourhood lies inside that window, so a 16x16 window
 contributes exactly 14x14 codes no matter where it sits in the image.
+
+All windows are counted in one pass: each valid code position gets the key
+``window * 59 + bin`` and a single integer ``bincount`` over those keys
+gives every window's histogram. Counts are integers, so the result is
+exactly that of one ``bincount`` per window.
 """
 
 from __future__ import annotations
@@ -81,14 +86,15 @@ def lbph(image: GrayImage, grid: tuple[int, int] = (8, 8)) -> np.ndarray:
     if win_h < 3 or win_w < 3:
         raise ValueError(f"windows of {win_w}x{win_h} px are too small for LBP")
     bins = _BIN_TABLE[lbp_codes(image.pixels)]
-    feature = np.zeros(grid_y * grid_x * UNIFORM_BIN_COUNT, dtype=np.float64)
-    for wy in range(grid_y):
-        for wx in range(grid_x):
-            window = bins[
-                wy * win_h : wy * win_h + win_h - 2,
-                wx * win_w : wx * win_w + win_w - 2,
-            ]
-            hist = np.bincount(window.ravel(), minlength=UNIFORM_BIN_COUNT)
-            start = (wy * grid_x + wx) * UNIFORM_BIN_COUNT
-            feature[start : start + UNIFORM_BIN_COUNT] = hist
-    return feature
+    # Code row r belongs to window row r // win_h; its last two rows and
+    # columns need pixels from the next window, so they are left out.
+    rows = np.arange(bins.shape[0])
+    rows = rows[rows % win_h < win_h - 2]
+    cols = np.arange(bins.shape[1])
+    cols = cols[cols % win_w < win_w - 2]
+    window_key = UNIFORM_BIN_COUNT * ((rows // win_h * grid_x)[:, None] + cols // win_w)
+    counts = np.bincount(
+        (window_key + bins[np.ix_(rows, cols)]).ravel(),
+        minlength=grid_y * grid_x * UNIFORM_BIN_COUNT,
+    )
+    return counts.astype(np.float64)

@@ -26,6 +26,10 @@ STEP_TOL = 1e-4          # sup-norm of the accepted weight step
 OBJECTIVE_TOL = 1e-6     # accepted objective decrease
 MAX_OUTER_ITERATIONS = 100
 _SUPPORT_EPS = 1e-9
+# The solver's two-variable update can leave a multiplier a few ulps above
+# C, so the box check allows that much, relative to C: an absolute slack of
+# 1e-12 is less than one ulp of C once C >= 8192.
+_BOX_RTOL = 4 * np.finfo(np.float64).eps
 _BACKTRACK_LIMIT = 25
 
 
@@ -80,7 +84,8 @@ class BinaryMklSolution:
 
     def validate(self, atol_equality: float = 1e-8, atol_simplex: float = 1e-10) -> None:
         """Raise if the dual/simplex feasibility invariants are broken."""
-        if (self.alphas < -1e-12).any() or (self.alphas > self.C + 1e-12).any():
+        upper = self.C * (1 + _BOX_RTOL)
+        if (self.alphas < -1e-12).any() or (self.alphas > upper).any():
             raise AssertionError("dual variables leave the box [0, C]")
         if abs(float(self.alphas @ self.labels)) > atol_equality:
             raise AssertionError("dual equality constraint violated")

@@ -154,12 +154,16 @@ def _bilinear_sample(pixels: np.ndarray, x: np.ndarray, y: np.ndarray) -> tuple[
     y1 = np.minimum(y0 + 1, height - 1)
     fx = xs - x0
     fy = ys - y0
-    img = pixels.astype(np.float64)
+    # Gather the four neighbours straight from the source pixels; uint8
+    # widens to float64 exactly inside the products.
+    flat = pixels.ravel()
+    row0 = y0 * width
+    row1 = y1 * width
     value = (
-        img[y0, x0] * (1 - fx) * (1 - fy)
-        + img[y0, x1] * fx * (1 - fy)
-        + img[y1, x0] * (1 - fx) * fy
-        + img[y1, x1] * fx * fy
+        flat.take(row0 + x0) * (1 - fx) * (1 - fy)
+        + flat.take(row0 + x1) * fx * (1 - fy)
+        + flat.take(row1 + x0) * (1 - fx) * fy
+        + flat.take(row1 + x1) * fx * fy
     )
     value = np.where(inside, value, 0.0)
     return value, bool((~inside).any())

@@ -223,6 +223,25 @@ def test_export_servo_trajectory_file(tmp_path):
     assert len(payload) == (int(frames) + 1) * 40
 
 
+@pytest.mark.parametrize(
+    ("command", "option", "line", "problem"),
+    [
+        ("imitate", "--votes", "0.0 joy", "expected 'time winner votes', got 2 fields"),
+        ("imitate", "--votes", "0.0 joy six", "votes must be int, got 'six'"),
+        ("animate", "--track", "0.0 anger", "expected 'time expression level', got 2 fields"),
+        ("animate", "--track", "soon anger 0.5", "time must be float, got 'soon'"),
+    ],
+)
+def test_bad_record_line_names_path_and_line(tmp_path, capsys, command, option, line, problem):
+    records = tmp_path / "records.txt"
+    records.write_text(f"{line}  # first record\n0.5 joy 1\n")
+    code = main([command, option, str(records), "--out", str(tmp_path / "o")])
+    assert code == 2
+    record = _single_error(capsys)
+    assert record["kind"] == "ValueError"
+    assert record["error"] == f"{records}:1: {problem}"
+
+
 def test_bad_transcript_reports_error(tmp_path, capsys):
     bad = tmp_path / "bad.align"
     bad.write_text("0.5 0.1 m\n")

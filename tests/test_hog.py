@@ -3,8 +3,90 @@
 import numpy as np
 import pytest
 
-from bearface.hog import DEFAULT_HOG_BINS, gradient_field, hog
+from bearface.hog import DEFAULT_HOG_BINS, fold_orientation, gradient_field, hog
 from bearface.imaging import GrayImage
+
+
+def reference_hog(image: GrayImage, grid=(8, 8), bins=DEFAULT_HOG_BINS) -> np.ndarray:
+    """The per-window histogram loop the one-pass `hog` must reproduce."""
+    grid_y, grid_x = grid
+    height, width = image.pixels.shape
+    win_h = height // grid_y
+    win_w = width // grid_x
+    gy, gx = np.gradient(np.asarray(image.pixels, dtype=np.float64))
+    magnitude = np.hypot(gx, gy)
+    orientation = np.mod(np.arctan2(gy, gx), np.pi)
+    position = orientation * (bins / np.pi)
+    lower = np.floor(position)
+    fraction = position - lower
+    bin_lo = lower.astype(np.int64) % bins
+    bin_hi = (bin_lo + 1) % bins
+    weight_lo = magnitude * (1.0 - fraction)
+    weight_hi = magnitude * fraction
+    feature = np.zeros(grid_y * grid_x * bins, dtype=np.float64)
+    for wy in range(grid_y):
+        for wx in range(grid_x):
+            rows = slice(wy * win_h, (wy + 1) * win_h)
+            cols = slice(wx * win_w, (wx + 1) * win_w)
+            hist = np.bincount(
+                bin_lo[rows, cols].ravel(),
+                weights=weight_lo[rows, cols].ravel(),
+                minlength=bins,
+            )
+            hist += np.bincount(
+                bin_hi[rows, cols].ravel(),
+                weights=weight_hi[rows, cols].ravel(),
+                minlength=bins,
+            )
+            norm = np.linalg.norm(hist)
+            if norm > 0:
+                hist = hist / (norm + 1e-6)
+            start = (wy * grid_x + wx) * bins
+            feature[start : start + bins] = hist
+    return feature
+
+
+def _checkerboard(size: int = 128) -> np.ndarray:
+    return (np.indices((size, size)).sum(axis=0) % 2 * 255).astype(np.uint8)
+
+
+def _stripes(size: int = 128, period: int = 2) -> np.ndarray:
+    pixels = np.zeros((size, size), dtype=np.uint8)
+    pixels[:, : : period] = 255
+    return pixels
+
+
+# Seeded noise, a flat image, and 0/255 patterns whose gradients are
+# maximal and whose orientations land exactly on 0, pi/2 and pi.
+REFERENCE_IMAGES = {
+    "random-a": np.random.default_rng(31).integers(0, 256, (128, 128), dtype=np.uint8),
+    "random-b": np.random.default_rng(32).integers(0, 256, (128, 128), dtype=np.uint8),
+    "constant": np.full((128, 128), 77, dtype=np.uint8),
+    "checkerboard": _checkerboard(),
+    "inverted-checkerboard": 255 - _checkerboard(),
+    "columns": _stripes(),
+    "rows": _stripes().T.copy(),
+    "wide-rows": 255 - _stripes(period=3).T,
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_IMAGES))
+@pytest.mark.parametrize("bins", [1, 9, 59])
+@pytest.mark.parametrize("grid", [(8, 8), (4, 4), (2, 8)])
+def test_matches_per_window_reference(name, bins, grid):
+    image = GrayImage(REFERENCE_IMAGES[name])
+    assert np.array_equal(hog(image, grid, bins), reference_hog(image, grid, bins))
+
+
+def test_orientation_fold_matches_mod_on_all_8bit_gradients():
+    # Central differences of 8-bit pixels are halves in [-255, 255] and
+    # one-sided ones are integers there: every pair is on this lattice.
+    steps = np.arange(-510, 511) / 2.0
+    gy, gx = np.meshgrid(steps, steps, indexing="ij")
+    assert gy.size == 1_042_441
+    angle = np.arctan2(gy, gx)
+    expected = np.mod(angle, np.pi)
+    assert np.array_equal(fold_orientation(angle).view(np.int64), expected.view(np.int64))
 
 
 def test_constant_image_all_zero():

@@ -13,6 +13,54 @@ from bearface.lbp import (
 )
 
 
+def reference_lbph(image: GrayImage, grid=(8, 8)) -> np.ndarray:
+    """The per-window histogram loop the one-pass `lbph` must reproduce."""
+    grid_y, grid_x = grid
+    height, width = image.pixels.shape
+    win_h = height // grid_y
+    win_w = width // grid_x
+    bins = uniform_bin_table()[lbp_codes(image.pixels)]
+    feature = np.zeros(grid_y * grid_x * UNIFORM_BIN_COUNT, dtype=np.float64)
+    for wy in range(grid_y):
+        for wx in range(grid_x):
+            window = bins[
+                wy * win_h : wy * win_h + win_h - 2,
+                wx * win_w : wx * win_w + win_w - 2,
+            ]
+            hist = np.bincount(window.ravel(), minlength=UNIFORM_BIN_COUNT)
+            start = (wy * grid_x + wx) * UNIFORM_BIN_COUNT
+            feature[start : start + UNIFORM_BIN_COUNT] = hist
+    return feature
+
+
+def _checkerboard(size: int = 128) -> np.ndarray:
+    return (np.indices((size, size)).sum(axis=0) % 2 * 255).astype(np.uint8)
+
+
+REFERENCE_IMAGES = {
+    "random-a": np.random.default_rng(41).integers(0, 256, (128, 128), dtype=np.uint8),
+    "random-b": np.random.default_rng(42).integers(0, 256, (128, 128), dtype=np.uint8),
+    "constant": np.full((128, 128), 90, dtype=np.uint8),
+    "checkerboard": _checkerboard(),
+    "inverted-checkerboard": 255 - _checkerboard(),
+    "columns": np.tile(np.array([0, 255], dtype=np.uint8), (128, 64)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_IMAGES))
+@pytest.mark.parametrize("grid", [(8, 8), (4, 4), (2, 8)])
+def test_matches_per_window_reference(name, grid):
+    image = GrayImage(REFERENCE_IMAGES[name])
+    assert np.array_equal(lbph(image, grid), reference_lbph(image, grid))
+
+
+def test_matches_reference_on_non_square_image():
+    pixels = np.random.default_rng(43).integers(0, 256, (96, 160), dtype=np.uint8)
+    for grid in [(8, 8), (4, 10), (3, 5)]:
+        image = GrayImage(pixels)
+        assert np.array_equal(lbph(image, grid), reference_lbph(image, grid))
+
+
 def oracle_code(patch: np.ndarray) -> int:
     """Brute-force LBP of one 3x3 patch (independent neighbour loop)."""
     center = patch[1, 1]

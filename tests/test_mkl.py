@@ -7,7 +7,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bearface.kernels import AutoRbf, RbfKernel, kernel_matrix, resolve_kernel
-from bearface.mkl import mkl_gradient, project_simplex, train_binary_mkl
+from bearface.mkl import (
+    BinaryMklSolution,
+    mkl_gradient,
+    project_simplex,
+    train_binary_mkl,
+)
 from bearface.multiclass import decision_values, train_multiclass
 from bearface.svm import solve_svm_dual
 
@@ -94,6 +99,29 @@ def test_history_feasible_and_monotone():
             assert objective <= previous + 1e-12 * (1 + abs(previous))
         previous = objective
     solution.validate()
+
+
+def _pair_solution(alpha: float, C: float) -> BinaryMklSolution:
+    return BinaryMklSolution(
+        class_a=0,
+        class_b=1,
+        alphas=np.array([alpha, alpha]),
+        kernel_weights=np.array([1.0]),
+        bias=0.0,
+        labels=np.array([1.0, -1.0]),
+        C=C,
+        objective=0.0,
+    )
+
+
+def test_box_check_slack_scales_with_c():
+    # At C = 1e4 one ulp (1.8e-12) is wider than an absolute 1e-12 slack.
+    C = 1e4
+    _pair_solution(float(np.nextafter(C, np.inf)), C).validate()
+    _pair_solution(float(np.nextafter(1e-4, np.inf)), 1e-4).validate()
+    for alpha in (1.001 * C, -1e-9):
+        with pytest.raises(AssertionError, match="box"):
+            _pair_solution(alpha, C).validate()
 
 
 def test_gradient_formula():

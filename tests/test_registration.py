@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from bearface import registration
 from bearface.diagnostics import CropBoundsWarning
 from bearface.imaging import GrayImage, read_pnm, write_pgm
 from bearface.registration import (
@@ -27,6 +28,63 @@ def _spread_landmarks(size: float = 127.0, offset: float = 0.0) -> LandmarkSet:
     points[0] = (0 + offset, 0 + offset)
     points[1] = (size + offset, size + offset)  # pin the bounding box
     return LandmarkSet(points)
+
+
+def reference_sample(pixels: np.ndarray, x: np.ndarray, y: np.ndarray):
+    """The float64 fancy-indexing sampler `_bilinear_sample` must reproduce."""
+    height, width = pixels.shape
+    eps = 1e-9
+    inside = (x >= -eps) & (x <= width - 1 + eps) & (y >= -eps) & (y <= height - 1 + eps)
+    xs = np.clip(x, 0, width - 1)
+    ys = np.clip(y, 0, height - 1)
+    x0 = np.floor(xs).astype(int)
+    y0 = np.floor(ys).astype(int)
+    x1 = np.minimum(x0 + 1, width - 1)
+    y1 = np.minimum(y0 + 1, height - 1)
+    fx = xs - x0
+    fy = ys - y0
+    img = pixels.astype(np.float64)
+    value = (
+        img[y0, x0] * (1 - fx) * (1 - fy)
+        + img[y0, x1] * fx * (1 - fy)
+        + img[y1, x0] * (1 - fx) * fy
+        + img[y1, x1] * fx * fy
+    )
+    value = np.where(inside, value, 0.0)
+    return value, bool((~inside).any())
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_sampler_matches_reference(seed):
+    rng = np.random.default_rng(seed)
+    height, width = rng.integers(8, 160, 2)
+    pixels = rng.integers(0, 256, (height, width), dtype=np.uint8)
+    # Coordinates inside, on the last row and column, and beyond every edge.
+    x = rng.uniform(-4, width + 3, (40, 50))
+    y = rng.uniform(-4, height + 3, (40, 50))
+    x[0] = width - 1
+    y[:, 0] = height - 1
+    x[1] = np.round(x[1])
+    for xs, ys in [(x, y), (np.clip(x, 0, width - 1), np.clip(y, 0, height - 1))]:
+        value, clipped = registration._bilinear_sample(pixels, xs, ys)
+        expected, expected_clipped = reference_sample(pixels, xs, ys)
+        assert np.array_equal(value, expected)
+        assert clipped == expected_clipped
+
+
+def test_crop_outside_source_matches_reference(monkeypatch):
+    rng = np.random.default_rng(12)
+    image = GrayImage(rng.integers(0, 256, (90, 110), dtype=np.uint8))
+    reference = _spread_landmarks(size=CROP_SIZE - 1)
+    # Scaled up and shifted so the crop window hangs over the top-left edge.
+    source = LandmarkSet(reference.points * 1.1 - np.array([25.0, 20.0]))
+    with pytest.warns(CropBoundsWarning):
+        crop = register_and_crop(image, source, reference)
+    monkeypatch.setattr(registration, "_bilinear_sample", reference_sample)
+    with pytest.warns(CropBoundsWarning):
+        expected = register_and_crop(image, source, reference)
+    assert (crop.pixels == 0).any()
+    assert np.array_equal(crop.pixels, expected.pixels)
 
 
 def test_pgm_round_trip(tmp_path):
