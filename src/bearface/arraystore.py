@@ -3,6 +3,8 @@
 Models and feature caches persist through this one format: a magic first
 line, then one entry per record. Numeric arrays are stored as raw
 little-endian bytes in base64, so every value round-trips bit-exactly.
+Stores are written atomically (`write_atomic`), so an interrupted write
+never leaves a half-written store that later loads.
 
     bearface-store 1
     int seed 42
@@ -16,6 +18,8 @@ from __future__ import annotations
 
 import base64
 import math
+import os
+import secrets
 from pathlib import Path
 from typing import Mapping
 
@@ -132,8 +136,29 @@ class StoreEntries(dict):
         raise ValueError(f"{self.path}: {kind} store lacks the {name!r} entry")
 
 
+def write_atomic(path: "str | Path", text: str) -> None:
+    """Write UTF-8 text so that readers see the old file or the whole new one.
+
+    The text goes to a temporary file in the same directory, which then
+    replaces `path` in one `os.replace`. A write that fails midway leaves
+    the previous file as it was and removes the temporary file.
+    """
+    path = Path(path)
+    temporary = path.with_name(f".{path.name}.{secrets.token_hex(4)}.tmp")
+    # O_EXCL: never write into a file that is already there; 0o666 lets
+    # the umask set the permissions, as for any other created file.
+    fd = os.open(temporary, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        os.replace(temporary, path)
+    except BaseException:
+        temporary.unlink(missing_ok=True)
+        raise
+
+
 def write_store(entries: Mapping[str, object], path: "str | Path") -> None:
-    Path(path).write_text(dump_store(entries), encoding="utf-8")
+    write_atomic(path, dump_store(entries))
 
 
 def read_store(path: "str | Path") -> StoreEntries:

@@ -1,10 +1,32 @@
 """Principal-component reduction keeping a target fraction of variance.
 
-The decomposition runs as an SVD of the centred sample matrix, which is
-the covariance eigendecomposition carried out in the smaller of the
-(dimension, sample count) spaces. Component signs are fixed so the entry
-with the largest magnitude in each basis vector is positive, making fits
-reproducible across runs.
+Which decomposition runs depends only on the shape (n, d) of the samples:
+
+- n >= d (tall): an SVD of the centred (n, d) matrix. Its right singular
+  vectors are the components and sigma**2 / (n - 1) the variances. This
+  is the reference route.
+- d > n (wide, e.g. 240 faces of 3 776 LBPH or HOG bins): the "snapshot"
+  route of eigenfaces (Sirovich & Kirby, JOSA A 1987; Turk & Pentland,
+  J. Cogn. Neurosci. 1991). The symmetric eigendecomposition of the n x n
+  Gram matrix G = Xc Xc^T gives eigenvalues sigma**2 and left singular
+  vectors U, and only the k retained components are formed, as
+  Xc^T U[:, :k] / sigma[:k]. At most n - 1 components exist, so this
+  replaces an SVD of the full block by an n x n problem, seven to nine
+  times faster on those blocks.
+
+Forming G squares the condition number, so the Gram route loses relative
+accuracy only in components whose sigma is far below sigma_max; their
+error grows like eps * (sigma_max / sigma)**2. The retained components
+carry a target share of the variance (95% by default), so their sigma
+stays close to sigma_max (sigma_max / sigma_k is 10 to 27 on the
+benchmark's face blocks), and there the two routes agree to about 1e-12
+(tests/test_pca.py compares them). A centred wide block always has
+one sigma of zero and duplicate rows add more: negative eigenvalues from
+rounding are clamped to 0, and a component with sigma <= 1e-12 * sigma_max
+is never retained or divided by, so no component is inf or NaN.
+
+Component signs are fixed so the entry with the largest magnitude in each
+basis vector is positive, making fits reproducible across runs.
 """
 
 from __future__ import annotations
@@ -50,22 +72,35 @@ def fit_pca(samples: np.ndarray, energy: float = DEFAULT_ENERGY) -> PcaModel:
     X = np.asarray(samples, dtype=np.float64)
     if X.ndim != 2:
         raise ValueError(f"samples must be 2-D (n, d), got shape {X.shape}")
-    n, _ = X.shape
+    n, d = X.shape
     if n < 2:
         raise ValueError("need at least 2 samples")
     if not (0.0 < energy <= 1.0):
         raise ValueError(f"energy must be in (0, 1], got {energy}")
     mean = X.mean(axis=0)
     centered = X - mean
-    _, singular, vt = np.linalg.svd(centered, full_matrices=False)
-    variances = singular**2 / (n - 1)
+    if d > n:
+        # Snapshot route (module docstring): eigh is ascending, so reverse.
+        eigenvalues, u = np.linalg.eigh(centered @ centered.T)
+        eigenvalues = np.maximum(eigenvalues[::-1], 0.0)
+        u = u[:, ::-1]
+        singular = np.sqrt(eigenvalues)
+        variances = eigenvalues / (n - 1)
+    else:
+        _, singular, vt = np.linalg.svd(centered, full_matrices=False)
+        variances = singular**2 / (n - 1)
     total = float(variances.sum())
     if total <= 0.0:
         raise ZeroVarianceError("samples have zero variance; nothing to retain")
     ratios = np.cumsum(variances) / total
     k = int(np.searchsorted(ratios, energy - 1e-12, side="left")) + 1
     k = min(k, len(variances))
-    components = vt[:k].T.copy()
+    if d > n:
+        # Never retain or divide by a sigma that is zero to rounding.
+        k = min(k, int(np.count_nonzero(singular > 1e-12 * singular[0])))
+        components = (centered.T @ u[:, :k]) / singular[:k]
+    else:
+        components = vt[:k].T.copy()
     # Deterministic sign: largest-magnitude entry of each component positive.
     for j in range(k):
         pivot = int(np.argmax(np.abs(components[:, j])))

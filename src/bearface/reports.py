@@ -11,6 +11,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Sequence
 
+from .arraystore import write_atomic
 from .multiclass import CvResult
 
 _ABBREV = {
@@ -79,5 +80,5 @@ def write_report(
     text_path: str | Path,
     csv_path: str | Path,
 ) -> None:
-    Path(text_path).write_text(report_text(result, config_lines), encoding="utf-8")
-    Path(csv_path).write_text(report_csv(result), encoding="utf-8")
+    write_atomic(text_path, report_text(result, config_lines))
+    write_atomic(csv_path, report_csv(result))

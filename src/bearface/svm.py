@@ -4,7 +4,10 @@ Sequential two-variable coordinate optimization: each step picks the
 maximal-violating index and pairs it with the partner giving the best
 second-order gain (WSS2 of Fan, Chen & Lin, JMLR 6, 2005), then solves that
 two-variable subproblem exactly. Convergence is declared when the largest
-KKT violation falls below the tolerance. The bias comes from the free
+KKT violation falls below the tolerance. A step that the box clips to no
+move at all (a multiplier within rounding of a bound) puts that multiplier
+on its bound instead, so a solve never stops above the tolerance while a
+violating pair is left. The bias comes from the free
 support vectors, or from the midpoint of the bound constraints when none
 are free.
 
@@ -165,11 +168,21 @@ def solve_svm_dual(
             lo = max(0.0, alpha_i_old + alpha_j_old - C)
             hi = min(C, alpha_i_old + alpha_j_old)
         alpha_j_new = min(hi, max(lo, candidate))
-        alpha_i_new = alpha_i_old + s * (alpha_j_old - alpha_j_new)
+        # Clipped into [0, C]; the order of the operands keeps every value
+        # inside the box (a -0.0 included) bit for bit.
+        alpha_i_new = min(max(alpha_i_old + s * (alpha_j_old - alpha_j_new), 0.0), C)
         delta_i = alpha_i_new - alpha_i_old
         delta_j = alpha_j_new - alpha_j_old
         if delta_i == 0.0 and delta_j == 0.0:
-            break  # no movable pair left at this precision
+            # Stuck rule: alpha_i lies within rounding of a bound of the pair's
+            # box, e.g. a cancellation residue of 8e-20, which keeps i in its
+            # set although no step can move it. Put it on its nearer bound,
+            # as LIBSVM's update does, and go on; stop only if that is no
+            # move either.
+            alpha_i_new = C if alpha_i_old > 0.5 * C else 0.0
+            delta_i = alpha_i_new - alpha_i_old
+            if delta_i == 0.0:
+                break  # no movable pair left at this precision
         alpha_l[i] = alpha_i_new
         alpha_l[j] = alpha_j_new
         for k, a_k in ((i, alpha_i_new), (j, alpha_j_new)):

@@ -11,6 +11,28 @@ from bearface.pca import (
 )
 
 
+def reference_fit_pca(samples, energy):
+    """PCA by a full SVD of the centred samples, whatever their shape.
+
+    The fit before wide blocks took the Gram route, kept as the reference:
+    returns (components, variances, retained).
+    """
+    X = np.asarray(samples, dtype=np.float64)
+    n = X.shape[0]
+    centered = X - X.mean(axis=0)
+    _, singular, vt = np.linalg.svd(centered, full_matrices=False)
+    variances = singular**2 / (n - 1)
+    ratios = np.cumsum(variances) / float(variances.sum())
+    k = int(np.searchsorted(ratios, energy - 1e-12, side="left")) + 1
+    k = min(k, len(variances))
+    components = vt[:k].T.copy()
+    for j in range(k):
+        pivot = int(np.argmax(np.abs(components[:, j])))
+        if components[pivot, j] < 0:
+            components[:, j] = -components[:, j]
+    return components, variances[:k], float(ratios[k - 1])
+
+
 def test_rank_one_data():
     rng = np.random.default_rng(0)
     direction = rng.normal(size=10)
@@ -99,6 +121,8 @@ def test_deterministic_sign():
 def test_errors():
     with pytest.raises(ZeroVarianceError):
         fit_pca(np.ones((10, 4)))
+    with pytest.raises(ZeroVarianceError):
+        fit_pca(np.full((6, 40), 3.0))  # wide: the Gram route
     with pytest.raises(ValueError, match="at least 2"):
         fit_pca(np.ones((1, 4)))
     rng = np.random.default_rng(8)
@@ -107,3 +131,50 @@ def test_errors():
         pca_project(model, np.zeros(5))
     with pytest.raises(ValueError, match="dimension"):
         pca_reconstruct(model, np.zeros(model.k + 1))
+
+
+@pytest.mark.parametrize("n, d", [(5, 400), (48, 1500), (240, 3776)])
+def test_wide_blocks_match_svd_reference(n, d):
+    # Decaying column scales, like descriptor bins, so the retained k is
+    # well below n; energy 0.95 is the default of the pipeline.
+    rng = np.random.default_rng(n)
+    samples = rng.normal(size=(n, d)) * np.geomspace(5.0, 0.05, d)
+    samples += 3.0 * rng.normal(size=d)  # an offset the centring removes
+    for energy in (0.5, 0.95, 0.99):
+        model = fit_pca(samples, energy)
+        components, variances, retained = reference_fit_pca(samples, energy)
+        assert model.k == len(variances)
+        assert model.retained == pytest.approx(retained, rel=1e-12)
+        assert np.allclose(model.variances, variances, rtol=1e-12, atol=0.0)
+        assert np.abs(model.components - components).max() <= 1e-9
+
+
+def test_rank_deficient_wide_blocks_give_finite_components():
+    rng = np.random.default_rng(9)
+    base = rng.normal(size=(4, 300)) * np.geomspace(2.0, 0.1, 300)
+    samples = np.vstack([base, base, base[:2]])  # 10 rows, rank 3 once centred
+    for energy in (0.95, 1.0):
+        model = fit_pca(samples, energy)
+        assert np.isfinite(model.components).all()
+        assert np.isfinite(model.variances).all()
+        assert 1 <= model.k <= 3
+        gram = model.components.T @ model.components
+        assert np.allclose(gram, np.eye(model.k), atol=1e-9)
+    rebuilt = pca_reconstruct(model, pca_project(model, samples))
+    assert np.allclose(rebuilt, samples, atol=1e-9)
+    line = np.outer(rng.normal(size=6), rng.normal(size=50))  # rank one
+    model = fit_pca(line, 1.0)
+    assert model.k == 1
+    assert np.isfinite(model.components).all()
+
+
+@pytest.mark.parametrize("n, d", [(30, 30), (50, 20), (400, 6), (2, 2)])
+def test_tall_blocks_keep_the_svd_bit_for_bit(n, d):
+    rng = np.random.default_rng(n + d)
+    samples = rng.normal(size=(n, d)) * np.linspace(4.0, 0.2, d)
+    for energy in (0.8, 0.95, 1.0):
+        model = fit_pca(samples, energy)
+        components, variances, retained = reference_fit_pca(samples, energy)
+        assert model.components.tobytes() == components.tobytes()
+        assert model.variances.tobytes() == variances.tobytes()
+        assert model.retained == retained

@@ -5,7 +5,13 @@ import dataclasses
 import numpy as np
 import pytest
 
-from bearface.arraystore import dump_store, parse_store, read_store, write_store
+from bearface.arraystore import (
+    dump_store,
+    parse_store,
+    read_store,
+    write_atomic,
+    write_store,
+)
 from bearface.kernels import AutoRbf, PolyKernel
 from bearface.modelio import FeatureParams, ModelBundle, load_model, save_model
 from bearface.multiclass import classify, train_multiclass
@@ -34,6 +40,23 @@ def test_store_round_trip_exact(tmp_path):
     assert loaded["seed"] == 42
     assert loaded["rate"] == entries["rate"]  # bit-exact through repr
     assert loaded["name"] == entries["name"]
+
+
+def test_failed_write_keeps_previous_store(tmp_path):
+    path = tmp_path / "model.store"
+    write_store({"seed": 1, "weights": np.arange(3.0)}, path)
+    before = path.read_bytes()
+    # A lone surrogate passes dump_store but fails UTF-8 encoding after the
+    # payload before it has been written out.
+    entries = {"weights": np.arange(50000.0), "note": "\ud800"}
+    with pytest.raises(UnicodeEncodeError):
+        write_store(entries, path)
+    assert path.read_bytes() == before
+    assert read_store(path)["seed"] == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.store"]
+    write_atomic(tmp_path / "report.txt", "new\n")
+    assert (tmp_path / "report.txt").read_text(encoding="utf-8") == "new\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.store", "report.txt"]
 
 
 def test_store_preserves_nan_and_inf(tmp_path):

@@ -70,11 +70,16 @@ def reference_solve(K, y, C, tol=DEFAULT_KKT_TOL, max_iter=None, warm_alpha=None
             lo = max(0.0, alpha_i_old + alpha_j_old - C)
             hi = min(C, alpha_i_old + alpha_j_old)
         alpha_j_new = min(hi, max(lo, candidate))
-        alpha_i_new = alpha_i_old + s * (alpha_j_old - alpha_j_new)
+        alpha_i_new = min(max(alpha_i_old + s * (alpha_j_old - alpha_j_new), 0.0), C)
         delta_i = alpha_i_new - alpha_i_old
         delta_j = alpha_j_new - alpha_j_old
         if delta_i == 0.0 and delta_j == 0.0:
-            break
+            # The pair's box allows no move: alpha_i sits within rounding of
+            # a bound. Put it on the nearer bound; stop only if it is there.
+            alpha_i_new = C if alpha_i_old > 0.5 * C else 0.0
+            delta_i = alpha_i_new - alpha_i_old
+            if delta_i == 0.0:
+                break
         alpha[i] = alpha_i_new
         alpha[j] = alpha_j_new
         gradient += Q[:, i] * delta_i + Q[:, j] * delta_j
@@ -355,6 +360,42 @@ def test_loop_matches_reference_on_large_polynomial_grams():
         # Duals scale like 1 / diag, so only small C makes the box bind.
         for C in (1e-4, 1e-3, 10.0):
             assert_matches_reference(K, y, C)
+
+
+def test_cancellation_residue_does_not_stop_the_solve():
+    # Without the stuck rule this solve stops after 11 steps at violation
+    # 0.91: alpha_0 (y = +1) is left at 6.9e-18 by a cancellation, so it stays
+    # in I_low, and the clip bound alpha_j - alpha_0 rounds to alpha_j.
+    rng = np.random.default_rng(126)
+    n = int(rng.integers(4, 16))
+    y = random_labels(rng, n)
+    d = int(rng.integers(2, 30))
+    X = rng.normal(size=(n, d)) * rng.uniform(0.6, 1.5, size=(n, 1))
+    X += 0.3 * y[:, None]
+    K = kernel_matrix(PolyKernel(degree=2), X)
+    assert n == 7
+    solution = solve_svm_dual(K, y, 1.0, psd_check=False)
+    assert solution.kkt_violation < DEFAULT_KKT_TOL
+    assert solution.alpha[0] == 0.0
+    assert abs(float(solution.alpha @ y)) <= 1e-15
+    assert_matches_reference(K, y, 1.0)
+
+
+def test_alphas_stay_in_box_on_polynomial_grams():
+    # At C = 1e-4 the update alpha_i + s * (alpha_j_old - alpha_j_new) used to
+    # land one ulp above C in 7 of these 40 problems.
+    rng = np.random.default_rng(55)
+    C = 1e-4
+    for _ in range(40):
+        n = int(rng.integers(8, 40))
+        y = random_labels(rng, n)
+        X = rng.normal(size=(n, 20)) * rng.uniform(0.6, 1.5, size=(n, 1))
+        X += 0.3 * y[:, None]
+        K = kernel_matrix(PolyKernel(degree=2), X)
+        solution = solve_svm_dual(K, y, C)
+        assert solution.alpha.min() >= 0.0
+        assert solution.alpha.max() <= C
+        assert solution.kkt_violation < DEFAULT_KKT_TOL
 
 
 def test_loop_matches_reference_at_the_iteration_cap():
