@@ -35,6 +35,7 @@ from .lipsync import (
 from .manifest import read_manifest, training_labels
 from .modelio import FeatureParams, ModelBundle, load_model, save_model
 from .multiclass import VoteResult, classify, cross_validate, train_multiclass
+from .records import read_records
 from .registration import read_landmarks
 from .reports import write_report
 from .imaging import read_pnm
@@ -82,35 +83,6 @@ def _require(path: Path, artifact: str, command: str) -> Path:
 
 _TRACK_FIELDS = (("time", float), ("expression", str), ("level", float))
 _VOTE_FIELDS = (("time", float), ("winner", str), ("votes", int))
-
-
-def _read_records(path: str, fields: tuple[tuple[str, type], ...]) -> list[tuple]:
-    """Whitespace-separated records, one per line; '#' starts a comment.
-
-    `fields` holds a (name, type) per column. A wrong field count or a
-    value its type rejects raises ValueError naming path:line.
-    """
-    layout = " ".join(name for name, _ in fields)
-    records = []
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    for number, raw in enumerate(lines, 1):
-        texts = raw.split("#", 1)[0].split()
-        if not texts:
-            continue
-        if len(texts) != len(fields):
-            raise ValueError(
-                f"{path}:{number}: expected '{layout}', got {len(texts)} fields"
-            )
-        record = []
-        for (name, kind), text in zip(fields, texts):
-            try:
-                record.append(kind(text))
-            except ValueError:
-                raise ValueError(
-                    f"{path}:{number}: {name} must be {kind.__name__}, got {text!r}"
-                ) from None
-        records.append(tuple(record))
-    return records
 
 
 def _templates(config: RunConfig):
@@ -234,7 +206,7 @@ def cmd_animate(args: argparse.Namespace) -> int:
     else:
         transcript = bundled_transcript()
     if args.track:
-        track = _read_records(args.track, _TRACK_FIELDS)
+        track = read_records(args.track, _TRACK_FIELDS)
     elif args.expression:
         track = [(0.0, args.expression, args.intensity)]
     else:
@@ -269,7 +241,7 @@ def cmd_imitate(args: argparse.Namespace) -> int:
         hold_duration=config.hold_duration,
     )
     emitted = 0
-    for time, winner, votes in _read_records(args.votes, _VOTE_FIELDS):
+    for time, winner, votes in read_records(args.votes, _VOTE_FIELDS):
         result = VoteResult(
             winner=winner,
             votes=votes,

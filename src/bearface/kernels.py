@@ -146,10 +146,13 @@ def parse_kernel(text: str) -> KernelSpec:
 
 
 def combine_grams(grams: Sequence[np.ndarray], weights: np.ndarray) -> np.ndarray:
-    """Convex combination sum_m d_m * K_m.
+    """Convex combination sum_m d_m * K_m, in the shape of one K_m.
 
-    `grams` is a sequence of M (n, n) matrices or one (M, n, n) stack; a
-    float64 stack is combined without being copied.
+    `grams` is a sequence of M matrices, one (M, ...) stack, or an
+    (M, n * n) view of one; a float64 stack is combined without being
+    copied. The product is the (1 x M) . (M x n*n) one that `np.tensordot`
+    issues for the same operands, so the result is the same bit for bit.
     """
     stacked = np.asarray(grams)
-    return np.tensordot(np.asarray(weights, dtype=np.float64), stacked, axes=1)
+    row = np.asarray(weights, dtype=np.float64).reshape(1, len(stacked))
+    return np.dot(row, stacked.reshape(len(stacked), -1)).reshape(stacked.shape[1:])

@@ -9,6 +9,28 @@ that system is well behaved, otherwise plain projected gradient. Either
 way a backtracking line search only ever accepts weights that do not
 increase the objective, so the recorded objective sequence is
 non-increasing by construction.
+
+Most trials of that line search are rejected, and a bound proves most of
+those rejections before any solve. With the duals alpha of the current
+weights, g_m = -0.5 (alpha y)' K_m (alpha y) is the outer gradient, and
+for any weights d' the dual objective of alpha under sum_m d'_m K_m is
+
+    J(alpha; d') = sum(alpha) + d' . g.
+
+The trial at d' warm-starts from alpha, which is feasible for every d'
+(the box and the equality constraint do not depend on d), and the SMO
+solve only climbs from it. So the trial's objective is at least
+sum(alpha) + d' . g, the weak-duality identity behind SimpleMKL's duality
+gap (Rakotomamonjy et al., JMLR 9, 2008). A trial is accepted only if its
+objective is at most the current one plus 1e-12 relative; when the bound
+already exceeds that by another 1e-12 relative, far more than the
+rounding of a 4-term dot product or of the solver's objective, the trial
+would be rejected, and it is skipped unsolved. A rejected trial changes no
+state, so every accepted step, and the model, is the same as with every
+trial solved (tests/test_mkl.py solves the skipped ones to check).
+
+Each fit stacks its Grams once and combines them through one (M, n * n)
+view; the Newton direction reuses the Gram its duals were solved on.
 """
 
 from __future__ import annotations
@@ -95,9 +117,24 @@ class BinaryMklSolution:
             raise AssertionError("kernel weights do not sum to one")
 
 
+def bound_rejects(
+    alpha_sum: float, candidate: np.ndarray, gradient: np.ndarray, objective: float
+) -> bool:
+    """Whether the warm-start bound proves a line-search trial rejected.
+
+    The inner solve at `candidate` starts from the current duals and only
+    climbs, so its objective is at least their objective there, which is
+    `alpha_sum + candidate @ gradient` (module docstring). A trial whose
+    bound exceeds the acceptance threshold by another 1e-12 relative, far
+    more than the rounding of either value, would be rejected.
+    """
+    bound = alpha_sum + float(candidate @ gradient)
+    return bound > objective + 2e-12 * (1.0 + abs(objective))
+
+
 def _curvature_direction(
     grams: Sequence[np.ndarray],
-    weights: np.ndarray,
+    combined: np.ndarray,
     y: np.ndarray,
     alpha: np.ndarray,
     C: float,
@@ -108,8 +145,9 @@ def _curvature_direction(
     On the face where the free support set is fixed, the derivative of the
     free duals with respect to each weight solves a bordered system in the
     combined kernel; this yields the outer Hessian H and the direction
-    minimizing g'D + 0.5 D'HD subject to sum(D) = 0. Returns None when the
-    system is degenerate or ill-conditioned.
+    minimizing g'D + 0.5 D'HD subject to sum(D) = 0. `combined` is the
+    Gram at the current weights, the one the current duals were solved on.
+    Returns None when the system is degenerate or ill-conditioned.
     """
     M = len(grams)
     eps = 1e-9 * C
@@ -120,7 +158,6 @@ def _curvature_direction(
     v = alpha * y
     # u_m = (yy' o K^m) alpha restricted to the free set.
     U = np.stack([y[free] * (K[free] @ v) for K in grams], axis=1)  # (F, M)
-    combined = combine_grams(grams, weights)
     # The bordered KKT matrix uses the current combined kernel on the free set.
     Q_ff = (y[free, None] * y[None, free]) * combined[np.ix_(free, free)]
     S = np.zeros((count + 1, count + 1))
@@ -178,27 +215,33 @@ def train_binary_mkl(
         if K.shape != (n, n):
             raise ValueError("Gram matrices must share one square shape")
     # One (M, n, n) stack for the whole fit, so no inner solve or curvature
-    # step re-stacks the Grams.
+    # step re-stacks the Grams, and one (M, n * n) view of it to combine.
     grams = np.stack(grams)
+    flat = grams.reshape(len(grams), n * n)
     y = np.asarray(labels, dtype=np.float64)
     M = len(grams)
     d = np.full(M, 1.0 / M)
 
-    def inner(weights: np.ndarray, warm: np.ndarray | None) -> DualSolution:
-        combined = combine_grams(grams, weights)
-        return solve_svm_dual(
+    def inner(
+        weights: np.ndarray, warm: np.ndarray | None
+    ) -> tuple[DualSolution, np.ndarray]:
+        combined = combine_grams(flat, weights).reshape(n, n)
+        solution = solve_svm_dual(
             combined, y, C, tol=inner_tol, warm_alpha=warm, psd_check=False
         )
+        return solution, combined
 
-    solution = inner(d, None)
+    solution, combined = inner(d, None)
     objective = solution.objective
     history: list[tuple[tuple[float, ...], float]] = [(tuple(d), objective)]
 
     for _ in range(max_outer):
         gradient = mkl_gradient(solution.alpha, y, grams)
-        newton = _curvature_direction(grams, d, y, solution.alpha, C, gradient)
+        newton = _curvature_direction(grams, combined, y, solution.alpha, C, gradient)
         gradient_step = -gradient * (0.5 / max(float(np.abs(gradient).max()), 1e-12))
         directions = [newton, gradient_step] if newton is not None else [gradient_step]
+        alpha_sum = float(solution.alpha.sum())
+        threshold = objective + 1e-12 * (1.0 + abs(objective))
 
         accepted = None
         for direction in directions:
@@ -207,17 +250,18 @@ def train_binary_mkl(
                 candidate = project_simplex(d + scale * direction)
                 if float(np.abs(candidate - d).max()) < 1e-15:
                     break
-                trial = inner(candidate, solution.alpha)
-                if trial.objective <= objective + 1e-12 * (1.0 + abs(objective)):
-                    accepted = (candidate, trial)
-                    break
+                if not bound_rejects(alpha_sum, candidate, gradient, objective):
+                    trial, trial_gram = inner(candidate, solution.alpha)
+                    if trial.objective <= threshold:
+                        accepted = (candidate, trial, trial_gram)
+                        break
                 scale *= 0.5
             if accepted is not None:
                 break
         if accepted is None:
             break  # no feasible descent direction: converged
 
-        d_new, solution = accepted
+        d_new, solution, combined = accepted
         step_size = float(np.abs(d_new - d).max())
         decrease = objective - solution.objective
         d = d_new

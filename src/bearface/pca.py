@@ -39,7 +39,7 @@ DEFAULT_ENERGY = 0.95
 
 
 class ZeroVarianceError(ValueError):
-    """All samples identical; there is no variance to retain."""
+    """All samples identical up to rounding; there is no variance to retain."""
 
 
 @dataclass(frozen=True)
@@ -90,7 +90,10 @@ def fit_pca(samples: np.ndarray, energy: float = DEFAULT_ENERGY) -> PcaModel:
         _, singular, vt = np.linalg.svd(centered, full_matrices=False)
         variances = singular**2 / (n - 1)
     total = float(variances.sum())
-    if total <= 0.0:
+    # Identical rows whose mean does not round back to the row still leave
+    # a centred residue of a few ulps of the mean per entry, so a total at
+    # or below (n ulps of each sample's size)**2 is rounding, not variance.
+    if total <= (n * np.finfo(np.float64).eps) ** 2 * n * float(mean @ mean):
         raise ZeroVarianceError("samples have zero variance; nothing to retain")
     ratios = np.cumsum(variances) / total
     k = int(np.searchsorted(ratios, energy - 1e-12, side="left")) + 1

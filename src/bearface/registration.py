@@ -18,6 +18,7 @@ import numpy as np
 
 from .diagnostics import CropBoundsWarning
 from .imaging import GrayImage
+from .records import read_records
 
 LANDMARK_COUNT = 68
 CROP_SIZE = 128
@@ -46,17 +47,12 @@ class LandmarkSet:
         object.__setattr__(self, "points", array)
 
 
+_LANDMARK_FIELDS = (("x", float), ("y", float))
+
+
 def read_landmarks(path: str | Path) -> LandmarkSet:
     """Load an 'x y' per line landmark file (one per image, same stem)."""
-    rows = []
-    for number, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        fields = line.split()
-        if len(fields) != 2:
-            raise ValueError(f"{path}:{number}: expected 'x y'")
-        rows.append((float(fields[0]), float(fields[1])))
+    rows = read_records(path, _LANDMARK_FIELDS)
     if len(rows) != LANDMARK_COUNT:
         raise ValueError(f"{path}: expected {LANDMARK_COUNT} landmarks, got {len(rows)}")
     return LandmarkSet(np.asarray(rows))

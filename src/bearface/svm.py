@@ -12,23 +12,36 @@ support vectors, or from the midpoint of the bound constraints when none
 are free.
 
 The working set is kept the way LIBSVM keeps it (Chang & Lin, ACM TIST
-2011), so a step costs O(1) Python work and a fixed number of vector
-operations:
-- membership of I_up and I_low lives in two additive penalty vectors (0 in
-  the set, -inf / +inf outside), built once per solve; a step changes only
-  alpha_i and alpha_j, so it rewrites only those two entries of each;
+2011), so a step costs O(1) Python work and about a dozen vector
+operations, which write into buffers made once per solve:
+- the loop state is yg = -y * gradient, not the gradient. Because y is
+  +/-1, y_k * gradient_k == -yg_k, and the update -y * (Q[:, i] * delta_i)
+  equals K[:, i] * (-y_i * delta_i) bit for bit, so yg moves by columns of
+  K (its rows, when K is symmetric) times -y_k * delta_k;
+- membership of I_up and I_low lives in one (2, n) additive penalty array
+  (0 in the set, -inf / +inf outside), built once per solve, and yg is
+  added to both rows in one call; a step changes only alpha_i and alpha_j,
+  so it rewrites only those two entries of each row;
 - the curvature of every candidate pair is one (n, n) matrix built once per
   solve, and row i is the partner search's curvature vector;
+- the partner gain is max(m_up - low_score, 0)**2 / curvature, with no
+  mask: a candidate (in I_low with yg < m_up) gets the plain rule's gain
+  and every other index gets 0. The violation is at least tol > 0, so the
+  largest gain is positive and only a candidate reaches it: the same
+  partner. Should that gain underflow to 0 (a tol far below the kernel's
+  scale), the plain masked rule picks instead;
 - the two-variable update runs on Python floats.
 
 Exact-identity rule: the loop must return the multipliers, bias, objective,
 violation and iteration count of the plain loop that rebuilds the masks
 every step (`reference_solve` in tests/test_svm.py), bit for bit. So every
 value that feeds a comparison, the gradient update or the result is
-computed from the same operands in the same order. Adding a 0 penalty
-leaves a score unchanged (a -0.0 turns into +0.0, which compares equal; at
-most the sign of a zero violation can differ), and because y is +/-1,
-2.0 * y[i] * y[j] * Q[i, j] equals 2.0 * K[i, j] exactly.
+computed from the same operands in the same order; a sign flip by y is
+exact and commutes with rounding. Adding a 0 penalty leaves a score
+unchanged (a -0.0 turns into +0.0, which compares equal; at most the sign
+of a zero violation can differ), because y is +/-1, 2.0 * y[i] * y[j] *
+Q[i, j] equals 2.0 * K[i, j] exactly, and the bias mean is np.mean's own
+add.reduce over the free set divided by its count.
 """
 
 from __future__ import annotations
@@ -104,7 +117,7 @@ def solve_svm_dual(
         raise ValueError(f"kernel matrix must be square, got {K.shape}")
     if y.shape != (n,):
         raise ValueError(f"labels shape {y.shape} does not match matrix size {n}")
-    if not np.all(np.isin(y, (-1.0, 1.0))):
+    if not ((y == 1.0) | (y == -1.0)).all():
         raise ValueError("labels must be -1 or +1")
     if (y > 0).all() or (y < 0).all():
         raise ValueError("both classes must be present")
@@ -115,52 +128,68 @@ def solve_svm_dual(
     if max_iter is None:
         max_iter = max(20000, 200 * n)
 
-    Q = (y[:, None] * y[None, :]) * K
     if warm_alpha is not None:
         alpha = np.clip(np.asarray(warm_alpha, dtype=np.float64).copy(), 0.0, C)
-        gradient = Q @ alpha - 1.0
+        Q = (y[:, None] * y[None, :]) * K
+        yg = -y * (Q @ alpha - 1.0)
     else:
         alpha = np.zeros(n)
-        gradient = -np.ones(n)
+        yg = y.copy()  # -y * gradient with gradient = -1, bit for bit
+    # Row k of `rows` is column k of K (module docstring).
+    rows = K if np.array_equal(K, K.T) else np.ascontiguousarray(K.T)
 
-    diag = np.diag(Q).copy()
+    diag = np.diag(K).copy()  # the diagonal of Q, since y_k**2 == 1
     # Row i is the partner search's curvature vector (module docstring).
     curvature = (diag[:, None] + diag[None, :]) - 2.0 * K
     curvature = np.where(curvature > 0, curvature, _TAU)
-    up_pen = np.where(((y > 0) & (alpha < C)) | ((y < 0) & (alpha > 0)), 0.0, -np.inf)
-    low_pen = np.where(((y > 0) & (alpha > 0)) | ((y < 0) & (alpha < C)), 0.0, np.inf)
+    # Row 0 is the I_up penalty, row 1 the I_low penalty.
+    penalty = np.empty((2, n))
+    up_pen, low_pen = penalty
+    up_pen[:] = np.where(((y > 0) & (alpha < C)) | ((y < 0) & (alpha > 0)), 0.0, -np.inf)
+    low_pen[:] = np.where(((y > 0) & (alpha > 0)) | ((y < 0) & (alpha < C)), 0.0, np.inf)
+    scores = np.empty((2, n))
+    up_scores, low_scores = scores
+    gain = np.empty(n)
+    step = np.empty(n)
     alpha_l = alpha.tolist()
     diag_l = diag.tolist()
     y_l = y.tolist()
     iterations = 0
     violation = np.inf
     for iterations in range(1, max_iter + 1):
-        yg = -y * gradient
-        i = int((yg + up_pen).argmax())
+        np.add(yg, penalty, out=scores)
+        i = int(up_scores.argmax())
         m_up = float(yg[i]) if up_pen[i] == 0.0 else -np.inf  # -inf: I_up empty
-        low_scores = yg + low_pen
         m_low = float(low_scores[low_scores.argmin()])  # cheaper than .min()
         violation = m_up - m_low
         if violation < tol:
             break
 
-        # Second-order partner selection among violating candidates.
-        b_vec = m_up - yg
-        gain = np.where(low_scores < m_up, (b_vec * b_vec) / curvature[i], -np.inf)
+        # Second-order partner selection among violating candidates; every
+        # other index gains 0 (module docstring).
+        np.subtract(m_up, low_scores, out=gain)
+        np.maximum(gain, 0.0, out=gain)
+        np.multiply(gain, gain, out=gain)
+        np.divide(gain, curvature[i], out=gain)
         j = int(gain.argmax())
+        if not gain[j] > 0.0:
+            # The best gain underflowed to 0 (tol**2 below the curvature's
+            # range): pick among the candidates alone, as the plain rule does.
+            b_vec = m_up - yg
+            masked = np.where(low_scores < m_up, (b_vec * b_vec) / curvature[i], -np.inf)
+            j = int(masked.argmax())
 
         # Exact two-variable update with box clipping, on Python floats.
         y_i = y_l[i]
         y_j = y_l[j]
         s = y_i * y_j
-        e_i = y_i * float(gradient[i])
-        e_j = y_j * float(gradient[j])
         eta = diag_l[i] + diag_l[j] - 2.0 * float(K[i, j])
         if eta <= 0:
             eta = _TAU
         alpha_j_old = alpha_l[j]
         alpha_i_old = alpha_l[i]
-        candidate = alpha_j_old + y_j * (e_i - e_j) / eta
+        # y_i * gradient_i - y_j * gradient_j, with y_k * gradient_k == -yg_k.
+        candidate = alpha_j_old + y_j * (float(yg[j]) - m_up) / eta
         if s < 0:
             lo = max(0.0, alpha_j_old - alpha_i_old)
             hi = min(C, C + alpha_j_old - alpha_i_old)
@@ -189,7 +218,11 @@ def solve_svm_dual(
             lower, upper = (a_k > 0, a_k < C) if y_l[k] > 0 else (a_k < C, a_k > 0)
             up_pen[k] = 0.0 if upper else -np.inf
             low_pen[k] = 0.0 if lower else np.inf
-        gradient += Q[:, i] * delta_i + Q[:, j] * delta_j
+        # -y * (gradient + Q[:, i] * delta_i + Q[:, j] * delta_j), exactly.
+        np.multiply(rows[i], -y_i * delta_i, out=gain)
+        np.multiply(rows[j], -y_j * delta_j, out=step)
+        np.add(gain, step, out=gain)
+        np.add(yg, gain, out=yg)
     else:
         warnings.warn(
             f"dual solver hit the iteration cap ({max_iter}); "
@@ -199,11 +232,11 @@ def solve_svm_dual(
         )
     alpha = np.array(alpha_l, dtype=np.float64)
 
-    yg = -y * gradient
     eps = 1e-9 * C
     free = (alpha > eps) & (alpha < C - eps)
-    if free.any():
-        bias = float(yg[free].mean())
+    count = int(np.count_nonzero(free))
+    if count:
+        bias = float(np.add.reduce(yg[free]) / count)  # np.mean's own steps
     else:
         up = ((y > 0) & (alpha < C)) | ((y < 0) & (alpha > 0))
         low = ((y > 0) & (alpha > 0)) | ((y < 0) & (alpha < C))

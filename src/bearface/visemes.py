@@ -14,6 +14,8 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterable, Sequence
 
+from .records import parse_records, place
+
 VISEME_CLASS_COUNT = 20
 
 #: Symbols treated as explicit silence in shipped data.
@@ -185,26 +187,27 @@ def validate_transcript(segments: Sequence[PhonemeSegment]) -> None:
             )
 
 
-def parse_transcript(text: str) -> tuple[PhonemeSegment, ...]:
-    """Parse 'start end phoneme' lines into a validated transcript."""
+_TRANSCRIPT_FIELDS = (("start", float), ("end", float), ("phoneme", str))
+
+
+def parse_transcript(text: str, origin: str | None = None) -> tuple[PhonemeSegment, ...]:
+    """Parse 'start end phoneme' lines into a validated transcript.
+
+    Errors in a line name `origin:line` (`line N` without an origin).
+    """
     segments = []
-    for number, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        fields = line.split()
-        if len(fields) != 3:
-            raise ValueError(f"line {number}: expected 'start end phoneme'")
-        segments.append(
-            PhonemeSegment(phoneme=fields[2], start=float(fields[0]), end=float(fields[1]))
-        )
+    for number, (start, end, phoneme) in parse_records(text, _TRANSCRIPT_FIELDS, origin):
+        try:
+            segments.append(PhonemeSegment(phoneme=phoneme, start=start, end=end))
+        except ValueError as error:
+            raise ValueError(f"{place(origin, number)}: {error}") from None
     transcript = tuple(segments)
     validate_transcript(transcript)
     return transcript
 
 
 def read_transcript(path: str | Path) -> tuple[PhonemeSegment, ...]:
-    return parse_transcript(Path(path).read_text(encoding="utf-8"))
+    return parse_transcript(Path(path).read_text(encoding="utf-8"), str(path))
 
 
 def bundled_transcript(name: str = "demo.align") -> tuple[PhonemeSegment, ...]:

@@ -242,6 +242,39 @@ def test_bad_record_line_names_path_and_line(tmp_path, capsys, command, option, 
     assert record["error"] == f"{records}:1: {problem}"
 
 
+def test_bad_transcript_line_names_path_and_line(tmp_path, capsys):
+    transcript = tmp_path / "bad.align"
+    transcript.write_text("0.0 x m\n0.5 1.0 a\n")
+    code = main(["animate", "--transcript", str(transcript), "--out", str(tmp_path / "o")])
+    assert code == 2
+    record = _single_error(capsys)
+    assert record["kind"] == "ValueError"
+    assert record["error"] == f"{transcript}:1: end must be float, got 'x'"
+
+
+@pytest.mark.parametrize(
+    ("line", "problem"),
+    [("a 1", "x must be float, got 'a'"), ("1", "expected 'x y', got 1 fields")],
+)
+def test_bad_landmark_line_names_path_and_line(tmp_path, capsys, synthetic_dataset, line, problem):
+    # One four-frame sequence of the synthetic set, its first landmark file
+    # broken on line 1.
+    lines = synthetic_dataset.read_text().splitlines()
+    rows = [row.split("\t") for row in lines[2:6]]
+    for row in rows:
+        for name in row[:2]:
+            (tmp_path / name).write_bytes((synthetic_dataset.parent / name).read_bytes())
+    landmarks = tmp_path / rows[0][1]
+    landmarks.write_text(f"{line}\n" + landmarks.read_text().split("\n", 1)[1])
+    manifest = tmp_path / "one.manifest"
+    manifest.write_text("\n".join(lines[:2] + lines[2:6]) + "\n")
+    code = main(["extract", "--manifest", str(manifest), "--out", str(tmp_path / "o")])
+    assert code == 2
+    record = _single_error(capsys)
+    assert record["kind"] == "ValueError"
+    assert record["error"] == f"{landmarks}:1: {problem}"
+
+
 def test_bad_transcript_reports_error(tmp_path, capsys):
     bad = tmp_path / "bad.align"
     bad.write_text("0.5 0.1 m\n")

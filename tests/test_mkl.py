@@ -6,15 +6,27 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from bearface.kernels import AutoRbf, RbfKernel, kernel_matrix, resolve_kernel
+from bearface.kernels import (
+    AutoRbf,
+    PolyKernel,
+    RbfKernel,
+    combine_grams,
+    kernel_matrix,
+    resolve_kernel,
+)
 from bearface.mkl import (
+    MAX_OUTER_ITERATIONS,
+    OBJECTIVE_TOL,
+    STEP_TOL,
     BinaryMklSolution,
+    _curvature_direction,
+    bound_rejects,
     mkl_gradient,
     project_simplex,
     train_binary_mkl,
 )
 from bearface.multiclass import decision_values, train_multiclass
-from bearface.svm import solve_svm_dual
+from bearface.svm import ensure_psd, solve_svm_dual
 
 
 def _blob_problem(rng, per_class=15, dims=4, gap=4.0):
@@ -124,6 +136,20 @@ def test_box_check_slack_scales_with_c():
             _pair_solution(alpha, C).validate()
 
 
+def test_combine_grams_matches_tensordot_bit_for_bit():
+    rng = np.random.default_rng(37)
+    X = rng.normal(size=(30, 3))
+    grams = [kernel_matrix(RbfKernel(gamma=g), X) for g in (0.1, 0.7, 2.0)]
+    stack = np.stack(grams)
+    weights = project_simplex(rng.uniform(size=3))
+    expected = np.tensordot(weights, stack, axes=1)
+    for form in (grams, stack):
+        assert combine_grams(form, weights).tobytes() == expected.tobytes()
+    flat = combine_grams(stack.reshape(3, -1), weights)
+    assert flat.shape == (900,)
+    assert flat.tobytes() == expected.tobytes()
+
+
 def test_gradient_formula():
     rng = np.random.default_rng(34)
     X, y = _blob_problem(rng, per_class=5, dims=2)
@@ -188,3 +214,145 @@ def test_train_input_validation():
     K = np.eye(4)
     with pytest.raises(ValueError, match="share"):
         train_binary_mkl([K, np.eye(3)], np.array([1.0, 1.0, -1.0, -1.0]), C=1.0)
+
+
+# ---------------------------------------------------------------------------
+# The trainer against its plain line search
+# ---------------------------------------------------------------------------
+
+
+def reference_train_binary_mkl(grams, labels, C, trial_hook=None):
+    """The outer loop that solves every line-search trial.
+
+    A plain restatement of the trainer before trials were screened by the
+    warm-start bound, kept as the reference `train_binary_mkl` must
+    reproduce bit for bit. It combines the Grams with `np.tensordot` and
+    builds the combined Gram again for the Newton direction. Returns the
+    solution fields and the set of events the fit went through:
+    "newton" (a Newton step accepted), "fallback" (the Newton direction
+    rejected, then the gradient step accepted) and "final sweep" (both
+    directions rejected after at least one trial, which ends the fit).
+    `trial_hook(alpha_sum, candidate, gradient, objective, trial)` sees
+    every solved trial.
+    """
+    grams = np.stack([ensure_psd(np.asarray(K, dtype=np.float64)) for K in grams])
+    y = np.asarray(labels, dtype=np.float64)
+    M = len(grams)
+    d = np.full(M, 1.0 / M)
+
+    def inner(weights, warm):
+        combined = np.tensordot(weights, grams, axes=1)
+        return solve_svm_dual(combined, y, C, warm_alpha=warm, psd_check=False)
+
+    solution = inner(d, None)
+    objective = solution.objective
+    history = [(tuple(d), objective)]
+    events = set()
+    for _ in range(MAX_OUTER_ITERATIONS):
+        gradient = mkl_gradient(solution.alpha, y, grams)
+        combined = np.tensordot(d, grams, axes=1)
+        newton = _curvature_direction(grams, combined, y, solution.alpha, C, gradient)
+        gradient_step = -gradient * (0.5 / max(float(np.abs(gradient).max()), 1e-12))
+        directions = [newton, gradient_step] if newton is not None else [gradient_step]
+        accepted = None
+        trials = 0
+        for index, direction in enumerate(directions):
+            scale = 1.0
+            for _ in range(25):
+                candidate = project_simplex(d + scale * direction)
+                if float(np.abs(candidate - d).max()) < 1e-15:
+                    break
+                trial = inner(candidate, solution.alpha)
+                trials += 1
+                if trial_hook is not None:
+                    alpha_sum = float(solution.alpha.sum())
+                    trial_hook(alpha_sum, candidate, gradient, objective, trial)
+                if trial.objective <= objective + 1e-12 * (1.0 + abs(objective)):
+                    accepted = (candidate, trial)
+                    break
+                scale *= 0.5
+            if accepted is not None:
+                if newton is not None:
+                    events.add("newton" if index == 0 else "fallback")
+                break
+        if accepted is None:
+            if newton is not None and trials:
+                events.add("final sweep")
+            break
+        d_new, solution = accepted
+        step_size = float(np.abs(d_new - d).max())
+        decrease = objective - solution.objective
+        d = d_new
+        objective = solution.objective
+        history.append((tuple(d), objective))
+        if step_size < STEP_TOL or decrease < OBJECTIVE_TOL:
+            break
+    fields = dict(
+        alphas=solution.alpha,
+        kernel_weights=d,
+        bias=solution.bias,
+        objective=objective,
+        history=tuple(history),
+    )
+    return fields, events
+
+
+def _mkl_problem(seed, M):
+    """Two noisy blobs under M basis kernels: RBFs of several widths, and a
+    quadratic kernel on a second, weakly informative block."""
+    rng = np.random.default_rng(seed)
+    X, y = _blob_problem(rng, per_class=int(rng.integers(10, 25)), dims=4, gap=2.0)
+    noise = 0.5 * y[:, None] + rng.normal(size=(len(y), 3))
+    specs = [
+        (X, RbfKernel(gamma=0.3)),
+        (noise, PolyKernel(degree=2)),
+        (X, RbfKernel(gamma=3.0)),
+        (noise, RbfKernel(gamma=0.1)),
+    ]
+    return [kernel_matrix(spec, block) for block, spec in specs[:M]], y
+
+
+# The line-search paths each (M, C) case goes through over seeds 0-2. With
+# M = 1 no trial can move the weights, so those fits are one cold solve.
+_REFERENCE_EVENTS = {
+    (1, 0.5): set(),
+    (1, 10.0): set(),
+    (4, 0.5): {"newton", "fallback", "final sweep"},
+    (4, 10.0): {"newton", "fallback"},
+}
+
+
+@pytest.mark.parametrize("M, C", sorted(_REFERENCE_EVENTS))
+def test_trainer_matches_reference_bit_for_bit(M, C):
+    events = set()
+    for seed in range(3):
+        grams, y = _mkl_problem(seed, M)
+        expected, seen = reference_train_binary_mkl(grams, y, C)
+        events |= seen
+        solution = train_binary_mkl(grams, y, C)
+        assert solution.alphas.tobytes() == expected["alphas"].tobytes()
+        assert solution.kernel_weights.tobytes() == expected["kernel_weights"].tobytes()
+        for name in ("bias", "objective", "history"):
+            assert getattr(solution, name) == expected[name], name
+    assert events == _REFERENCE_EVENTS[M, C]
+
+
+def test_bound_skips_only_trials_the_search_rejects():
+    # Solve every trial, including those the warm-start bound lets the
+    # trainer skip: each skipped one must fail the acceptance test, and the
+    # bound must lie below the trial's objective up to rounding.
+    seen = {"skipped": 0, "solved": 0}
+
+    def shadow(alpha_sum, candidate, gradient, objective, trial):
+        seen["solved"] += 1
+        bound = alpha_sum + float(candidate @ gradient)
+        assert trial.objective >= bound - 1e-12 * (1.0 + abs(bound))
+        if bound_rejects(alpha_sum, candidate, gradient, objective):
+            seen["skipped"] += 1
+            assert trial.objective > objective + 1e-12 * (1.0 + abs(objective))
+
+    for seed in range(3):
+        for C in (0.5, 10.0):
+            grams, y = _mkl_problem(seed, 4)
+            reference_train_binary_mkl(grams, y, C, trial_hook=shadow)
+    assert 0 < seen["skipped"] < seen["solved"]

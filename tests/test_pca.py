@@ -133,6 +133,35 @@ def test_errors():
         pca_reconstruct(model, np.zeros(model.k + 1))
 
 
+@pytest.mark.parametrize("shape", [(3, 40), (40, 3)])
+def test_identical_rows_with_rounded_mean_have_no_variance(shape):
+    # The mean of these rows is 0.1 plus an ulp or so, so the centred block
+    # is a residue of about 1e-17 per entry, not zero.
+    samples = np.full(shape, 0.1)
+    assert (samples - samples.mean(axis=0)).any()
+    with pytest.raises(ZeroVarianceError):
+        fit_pca(samples)
+
+
+def test_identical_rows_never_give_components():
+    # Both routes, over row sizes from 1e-8 to 1e7.
+    rng = np.random.default_rng(9)
+    for _ in range(300):
+        n, d = (int(v) for v in rng.integers(2, 60, size=2))
+        row = rng.uniform(0.5, 2.0, size=d) * rng.uniform(-1, 1) * 10.0 ** rng.integers(-8, 8)
+        with pytest.raises(ZeroVarianceError):
+            fit_pca(np.tile(row, (n, 1)))
+
+
+@pytest.mark.parametrize("shape", [(3, 40), (40, 3)])
+def test_small_real_variance_is_kept(shape):
+    rng = np.random.default_rng(10)
+    samples = 0.1 + 1e-9 * rng.normal(size=shape)
+    model = fit_pca(samples, energy=1.0)
+    assert model.k >= 1
+    assert model.variances[0] > 1e-19
+
+
 @pytest.mark.parametrize("n, d", [(5, 400), (48, 1500), (240, 3776)])
 def test_wide_blocks_match_svd_reference(n, d):
     # Decaying column scales, like descriptor bins, so the retained k is

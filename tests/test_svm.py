@@ -1,6 +1,8 @@
 """Dual solver against analytic solutions, an exhaustive-search oracle, the
 plain reference loop and a general-purpose optimizer."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -409,6 +411,31 @@ def test_loop_matches_reference_at_the_iteration_cap():
     assert solution.alpha.tobytes() == expected["alpha"].tobytes()
     assert solution.bias == expected["bias"]
     assert solution.kkt_violation == expected["kkt_violation"] > 1e-3
+
+
+def test_loop_matches_reference_when_gains_underflow():
+    # On a Gram scaled by 1e300 the squared violations divided by the
+    # curvature underflow to 0, so the largest second-order gain is 0 and
+    # the partner must be the plain rule's pick among the candidates.
+    rng = np.random.default_rng(62)
+    for n in (5, 12):
+        y = random_labels(rng, n)
+        K = kernel_matrix(RbfKernel(gamma=0.5), rng.normal(size=(n, 3)) + 0.5 * y[:, None])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NumericsWarning)  # the cap, at n = 12
+            assert_matches_reference(1e300 * K, y, 1.0, tol=1e-300, max_iter=300)
+
+
+def test_loop_matches_reference_on_asymmetric_matrices():
+    # The gradient update reads columns of K; for a symmetric K its rows.
+    rng = np.random.default_rng(61)
+    for n in (5, 12, 30):
+        y = random_labels(rng, n)
+        K = kernel_matrix(RbfKernel(gamma=0.5), rng.normal(size=(n, 3)) + 0.5 * y[:, None])
+        K += 1e-9 * rng.normal(size=K.shape)
+        assert not np.array_equal(K, K.T)
+        for C in (1.0, 10.0):
+            assert_matches_reference(K, y, C)
 
 
 def test_objective_agrees_with_scipy_on_medium_problems():
