@@ -44,7 +44,6 @@ from .visemes import (
     PhonemeSegment,
     VisemeTable,
     load_viseme_table,
-    map_phoneme_to_viseme,
 )
 
 __version__ = "0.1.0"
@@ -82,7 +81,6 @@ __all__ = [
     "imitate",
     "load_templates",
     "load_viseme_table",
-    "map_phoneme_to_viseme",
     "pca_project",
     "pose_for",
     "render_timeline",

@@ -18,15 +18,12 @@ from __future__ import annotations
 
 import base64
 import math
-import os
-import secrets
 from pathlib import Path
 from typing import Mapping
 
 import numpy as np
 
-MAGIC = "bearface-store"
-VERSION = "1"
+from .records import check_header, place, typed, write_atomic
 
 _DTYPES = {"f8": "<f8", "i8": "<i8", "u1": "|u1"}
 
@@ -37,7 +34,7 @@ def _check_name(name: str) -> None:
 
 
 def dump_store(entries: Mapping[str, object]) -> str:
-    lines = [f"{MAGIC} {VERSION}"]
+    lines = ["bearface-store 1"]
     for name, value in entries.items():
         _check_name(name)
         if isinstance(value, bool):
@@ -72,10 +69,14 @@ def dump_store(entries: Mapping[str, object]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_store(text: str) -> dict[str, object]:
+def parse_store(text: str, origin: str | None = None) -> dict[str, object]:
+    """The entries of a store's text; errors name `origin:line`.
+
+    The body has its own loop, not `records.content_lines`: a string entry
+    may hold '#', and an array's payload is the line after its header.
+    """
     lines = text.splitlines()
-    if not lines or lines[0].split() != [MAGIC, VERSION]:
-        raise ValueError(f"store must start with '{MAGIC} {VERSION}'")
+    check_header(lines, "store", origin)
     entries: dict[str, object] = {}
     index = 1
     while index < len(lines):
@@ -83,40 +84,39 @@ def parse_store(text: str) -> dict[str, object]:
         index += 1
         if not line.strip():
             continue
+        where = place(origin, index)
         kind, _, rest = line.partition(" ")
         name, _, tail = rest.partition(" ")
         if name in entries:
-            raise ValueError(f"duplicate store entry {name!r}")
-        if kind == "int":
-            entries[name] = int(tail)
-        elif kind == "float":
-            entries[name] = float(tail)
+            raise ValueError(f"{where}: duplicate store entry {name!r}")
+        if kind in ("int", "float"):
+            entries[name] = typed(int if kind == "int" else float, name, tail, where)
         elif kind == "str":
             entries[name] = tail
         elif kind == "array":
             code, _, shape_text = tail.partition(" ")
             if code not in _DTYPES:
-                raise ValueError(f"entry {name!r}: unknown dtype code {code!r}")
-            shape = tuple(int(s) for s in shape_text.split(",") if s != "")
+                raise ValueError(f"{where}: entry {name!r}: unknown dtype code {code!r}")
+            shape = tuple(typed(int, "shape", s, where) for s in shape_text.split(",") if s)
             if index >= len(lines):
-                raise ValueError(f"entry {name!r}: missing payload line")
+                raise ValueError(f"{where}: entry {name!r}: missing payload line")
             raw = base64.b64decode(lines[index])
             index += 1
             dtype = np.dtype(_DTYPES[code])
             if any(s < 0 for s in shape):
                 raise ValueError(
-                    f"entry {name!r}: negative dimension in shape {shape_text}"
+                    f"{where}: entry {name!r}: negative dimension in shape {shape_text}"
                 )
             needed = math.prod(shape) * dtype.itemsize
             if len(raw) != needed:
                 raise ValueError(
-                    f"entry {name!r}: payload holds {len(raw)} bytes, "
+                    f"{where}: entry {name!r}: payload holds {len(raw)} bytes, "
                     f"shape {shape_text} of {code} needs {needed}"
                 )
             array = np.frombuffer(raw, dtype=dtype).reshape(shape)
             entries[name] = array.copy()
         else:
-            raise ValueError(f"unknown store entry kind {kind!r}")
+            raise ValueError(f"{where}: unknown store entry kind {kind!r}")
     return entries
 
 
@@ -136,30 +136,9 @@ class StoreEntries(dict):
         raise ValueError(f"{self.path}: {kind} store lacks the {name!r} entry")
 
 
-def write_atomic(path: "str | Path", text: str) -> None:
-    """Write UTF-8 text so that readers see the old file or the whole new one.
-
-    The text goes to a temporary file in the same directory, which then
-    replaces `path` in one `os.replace`. A write that fails midway leaves
-    the previous file as it was and removes the temporary file.
-    """
-    path = Path(path)
-    temporary = path.with_name(f".{path.name}.{secrets.token_hex(4)}.tmp")
-    # O_EXCL: never write into a file that is already there; 0o666 lets
-    # the umask set the permissions, as for any other created file.
-    fd = os.open(temporary, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-    try:
-        with open(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        os.replace(temporary, path)
-    except BaseException:
-        temporary.unlink(missing_ok=True)
-        raise
-
-
 def write_store(entries: Mapping[str, object], path: "str | Path") -> None:
     write_atomic(path, dump_store(entries))
 
 
 def read_store(path: "str | Path") -> StoreEntries:
-    return StoreEntries(parse_store(Path(path).read_text(encoding="utf-8")), path)
+    return StoreEntries(parse_store(Path(path).read_text(encoding="utf-8"), str(path)), path)

@@ -35,7 +35,7 @@ from .lipsync import (
 from .manifest import read_manifest, training_labels
 from .modelio import FeatureParams, ModelBundle, load_model, save_model
 from .multiclass import VoteResult, classify, cross_validate, train_multiclass
-from .records import read_records
+from .records import read_records, write_atomic, write_jsonl
 from .registration import read_landmarks
 from .reports import write_report
 from .imaging import read_pnm
@@ -188,9 +188,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
         )
         progress(f"classified {entry.image.name}: {result.winner}")
     path = out / "classifications.jsonl"
-    with open(path, "w", encoding="utf-8") as handle:
-        for record in records:
-            handle.write(json.dumps(record, sort_keys=True) + "\n")
+    write_jsonl(path, records)
     expected = training_labels(manifest)
     correct = sum(1 for r, label in zip(records, expected) if r["winner"] == label)
     print(f"classified {len(records)} images ({correct} match their labels) -> {path}")
@@ -281,7 +279,7 @@ def cmd_export_servo(args: argparse.Namespace) -> int:
     if args.out:
         out = _out_dir(args)
         path = out / "servo.bin"
-        path.write_bytes(payload)
+        write_atomic(path, payload)
         print(f"wrote {len(payload)} bytes -> {path}")
     else:
         sys.stdout.buffer.write(payload)
@@ -293,7 +291,7 @@ def write_trajectory_csv(frames, path) -> None:
     lines = ["t," + ",".join(dof_label(d) for d in ALL_DOFS)]
     for t, pose in frames:
         lines.append(f"{t:.9g}," + ",".join(f"{v:.9g}" for v in pose.values))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_atomic(path, "\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -305,8 +303,8 @@ def _add_common(sub: argparse.ArgumentParser, out_default: str | None = "bearfac
     sub.add_argument("--config", help="configuration file (defaults when omitted)")
     sub.add_argument("--seed", type=int, help="override the configured seed")
     sub.add_argument("--mode", choices=("au", "au-animal"), help="expression mode")
-    if out_default is not None:
-        sub.add_argument("--out", default=out_default, help="output directory")
+    where = "output directory" if out_default else "output directory (omit for stdout)"
+    sub.add_argument("--out", default=out_default, help=where)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -349,11 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--votes", required=True, help="votes file: 'time winner votes'")
 
     p = commands.add_parser("export-servo", help="emit servo command bytes for a pose")
-    sub = p
-    sub.add_argument("--config", help="configuration file (defaults when omitted)")
-    sub.add_argument("--seed", type=int, help="override the configured seed")
-    sub.add_argument("--mode", choices=("au", "au-animal"), help="expression mode")
-    sub.add_argument("--out", default=None, help="output directory (omit for stdout)")
+    _add_common(p, out_default=None)
     p.add_argument("--expression", required=True, help="expression to pose")
     p.add_argument("--intensity", type=float, default=1.0, help="expression level")
     p.add_argument(

@@ -11,9 +11,7 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .kernels import AutoRbf, KernelPlan, PolyKernel, RbfKernel
-
-_MAGIC = "bearface-config"
-_VERSION = "1"
+from .records import boolean, content_lines, place, typed, write_atomic
 
 
 class ConfigError(ValueError):
@@ -95,7 +93,7 @@ class RunConfig:
 
     def to_lines(self) -> list[str]:
         """Canonical echo of every setting, in declaration order."""
-        out = [f"{_MAGIC} {_VERSION}"]
+        out = ["bearface-config 1"]
         for spec in fields(self):
             value = getattr(self, spec.name)
             out.append(f"{spec.name} = {_format_value(value)}")
@@ -112,66 +110,48 @@ def _format_value(value: object) -> str:
     return str(value)
 
 
-_BOOL = {"true": True, "yes": True, "on": True, "1": True,
-         "false": False, "no": False, "off": False, "0": False}
+# Value parsers by declared field type; rbf_gamma also takes 'auto'.
+_KINDS = {"int": int, "float": float, "str": str, "bool": boolean,
+          "tuple[str, ...]": lambda text: tuple(text.split()), "float | str": float}
 
 
-def _parse_value(name: str, raw: str, kind: type) -> object:
-    raw = raw.strip()
+def parse_config(
+    text: str, base: RunConfig | None = None, origin: str | None = None
+) -> RunConfig:
+    """`text`'s settings over `base` (the defaults); ConfigErrors name `origin:line`."""
+    kinds = {spec.name: _KINDS[spec.type] for spec in fields(RunConfig)}
+    config, seen = base or RunConfig(), set()
     try:
-        if kind is bool:
-            return _BOOL[raw.lower()]
-        if kind is int:
-            return int(raw)
-        if kind is float:
-            return float(raw)
-        if kind is tuple:
-            return tuple(raw.split())
-        return raw
-    except (KeyError, ValueError):
-        raise ConfigError(f"bad value for {name}: {raw!r}") from None
-
-
-def parse_config(text: str, base: RunConfig | None = None) -> RunConfig:
-    lines = text.splitlines()
-    if not lines or lines[0].split() != [_MAGIC, _VERSION]:
-        raise ConfigError(f"config must start with '{_MAGIC} {_VERSION}'")
-    field_types = {
-        "seed": int, "descriptors": tuple, "grid": int, "hog_bins": int,
-        "pca_energy": float, "kernels": tuple, "rbf_gamma": str,
-        "poly_degree": int, "poly_offset": float, "poly_scale": float,
-        "svm_c": float, "include_bias": bool, "cv_folds": int,
-        "cv_scheme": str, "frame_rate": float, "bandwidth_scale": float,
-        "closure_margin": float, "mode": str, "viseme_table": str,
-        "templates": str, "debounce": int, "transition_duration": float,
-        "hold_duration": float, "preview_frames": bool,
-    }
-    updates: dict[str, object] = {}
-    for number, raw in enumerate(lines[1:], start=2):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, sep, value = line.partition("=")
-        key = key.strip()
-        if not sep:
-            raise ConfigError(f"line {number}: expected 'key = value'")
-        if key not in field_types:
-            raise ConfigError(f"line {number}: unknown configuration key {key!r}")
-        if key in updates:
-            raise ConfigError(f"line {number}: duplicate key {key!r}")
-        parsed = _parse_value(key, value, field_types[key])
-        if key == "rbf_gamma" and parsed != "auto":
-            parsed = _parse_value(key, str(parsed), float)
-        updates[key] = parsed
-    return replace(base or RunConfig(), **updates)
+        for number, line in content_lines(text, "config", origin):
+            where = place(origin, number)
+            key, sep, value = line.partition("=")
+            key, value = key.strip(), value.strip()
+            if not sep:
+                raise ValueError(f"{where}: expected 'key = value'")
+            if key not in kinds:
+                raise ValueError(f"{where}: unknown configuration key {key!r}")
+            if key in seen:
+                raise ValueError(f"{where}: duplicate key {key!r}")
+            seen.add(key)
+            if key != "rbf_gamma" or value != "auto":
+                value = typed(kinds[key], key, value, where)
+            # Every check of RunConfig concerns one field, so checking each
+            # line as it is applied names the line at fault.
+            try:
+                config = replace(config, **{key: value})
+            except ConfigError as error:
+                raise ValueError(f"{where}: {error}") from None
+    except ValueError as error:
+        raise ConfigError(str(error)) from None
+    return config
 
 
 def load_config(path: str | Path | None = None, base: RunConfig | None = None) -> RunConfig:
     """Config from a file, or the defaults when no path is given."""
     if path is None:
         return base or RunConfig()
-    return parse_config(Path(path).read_text(encoding="utf-8"), base)
+    return parse_config(Path(path).read_text(encoding="utf-8"), base, str(path))
 
 
 def save_config(config: RunConfig, path: str | Path) -> None:
-    Path(path).write_text("\n".join(config.to_lines()) + "\n", encoding="utf-8")
+    write_atomic(path, "\n".join(config.to_lines()) + "\n")

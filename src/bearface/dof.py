@@ -51,9 +51,6 @@ class Pose:
     def __getitem__(self, dof: Dof) -> float:
         return self.values[int(dof) - 1]
 
-    def as_dict(self) -> dict[Dof, float]:
-        return {dof: self[dof] for dof in ALL_DOFS}
-
     def replace(self, updates: Mapping[Dof, float]) -> "Pose":
         """A copy with some axes overridden."""
         values = list(self.values)

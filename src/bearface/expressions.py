@@ -15,12 +15,12 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
-from importlib import resources
 from pathlib import Path
 from typing import Iterable
 
 from .diagnostics import ClampWarning
 from .dof import ALL_DOFS, Dof, Pose, dof_label, lerp_pose, parse_dof
+from .records import check_header, packaged_text
 
 
 class Expression(str, Enum):
@@ -246,10 +246,6 @@ def trajectory(
 # Template files
 # ---------------------------------------------------------------------------
 
-_TEMPLATE_MAGIC = "bearface-templates"
-_TEMPLATE_VERSION = "1"
-
-
 class TemplateSet:
     """All fourteen (expression, mode) templates plus the shared neutral pose."""
 
@@ -292,7 +288,7 @@ def _build_template(
     )
 
 
-def parse_templates(text: str) -> TemplateSet:
+def parse_templates(text: str, origin: str | None = None) -> TemplateSet:
     """Parse the template file format.
 
     The file is INI-style: a `[neutral]` section listing all ten axes,
@@ -302,10 +298,7 @@ def parse_templates(text: str) -> TemplateSet:
     and version.
     """
     lines = text.splitlines()
-    if not lines or lines[0].split() != [_TEMPLATE_MAGIC, _TEMPLATE_VERSION]:
-        raise ValueError(
-            f"template file must start with '{_TEMPLATE_MAGIC} {_TEMPLATE_VERSION}'"
-        )
+    check_header(lines, "templates", origin)
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str  # keep axis names case-sensitive
     try:
@@ -355,19 +348,13 @@ def parse_templates(text: str) -> TemplateSet:
 def load_templates(path: str | Path | None = None) -> TemplateSet:
     """Load templates from a file, or the packaged defaults when no path."""
     if path is None:
-        text = (
-            resources.files("bearface")
-            .joinpath("data/expression_templates.txt")
-            .read_text(encoding="utf-8")
-        )
-    else:
-        text = Path(path).read_text(encoding="utf-8")
-    return parse_templates(text)
+        return parse_templates(packaged_text("expression_templates.txt"))
+    return parse_templates(Path(path).read_text(encoding="utf-8"), str(path))
 
 
 def format_templates(templates: TemplateSet) -> str:
     """Serialize a TemplateSet back into the template file format."""
-    out = [f"{_TEMPLATE_MAGIC} {_TEMPLATE_VERSION}", "", "[neutral]"]
+    out = ["bearface-templates 1", "", "[neutral]"]
     for dof in ALL_DOFS:
         out.append(f"{dof_label(dof)} = {templates.neutral_pose[dof]:g}")
     for expr in CLASS_ORDER:

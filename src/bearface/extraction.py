@@ -103,9 +103,7 @@ def save_features(features: FeatureSet, path: str | Path) -> None:
         "subjects": "\t".join(features.subjects),
         "blocks": " ".join(sorted(features.blocks)),
         "reference": features.reference.points,
-        "feature_descriptors": " ".join(features.feature.descriptors),
-        "feature_grid": features.feature.grid,
-        "feature_hog_bins": features.feature.hog_bins,
+        **features.feature.entries(),
         "diagnostic_count": len(features.diagnostics),
     }
     for index, note in enumerate(features.diagnostics):
@@ -126,11 +124,7 @@ def load_features(path: str | Path) -> FeatureSet:
         subjects=tuple(str(entries["subjects"]).split("\t")),
         class_names=tuple(str(entries["classes"]).split()),
         reference=LandmarkSet(entries["reference"]),
-        feature=FeatureParams(
-            descriptors=tuple(str(entries["feature_descriptors"]).split()),
-            grid=int(entries["feature_grid"]),
-            hog_bins=int(entries["feature_hog_bins"]),
-        ),
+        feature=FeatureParams.from_entries(entries),
         diagnostics=tuple(
             str(entries[f"diagnostic{i}"])
             for i in range(int(entries.get("diagnostic_count", 0)))

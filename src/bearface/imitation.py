@@ -10,7 +10,6 @@ P - 1 matches the full expression.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -29,6 +28,7 @@ from .expressions import (
 )
 from .lipsync import DEFAULT_FRAME_RATE, MorphWeights, blend_expression, silence_frame
 from .multiclass import VoteResult
+from .records import write_jsonl
 
 
 def vote_to_intensity(votes: int, class_count: int) -> float:
@@ -188,18 +188,8 @@ class ImitationSession:
 
 def write_imitation_log(records: Iterable[ImitationRecord], path: str | Path) -> None:
     """Line-delimited JSON: timestamp, winner, votes, intensity, pose."""
-    with open(path, "w", encoding="utf-8") as handle:
-        for record in records:
-            handle.write(
-                json.dumps(
-                    {
-                        "t": record.timestamp,
-                        "winner": record.winner,
-                        "votes": record.votes,
-                        "intensity": record.intensity,
-                        "pose": list(record.pose.values),
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+    write_jsonl(path, (
+        {"t": r.timestamp, "winner": r.winner, "votes": r.votes,
+         "intensity": r.intensity, "pose": list(r.pose.values)}
+        for r in records
+    ))

@@ -10,7 +10,6 @@ Expression offsets ride on top as independent additive channels.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -26,6 +25,7 @@ from .expressions import (
     MorphTargetRef,
     TargetKind,
 )
+from .records import write_atomic, write_jsonl
 from .visemes import PhonemeSegment, VisemeTable, VISEME_CLASS_COUNT
 
 DEFAULT_FRAME_RATE = 85.0      # mouth display runs 80-90 fps; midpoint
@@ -256,22 +256,22 @@ def write_timeline_csv(frames: Sequence[MorphWeights], path: str | Path) -> None
     lines = [",".join(timeline_columns(class_count))]
     for frame in frames:
         lines.append(",".join(f"{value:.9g}" for value in _frame_row(frame)))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_atomic(path, "\n".join(lines) + "\n")
 
 
 def write_timeline_jsonl(frames: Sequence[MorphWeights], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        for frame in frames:
-            record = {
-                "t": frame.timestamp,
-                "visemes": [float(v) for v in frame.visemes],
-                "expressions": {
-                    name: float(level)
-                    for name, level in sorted(frame.expressions.items())
-                    if level != 0.0
-                },
-            }
-            handle.write(json.dumps(record, sort_keys=True) + "\n")
+    write_jsonl(path, (
+        {
+            "t": frame.timestamp,
+            "visemes": [float(v) for v in frame.visemes],
+            "expressions": {
+                name: float(level)
+                for name, level in sorted(frame.expressions.items())
+                if level != 0.0
+            },
+        }
+        for frame in frames
+    ))
 
 
 def frame_preview(frame: MorphWeights, height: int = 64, bar_width: int = 5) -> np.ndarray:

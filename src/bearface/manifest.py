@@ -11,10 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-NEUTRAL_LABEL = "neutral"
 
-_MAGIC = "bearface-manifest"
-_VERSION = "1"
+from .records import content_lines, place, typed
+
+NEUTRAL_LABEL = "neutral"
 
 
 @dataclass(frozen=True)
@@ -34,59 +34,53 @@ class DatasetManifest:
     entries: tuple[ManifestEntry, ...]
 
 
-def parse_manifest(text: str, root: Path, check_files: bool = True) -> DatasetManifest:
-    lines = text.splitlines()
-    if not lines or lines[0].split() != [_MAGIC, _VERSION]:
-        raise ValueError(f"manifest must start with '{_MAGIC} {_VERSION}'")
+def parse_manifest(
+    text: str, root: Path, check_files: bool = True, origin: str | None = None
+) -> DatasetManifest:
+    """The manifest in `text`, paths relative to `root`; errors name `origin:line`."""
     class_names: tuple[str, ...] | None = None
     entries = []
-    for number, raw in enumerate(lines[1:], start=2):
-        line = raw.split("#", 1)[0].rstrip()
-        if not line.strip():
-            continue
+    for number, line in content_lines(text, "manifest", origin):
+        where = place(origin, number)
         if class_names is None:
             key, _, value = line.partition("=")
-            if key.strip() != "classes":
-                raise ValueError("manifest must declare 'classes = ...' first")
             class_names = tuple(value.split())
-            if not class_names:
-                raise ValueError("manifest declares no classes")
+            if key.strip() != "classes" or not class_names:
+                raise ValueError(f"{where}: manifest must declare 'classes = ...' first")
             continue
         fields = line.split("\t")
         if len(fields) != 6:
-            raise ValueError(
-                f"line {number}: expected 6 tab-separated fields, got {len(fields)}"
-            )
+            raise ValueError(f"{where}: expected 6 tab-separated fields, got {len(fields)}")
         image_path, landmark_path, label, subject, sequence, frame = fields
         if label not in class_names:
-            raise ValueError(f"line {number}: label {label!r} not in declared classes")
+            raise ValueError(f"{where}: label {label!r} not in declared classes")
         entry = ManifestEntry(
             image=root / image_path,
             landmarks=root / landmark_path,
             label=label,
             subject=subject,
             sequence=sequence,
-            frame=int(frame),
+            frame=typed(int, "frame", frame, where),
         )
         if check_files:
             for path in (entry.image, entry.landmarks):
                 if not path.is_file():
-                    raise FileNotFoundError(f"line {number}: missing file {path}")
+                    raise FileNotFoundError(f"{where}: missing file {path}")
         entries.append(entry)
     if class_names is None:
-        raise ValueError("manifest declares no classes")
+        raise ValueError(f"{origin or 'manifest'}: no 'classes = ...' line")
     return DatasetManifest(root=root, class_names=class_names, entries=tuple(entries))
 
 
 def read_manifest(path: str | Path, check_files: bool = True) -> DatasetManifest:
     path = Path(path)
     return parse_manifest(
-        path.read_text(encoding="utf-8"), path.parent, check_files=check_files
+        path.read_text(encoding="utf-8"), path.parent, check_files, str(path)
     )
 
 
 def write_manifest(manifest: DatasetManifest, path: str | Path) -> None:
-    lines = [f"{_MAGIC} {_VERSION}", "classes = " + " ".join(manifest.class_names)]
+    lines = ["bearface-manifest 1", "classes = " + " ".join(manifest.class_names)]
     for e in manifest.entries:
         image = e.image.relative_to(manifest.root)
         landmarks = e.landmarks.relative_to(manifest.root)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Mapping
 
 import numpy as np
 
@@ -35,6 +36,22 @@ class FeatureParams:
         bad = [d for d in self.descriptors if d not in known]
         if bad or not self.descriptors:
             raise ValueError(f"descriptors must be a non-empty subset of {known}")
+
+    def entries(self) -> dict[str, object]:
+        """The store entries that hold these settings, in their stored order."""
+        return {
+            "feature_descriptors": " ".join(self.descriptors),
+            "feature_grid": self.grid,
+            "feature_hog_bins": self.hog_bins,
+        }
+
+    @classmethod
+    def from_entries(cls, entries: Mapping[str, object]) -> "FeatureParams":
+        return cls(
+            descriptors=tuple(str(entries["feature_descriptors"]).split()),
+            grid=int(entries["feature_grid"]),
+            hog_bins=int(entries["feature_hog_bins"]),
+        )
 
 
 @dataclass(frozen=True)
@@ -74,9 +91,7 @@ def save_model(bundle: ModelBundle, path: str | Path) -> None:
     if bundle.reference is not None:
         entries["reference"] = bundle.reference.points
     if bundle.feature is not None:
-        entries["feature_descriptors"] = " ".join(bundle.feature.descriptors)
-        entries["feature_grid"] = bundle.feature.grid
-        entries["feature_hog_bins"] = bundle.feature.hog_bins
+        entries.update(bundle.feature.entries())
     write_store(entries, path)
 
 
@@ -125,11 +140,5 @@ def load_model(path: str | Path) -> ModelBundle:
     reference = None
     if "reference" in entries:
         reference = LandmarkSet(entries["reference"])
-    feature = None
-    if "feature_descriptors" in entries:
-        feature = FeatureParams(
-            descriptors=tuple(str(entries["feature_descriptors"]).split()),
-            grid=int(entries["feature_grid"]),
-            hog_bins=int(entries["feature_hog_bins"]),
-        )
+    feature = FeatureParams.from_entries(entries) if "feature_descriptors" in entries else None
     return ModelBundle(model=model, reference=reference, feature=feature)

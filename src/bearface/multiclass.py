@@ -143,10 +143,6 @@ class VoteResult:
     decisions: Mapping[tuple[str, str], float]
     class_names: tuple[str, ...]
 
-    @property
-    def winner_index(self) -> int:
-        return self.class_names.index(self.winner)
-
 
 def tally_votes(
     class_count: int, decisions: Mapping[tuple[int, int], float]

@@ -1,17 +1,46 @@
-"""One reader for the small whitespace-separated record files.
+"""The on-disk conventions of the small text formats, and atomic writes.
 
-Transcripts, landmark files, expression tracks and vote logs hold one
-record per line, fields separated by whitespace, with '#' starting a
-comment and blank lines skipped. Every error names the place: `path:line`
-when the text came from a file, `line N` otherwise.
+Every text file bearface reads goes through this module:
+
+- configurations (`bearface-config 1`, `key = value` lines);
+- dataset manifests (`bearface-manifest 1`, a `classes = ...` line, then
+  tab-separated rows);
+- viseme tables (`bearface-visemes 1`, `id labial phoneme...` lines);
+- expression templates (`bearface-templates 1`, then INI sections);
+- stores (`bearface-store 1`, then entries; see `arraystore`);
+- transcripts, landmark files, expression tracks and vote logs, which have
+  no header and one whitespace-separated record per line.
+
+The rules are the same for all of them:
+
+- **Header.** A versioned format starts with the line `bearface-<kind> 1`
+  (`check_header`).
+- **Comments and blank lines.** `#` starts a comment that runs to the end
+  of the line; trailing whitespace goes with it, and lines left blank are
+  skipped (`content_lines`). Leading whitespace stays, because manifest
+  fields are tab-separated. Stores and templates keep their own body
+  rules: a store string may hold `#`, and templates are read by
+  `configparser`.
+- **Places.** Every error names its place: `path:line` when the text came
+  from a file, `line N` otherwise (`place`, `typed`).
+
+Every artifact the command line writes goes through `write_atomic`, so an
+interrupted run leaves the previous file or the whole new one.
 """
 
 from __future__ import annotations
 
+import json
+import os
+import secrets
+from importlib import resources
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 Fields = Sequence[tuple[str, Callable[[str], object]]]
+
+_FLAGS = {"true": True, "yes": True, "on": True, "1": True,
+          "false": False, "no": False, "off": False, "0": False}
 
 
 def place(origin: str | None, number: int) -> str:
@@ -19,34 +48,72 @@ def place(origin: str | None, number: int) -> str:
     return f"{origin}:{number}" if origin is not None else f"line {number}"
 
 
+def check_header(lines: Sequence[str], kind: str, origin: str | None = None) -> None:
+    """Reject text whose first line is not `bearface-<kind> 1`."""
+    if not lines or lines[0].split() != [f"bearface-{kind}", "1"]:
+        raise ValueError(
+            f"{place(origin, 1)}: a {kind} file must start with 'bearface-{kind} 1'"
+        )
+
+
+def content_lines(
+    text: str, kind: str | None = None, origin: str | None = None
+) -> list[tuple[int, str]]:
+    """(line number, content) of each line that is not blank or a comment.
+
+    With `kind`, the first line must be the `bearface-<kind> 1` header and
+    is not returned. Content loses its comment and trailing whitespace.
+    """
+    lines = text.splitlines()
+    first = 1
+    if kind is not None:
+        check_header(lines, kind, origin)
+        lines, first = lines[1:], 2
+    stripped = (
+        (number, raw.split("#", 1)[0].rstrip()) for number, raw in enumerate(lines, first)
+    )
+    return [(number, line) for number, line in stripped if line]
+
+
+def boolean(text: str) -> bool:
+    """A yes/no value: true/yes/on/1 or false/no/off/0, in any case."""
+    try:
+        return _FLAGS[text.lower()]
+    except KeyError:
+        raise ValueError(text) from None
+
+
+def typed(kind: Callable[[str], object], name: str, value: str, where: str) -> object:
+    """`kind(value)`, or a ValueError naming the place, the field and the value."""
+    try:
+        return kind(value)
+    except ValueError:
+        raise ValueError(f"{where}: {name} must be {kind.__name__}, got {value!r}") from None
+
+
 def parse_records(
-    text: str, fields: Fields, origin: str | None = None
+    text: str, fields: Fields, origin: str | None = None, kind: str | None = None,
+    rest: bool = False,
 ) -> list[tuple[int, tuple]]:
     """(line number, record) for each record line of `text`.
 
-    `fields` holds a (name, type) per column. A wrong field count or a
-    value its type rejects raises ValueError naming the place.
+    `fields` holds a (name, type) per column; with `rest`, the last one
+    takes the rest of the line (one or more values) as a list. `kind`
+    names the header the text must start with, if any. A wrong field
+    count or a value its type rejects raises ValueError naming the place.
     """
-    layout = " ".join(name for name, _ in fields)
+    layout = " ".join(name for name, _ in fields) + ("..." if rest else "")
+    last = len(fields) - 1
     records = []
-    for number, raw in enumerate(text.splitlines(), 1):
-        texts = raw.split("#", 1)[0].split()
-        if not texts:
-            continue
-        if len(texts) != len(fields):
-            raise ValueError(
-                f"{place(origin, number)}: expected '{layout}', got {len(texts)} fields"
-            )
-        record = []
-        for (name, kind), value in zip(fields, texts):
-            try:
-                record.append(kind(value))
-            except ValueError:
-                raise ValueError(
-                    f"{place(origin, number)}: {name} must be "
-                    f"{kind.__name__}, got {value!r}"
-                ) from None
-        records.append((number, tuple(record)))
+    for number, line in content_lines(text, kind, origin):
+        where = place(origin, number)
+        texts: list = line.split()
+        if len(texts) != len(fields) and not (rest and len(texts) > len(fields)):
+            raise ValueError(f"{where}: expected '{layout}', got {len(texts)} fields")
+        if rest:
+            texts[last:] = [texts[last:]]
+        record = tuple(typed(k, n, v, where) for (n, k), v in zip(fields, texts))
+        records.append((number, record))
     return records
 
 
@@ -54,3 +121,36 @@ def read_records(path: str | Path, fields: Fields) -> list[tuple]:
     """The records of a UTF-8 file; errors name `path:line`."""
     text = Path(path).read_text(encoding="utf-8")
     return [record for _, record in parse_records(text, fields, str(path))]
+
+
+def packaged_text(name: str) -> str:
+    """A UTF-8 file shipped in the package's `data` directory."""
+    return resources.files("bearface").joinpath(f"data/{name}").read_text(encoding="utf-8")
+
+
+def write_atomic(path: str | Path, data: str | bytes) -> None:
+    """Write text (as UTF-8) or bytes so that readers see the old file or the new.
+
+    The data goes to a temporary file in the same directory, which then
+    replaces `path` in one `os.replace`. A write that fails midway leaves
+    the previous file as it was and removes the temporary file. There is
+    no fsync: this guards against an interrupted process, not a power loss.
+    """
+    path = Path(path)
+    temporary = path.with_name(f".{path.name}.{secrets.token_hex(4)}.tmp")
+    # O_EXCL: never write into a file that is already there; 0o666 lets
+    # the umask set the permissions, as for any other created file.
+    fd = os.open(temporary, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        binary = isinstance(data, bytes)
+        with open(fd, "wb" if binary else "w", encoding=None if binary else "utf-8") as out:
+            out.write(data)
+        os.replace(temporary, path)
+    except BaseException:
+        temporary.unlink(missing_ok=True)
+        raise
+
+
+def write_jsonl(path: str | Path, records: Iterable[Mapping]) -> None:
+    """One JSON object per line, keys sorted, written atomically."""
+    write_atomic(path, "".join(json.dumps(r, sort_keys=True) + "\n" for r in records))

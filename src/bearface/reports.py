@@ -11,7 +11,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Sequence
 
-from .arraystore import write_atomic
+from .records import write_atomic
 from .multiclass import CvResult
 
 _ABBREV = {

@@ -10,11 +10,10 @@ aligner.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .records import parse_records, place
+from .records import boolean, packaged_text, parse_records, place
 
 VISEME_CLASS_COUNT = 20
 
@@ -99,51 +98,30 @@ class VisemeTable:
         )
 
 
-def map_phoneme_to_viseme(phoneme: str, table: VisemeTable) -> VisemeClass:
-    """The unique viseme class owning a phoneme."""
-    return table.lookup(phoneme)
+_TABLE_FIELDS = (("id", int), ("labial", boolean), ("phonemes", frozenset))
 
 
-_TABLE_MAGIC = "bearface-visemes"
-_TABLE_VERSION = "1"
+def parse_viseme_table(text: str, origin: str | None = None) -> VisemeTable:
+    """Parse a table file: 'id labial_flag phoneme...' per line.
 
-
-def parse_viseme_table(text: str) -> VisemeTable:
-    """Parse a table file: 'id labial_flag phoneme...' per line."""
-    lines = text.splitlines()
-    if not lines or lines[0].split() != [_TABLE_MAGIC, _TABLE_VERSION]:
-        raise ValueError(
-            f"viseme table must start with '{_TABLE_MAGIC} {_TABLE_VERSION}'"
-        )
+    Errors in a line name `origin:line` (`line N` without an origin).
+    """
     classes = []
-    for number, raw in enumerate(lines[1:], start=2):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        fields = line.split()
-        if len(fields) < 3:
-            raise ValueError(f"line {number}: expected 'id labial phonemes...'")
-        classes.append(
-            VisemeClass(
-                id=int(fields[0]),
-                labial=fields[1] not in ("0", "false", "no"),
-                phonemes=frozenset(fields[2:]),
-            )
-        )
+    for number, (class_id, labial, phonemes) in parse_records(
+        text, _TABLE_FIELDS, origin, kind="visemes", rest=True
+    ):
+        try:
+            classes.append(VisemeClass(id=class_id, labial=labial, phonemes=phonemes))
+        except ValueError as error:
+            raise ValueError(f"{place(origin, number)}: {error}") from None
     return VisemeTable(classes)
 
 
 def load_viseme_table(path: str | Path | None = None) -> VisemeTable:
     """Load a table file, or the packaged English default when no path."""
     if path is None:
-        text = (
-            resources.files("bearface")
-            .joinpath("data/visemes_en20.txt")
-            .read_text(encoding="utf-8")
-        )
-    else:
-        text = Path(path).read_text(encoding="utf-8")
-    return parse_viseme_table(text)
+        return parse_viseme_table(packaged_text("visemes_en20.txt"))
+    return parse_viseme_table(Path(path).read_text(encoding="utf-8"), str(path))
 
 
 # ---------------------------------------------------------------------------
@@ -212,10 +190,7 @@ def read_transcript(path: str | Path) -> tuple[PhonemeSegment, ...]:
 
 def bundled_transcript(name: str = "demo.align") -> tuple[PhonemeSegment, ...]:
     """A transcript shipped with the package (demo material for the CLI)."""
-    text = (
-        resources.files("bearface").joinpath(f"data/{name}").read_text(encoding="utf-8")
-    )
-    return parse_transcript(text)
+    return parse_transcript(packaged_text(name))
 
 
 def write_transcript(segments: Iterable[PhonemeSegment], path: str | Path) -> None:

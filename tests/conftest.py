@@ -6,11 +6,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from bearface.expressions import CLASS_ORDER, Expression, load_templates
 from bearface.imaging import GrayImage, write_pgm
 from bearface.registration import LANDMARK_COUNT, LandmarkSet, write_landmarks
 from bearface.visemes import load_viseme_table
+
+# `pytest --hypothesis-profile=ci` runs every property with more examples.
+settings.register_profile("ci", max_examples=1000, deadline=None)
 
 
 @pytest.fixture(scope="session")

@@ -242,6 +242,36 @@ def test_bad_record_line_names_path_and_line(tmp_path, capsys, command, option, 
     assert record["error"] == f"{records}:1: {problem}"
 
 
+@pytest.mark.parametrize(
+    ("name", "text", "line", "problem"),
+    [
+        (
+            "bad.manifest",
+            "bearface-manifest 1\nclasses = joy\na.pgm\ta.pts\tjoy\ts0\tq0\tx\n",
+            3,
+            "frame must be int, got 'x'",
+        ),
+        ("bad.config", "bearface-config 1\nseed = banana\n", 2, "seed must be int, got 'banana'"),
+        ("bad.visemes", "bearface-visemes 1\nx 1 m b p\n", 2, "id must be int, got 'x'"),
+    ],
+    ids=["manifest-frame", "config-seed", "viseme-id"],
+)
+def test_bad_input_value_names_path_and_line(tmp_path, capsys, name, text, line, problem):
+    path = tmp_path / name
+    path.write_text(text)
+    if name == "bad.manifest":
+        argv = ["extract", "--manifest", str(path)]
+    elif name == "bad.config":
+        argv = ["animate", "--config", str(path)]
+    else:  # a viseme table, named by the configuration
+        config = tmp_path / "table.config"
+        config.write_text(f"bearface-config 1\nviseme_table = {path}\n")
+        argv = ["animate", "--config", str(config)]
+    code = main(argv + ["--out", str(tmp_path / "o")])
+    assert code == 2
+    assert _single_error(capsys)["error"] == f"{path}:{line}: {problem}"
+
+
 def test_bad_transcript_line_names_path_and_line(tmp_path, capsys):
     transcript = tmp_path / "bad.align"
     transcript.write_text("0.0 x m\n0.5 1.0 a\n")

@@ -1,0 +1,129 @@
+"""Fuzzing the parsers of every input format.
+
+A parser may reject its input, but only with a ValueError or a KeyError
+(or a subclass), which the command line turns into exit status 2 and a
+one-line JSON error record. Anything else would reach the user as a
+traceback. Each strategy mixes arbitrary text with lines of a valid file,
+so that the fuzzer gets past the header. Run with
+`--hypothesis-profile=ci` for more examples.
+"""
+
+from pathlib import Path
+
+import numpy as np
+from hypothesis import HealthCheck, example, given, settings, strategies as st
+
+from bearface.arraystore import dump_store, parse_store
+from bearface.config import RunConfig, parse_config
+from bearface.expressions import format_templates, load_templates, parse_templates
+from bearface.imaging import read_pnm
+from bearface.kernels import parse_kernel
+from bearface.manifest import parse_manifest
+from bearface.records import packaged_text, parse_records
+from bearface.visemes import parse_transcript, parse_viseme_table
+
+REJECTIONS = (ValueError, KeyError)
+
+TOKENS = st.sampled_from(
+    ["0", "1", "-1", "2.5", "1e400", "nan", "inf", "x", "", "#", "=", "\t", " ",
+     "auto", "true", "no", "classes", "sil", "b", "p", "m", "[neutral]", "[joy au]",
+     "f1", "f10", "rbf", "poly", "gamma=", "degree=2", "int", "float", "str",
+     "array", "f8", "u1", "2,3", "-2", "AAAA", "²", "퟿", "bearface-store"]
+)
+WORDS = st.lists(TOKENS | st.text(max_size=6), max_size=7)
+SEPARATORS = st.sampled_from([" ", "\t", "", " = ", "  "])
+RANDOM_LINE = st.builds(lambda words, sep: sep.join(words), WORDS, SEPARATORS)
+
+
+def text_like(example_text: str) -> st.SearchStrategy[str]:
+    """Arbitrary text, or the first line of `example_text` and a mix of its
+    other lines with random ones."""
+    first, *rest = example_text.splitlines()
+    line = RANDOM_LINE | st.sampled_from(rest) if rest else RANDOM_LINE
+    body = st.lists(line, max_size=30)
+    return st.text() | body.map(lambda lines: "\n".join([first, *lines]) + "\n")
+
+
+def rejects_only_with_value_errors(parse, *args, **kwargs) -> None:
+    try:
+        parse(*args, **kwargs)
+    except REJECTIONS:
+        pass
+
+
+MANIFEST = (
+    "bearface-manifest 1\nclasses = neutral joy\n"
+    "a.pgm\ta.pts\tjoy\ts0\tq0\t0\nb.pgm\tb.pts\tneutral\ts 1\tq0\t1\n"
+)
+STORE = dump_store(
+    {"kind": "model", "seed": 3, "c": 0.5, "note": "a # b",
+     "grid": np.arange(6.0).reshape(2, 3), "codes": np.arange(4, dtype=np.uint8)}
+)
+
+
+@given(st.text() | text_like("0.0 1.0 x\n1 2 3\n0.5 joy 1\n"))
+@example("1 a 2\n1 b x\n")
+def test_parse_records(text):
+    fields = (("time", float), ("name", str), ("count", int))
+    rejects_only_with_value_errors(parse_records, text, fields)
+    # The last field of a `rest` layout takes a list of one or more values.
+    fields = (("time", float), ("count", int), ("names", frozenset))
+    rejects_only_with_value_errors(parse_records, text, fields, rest=True)
+
+
+@given(text_like("\n".join(RunConfig().to_lines())))
+@example("bearface-config 1\nrbf_gamma = auto\nseed = 1e3\n")
+def test_parse_config(text):
+    rejects_only_with_value_errors(parse_config, text)
+
+
+@given(text_like(MANIFEST))
+@example("bearface-manifest 1\nclasses =\n")
+def test_parse_manifest(text):
+    rejects_only_with_value_errors(parse_manifest, text, Path("root"), check_files=False)
+
+
+@given(text_like(packaged_text("visemes_en20.txt")))
+def test_parse_viseme_table(text):
+    rejects_only_with_value_errors(parse_viseme_table, text)
+
+
+@given(text_like("0.0 0.1 sil\n0.1 0.3 m\n0.3 0.5 a\n0.5 0.5 b\nnan 1 x\n"))
+def test_parse_transcript(text):
+    rejects_only_with_value_errors(parse_transcript, text)
+
+
+@given(text_like(format_templates(load_templates())))
+@example("bearface-templates 1\n[neutral]\nf1 = 0.5\nf² = 1\n")
+def test_parse_templates(text):
+    rejects_only_with_value_errors(parse_templates, text)
+
+
+@given(text_like(STORE))
+@example("bearface-store 1\narray a f8 0\n\n")
+def test_parse_store(text):
+    rejects_only_with_value_errors(parse_store, text)
+
+
+@given(text_like("\nrbf gamma=0.5\npoly degree=3 offset=1 scale=0.5\nrbf\npoly degree=x\n"))
+def test_parse_kernel(text):
+    rejects_only_with_value_errors(parse_kernel, text)
+
+
+PNM_HEADER = st.builds(
+    lambda magic, numbers, comment: magic + comment + b" ".join(numbers) + b"\n",
+    st.sampled_from([b"P5\n", b"P6\n", b"P5", b"P4\n", b""]),
+    st.lists(st.sampled_from([b"0", b"1", b"2", b"255", b"256", b"-1", b"x", b"#"]),
+             max_size=4),
+    st.sampled_from([b"", b"# comment\n", b"#"]),
+)
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.binary() | st.builds(bytes.__add__, PNM_HEADER, st.binary(max_size=40)))
+@example(b"P5\n1 1 255\n\x00")
+@example(b"P6 2 1 255 \x00\x00\x00\xff\xff\xff")
+def test_read_pnm(tmp_path, data):
+    path = tmp_path / "image.pnm"
+    path.write_bytes(data)
+    rejects_only_with_value_errors(read_pnm, path)

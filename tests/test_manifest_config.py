@@ -122,10 +122,25 @@ def test_config_rejects_unknown_and_duplicate_keys():
         parse_config("bearface-config 1\nseed = 1\nseed = 2\n")
     with pytest.raises(ConfigError, match="must start"):
         parse_config("seed = 1\n")
-    with pytest.raises(ConfigError, match="bad value"):
+    with pytest.raises(ConfigError, match="^line 2: seed must be int, got 'banana'$"):
         parse_config("bearface-config 1\nseed = banana\n")
     with pytest.raises(ConfigError):
         parse_config("bearface-config 1\ncv_scheme = alphabetical\n")
+
+
+@pytest.mark.parametrize(
+    ("line", "problem"),
+    [
+        ("pca_energy = 2", "pca_energy must be in (0, 1]"),
+        ("include_bias = maybe", "include_bias must be boolean, got 'maybe'"),
+        ("rbf_gamma = fast", "rbf_gamma must be float, got 'fast'"),
+        ("wibble = 3", "unknown configuration key 'wibble'"),
+    ],
+)
+def test_config_errors_name_the_line(line, problem):
+    with pytest.raises(ConfigError) as info:
+        parse_config(f"bearface-config 1\n# note\n{line}\n", origin="run.config")
+    assert str(info.value) == f"run.config:3: {problem}"
 
 
 def test_config_kernel_plans():

@@ -5,17 +5,13 @@ import dataclasses
 import numpy as np
 import pytest
 
-from bearface.arraystore import (
-    dump_store,
-    parse_store,
-    read_store,
-    write_atomic,
-    write_store,
-)
+from bearface import records
+from bearface.arraystore import dump_store, parse_store, read_store, write_store
 from bearface.kernels import AutoRbf, PolyKernel
 from bearface.modelio import FeatureParams, ModelBundle, load_model, save_model
 from bearface.multiclass import classify, train_multiclass
 from bearface.pca import pca_project
+from bearface.records import write_atomic
 from bearface.registration import LANDMARK_COUNT, LandmarkSet
 
 
@@ -42,19 +38,31 @@ def test_store_round_trip_exact(tmp_path):
     assert loaded["name"] == entries["name"]
 
 
-def test_failed_write_keeps_previous_store(tmp_path):
+@pytest.mark.parametrize("payload", ["text", "bytes"])
+def test_failed_write_keeps_previous_store(tmp_path, monkeypatch, payload):
     path = tmp_path / "model.store"
     write_store({"seed": 1, "weights": np.arange(3.0)}, path)
     before = path.read_bytes()
-    # A lone surrogate passes dump_store but fails UTF-8 encoding after the
-    # payload before it has been written out.
-    entries = {"weights": np.arange(50000.0), "note": "\ud800"}
-    with pytest.raises(UnicodeEncodeError):
-        write_store(entries, path)
+    if payload == "text":
+        # A lone surrogate passes dump_store but fails UTF-8 encoding after
+        # the payload before it has been written out.
+        entries = {"weights": np.arange(50000.0), "note": "\ud800"}
+        with pytest.raises(UnicodeEncodeError):
+            write_store(entries, path)
+    else:
+        # Bytes need no encoding: the whole payload is written, then the
+        # rename over the store fails.
+        def refuse(source, target):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(records.os, "replace", refuse)
+        with pytest.raises(OSError, match="rename refused"):
+            write_atomic(path, dump_store({"weights": np.arange(50000.0)}).encode())
+        monkeypatch.undo()
     assert path.read_bytes() == before
     assert read_store(path)["seed"] == 1
     assert sorted(p.name for p in tmp_path.iterdir()) == ["model.store"]
-    write_atomic(tmp_path / "report.txt", "new\n")
+    write_atomic(tmp_path / "report.txt", "new\n" if payload == "text" else b"new\n")
     assert (tmp_path / "report.txt").read_text(encoding="utf-8") == "new\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["model.store", "report.txt"]
 

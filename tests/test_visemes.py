@@ -8,7 +8,7 @@ from bearface.visemes import (
     VisemeClass,
     VisemeTable,
     bundled_transcript,
-    map_phoneme_to_viseme,
+    load_viseme_table,
     parse_transcript,
     parse_viseme_table,
     read_transcript,
@@ -22,24 +22,24 @@ def test_default_table_shape(viseme_table):
 
 
 def test_labials_share_one_class(viseme_table):
-    b = map_phoneme_to_viseme("b", viseme_table)
-    p = map_phoneme_to_viseme("p", viseme_table)
-    m = map_phoneme_to_viseme("m", viseme_table)
+    b = viseme_table.lookup("b")
+    p = viseme_table.lookup("p")
+    m = viseme_table.lookup("m")
     assert b.id == p.id == m.id
     assert b.labial
     assert viseme_table.labial_ids() == {b.id}
 
 
 def test_silence_marker_maps_to_silence_class(viseme_table):
-    silence = map_phoneme_to_viseme("sil", viseme_table)
+    silence = viseme_table.lookup("sil")
     assert silence.id in viseme_table.silence_ids()
     assert not silence.labial
 
 
 def test_vowel_and_labial_differ(viseme_table):
     assert (
-        map_phoneme_to_viseme("a", viseme_table).id
-        != map_phoneme_to_viseme("b", viseme_table).id
+        viseme_table.lookup("a").id
+        != viseme_table.lookup("b").id
     )
 
 
@@ -81,12 +81,26 @@ def test_custom_table_file_round_trip(tmp_path, viseme_table):
         lines.append(f"{cls.id} {int(cls.labial)} {members}  # inline note")
     path = tmp_path / "custom.txt"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    from bearface.visemes import load_viseme_table
-
     loaded = load_viseme_table(path)
     for original, restored in zip(viseme_table.classes, loaded.classes):
         assert restored.phonemes == original.phonemes
         assert restored.labial == original.labial
+
+
+@pytest.mark.parametrize(
+    ("line", "problem"),
+    [
+        ("0 maybe sil", "labial must be boolean, got 'maybe'"),
+        ("0 0", "expected 'id labial phonemes...', got 2 fields"),
+        ("25 0 sil", "viseme class id 25 outside 0..19"),
+    ],
+)
+def test_table_file_errors_name_the_line(tmp_path, line, problem):
+    path = tmp_path / "table.txt"
+    path.write_text(f"bearface-visemes 1\n# note\n{line}\n", encoding="utf-8")
+    with pytest.raises(ValueError) as info:
+        load_viseme_table(path)
+    assert str(info.value) == f"{path}:3: {problem}"
 
 
 def test_segment_validation():
