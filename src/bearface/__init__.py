@@ -12,7 +12,6 @@ from .expressions import (
     Expression,
     ExpressionTemplate,
     Mode,
-    MorphTargetRef,
     TemplateSet,
     ear_oscillation,
     load_templates,
@@ -26,7 +25,6 @@ from .lipsync import (
     blend_expression,
     force_labial_closure,
     render_timeline,
-    smooth_weights,
 )
 from .mkl import BinaryMklSolution, train_binary_mkl
 from .multiclass import (
@@ -58,7 +56,6 @@ __all__ = [
     "ExpressionTemplate",
     "ImitationSession",
     "Mode",
-    "MorphTargetRef",
     "MorphWeights",
     "MulticlassModel",
     "PcaModel",
@@ -84,7 +81,6 @@ __all__ = [
     "pca_project",
     "pose_for",
     "render_timeline",
-    "smooth_weights",
     "solve_svm_dual",
     "to_servo_commands",
     "train_binary_mkl",

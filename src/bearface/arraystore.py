@@ -100,7 +100,12 @@ def parse_store(text: str, origin: str | None = None) -> dict[str, object]:
             shape = tuple(typed(int, "shape", s, where) for s in shape_text.split(",") if s)
             if index >= len(lines):
                 raise ValueError(f"{where}: entry {name!r}: missing payload line")
-            raw = base64.b64decode(lines[index])
+            try:
+                raw = base64.b64decode(lines[index], validate=True)
+            except ValueError as error:  # binascii.Error is a ValueError
+                raise ValueError(
+                    f"{place(origin, index + 1)}: entry {name!r}: bad base64 payload: {error}"
+                ) from None
             index += 1
             dtype = np.dtype(_DTYPES[code])
             if any(s < 0 for s in shape):

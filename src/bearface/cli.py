@@ -35,7 +35,7 @@ from .lipsync import (
 from .manifest import read_manifest, training_labels
 from .modelio import FeatureParams, ModelBundle, load_model, save_model
 from .multiclass import VoteResult, classify, cross_validate, train_multiclass
-from .records import read_records, write_atomic, write_jsonl
+from .records import read_records, typed, write_atomic, write_jsonl
 from .registration import read_landmarks
 from .reports import write_report
 from .imaging import read_pnm
@@ -81,8 +81,12 @@ def _require(path: Path, artifact: str, command: str) -> Path:
     return path
 
 
-_TRACK_FIELDS = (("time", float), ("expression", str), ("level", float))
-_VOTE_FIELDS = (("time", float), ("winner", str), ("votes", int))
+_TRACK_FIELDS = (("time", float), ("expression", Expression), ("level", float))
+_VOTE_FIELDS = (("time", float), ("winner", Expression), ("votes", int))
+
+
+def _expression(args: argparse.Namespace) -> Expression:
+    return typed(Expression, "expression", args.expression, "--expression")
 
 
 def _templates(config: RunConfig):
@@ -206,7 +210,7 @@ def cmd_animate(args: argparse.Namespace) -> int:
     if args.track:
         track = read_records(args.track, _TRACK_FIELDS)
     elif args.expression:
-        track = [(0.0, args.expression, args.intensity)]
+        track = [(0.0, _expression(args), args.intensity)]
     else:
         track = []
     frames = render_timeline(
@@ -241,7 +245,7 @@ def cmd_imitate(args: argparse.Namespace) -> int:
     emitted = 0
     for time, winner, votes in read_records(args.votes, _VOTE_FIELDS):
         result = VoteResult(
-            winner=winner,
+            winner=winner.value,
             votes=votes,
             tally=(),
             decisions={},
@@ -264,7 +268,7 @@ def cmd_export_servo(args: argparse.Namespace) -> int:
 
     config = _config_from_args(args)
     templates = _templates(config)
-    template = templates.get(Expression(args.expression), Mode(config.mode))
+    template = templates.get(_expression(args), Mode(config.mode))
     calibration = default_calibration()
     if args.duration:
         frames = trajectory(

@@ -7,6 +7,7 @@ rejected rather than ignored.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -48,6 +49,10 @@ class RunConfig:
     preview_frames: bool = False
 
     def __post_init__(self) -> None:
+        for spec in fields(self):
+            value = getattr(self, spec.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{spec.name} must be finite, got {value!r}")
         if any(d not in ("lbph", "hog") for d in self.descriptors) or not self.descriptors:
             raise ConfigError(f"descriptors must be from lbph/hog, got {self.descriptors}")
         if any(k not in ("rbf", "poly") for k in self.kernels) or not self.kernels:
@@ -70,6 +75,10 @@ class RunConfig:
             raise ConfigError("grid, hog_bins and debounce must be at least 1")
         if self.closure_margin < 0:
             raise ConfigError("closure_margin must be nonnegative")
+        try:  # the kernel classes check their own parameters
+            self.kernel_plans()
+        except ValueError as error:
+            raise ConfigError(str(error)) from None
 
     def kernel_plans(self) -> list[tuple[str, KernelPlan]]:
         """(block, kernel) bank entries: every kernel on every descriptor."""

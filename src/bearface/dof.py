@@ -70,17 +70,17 @@ class Pose:
         return cls((float(value),) * len(ALL_DOFS))
 
 
-def lerp_pose(a: Pose, b: Pose, t: float) -> Pose:
+def lerp(a: float, b: float, t: float) -> float:
     """Linear interpolation; t=0 returns `a` exactly, t=1 returns `b` exactly.
 
     Equal endpoints pass through bit-exact at every t.
     """
-    return Pose(
-        tuple(
-            va if va == vb else (1.0 - t) * va + t * vb
-            for va, vb in zip(a.values, b.values)
-        )
-    )
+    return a if a == b else (1.0 - t) * a + t * b
+
+
+def lerp_pose(a: Pose, b: Pose, t: float) -> Pose:
+    """`lerp` on every axis."""
+    return Pose(tuple(lerp(va, vb, t) for va, vb in zip(a.values, b.values)))
 
 
 def parse_dof(name: str) -> Dof:

@@ -10,17 +10,16 @@ two poses.
 
 from __future__ import annotations
 
-import configparser
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Iterable
 
 from .diagnostics import ClampWarning
-from .dof import ALL_DOFS, Dof, Pose, dof_label, lerp_pose, parse_dof
-from .records import check_header, packaged_text
+from .dof import ALL_DOFS, Dof, Pose, dof_label, lerp, lerp_pose, parse_dof
+from .records import boolean, content_lines, packaged_text, place, typed
 
 
 class Expression(str, Enum):
@@ -54,38 +53,11 @@ class Mode(str, Enum):
     AU_ANIMAL = "au-animal"
 
 
-class TargetKind(str, Enum):
-    VISEME = "viseme"
-    EXPRESSION = "expression"
-    NEUTRAL = "neutral"
-
-
-@dataclass(frozen=True)
-class MorphTargetRef:
-    """Reference to a named extreme deformation of the mouth display."""
-
-    name: str
-    kind: TargetKind
-
-
-#: The single resting-mouth target; all morph weights are offsets from it.
-NEUTRAL_TARGET = MorphTargetRef("neutral", TargetKind.NEUTRAL)
-
-
-def expression_target(expression: Expression) -> MorphTargetRef:
-    if expression is Expression.NEUTRAL:
-        return NEUTRAL_TARGET
-    return MorphTargetRef(expression.value, TargetKind.EXPRESSION)
-
-
-def viseme_target(class_id: int) -> MorphTargetRef:
-    return MorphTargetRef(f"viseme_{class_id:02d}", TargetKind.VISEME)
-
-
 # Mechanical axes each (expression, mode) pair may move. The mouth display
-# is engaged for every expression and is tracked separately through the
-# template's morph target. Joy moves no mechanical axis in plain mode; in
-# animal mode its ears wiggle continuously instead of holding a target.
+# is engaged for every expression except neutral and is driven separately,
+# through the expression's channel of the mouth frames. Joy moves no
+# mechanical axis in plain mode; in animal mode its ears wiggle continuously
+# instead of holding a target.
 _AU = {
     Expression.JOY: frozenset(),
     Expression.SADNESS: frozenset({Dof.BROW_L, Dof.BROW_R, Dof.LID_L, Dof.LID_R}),
@@ -123,7 +95,6 @@ class ExpressionTemplate:
     neutral_pose: Pose
     max_pose: Pose
     active_dofs: frozenset[Dof]
-    lcd_morph_max: MorphTargetRef = field(default=NEUTRAL_TARGET)
     uses_ear_oscillation: bool = False
 
     def __post_init__(self) -> None:
@@ -150,8 +121,9 @@ class ExpressionTemplate:
 def pose_for(template: ExpressionTemplate, intensity: float) -> Pose:
     """Pose of the template at a given intensity.
 
-    Active axes interpolate linearly between the neutral and peak values;
-    every other axis holds its neutral value. Intensity 0 reproduces the
+    Every axis interpolates linearly (`dof.lerp`) between its neutral and
+    peak values, so an axis the expression does not move, whose peak is its
+    neutral value, holds that value exactly. Intensity 0 reproduces the
     neutral pose exactly and intensity 1 the peak pose exactly. Values
     outside [0, 1] are clamped with a ClampWarning.
     """
@@ -160,15 +132,7 @@ def pose_for(template: ExpressionTemplate, intensity: float) -> Pose:
             f"intensity {intensity} clamped to [0, 1]", ClampWarning, stacklevel=2
         )
         intensity = min(1.0, max(0.0, intensity))
-    values = []
-    for dof in ALL_DOFS:
-        base = template.neutral_pose[dof]
-        if dof in template.active_dofs:
-            peak = template.max_pose[dof]
-            values.append((1.0 - intensity) * base + intensity * peak)
-        else:
-            values.append(base)
-    return Pose(tuple(values))
+    return lerp_pose(template.neutral_pose, template.max_pose, intensity)
 
 
 def ear_oscillation(intensity: float, t: float) -> tuple[float, float]:
@@ -213,12 +177,11 @@ def oscillating_pose(
     if not template.uses_ear_oscillation or intensity <= 0.0:
         return pose
     left, right = ear_oscillation(intensity, t)
-    updates = {}
-    for dof, factor in ((Dof.EAR_L, left), (Dof.EAR_R, right)):
-        base = template.neutral_pose[dof]
-        peak = template.max_pose[dof]
-        updates[dof] = (1.0 - factor) * base + factor * peak
-    return pose.replace(updates)
+    neutral, peak = template.neutral_pose, template.max_pose
+    return pose.replace({
+        dof: lerp(neutral[dof], peak[dof], factor)
+        for dof, factor in ((Dof.EAR_L, left), (Dof.EAR_R, right))
+    })
 
 
 def trajectory(
@@ -283,58 +246,73 @@ def _build_template(
         neutral_pose=neutral_pose,
         max_pose=max_pose,
         active_dofs=frozenset(peaks),
-        lcd_morph_max=expression_target(expression),
         uses_ear_oscillation=ear_oscillation_flag,
     )
 
 
-def parse_templates(text: str, origin: str | None = None) -> TemplateSet:
-    """Parse the template file format.
-
-    The file is INI-style: a `[neutral]` section listing all ten axes,
-    then one `[<expression> <mode>]` section per pair with the peak values
-    of the axes that expression moves and an optional
-    `ear_oscillation = true` flag. The first line must identify the format
-    and version.
-    """
-    lines = text.splitlines()
-    check_header(lines, "templates", origin)
-    parser = configparser.ConfigParser(interpolation=None)
-    parser.optionxform = str  # keep axis names case-sensitive
+def _section(name: str) -> tuple[Expression, Mode]:
+    expression, _, mode = name.partition(" ")
     try:
-        parser.read_string("\n".join(lines[1:]))
-    except configparser.Error as error:
-        raise ValueError(f"malformed template file: {error}") from error
+        return Expression(expression), Mode(mode)
+    except ValueError:
+        raise ValueError(f"bad template section name [{name}]") from None
 
-    if "neutral" not in parser:
-        raise ValueError("template file is missing the [neutral] section")
-    neutral_values = {
-        parse_dof(key): float(value) for key, value in parser["neutral"].items()
-    }
-    neutral_pose = Pose.from_mapping(neutral_values)
 
-    templates: dict[tuple[Expression, Mode], ExpressionTemplate] = {}
-    for section in parser.sections():
-        if section == "neutral":
+def parse_templates(text: str, origin: str | None = None) -> TemplateSet:
+    """Parse the template file format; errors name `origin:line`.
+
+    After the `bearface-templates 1` header, each line is a `[<section>]`
+    header or a `key = value` line of the section above it. `[neutral]`
+    lists all ten axes; each `[<expression> <mode>]` section gives the
+    peak values of the axes that expression moves and an optional
+    `ear_oscillation = true` flag. Sections and keys may not repeat.
+    """
+    sections: dict[str, tuple[str, dict[Dof | str, float | bool]]] = {}
+    values = None
+    for number, line in content_lines(text, "templates", origin):
+        where = place(origin, number)
+        line = line.strip()
+        if line.startswith("[") and line.endswith("]"):
+            name = " ".join(line[1:-1].split())
+            if name in sections:
+                raise ValueError(f"{where}: duplicate section [{name}]")
+            values = {}
+            sections[name] = (where, values)
             continue
-        parts = section.split()
-        if len(parts) != 2:
-            raise ValueError(f"bad template section name [{section}]")
-        try:
-            expression = Expression(parts[0])
-            mode = Mode(parts[1])
-        except ValueError:
-            raise ValueError(f"bad template section name [{section}]") from None
-        peaks: dict[Dof, float] = {}
-        oscillate = False
-        for key, value in parser[section].items():
-            if key == "ear_oscillation":
-                oscillate = value.strip().lower() in ("1", "true", "yes", "on")
-                continue
-            peaks[parse_dof(key)] = float(value)
-        templates[(expression, mode)] = _build_template(
-            expression, mode, neutral_pose, peaks, oscillate
-        )
+        key, sep, value = (part.strip() for part in line.partition("="))
+        if not sep:
+            raise ValueError(f"{where}: expected '[section]' or 'key = value'")
+        if values is None:
+            raise ValueError(f"{where}: {key!r} is outside any section")
+        if key == "ear_oscillation":
+            slot, parsed = key, typed(boolean, key, value, where)
+        else:
+            try:
+                slot = parse_dof(key)
+            except ValueError as error:
+                raise ValueError(f"{where}: {error}") from None
+            parsed = typed(float, key, value, where)
+        if slot in values:
+            raise ValueError(f"{where}: duplicate key {key!r}")
+        values[slot] = parsed
+
+    file = origin or "template text"
+    if "neutral" not in sections:
+        raise ValueError(f"{file}: no [neutral] section")
+    templates: dict[tuple[Expression, Mode], ExpressionTemplate] = {}
+    where, values = sections.pop("neutral")
+    try:  # `where` names the section being built
+        if "ear_oscillation" in values:
+            raise ValueError("[neutral] takes axis values only")
+        neutral_pose = Pose.from_mapping(values)
+        for name, (where, values) in sections.items():
+            expression, mode = _section(name)
+            oscillate = values.pop("ear_oscillation", False)
+            templates[(expression, mode)] = _build_template(
+                expression, mode, neutral_pose, values, oscillate
+            )
+    except ValueError as error:
+        raise ValueError(f"{where}: {error}") from None
 
     # Neutral templates are implicit: peak equals neutral in both modes.
     for mode in Mode:
@@ -342,7 +320,10 @@ def parse_templates(text: str, origin: str | None = None) -> TemplateSet:
             (Expression.NEUTRAL, mode),
             _build_template(Expression.NEUTRAL, mode, neutral_pose, {}, False),
         )
-    return TemplateSet(neutral_pose, templates)
+    try:
+        return TemplateSet(neutral_pose, templates)
+    except ValueError as error:
+        raise ValueError(f"{file}: {error}") from None
 
 
 def load_templates(path: str | Path | None = None) -> TemplateSet:
@@ -350,23 +331,3 @@ def load_templates(path: str | Path | None = None) -> TemplateSet:
     if path is None:
         return parse_templates(packaged_text("expression_templates.txt"))
     return parse_templates(Path(path).read_text(encoding="utf-8"), str(path))
-
-
-def format_templates(templates: TemplateSet) -> str:
-    """Serialize a TemplateSet back into the template file format."""
-    out = ["bearface-templates 1", "", "[neutral]"]
-    for dof in ALL_DOFS:
-        out.append(f"{dof_label(dof)} = {templates.neutral_pose[dof]:g}")
-    for expr in CLASS_ORDER:
-        if expr is Expression.NEUTRAL:
-            continue
-        for mode in Mode:
-            template = templates.get(expr, mode)
-            out.append("")
-            out.append(f"[{expr.value} {mode.value}]")
-            for dof in sorted(template.active_dofs):
-                out.append(f"{dof_label(dof)} = {template.max_pose[dof]:g}")
-            if template.uses_ear_oscillation:
-                out.append("ear_oscillation = true")
-    out.append("")
-    return "\n".join(out)

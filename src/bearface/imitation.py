@@ -21,7 +21,6 @@ from .expressions import (
     Expression,
     Mode,
     TemplateSet,
-    expression_target,
     oscillating_pose,
     pose_for,
     trajectory,
@@ -88,18 +87,14 @@ def imitate(
     hold_count = int(hold_duration * frame_rate)
     for k in range(1, hold_count + 1):
         t_hold = k / frame_rate
-        pose = (
-            oscillating_pose(template, level, t_hold)
-            if template.uses_ear_oscillation and level > 0
-            else target
-        )
+        pose = oscillating_pose(template, level, t_hold)
         frames.append((transition_duration + t_hold, pose))
 
     morphs = []
     for t, _ in frames:
         frame = silence_frame(t)
         if not neutral:
-            frame = blend_expression(frame, expression_target(expression), level)
+            frame = blend_expression(frame, expression, level)
         morphs.append(frame)
     return frames, morphs
 

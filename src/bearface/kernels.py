@@ -8,10 +8,13 @@ weight learner combines.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
+
+from .records import typed
 
 
 @dataclass(frozen=True)
@@ -21,8 +24,8 @@ class RbfKernel:
     gamma: float
 
     def __post_init__(self) -> None:
-        if not self.gamma > 0:
-            raise ValueError(f"rbf gamma must be positive, got {self.gamma}")
+        if not (self.gamma > 0 and math.isfinite(self.gamma)):
+            raise ValueError(f"rbf gamma must be positive and finite, got {self.gamma}")
 
 
 @dataclass(frozen=True)
@@ -36,10 +39,10 @@ class PolyKernel:
     def __post_init__(self) -> None:
         if self.degree < 1:
             raise ValueError(f"poly degree must be >= 1, got {self.degree}")
-        if self.offset < 0:
-            raise ValueError(f"poly offset must be >= 0, got {self.offset}")
-        if not self.scale > 0:
-            raise ValueError(f"poly scale must be positive, got {self.scale}")
+        if not (self.offset >= 0 and math.isfinite(self.offset)):
+            raise ValueError(f"poly offset must be >= 0 and finite, got {self.offset}")
+        if not (self.scale > 0 and math.isfinite(self.scale)):
+            raise ValueError(f"poly scale must be positive and finite, got {self.scale}")
 
 
 @dataclass(frozen=True)
@@ -129,20 +132,34 @@ def format_kernel(spec: KernelSpec) -> str:
     return f"poly degree={spec.degree} offset={spec.offset!r} scale={spec.scale!r}"
 
 
+# Kernel class and parameter types of each kind `format_kernel` writes.
+_KINDS = {
+    "rbf": (RbfKernel, {"gamma": float}),
+    "poly": (PolyKernel, {"degree": int, "offset": float, "scale": float}),
+}
+
+
 def parse_kernel(text: str) -> KernelSpec:
-    fields = text.split()
-    if not fields:
-        raise ValueError("empty kernel description")
-    kind, params = fields[0], dict(f.split("=", 1) for f in fields[1:])
-    if kind == "rbf":
-        return RbfKernel(gamma=float(params["gamma"]))
-    if kind == "poly":
-        return PolyKernel(
-            degree=int(params.get("degree", 2)),
-            offset=float(params.get("offset", 1.0)),
-            scale=float(params.get("scale", 1.0)),
-        )
-    raise ValueError(f"unknown kernel kind {kind!r}")
+    """The kernel `format_kernel` wrote as `text`: a kind, then name=value fields.
+
+    Unknown, repeated or malformed fields raise ValueError; rbf needs its
+    gamma, poly parameters left out take their defaults.
+    """
+    kind, *fields = text.split() or [""]
+    if kind not in _KINDS:
+        raise ValueError(f"unknown kernel kind {kind!r}")
+    spec, kinds = _KINDS[kind]
+    params: dict[str, object] = {}
+    for field in fields:
+        name, sep, value = field.partition("=")
+        if not sep:
+            raise ValueError(f"{kind} kernel: field {field!r} is not name=value")
+        if name not in kinds or name in params:
+            raise ValueError(f"{kind} kernel: unknown or repeated parameter {name!r}")
+        params[name] = typed(kinds[name], name, value, f"{kind} kernel")
+    if kind == "rbf" and "gamma" not in params:
+        raise ValueError("rbf kernel: no gamma field")
+    return spec(**params)
 
 
 def combine_grams(grams: Sequence[np.ndarray], weights: np.ndarray) -> np.ndarray:

@@ -19,12 +19,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .diagnostics import ClampWarning
-from .expressions import (
-    BASIC_EXPRESSIONS,
-    Expression,
-    MorphTargetRef,
-    TargetKind,
-)
+from .expressions import BASIC_EXPRESSIONS, Expression
 from .records import write_atomic, write_jsonl
 from .visemes import PhonemeSegment, VisemeTable, VISEME_CLASS_COUNT
 
@@ -74,24 +69,30 @@ def silence_frame(
 # ---------------------------------------------------------------------------
 
 
-def _class_weights_at(
+def class_weights_at(
     segments: Sequence[PhonemeSegment],
-    class_ids: Sequence[int],
-    times: np.ndarray,
-    bandwidth_scale: float,
+    times: Sequence[float] | np.ndarray,
+    table: VisemeTable,
+    bandwidth_scale: float = DEFAULT_BANDWIDTH_SCALE,
 ) -> np.ndarray:
-    """Normalized per-class weights at each time, shape (classes, len(times)).
+    """Kernel-smoothed viseme weights at each time, shape (classes, len(times)).
 
-    Kernels of segments sharing a viseme accumulate before normalization.
-    Times outside the transcript's overall span are forced silent.
+    Each segment contributes 0.75*(1-u^2) to its viseme's class with
+    u = (t - midpoint) / (bandwidth_scale * half_duration), clipped to its
+    support; kernels of segments sharing a viseme accumulate, and each
+    time's weights are then normalized to sum to one. Times outside the
+    transcript's overall span are silent (all zero).
     """
+    if not bandwidth_scale > 0:
+        raise ValueError(f"bandwidth_scale must be positive, got {bandwidth_scale}")
+    times = np.asarray(times, dtype=float)
     weights = np.zeros((VISEME_CLASS_COUNT, len(times)))
     if not segments:
         return weights
-    for segment, class_id in zip(segments, class_ids):
+    for segment in segments:
         half = 0.5 * segment.duration
         u = (times - segment.midpoint) / (bandwidth_scale * half)
-        weights[class_id] += epanechnikov(u)
+        weights[table.class_id(segment.phoneme)] += epanechnikov(u)
     first = min(s.start for s in segments)
     last = max(s.end for s in segments)
     weights[:, (times < first) | (times > last)] = 0.0
@@ -99,28 +100,6 @@ def _class_weights_at(
     covered = totals > 0.0
     weights[:, covered] /= totals[covered]
     return weights
-
-
-def smooth_weights(
-    segments: Sequence[PhonemeSegment],
-    t: float,
-    table: VisemeTable,
-    bandwidth_scale: float = DEFAULT_BANDWIDTH_SCALE,
-) -> MorphWeights:
-    """Kernel-smoothed viseme weights at one instant.
-
-    Each segment contributes 0.75*(1-u^2) with
-    u = (t - midpoint) / (bandwidth_scale * half_duration), clipped to its
-    support; contributions are normalized to sum to one. Outside the
-    transcript the frame is silent.
-    """
-    if bandwidth_scale <= 0:
-        raise ValueError("bandwidth_scale must be positive")
-    class_ids = [table.class_id(s.phoneme) for s in segments]
-    column = _class_weights_at(
-        segments, class_ids, np.asarray([float(t)]), bandwidth_scale
-    )[:, 0]
-    return MorphWeights(float(t), column)
 
 
 def force_labial_closure(
@@ -155,33 +134,31 @@ def force_labial_closure(
 
 
 def blend_expression(
-    frame: MorphWeights, expression: MorphTargetRef, level: float
+    frame: MorphWeights, expression: Expression, level: float
 ) -> MorphWeights:
     """Set one expression offset channel on a frame.
 
-    Viseme weights pass through untouched; the expression target is a unit
+    Viseme weights pass through untouched; each basic expression is a unit
     direction in morph space, so blending reduces to storing the level on
-    its channel. Levels outside [0, 1] are clamped with a ClampWarning.
+    the channel named `expression.value`. Neutral is the resting mouth and
+    has no channel. Levels outside [0, 1] are clamped with a ClampWarning.
     """
-    if expression.kind is not TargetKind.EXPRESSION:
-        raise ValueError(
-            f"morph target {expression.name!r} is {expression.kind.value}, "
-            "not an expression"
-        )
+    if expression is Expression.NEUTRAL:
+        raise ValueError("neutral is the resting mouth, not an expression channel")
     if not (0.0 <= level <= 1.0):
         warnings.warn(
             f"blend level {level} clamped to [0, 1]", ClampWarning, stacklevel=2
         )
         level = min(1.0, max(0.0, level))
     offsets = dict(frame.expressions)
-    offsets[expression.name] = level
+    offsets[expression.value] = level
     return MorphWeights(frame.timestamp, frame.visemes, offsets)
 
 
-ExpressionTrack = Sequence[tuple[float, str, float]]
+ExpressionTrack = Sequence[tuple[float, Expression | str, float]]
 
 
-def _track_state(track: ExpressionTrack, t: float) -> tuple[str, float] | None:
+def _track_state(track: ExpressionTrack, t: float) -> tuple[Expression, float] | None:
     """Latest (expression, level) entry at or before t, if any."""
     state = None
     for time, name, level in track:
@@ -204,30 +181,31 @@ def render_timeline(
     Frames are spaced 1/frame_rate apart starting at the first segment's
     start; floor(span * frame_rate) + 1 frames cover the utterance. The
     expression track is a step function of (time, expression, level)
-    entries; entries naming 'neutral' clear the offset. Deterministic for
-    identical inputs.
+    entries, each expression an `Expression` or its name; entries naming
+    'neutral' clear the offset. Deterministic for identical inputs.
     """
     if frame_rate <= 0:
         raise ValueError("frame rate must be positive")
+    track = sorted(
+        ((time, Expression(name), level) for time, name, level in expression_track),
+        key=lambda entry: entry[0],
+    )
     if not segments:
         return []
-    track = sorted(expression_track, key=lambda entry: entry[0])
     forced = force_labial_closure(segments, table, closure_margin)
-    class_ids = [table.class_id(s.phoneme) for s in forced]
 
     start = min(s.start for s in forced)
     span = max(s.end for s in forced) - start
     count = int(math.floor(span * frame_rate)) + 1
     times = start + np.arange(count) / frame_rate
-    weights = _class_weights_at(forced, class_ids, times, bandwidth_scale)
+    weights = class_weights_at(forced, times, table, bandwidth_scale)
 
     frames = []
     for column, t in zip(weights.T, times):
         frame = MorphWeights(float(t), column)
         state = _track_state(track, t)
-        if state is not None and state[0] != Expression.NEUTRAL.value:
-            target = MorphTargetRef(state[0], TargetKind.EXPRESSION)
-            frame = blend_expression(frame, target, state[1])
+        if state is not None and state[0] is not Expression.NEUTRAL:
+            frame = blend_expression(frame, *state)
         frames.append(frame)
     return frames
 

@@ -107,13 +107,13 @@ def load_model(path: str | Path) -> ModelBundle:
             f"pool layout; retrain the model"
         )
     class_names = tuple(str(entries["classes"]).split())
-    bank = tuple(
-        BankEntry(
-            block=str(entries[f"bank{m}_block"]),
-            spec=parse_kernel(str(entries[f"bank{m}_spec"])),
-        )
-        for m in range(int(entries["bank_count"]))
-    )
+    bank = []
+    for m in range(int(entries["bank_count"])):
+        block, spec = str(entries[f"bank{m}_block"]), str(entries[f"bank{m}_spec"])
+        try:
+            bank.append(BankEntry(block=block, spec=parse_kernel(spec)))
+        except ValueError as error:
+            raise ValueError(f"{path}: bank{m}_spec: {error}") from None
     pca = {}
     pca_blocks = str(entries.get("pca_blocks", "")).split()
     for name in pca_blocks:
@@ -126,7 +126,7 @@ def load_model(path: str | Path) -> ModelBundle:
         )
     model = MulticlassModel(
         class_names=class_names,
-        bank=bank,
+        bank=tuple(bank),
         pairs=entries["pairs"],
         kernel_weights=entries["kernel_weights"],
         bias=entries["bias"],

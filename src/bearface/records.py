@@ -6,7 +6,8 @@ Every text file bearface reads goes through this module:
 - dataset manifests (`bearface-manifest 1`, a `classes = ...` line, then
   tab-separated rows);
 - viseme tables (`bearface-visemes 1`, `id labial phoneme...` lines);
-- expression templates (`bearface-templates 1`, then INI sections);
+- expression templates (`bearface-templates 1`, then `[section]` headers
+  and `key = value` lines);
 - stores (`bearface-store 1`, then entries; see `arraystore`);
 - transcripts, landmark files, expression tracks and vote logs, which have
   no header and one whitespace-separated record per line.
@@ -18,9 +19,8 @@ The rules are the same for all of them:
 - **Comments and blank lines.** `#` starts a comment that runs to the end
   of the line; trailing whitespace goes with it, and lines left blank are
   skipped (`content_lines`). Leading whitespace stays, because manifest
-  fields are tab-separated. Stores and templates keep their own body
-  rules: a store string may hold `#`, and templates are read by
-  `configparser`.
+  fields are tab-separated. Stores keep their own body rule, because a
+  store string may hold `#`.
 - **Places.** Every error names its place: `path:line` when the text came
   from a file, `line N` otherwise (`place`, `typed`).
 

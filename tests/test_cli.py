@@ -143,6 +143,53 @@ def test_missing_store_entry_names_file(
     assert repr(entry) in record["error"]
 
 
+@pytest.mark.parametrize(
+    ("spec", "problem"),
+    [
+        ("rbf gamma", "rbf kernel: field 'gamma' is not name=value"),
+        ("rbf gamma=1e400", "rbf gamma must be positive and finite, got inf"),
+        ("rbf gamma=1 gamma=2", "rbf kernel: unknown or repeated parameter 'gamma'"),
+        ("poly degree=2 colour=1", "poly kernel: unknown or repeated parameter 'colour'"),
+        ("poly offset=nan", "poly offset must be >= 0 and finite, got nan"),
+    ],
+)
+def test_bad_kernel_spec_names_store_entry(
+    pipeline_out, synthetic_dataset, tmp_path, capsys, spec, problem
+):
+    entries = dict(read_store(pipeline_out / "model.store"))
+    entries["bank0_spec"] = spec
+    damaged = tmp_path / "model.store"
+    write_store(entries, damaged)
+    code = main(
+        ["classify", "--manifest", str(synthetic_dataset), "--model", str(damaged),
+         "--out", str(tmp_path / "cls")]
+    )
+    assert code == 2
+    assert _single_error(capsys)["error"] == f"{damaged}: bank0_spec: {problem}"
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [lambda payload: "é" + payload[1:], lambda payload: payload + "!"],
+    ids=["non-ascii", "stray-character"],
+)
+def test_bad_payload_names_path_and_line(pipeline_out, synthetic_dataset, tmp_path, capsys, edit):
+    # Before base64 was decoded with validate=True, the stray character
+    # was dropped silently and the model loaded.
+    lines = (pipeline_out / "model.store").read_text().splitlines()
+    header = lines.index(next(line for line in lines if line.startswith("array pool_hog ")))
+    lines[header + 1] = edit(lines[header + 1])
+    damaged = tmp_path / "model.store"
+    damaged.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code = main(
+        ["classify", "--manifest", str(synthetic_dataset), "--model", str(damaged),
+         "--out", str(tmp_path / "cls")]
+    )
+    assert code == 2
+    error = _single_error(capsys)["error"]
+    assert error.startswith(f"{damaged}:{header + 2}: entry 'pool_hog': bad base64 payload: ")
+
+
 def test_classify_missing_model(tmp_path, synthetic_dataset, capsys):
     code = main(
         ["classify", "--manifest", str(synthetic_dataset), "--out", str(tmp_path)]
@@ -230,6 +277,8 @@ def test_export_servo_trajectory_file(tmp_path):
         ("imitate", "--votes", "0.0 joy six", "votes must be int, got 'six'"),
         ("animate", "--track", "0.0 anger", "expected 'time expression level', got 2 fields"),
         ("animate", "--track", "soon anger 0.5", "time must be float, got 'soon'"),
+        ("animate", "--track", "0.0 Joy 1.0", "expression must be Expression, got 'Joy'"),
+        ("imitate", "--votes", "0.0 happy 6", "winner must be Expression, got 'happy'"),
     ],
 )
 def test_bad_record_line_names_path_and_line(tmp_path, capsys, command, option, line, problem):
@@ -253,8 +302,16 @@ def test_bad_record_line_names_path_and_line(tmp_path, capsys, command, option, 
         ),
         ("bad.config", "bearface-config 1\nseed = banana\n", 2, "seed must be int, got 'banana'"),
         ("bad.visemes", "bearface-visemes 1\nx 1 m b p\n", 2, "id must be int, got 'x'"),
+        ("bad.config", "bearface-config 1\nhold_duration = inf\n", 2,
+         "hold_duration must be finite, got inf"),
+        ("bad.config", "bearface-config 1\nsvm_c = nan\n", 2, "svm_c must be finite, got nan"),
+        ("bad.config", "bearface-config 1\nrbf_gamma = inf\n", 2,
+         "rbf_gamma must be finite, got inf"),
+        ("bad.config", "bearface-config 1\nkernels = rbf\nrbf_gamma = -1\n", 3,
+         "rbf gamma must be positive and finite, got -1.0"),
     ],
-    ids=["manifest-frame", "config-seed", "viseme-id"],
+    ids=["manifest-frame", "config-seed", "viseme-id", "config-hold-inf", "config-c-nan",
+         "config-gamma-inf", "config-gamma-negative"],
 )
 def test_bad_input_value_names_path_and_line(tmp_path, capsys, name, text, line, problem):
     path = tmp_path / name
@@ -270,6 +327,15 @@ def test_bad_input_value_names_path_and_line(tmp_path, capsys, name, text, line,
     code = main(argv + ["--out", str(tmp_path / "o")])
     assert code == 2
     assert _single_error(capsys)["error"] == f"{path}:{line}: {problem}"
+
+
+def test_unknown_expression_option_names_option(tmp_path, capsys):
+    for command in ("animate", "export-servo"):
+        code = main([command, "--expression", "Joy", "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert _single_error(capsys)["error"] == (
+            "--expression: expression must be Expression, got 'Joy'"
+        )
 
 
 def test_bad_transcript_line_names_path_and_line(tmp_path, capsys):

@@ -1,4 +1,6 @@
-"""Pose synthesis, ear oscillation and trajectories."""
+"""Pose synthesis, ear oscillation, trajectories and template files."""
+
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -11,13 +13,13 @@ from bearface.expressions import (
     ExpressionTemplate,
     Mode,
     ear_oscillation,
-    format_templates,
     load_templates,
     oscillating_pose,
     parse_templates,
     pose_for,
     trajectory,
 )
+from bearface.records import packaged_text
 
 
 def test_dof_identities():
@@ -62,6 +64,30 @@ def test_pose_for_midpoint_value():
     pose = pose_for(template, 0.5)
     assert pose[Dof.EAR_L] == pytest.approx(0.7, abs=1e-15)
     assert pose[Dof.BROW_L] == 0.5  # inactive axes stay neutral
+
+
+def test_pose_for_matches_the_per_axis_formula(template_set):
+    # pose_for goes through dof.lerp_pose, which passes equal endpoints
+    # through unchanged; on the shipped templates (no active axis peaks at
+    # its neutral value) it gives the per-axis formula bit for bit.
+    for template in template_set:
+        for intensity in [k / 64 for k in range(65)] + [0.1, 1 / 3, 0.7]:
+            pose = pose_for(template, intensity)
+            for dof in ALL_DOFS:
+                base, peak = template.neutral_pose[dof], template.max_pose[dof]
+                if dof in template.active_dofs:
+                    assert pose[dof] == (1.0 - intensity) * base + intensity * peak
+                else:
+                    assert pose[dof] == base
+            t = intensity / 3
+            left, right = ear_oscillation(intensity, t)
+            moved = oscillating_pose(template, intensity, t)
+            if template.uses_ear_oscillation and intensity > 0.0:
+                for dof, factor in ((Dof.EAR_L, left), (Dof.EAR_R, right)):
+                    base, peak = template.neutral_pose[dof], template.max_pose[dof]
+                    assert moved[dof] == (1.0 - factor) * base + factor * peak
+            else:
+                assert moved == pose
 
 
 def test_pose_for_clamps_with_warning(template_set):
@@ -243,19 +269,6 @@ def test_trajectory_validation():
         trajectory(pose, pose, duration=1.0, frame_rate=0.0)
 
 
-def test_template_file_round_trip(template_set):
-    text = format_templates(template_set)
-    parsed = parse_templates(text)
-    assert parsed.neutral_pose == template_set.neutral_pose
-    for expression in Expression:
-        for mode in Mode:
-            original = template_set.get(expression, mode)
-            reloaded = parsed.get(expression, mode)
-            assert reloaded.max_pose == original.max_pose
-            assert reloaded.active_dofs == original.active_dofs
-            assert reloaded.uses_ear_oscillation == original.uses_ear_oscillation
-
-
 def test_template_file_rejects_bad_header():
     with pytest.raises(ValueError, match="must start"):
         parse_templates("not-a-template-file\n")
@@ -267,6 +280,59 @@ def test_template_file_rejects_bad_header():
             + "\n".join(f"f{i} = 0.5" for i in range(1, 11))
             + "\n[happy au]\nf7 = 0.9\n"
         )
+
+
+SHIPPED = packaged_text("expression_templates.txt").splitlines()
+
+
+@pytest.mark.parametrize(
+    ("section", "old", "new", "at", "problem"),
+    [
+        ("anger au", "f1 = 0.15", ["f1 = x"], "line", "f1 must be float, got 'x'"),
+        ("joy au-animal", "ear_oscillation = true", ["ear_oscillation = maybe"], "line",
+         "ear_oscillation must be boolean, got 'maybe'"),
+        ("anger au-animal", "[anger au-animal]", ["[anger au]"], "line",
+         "duplicate section [anger au]"),
+        ("anger au", "[anger au]", ["[DEFAULT]", "[anger au]"], "line",
+         "bad template section name [DEFAULT]"),
+        ("anger au", "f2 = 0.15", ["f1 = 0.2"], "line", "duplicate key 'f1'"),
+        ("neutral", "[neutral]", ["f1 = 0.5", "[neutral]"], "line",
+         "'f1' is outside any section"),
+        ("anger au", "f1 = 0.15", ["f1: 0.15"], "line", "expected '[section]' or 'key = value'"),
+        ("neutral", "f10 = 0.5", [], "section", "pose is missing axes: NECK_YAW"),
+        ("anger au", "f1 = 0.15", ["f1 = 0.15", "f9 = 0.6"], "section",
+         "anger/au: active axes"),
+    ],
+    ids=["value", "flag", "duplicate-section", "default-section", "duplicate-key",
+         "outside-section", "colon", "missing-neutral-axis", "active-axes"],
+)
+def test_template_errors_name_path_and_line(tmp_path, section, old, new, at, problem):
+    lines = list(SHIPPED)
+    head = lines.index(f"[{section}]")
+    index = lines.index(old, head)
+    lines[index:index + 1] = new
+    path = tmp_path / "templates.txt"
+    path.write_text("\n".join(lines) + "\n")
+    number = (index if at == "line" else head) + 1
+    with pytest.raises(ValueError, match=re.escape(f"{path}:{number}: {problem}")):
+        load_templates(path)
+
+
+def test_missing_section_names_the_file(tmp_path):
+    path = tmp_path / "templates.txt"
+    path.write_text("\n".join(line for line in SHIPPED if line != "[joy au]") + "\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: missing template for joy/au")):
+        load_templates(path)
+
+
+def test_template_lines_take_inline_comments(template_set):
+    text = "\n".join(
+        line + "  # tuned" if "=" in line else line for line in SHIPPED
+    )
+    parsed = parse_templates(text)
+    assert parsed.neutral_pose == template_set.neutral_pose
+    for template in template_set:
+        assert parsed.get(template.expression, template.mode) == template
 
 
 def test_joy_animal_uses_oscillation(template_set):

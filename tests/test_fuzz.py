@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from bearface.arraystore import dump_store, parse_store
 from bearface.config import RunConfig, parse_config
-from bearface.expressions import format_templates, load_templates, parse_templates
+from bearface.expressions import parse_templates
 from bearface.imaging import read_pnm
 from bearface.kernels import parse_kernel
 from bearface.manifest import parse_manifest
@@ -55,6 +55,10 @@ MANIFEST = (
     "bearface-manifest 1\nclasses = neutral joy\n"
     "a.pgm\ta.pts\tjoy\ts0\tq0\t0\nb.pgm\tb.pts\tneutral\ts 1\tq0\t1\n"
 )
+# The shipped templates plus section headers that are odd or repeat.
+TEMPLATES = packaged_text("expression_templates.txt") + (
+    "[DEFAULT]\n[neutral au]\n[ joy  au ]\n[joy]\n[]\n[neutral\n[fear au-animal]\n"
+)
 STORE = dump_store(
     {"kind": "model", "seed": 3, "c": 0.5, "note": "a # b",
      "grid": np.arange(6.0).reshape(2, 3), "codes": np.arange(4, dtype=np.uint8)}
@@ -93,8 +97,9 @@ def test_parse_transcript(text):
     rejects_only_with_value_errors(parse_transcript, text)
 
 
-@given(text_like(format_templates(load_templates())))
+@given(text_like(TEMPLATES))
 @example("bearface-templates 1\n[neutral]\nf1 = 0.5\nf² = 1\n")
+@example("bearface-templates 1\nf1 = 0.5\n[neutral]\near_oscillation = on\n")
 def test_parse_templates(text):
     rejects_only_with_value_errors(parse_templates, text)
 
@@ -106,6 +111,8 @@ def test_parse_store(text):
 
 
 @given(text_like("\nrbf gamma=0.5\npoly degree=3 offset=1 scale=0.5\nrbf\npoly degree=x\n"))
+@example("rbf gamma")
+@example("poly degree=2 degree=3 colour=red")
 def test_parse_kernel(text):
     rejects_only_with_value_errors(parse_kernel, text)
 

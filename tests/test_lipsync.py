@@ -7,16 +7,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bearface.diagnostics import ClampWarning
-from bearface.expressions import MorphTargetRef, TargetKind, expression_target, Expression
+from bearface.expressions import Expression
 from bearface.lipsync import (
-    _class_weights_at,
+    MorphWeights,
     blend_expression,
+    class_weights_at,
     epanechnikov,
     force_labial_closure,
     frame_preview,
     render_timeline,
     silence_frame,
-    smooth_weights,
     timeline_columns,
     write_preview_pgms,
     write_timeline_csv,
@@ -26,6 +26,11 @@ from bearface.visemes import PhonemeSegment, load_viseme_table
 
 TABLE = load_viseme_table()
 LABIAL_ID = next(iter(TABLE.labial_ids()))
+
+
+def weights_at(segments, t, bandwidth_scale=1.0):
+    """The viseme weights of one instant."""
+    return class_weights_at(segments, [t], TABLE, bandwidth_scale)[:, 0]
 
 
 def test_epanechnikov_shape():
@@ -38,30 +43,28 @@ def test_epanechnikov_shape():
 
 def test_single_segment_center_weight_one():
     segments = (PhonemeSegment("a", 0.0, 1.0),)
-    frame = smooth_weights(segments, 0.5, TABLE)
+    weights = weights_at(segments, 0.5)
     a_id = TABLE.class_id("a")
-    assert frame.visemes[a_id] == pytest.approx(1.0)
-    assert frame.visemes.sum() == pytest.approx(1.0)
+    assert weights[a_id] == pytest.approx(1.0)
+    assert weights.sum() == pytest.approx(1.0)
 
 
 def test_kernel_edge_contributes_zero():
     segments = (PhonemeSegment("a", 0.0, 1.0),)
-    frame = smooth_weights(segments, 1.0, TABLE)
-    assert frame.visemes.sum() == 0.0
-    assert not frame.active
+    assert weights_at(segments, 1.0).sum() == 0.0
 
 
 def test_shared_boundary_splits_evenly():
     segments = (PhonemeSegment("a", 0.0, 1.0), PhonemeSegment("i", 1.0, 2.0))
-    frame = smooth_weights(segments, 1.0, TABLE, bandwidth_scale=2.0)
-    assert frame.visemes[TABLE.class_id("a")] == pytest.approx(0.5)
-    assert frame.visemes[TABLE.class_id("i")] == pytest.approx(0.5)
+    weights = weights_at(segments, 1.0, bandwidth_scale=2.0)
+    assert weights[TABLE.class_id("a")] == pytest.approx(0.5)
+    assert weights[TABLE.class_id("i")] == pytest.approx(0.5)
 
 
 def test_outside_span_is_silent():
     segments = (PhonemeSegment("a", 0.5, 1.0),)
     for t in (0.4, 1.1, -3.0):
-        assert not smooth_weights(segments, t, TABLE, bandwidth_scale=5.0).active
+        assert weights_at(segments, t, bandwidth_scale=5.0).sum() == 0.0
 
 
 def test_same_viseme_accumulates_before_normalization():
@@ -79,9 +82,9 @@ def test_same_viseme_accumulates_before_normalization():
         raw[seg] = 0.75 * (1 - u * u) if abs(u) <= 1 else 0.0
     m_raw = raw[segments[0]] + raw[segments[2]]
     a_raw = raw[segments[1]]
-    frame = smooth_weights(segments, t, TABLE, bandwidth_scale=scale)
-    assert frame.visemes[TABLE.class_id("m")] == pytest.approx(m_raw / (m_raw + a_raw))
-    assert frame.visemes[TABLE.class_id("a")] == pytest.approx(a_raw / (m_raw + a_raw))
+    weights = weights_at(segments, t, bandwidth_scale=scale)
+    assert weights[TABLE.class_id("m")] == pytest.approx(m_raw / (m_raw + a_raw))
+    assert weights[TABLE.class_id("a")] == pytest.approx(a_raw / (m_raw + a_raw))
 
 
 def test_closure_no_labials_unchanged():
@@ -136,59 +139,62 @@ def test_mama_has_pure_labial_frames():
 
 
 def test_blend_zero_level_is_identity():
-    frame = smooth_weights((PhonemeSegment("a", 0.0, 1.0),), 0.5, TABLE)
-    blended = blend_expression(frame, expression_target(Expression.JOY), 0.0)
+    frame = MorphWeights(0.5, weights_at((PhonemeSegment("a", 0.0, 1.0),), 0.5))
+    blended = blend_expression(frame, Expression.JOY, 0.0)
     assert np.array_equal(blended.visemes, frame.visemes)
     assert all(level == 0.0 for level in blended.expressions.values())
 
 
 def test_blend_full_level():
     frame = silence_frame(0.25)
-    blended = blend_expression(frame, expression_target(Expression.JOY), 1.0)
+    blended = blend_expression(frame, Expression.JOY, 1.0)
     assert blended.expressions["joy"] == 1.0
     assert blended.timestamp == 0.25
 
 
 def test_blend_silence_half_joy():
-    blended = blend_expression(silence_frame(), expression_target(Expression.JOY), 0.5)
+    blended = blend_expression(silence_frame(), Expression.JOY, 0.5)
     assert blended.visemes.sum() == 0.0
     assert blended.expressions["joy"] == 0.5
 
 
 def test_blend_clamps_with_warning():
     with pytest.warns(ClampWarning):
-        blended = blend_expression(
-            silence_frame(), expression_target(Expression.FEAR), 1.5
-        )
+        blended = blend_expression(silence_frame(), Expression.FEAR, 1.5)
     assert blended.expressions["fear"] == 1.0
 
 
 def test_blend_rejects_non_expression_target():
+    # Neutral is the resting mouth every channel is an offset from.
     with pytest.raises(ValueError, match="not an expression"):
-        blend_expression(
-            silence_frame(), MorphTargetRef("viseme_01", TargetKind.VISEME), 0.5
-        )
+        blend_expression(silence_frame(), Expression.NEUTRAL, 0.5)
 
 
 def test_exactly_one_neutral_morph_target():
-    from bearface.expressions import NEUTRAL_TARGET, viseme_target
-
-    # Every expression channel resolves to kind=expression; only the neutral
-    # mouth resolves to the single shared neutral target.
-    neutral_refs = {
-        expression_target(e)
-        for e in Expression
-        if expression_target(e).kind is TargetKind.NEUTRAL
+    # Every expression but one has its own timeline channel; only the
+    # neutral mouth has none, being the shared target the offsets start from.
+    columns = timeline_columns()
+    without_channel = {e for e in Expression if e.value not in columns}
+    assert without_channel == {Expression.NEUTRAL}
+    assert columns[1 + 3] == "viseme_03"
+    assert blend_expression(silence_frame(), Expression.JOY, 0.5).expressions == {
+        "joy": 0.5
     }
-    assert neutral_refs == {NEUTRAL_TARGET}
-    assert expression_target(Expression.NEUTRAL) is NEUTRAL_TARGET
-    assert viseme_target(3) == MorphTargetRef("viseme_03", TargetKind.VISEME)
 
 
-def test_smooth_weights_validates_bandwidth():
+@pytest.mark.parametrize("scale", [0.0, -1.0, float("nan")])
+def test_bandwidth_must_be_positive(scale):
     segments = (PhonemeSegment("a", 0.0, 1.0),)
-    with pytest.raises(ValueError, match="bandwidth"):
-        smooth_weights(segments, 0.5, TABLE, bandwidth_scale=0.0)
+    with pytest.raises(ValueError, match="bandwidth_scale must be positive"):
+        class_weights_at(segments, [0.5], TABLE, bandwidth_scale=scale)
+    with pytest.raises(ValueError, match="bandwidth_scale must be positive"):
+        render_timeline(segments, [], TABLE, bandwidth_scale=scale)
+
+
+def test_render_rejects_unknown_expression():
+    segments = (PhonemeSegment("a", 0.0, 1.0),)
+    with pytest.raises(ValueError, match="'Joy' is not a valid Expression"):
+        render_timeline(segments, [(0.0, "Joy", 1.0)], TABLE)
 
 
 def test_render_empty_transcript():
@@ -281,9 +287,8 @@ def test_smoothness_bound_without_labials():
         PhonemeSegment("t", 0.4, 0.6),
         PhonemeSegment("u", 0.6, 0.8),
     )
-    class_ids = [TABLE.class_id(s.phoneme) for s in segments]
     fine = np.arange(0.0, 0.8 + 1e-9, 2e-4)
-    weights = _class_weights_at(segments, class_ids, fine, 2.0)
+    weights = class_weights_at(segments, fine, TABLE, 2.0)
     slope = np.abs(np.diff(weights, axis=1)).max() / 2e-4
 
     frames = render_timeline(segments, [], TABLE, frame_rate=85.0, bandwidth_scale=2.0)
