@@ -15,7 +15,6 @@ import sys
 from pathlib import Path
 
 from .config import RunConfig, load_config, save_config
-from .diagnostics import progress
 from .dof import ALL_DOFS, dof_label
 from .expressions import (
     Expression,
@@ -24,7 +23,7 @@ from .expressions import (
     pose_for,
     trajectory,
 )
-from .extraction import describe_image, extract_dataset, load_features, save_features
+from .extraction import describe_faces, extract_dataset, load_features, save_features
 from .imitation import ImitationSession, vote_to_intensity, write_imitation_log
 from .lipsync import (
     render_timeline,
@@ -34,11 +33,9 @@ from .lipsync import (
 )
 from .manifest import read_manifest, training_labels
 from .modelio import FeatureParams, ModelBundle, load_model, save_model
-from .multiclass import VoteResult, classify, cross_validate, train_multiclass
-from .records import read_records, typed, write_atomic, write_jsonl
-from .registration import read_landmarks
+from .multiclass import VoteResult, cross_validate, decision_values, train_multiclass, vote
+from .records import count, read_records, typed, write_atomic, write_jsonl
 from .reports import write_report
-from .imaging import read_pnm
 from .visemes import bundled_transcript, load_viseme_table, read_transcript
 
 
@@ -82,7 +79,7 @@ def _require(path: Path, artifact: str, command: str) -> Path:
 
 
 _TRACK_FIELDS = (("time", float), ("expression", Expression), ("level", float))
-_VOTE_FIELDS = (("time", float), ("winner", Expression), ("votes", int))
+_VOTE_FIELDS = (("time", float), ("winner", Expression), ("votes", count))
 
 
 def _expression(args: argparse.Namespace) -> Expression:
@@ -172,12 +169,14 @@ def cmd_classify(args: argparse.Namespace) -> int:
     if bundle.reference is None or bundle.feature is None:
         raise CliError("model bundle lacks extraction context; retrain from features")
     manifest = read_manifest(args.manifest)
+    faces = [(entry.image, entry.landmarks) for entry in manifest.entries]
+    rows = []
+    if faces:  # a manifest of no images scores nothing
+        blocks = describe_faces(faces, bundle.reference, bundle.feature)
+        rows = decision_values(bundle.model, blocks)
     records = []
-    for entry in manifest.entries:
-        image = read_pnm(entry.image)
-        landmarks = read_landmarks(entry.landmarks)
-        blocks = describe_image(image, landmarks, bundle.reference, bundle.feature)
-        result = classify(bundle.model, blocks)
+    for entry, row in zip(manifest.entries, rows):
+        result = vote(bundle.model, row)
         records.append(
             {
                 "image": str(entry.image),
@@ -190,7 +189,6 @@ def cmd_classify(args: argparse.Namespace) -> int:
                 "tally": dict(zip(result.class_names, result.tally)),
             }
         )
-        progress(f"classified {entry.image.name}: {result.winner}")
     path = out / "classifications.jsonl"
     write_jsonl(path, records)
     expected = training_labels(manifest)

@@ -19,6 +19,11 @@ class ConfigError(ValueError):
     pass
 
 
+# Longest transition or hold, in seconds: imitation builds every frame of a
+# command in memory, frame_rate of them per second.
+MAX_DURATION = 60.0
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Resolved pipeline settings; defaults make a runnable configuration."""
@@ -67,6 +72,10 @@ class RunConfig:
                      "transition_duration", "hold_duration"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
+        for name in ("transition_duration", "hold_duration"):
+            value = getattr(self, name)
+            if value > MAX_DURATION:
+                raise ConfigError(f"{name} must be at most {MAX_DURATION:g} s, got {value!r}")
         if not (0.0 < self.pca_energy <= 1.0):
             raise ConfigError("pca_energy must be in (0, 1]")
         if self.cv_folds < 2:
@@ -75,30 +84,24 @@ class RunConfig:
             raise ConfigError("grid, hog_bins and debounce must be at least 1")
         if self.closure_margin < 0:
             raise ConfigError("closure_margin must be nonnegative")
-        try:  # the kernel classes check their own parameters
-            self.kernel_plans()
+        # The kernel classes check their own parameters, so that a value
+        # fails whatever the kernel set and the order of the lines.
+        try:
+            for kind in ("rbf", "poly"):
+                self._kernel(kind)
         except ValueError as error:
             raise ConfigError(str(error)) from None
 
+    def _kernel(self, kind: str) -> KernelPlan:
+        if kind == "poly":
+            return PolyKernel(
+                degree=self.poly_degree, offset=self.poly_offset, scale=self.poly_scale
+            )
+        return AutoRbf() if self.rbf_gamma == "auto" else RbfKernel(float(self.rbf_gamma))
+
     def kernel_plans(self) -> list[tuple[str, KernelPlan]]:
         """(block, kernel) bank entries: every kernel on every descriptor."""
-        plans: list[tuple[str, KernelPlan]] = []
-        for block in self.descriptors:
-            for kind in self.kernels:
-                if kind == "rbf":
-                    plan: KernelPlan = (
-                        AutoRbf()
-                        if self.rbf_gamma == "auto"
-                        else RbfKernel(float(self.rbf_gamma))
-                    )
-                else:
-                    plan = PolyKernel(
-                        degree=self.poly_degree,
-                        offset=self.poly_offset,
-                        scale=self.poly_scale,
-                    )
-                plans.append((block, plan))
-        return plans
+        return [(block, self._kernel(kind)) for block in self.descriptors for kind in self.kernels]
 
     def to_lines(self) -> list[str]:
         """Canonical echo of every setting, in declaration order."""

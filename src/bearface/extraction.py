@@ -19,7 +19,7 @@ from .diagnostics import progress
 from .hog import hog
 from .imaging import GrayImage, read_pnm
 from .lbp import lbph
-from .manifest import DatasetManifest, Sample, ingest_sequences
+from .manifest import DatasetManifest, ingest_sequences
 from .modelio import FeatureParams
 from .registration import LandmarkSet, mean_reference, read_landmarks, register_and_crop
 
@@ -57,32 +57,41 @@ def describe_image(
     return out
 
 
-def extract_dataset(
-    manifest: DatasetManifest,
+def describe_faces(
+    faces: Sequence[tuple[Path, LandmarkSet | Path]],
+    reference: LandmarkSet,
     feature: FeatureParams,
-    samples: Sequence[Sample] | None = None,
-) -> FeatureSet:
+) -> dict[str, np.ndarray]:
+    """Descriptor blocks of faces given as (image path, landmarks) pairs.
+
+    Row i of each block describes face i; landmarks given as a path are
+    read here. Needs at least one face.
+    """
+    rows: dict[str, list[np.ndarray]] = {name: [] for name in feature.descriptors}
+    for index, (image_path, landmarks) in enumerate(faces):
+        progress(f"describe {index + 1}/{len(faces)}: {image_path.name}")
+        if not isinstance(landmarks, LandmarkSet):
+            landmarks = read_landmarks(landmarks)
+        described = describe_image(read_pnm(image_path), landmarks, reference, feature)
+        for name, vector in described.items():
+            rows[name].append(vector)
+    return {name: np.vstack(vectors) for name, vectors in rows.items()}
+
+
+def extract_dataset(manifest: DatasetManifest, feature: FeatureParams) -> FeatureSet:
     """Extract descriptors for every ingested sample of a manifest.
 
     The registration reference is the mean landmark shape over the ingested
     samples, scaled into the crop frame; it is stored with the features so
     later stages (and trained models) reuse the identical mapping.
     """
-    diagnostics: list[str] = []
-    if samples is None:
-        samples, diagnostics = ingest_sequences(manifest)
+    samples, diagnostics = ingest_sequences(manifest)
     if not samples:
         raise ValueError("manifest yields no usable samples")
     landmark_sets = [read_landmarks(sample.landmarks) for sample in samples]
     reference = mean_reference(landmark_sets)
-    rows: dict[str, list[np.ndarray]] = {name: [] for name in feature.descriptors}
-    for index, (sample, landmarks) in enumerate(zip(samples, landmark_sets)):
-        progress(f"extract {index + 1}/{len(samples)}: {sample.image.name}")
-        image = read_pnm(sample.image)
-        described = describe_image(image, landmarks, reference, feature)
-        for name, vector in described.items():
-            rows[name].append(vector)
-    blocks = {name: np.vstack(vectors) for name, vectors in rows.items()}
+    faces = [(sample.image, landmarks) for sample, landmarks in zip(samples, landmark_sets)]
+    blocks = describe_faces(faces, reference, feature)
     return FeatureSet(
         blocks=blocks,
         labels=tuple(s.label for s in samples),

@@ -76,6 +76,23 @@ def imitate(
     except ValueError:
         raise ValueError(f"unknown expression label {result.winner!r}") from None
     intensity = vote_to_intensity(result.votes, len(result.class_names))
+    return _mirror(
+        expression, intensity, templates, mode, start_pose,
+        frame_rate, transition_duration, hold_duration,
+    )
+
+
+def _mirror(
+    expression: Expression,
+    intensity: float,
+    templates: TemplateSet,
+    mode: Mode,
+    start_pose: Pose | None,
+    frame_rate: float,
+    transition_duration: float,
+    hold_duration: float,
+) -> tuple[list[tuple[float, Pose]], list[MorphWeights]]:
+    """`imitate`'s motion for an expression at an intensity already mapped."""
     template = templates.get(expression, mode)
     neutral = expression is Expression.NEUTRAL
     level = 0.0 if neutral else intensity
@@ -156,14 +173,10 @@ class ImitationSession:
         expression = Expression(result.winner)
         if expression is self.current_expression:
             return None
-        frames, morphs = imitate(
-            result,
-            self.templates,
-            mode=self.mode,
-            start_pose=self.current_pose,
-            frame_rate=self.frame_rate,
-            transition_duration=self.transition_duration,
-            hold_duration=self.hold_duration,
+        intensity = vote_to_intensity(result.votes, len(result.class_names))
+        frames, morphs = _mirror(
+            expression, intensity, self.templates, self.mode, self.current_pose,
+            self.frame_rate, self.transition_duration, self.hold_duration,
         )
         self.current_expression = expression
         self.current_pose = frames[-1][1] if expression is not Expression.NEUTRAL else (
@@ -174,7 +187,7 @@ class ImitationSession:
                 timestamp=timestamp,
                 winner=result.winner,
                 votes=result.votes,
-                intensity=vote_to_intensity(result.votes, len(result.class_names)),
+                intensity=intensity,
                 pose=frames[-1][1],
             )
         )

@@ -9,7 +9,7 @@ sequence's expression, and sequences shorter than four frames are skipped.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .records import content_lines, place, typed
@@ -109,21 +109,9 @@ def training_labels(manifest: DatasetManifest) -> list[str]:
     ]
 
 
-@dataclass(frozen=True)
-class Sample:
-    """One training sample after sequence ingestion."""
-
-    image: Path
-    landmarks: Path
-    label: str
-    subject: str
-    sequence: str
-    frame: int
-
-
 def ingest_sequences(
     manifest: DatasetManifest,
-) -> tuple[list[Sample], list[str]]:
+) -> tuple[list[ManifestEntry], list[str]]:
     """Apply the peak-frame sampling rule to every sequence.
 
     Per sequence (grouped by subject and sequence id, ordered by frame
@@ -140,7 +128,7 @@ def ingest_sequences(
     for entry in manifest.entries:
         groups.setdefault((entry.subject, entry.sequence), []).append(entry)
 
-    samples: list[Sample] = []
+    samples: list[ManifestEntry] = []
     diagnostics: list[str] = []
     for key in sorted(groups):
         frames = sorted(groups[key], key=lambda e: e.frame)
@@ -151,15 +139,5 @@ def ingest_sequences(
             continue
         label = frames[-1].label
         picks = [(frames[0], NEUTRAL_LABEL)] + [(f, label) for f in frames[-3:]]
-        for entry, assigned in picks:
-            samples.append(
-                Sample(
-                    image=entry.image,
-                    landmarks=entry.landmarks,
-                    label=assigned,
-                    subject=entry.subject,
-                    sequence=entry.sequence,
-                    frame=entry.frame,
-                )
-            )
+        samples += [replace(entry, label=assigned) for entry, assigned in picks]
     return samples, diagnostics

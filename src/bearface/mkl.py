@@ -81,12 +81,10 @@ def mkl_gradient(
 class BinaryMklSolution:
     """One trained pairwise classifier with learned kernel weights."""
 
-    class_a: int
-    class_b: int
     alphas: np.ndarray          # dual variables per training sample
     kernel_weights: np.ndarray  # d over the M basis kernels, on the simplex
     bias: float
-    labels: np.ndarray          # +/-1 per training sample (+1 = class_a)
+    labels: np.ndarray          # +/-1 per training sample (+1 = first class)
     C: float
     objective: float
     history: tuple[tuple[tuple[float, ...], float], ...] = field(default=())
@@ -191,21 +189,15 @@ def train_binary_mkl(
     grams: Sequence[np.ndarray],
     labels: np.ndarray,
     C: float = DEFAULT_C,
-    *,
-    class_a: int = 0,
-    class_b: int = 1,
-    inner_tol: float = 1e-3,
-    step_tol: float = STEP_TOL,
-    objective_tol: float = OBJECTIVE_TOL,
-    max_outer: int = MAX_OUTER_ITERATIONS,
-    include_bias: bool = True,
 ) -> BinaryMklSolution:
     """Fit kernel weights and dual variables for one binary problem.
 
     Weights start uniform at 1/M. Identical basis kernels make the
     objective flat in d, in which case training simply converges at the
     barycenter. The returned history logs (weights, objective) for the
-    initial point and every accepted step.
+    initial point and every accepted step. Inner solves stop at the SVM
+    solver's default KKT tolerance; the outer loop stops on a step below
+    STEP_TOL, a decrease below OBJECTIVE_TOL or MAX_OUTER_ITERATIONS.
     """
     if not grams:
         raise ValueError("need at least one Gram matrix")
@@ -226,16 +218,14 @@ def train_binary_mkl(
         weights: np.ndarray, warm: np.ndarray | None
     ) -> tuple[DualSolution, np.ndarray]:
         combined = combine_grams(flat, weights).reshape(n, n)
-        solution = solve_svm_dual(
-            combined, y, C, tol=inner_tol, warm_alpha=warm, psd_check=False
-        )
+        solution = solve_svm_dual(combined, y, C, warm_alpha=warm, psd_check=False)
         return solution, combined
 
     solution, combined = inner(d, None)
     objective = solution.objective
     history: list[tuple[tuple[float, ...], float]] = [(tuple(d), objective)]
 
-    for _ in range(max_outer):
+    for _ in range(MAX_OUTER_ITERATIONS):
         gradient = mkl_gradient(solution.alpha, y, grams)
         newton = _curvature_direction(grams, combined, y, solution.alpha, C, gradient)
         gradient_step = -gradient * (0.5 / max(float(np.abs(gradient).max()), 1e-12))
@@ -267,15 +257,13 @@ def train_binary_mkl(
         d = d_new
         objective = solution.objective
         history.append((tuple(d), objective))
-        if step_size < step_tol or decrease < objective_tol:
+        if step_size < STEP_TOL or decrease < OBJECTIVE_TOL:
             break
 
     return BinaryMklSolution(
-        class_a=class_a,
-        class_b=class_b,
         alphas=solution.alpha,
         kernel_weights=d,
-        bias=solution.bias if include_bias else 0.0,
+        bias=solution.bias,
         labels=y,
         C=C,
         objective=objective,

@@ -226,13 +226,12 @@ def train_multiclass(
         subset = np.nonzero((y_index == a) | (y_index == b))[0]
         y = np.where(y_index[subset] == a, 1.0, -1.0)
         pair_grams = [K[np.ix_(subset, subset)] for K in grams]
-        solution = train_binary_mkl(
-            pair_grams, y, C, class_a=a, class_b=b, include_bias=include_bias
-        )
+        solution = train_binary_mkl(pair_grams, y, C)
         sv = solution.support_indices
         coef[subset[sv], p] = solution.alphas[sv] * solution.labels[sv]
         weights[p] = solution.kernel_weights
-        bias[p] = solution.bias
+        if include_bias:
+            bias[p] = solution.bias
     in_pool = np.nonzero(coef.any(axis=1))[0]
     blocks_used = sorted({entry.block for entry in bank})
     return MulticlassModel(
@@ -270,9 +269,9 @@ def decision_values(model: MulticlassModel, x_blocks: FeatureBlocks) -> np.ndarr
     return total + model.bias
 
 
-def classify(model: MulticlassModel, x_blocks: FeatureBlocks) -> VoteResult:
-    """Score one query with every pairwise classifier and vote."""
-    h = decision_values(model, x_blocks)[0].tolist()
+def vote(model: MulticlassModel, row: np.ndarray) -> VoteResult:
+    """Max-wins voting over one query's row of `decision_values`."""
+    h = row.tolist()
     votes, winner = tally_votes(model.class_count, dict(zip(model.pairs, h)))
     names = model.class_names
     return VoteResult(
@@ -282,6 +281,11 @@ def classify(model: MulticlassModel, x_blocks: FeatureBlocks) -> VoteResult:
         decisions={(names[a], names[b]): value for (a, b), value in zip(model.pairs, h)},
         class_names=names,
     )
+
+
+def classify(model: MulticlassModel, x_blocks: FeatureBlocks) -> VoteResult:
+    """Score one query with every pairwise classifier and vote."""
+    return vote(model, decision_values(model, x_blocks)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -405,9 +409,8 @@ def cross_validate(
             include_bias=include_bias,
         )
         h = decision_values(model, {name: data[test] for name, data in blocks.items()})
-        for index, row in zip(test, h.tolist()):
-            _, winner = tally_votes(model.class_count, dict(zip(model.pairs, row)))
-            counts[index_of[labels[index]], winner] += 1
+        for index, row in zip(test, h):
+            counts[index_of[labels[index]], index_of[vote(model, row).winner]] += 1
     return CvResult(
         class_names=names,
         counts=counts,

@@ -128,13 +128,3 @@ def pca_project(model: PcaModel, x: np.ndarray) -> np.ndarray:
         )
     return (array - model.mean) @ model.components
 
-
-def pca_reconstruct(model: PcaModel, coefficients: np.ndarray) -> np.ndarray:
-    """Back-projection from coefficients to the original space."""
-    array = np.asarray(coefficients, dtype=np.float64)
-    if array.shape[-1] != model.k:
-        raise ValueError(
-            f"coefficient dimension {array.shape[-1]} does not match model "
-            f"k {model.k}"
-        )
-    return array @ model.components.T + model.mean

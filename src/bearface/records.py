@@ -83,6 +83,14 @@ def boolean(text: str) -> bool:
         raise ValueError(text) from None
 
 
+def count(text: str) -> int:
+    """A nonnegative int, such as a vote count."""
+    value = int(text)
+    if value < 0:
+        raise ValueError(text)
+    return value
+
+
 def typed(kind: Callable[[str], object], name: str, value: str, where: str) -> object:
     """`kind(value)`, or a ValueError naming the place, the field and the value."""
     try:

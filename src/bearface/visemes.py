@@ -17,9 +17,6 @@ from .records import boolean, packaged_text, parse_records, place
 
 VISEME_CLASS_COUNT = 20
 
-#: Symbols treated as explicit silence in shipped data.
-SILENCE_MARKERS = ("sil", "sp", "pau")
-
 
 class UnknownPhonemeError(KeyError):
     """A phoneme does not appear in the active viseme table."""
@@ -90,12 +87,6 @@ class VisemeTable:
 
     def labial_ids(self) -> frozenset[int]:
         return frozenset(c.id for c in self.classes if c.labial)
-
-    def silence_ids(self) -> frozenset[int]:
-        """Classes containing a silence marker (neutral mouth)."""
-        return frozenset(
-            self._owner[m] for m in SILENCE_MARKERS if m in self._owner
-        )
 
 
 _TABLE_FIELDS = (("id", int), ("labial", boolean), ("phonemes", frozenset))

@@ -6,6 +6,12 @@ import pytest
 
 from bearface.arraystore import read_store, write_store
 from bearface.cli import main
+from bearface.extraction import describe_image
+from bearface.imaging import read_pnm
+from bearface.manifest import read_manifest
+from bearface.modelio import load_model
+from bearface.multiclass import classify
+from bearface.registration import read_landmarks
 from bearface.servo import decode_servo_commands
 
 
@@ -83,6 +89,27 @@ def test_classify_command(
     for record in records:
         assert record["winner"] in record["tally"]
         assert 0.0 <= record["intensity"] <= 1.0
+    # The manifest is scored in one batch; one query at a time is the reference.
+    bundle = load_model(pipeline_out / "model.store")
+    for entry, record in zip(read_manifest(synthetic_dataset).entries, records):
+        landmarks = read_landmarks(entry.landmarks)
+        blocks = describe_image(read_pnm(entry.image), landmarks, bundle.reference, bundle.feature)
+        single = classify(bundle.model, blocks)
+        assert record["winner"] == single.winner
+        assert record["tally"] == dict(zip(single.class_names, single.tally))
+
+
+def test_classify_manifest_without_images(pipeline_out, fast_config, tmp_path, capsys):
+    manifest = tmp_path / "empty.manifest"
+    manifest.write_text("bearface-manifest 1\nclasses = neutral joy\n")
+    out = tmp_path / "cls"
+    code = main(
+        ["classify", "--manifest", str(manifest), "--config", fast_config,
+         "--model", str(pipeline_out / "model.store"), "--out", str(out)]
+    )
+    assert code == 0
+    assert "classified 0 images (0 match their labels)" in capsys.readouterr().out
+    assert (out / "classifications.jsonl").read_text() == ""
 
 
 def _single_error(capsys) -> dict:
@@ -274,7 +301,8 @@ def test_export_servo_trajectory_file(tmp_path):
     ("command", "option", "line", "problem"),
     [
         ("imitate", "--votes", "0.0 joy", "expected 'time winner votes', got 2 fields"),
-        ("imitate", "--votes", "0.0 joy six", "votes must be int, got 'six'"),
+        ("imitate", "--votes", "0.0 joy six", "votes must be count, got 'six'"),
+        ("imitate", "--votes", "0.0 joy -1", "votes must be count, got '-1'"),
         ("animate", "--track", "0.0 anger", "expected 'time expression level', got 2 fields"),
         ("animate", "--track", "soon anger 0.5", "time must be float, got 'soon'"),
         ("animate", "--track", "0.0 Joy 1.0", "expression must be Expression, got 'Joy'"),
@@ -309,9 +337,23 @@ def test_bad_record_line_names_path_and_line(tmp_path, capsys, command, option, 
          "rbf_gamma must be finite, got inf"),
         ("bad.config", "bearface-config 1\nkernels = rbf\nrbf_gamma = -1\n", 3,
          "rbf gamma must be positive and finite, got -1.0"),
+        ("bad.config", "bearface-config 1\nkernels = poly\nrbf_gamma = -1\n", 3,
+         "rbf gamma must be positive and finite, got -1.0"),
+        ("bad.config", "bearface-config 1\nrbf_gamma = 0\nkernels = poly\n", 2,
+         "rbf gamma must be positive and finite, got 0.0"),
+        ("bad.config", "bearface-config 1\nkernels = poly\nrbf_gamma = 0\n", 3,
+         "rbf gamma must be positive and finite, got 0.0"),
+        ("bad.config", "bearface-config 1\nkernels = rbf\npoly_degree = 0\n", 3,
+         "poly degree must be >= 1, got 0"),
+        ("bad.config", "bearface-config 1\nhold_duration = 1e9\n", 2,
+         "hold_duration must be at most 60 s, got 1000000000.0"),
+        ("bad.config", "bearface-config 1\nframe_rate = 30\ntransition_duration = 60.5\n", 3,
+         "transition_duration must be at most 60 s, got 60.5"),
     ],
     ids=["manifest-frame", "config-seed", "viseme-id", "config-hold-inf", "config-c-nan",
-         "config-gamma-inf", "config-gamma-negative"],
+         "config-gamma-inf", "config-gamma-negative", "config-gamma-negative-unused",
+         "config-gamma-zero-first", "config-gamma-zero-unused", "config-poly-unused",
+         "config-hold-long", "config-transition-long"],
 )
 def test_bad_input_value_names_path_and_line(tmp_path, capsys, name, text, line, problem):
     path = tmp_path / name

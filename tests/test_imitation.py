@@ -1,6 +1,7 @@
 """Vote-to-intensity mapping and the imitation loop."""
 
 import json
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -137,6 +138,15 @@ def test_session_debounce(templates):
     assert record.winner == "sadness"
     assert record.intensity == pytest.approx(2 / 3)
     assert record.timestamp == 0.4
+
+
+def test_over_range_emission_warns_once(templates):
+    session = ImitationSession(templates, debounce=1, hold_duration=0.0)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert session.consume(_result("joy", 9), 0.0) is not None
+    assert [w.category for w in caught].count(VoteRangeWarning) == 1
+    assert session.records[0].intensity == 1.0
 
 
 def test_session_log_round_trip(templates, tmp_path):

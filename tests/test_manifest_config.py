@@ -7,6 +7,7 @@ import pytest
 from bearface.config import ConfigError, RunConfig, load_config, parse_config, save_config
 from bearface.kernels import AutoRbf, PolyKernel
 from bearface.manifest import (
+    ManifestEntry,
     ingest_sequences,
     read_manifest,
     write_manifest,
@@ -63,6 +64,15 @@ def test_ingest_ten_frame_sequence(tmp_path):
     assert len(samples) == 4
     assert [s.label for s in samples] == ["neutral", "joy", "joy", "joy"]
     assert [s.frame for s in samples] == [0, 7, 8, 9]
+
+
+def test_ingest_returns_manifest_entries(tmp_path):
+    manifest = read_manifest(_write_dataset(tmp_path, _sequence_rows("joy", "s1", "q0", 5)))
+    samples, _ = ingest_sequences(manifest)
+    assert all(type(s) is ManifestEntry for s in samples)
+    # Only the label changes: frame 0 is relabelled neutral.
+    assert samples[0] == dataclasses.replace(manifest.entries[0], label="neutral")
+    assert samples[1:] == list(manifest.entries[2:])
 
 
 def test_ingest_four_frame_boundary(tmp_path):

@@ -115,8 +115,6 @@ def test_history_feasible_and_monotone():
 
 def _pair_solution(alpha: float, C: float) -> BinaryMklSolution:
     return BinaryMklSolution(
-        class_a=0,
-        class_b=1,
         alphas=np.array([alpha, alpha]),
         kernel_weights=np.array([1.0]),
         bias=0.0,

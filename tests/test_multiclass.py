@@ -15,6 +15,7 @@ from bearface.multiclass import (
     subject_folds,
     tally_votes,
     train_multiclass,
+    vote,
 )
 
 
@@ -126,8 +127,8 @@ def test_batch_decisions_match_single_queries():
         single = classify(model, {name: data[i] for name, data in queries.items()})
         expected = [single.decisions[key] for key in named]
         np.testing.assert_allclose(row, expected, rtol=0, atol=1e-12)
-        _, winner = tally_votes(model.class_count, dict(zip(model.pairs, row.tolist())))
-        assert model.class_names[winner] == single.winner
+        voted = vote(model, row)
+        assert (voted.winner, voted.tally) == (single.winner, single.tally)
 
 
 def test_pool_holds_each_support_vector_once(monkeypatch):
