@@ -6,7 +6,7 @@ visual speech with expression blending, a multiple-kernel expression
 recognizer with one-vs-one voting, and the recognition-to-imitation loop.
 """
 
-from .dof import ALL_DOFS, Dof, Pose
+from .dof import ALL_DOFS, Dof, Pose, Trajectory
 from .expressions import (
     CLASS_ORDER,
     Expression,
@@ -20,12 +20,7 @@ from .expressions import (
 )
 from .imitation import ImitationSession, imitate, vote_to_intensity
 from .kernels import AutoRbf, PolyKernel, RbfKernel
-from .lipsync import (
-    MorphWeights,
-    blend_expression,
-    force_labial_closure,
-    render_timeline,
-)
+from .lipsync import MouthFrames, force_labial_closure, render_timeline
 from .mkl import BinaryMklSolution, train_binary_mkl
 from .multiclass import (
     MulticlassModel,
@@ -56,7 +51,7 @@ __all__ = [
     "ExpressionTemplate",
     "ImitationSession",
     "Mode",
-    "MorphWeights",
+    "MouthFrames",
     "MulticlassModel",
     "PcaModel",
     "PhonemeSegment",
@@ -65,9 +60,9 @@ __all__ = [
     "RbfKernel",
     "ServoCalibration",
     "TemplateSet",
+    "Trajectory",
     "VisemeTable",
     "VoteResult",
-    "blend_expression",
     "classify",
     "cross_validate",
     "decision_values",

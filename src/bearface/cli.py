@@ -14,27 +14,18 @@ import json
 import sys
 from pathlib import Path
 
-from .config import RunConfig, load_config, save_config
-from .dof import ALL_DOFS, dof_label
-from .expressions import (
-    Expression,
-    Mode,
-    load_templates,
-    pose_for,
-    trajectory,
-)
+import numpy as np
+
+from .config import RunConfig, check_duration, load_config, save_config
+from .dof import ALL_DOFS, Trajectory, dof_label
+from .expressions import Expression, Mode, load_templates, pose_for, trajectory
 from .extraction import describe_faces, extract_dataset, load_features, save_features
 from .imitation import ImitationSession, vote_to_intensity, write_imitation_log
-from .lipsync import (
-    render_timeline,
-    write_preview_pgms,
-    write_timeline_csv,
-    write_timeline_jsonl,
-)
+from .lipsync import render_timeline, write_preview_pgms, write_timeline_csv, write_timeline_jsonl
 from .manifest import read_manifest, training_labels
 from .modelio import FeatureParams, ModelBundle, load_model, save_model
 from .multiclass import VoteResult, cross_validate, decision_values, train_multiclass, vote
-from .records import count, read_records, typed, write_atomic, write_jsonl
+from .records import count, csv_text, read_records, typed, write_atomic, write_jsonl
 from .reports import write_report
 from .visemes import bundled_transcript, load_viseme_table, read_transcript
 
@@ -264,20 +255,17 @@ def cmd_imitate(args: argparse.Namespace) -> int:
 def cmd_export_servo(args: argparse.Namespace) -> int:
     from .servo import default_calibration, to_servo_commands, trajectory_to_servo_commands
 
+    if args.duration is not None:
+        check_duration("--duration", args.duration)
     config = _config_from_args(args)
     templates = _templates(config)
-    template = templates.get(_expression(args), Mode(config.mode))
+    pose = pose_for(templates.get(_expression(args), Mode(config.mode)), args.intensity)
     calibration = default_calibration()
-    if args.duration:
-        frames = trajectory(
-            templates.neutral_pose,
-            pose_for(template, args.intensity),
-            args.duration,
-            config.frame_rate,
-        )
-        payload = trajectory_to_servo_commands(frames, calibration)
+    if args.duration is None:
+        payload = to_servo_commands(pose, calibration)
     else:
-        payload = to_servo_commands(pose_for(template, args.intensity), calibration)
+        frames = trajectory(templates.neutral_pose, pose, args.duration, config.frame_rate)
+        payload = trajectory_to_servo_commands(frames, calibration)
     if args.out:
         out = _out_dir(args)
         path = out / "servo.bin"
@@ -289,11 +277,9 @@ def cmd_export_servo(args: argparse.Namespace) -> int:
     return 0
 
 
-def write_trajectory_csv(frames, path) -> None:
-    lines = ["t," + ",".join(dof_label(d) for d in ALL_DOFS)]
-    for t, pose in frames:
-        lines.append(f"{t:.9g}," + ",".join(f"{v:.9g}" for v in pose.values))
-    write_atomic(path, "\n".join(lines) + "\n")
+def write_trajectory_csv(frames: Trajectory, path) -> None:
+    columns = ["t"] + [dof_label(d) for d in ALL_DOFS]
+    write_atomic(path, csv_text(columns, np.column_stack([frames.times, frames.poses])))
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +360,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
-    except (CliError, OSError, ValueError, KeyError) as error:
+    except (CliError, OSError, ValueError, KeyError, OverflowError) as error:
         record = {"error": str(error), "kind": type(error).__name__}
         print(json.dumps(record, sort_keys=True), file=sys.stderr)
         return 2

@@ -12,16 +12,29 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .kernels import AutoRbf, KernelPlan, PolyKernel, RbfKernel
+from .lbp import MIN_WINDOW
 from .records import boolean, content_lines, place, typed, write_atomic
+from .registration import CROP_SIZE
 
 
 class ConfigError(ValueError):
     pass
 
 
-# Longest transition or hold, in seconds: imitation builds every frame of a
-# command in memory, frame_rate of them per second.
-MAX_DURATION = 60.0
+# Imitation builds every frame of a command in memory, frame_rate of them per
+# second, so durations (s) and the frame rate are bounded; the mouth display
+# runs at 80-90 fps. HOG gets at most one bin per degree of orientation.
+MAX_DURATION, MAX_FRAME_RATE, MAX_HOG_BINS = 60.0, 240.0, 180
+
+
+def check_duration(name: str, value: float) -> None:
+    """The rule of every duration: finite, positive and at most MAX_DURATION."""
+    if not math.isfinite(value):
+        raise ConfigError(f"{name} must be finite, got {value!r}")
+    if value <= 0:
+        raise ConfigError(f"{name} must be positive")
+    if value > MAX_DURATION:
+        raise ConfigError(f"{name} must be at most {MAX_DURATION:g} s, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -68,20 +81,26 @@ class RunConfig:
             raise ConfigError(f"cv_scheme must be random or person-independent")
         if self.mode not in ("au", "au-animal"):
             raise ConfigError(f"mode must be au or au-animal, got {self.mode!r}")
-        for name in ("pca_energy", "svm_c", "frame_rate", "bandwidth_scale",
-                     "transition_duration", "hold_duration"):
+        for name in ("pca_energy", "svm_c", "frame_rate", "bandwidth_scale"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
         for name in ("transition_duration", "hold_duration"):
-            value = getattr(self, name)
-            if value > MAX_DURATION:
-                raise ConfigError(f"{name} must be at most {MAX_DURATION:g} s, got {value!r}")
+            check_duration(name, getattr(self, name))
+        if self.frame_rate > MAX_FRAME_RATE:
+            raise ConfigError(
+                f"frame_rate must be at most {MAX_FRAME_RATE:g} fps, got {self.frame_rate!r}"
+            )
         if not (0.0 < self.pca_energy <= 1.0):
             raise ConfigError("pca_energy must be in (0, 1]")
         if self.cv_folds < 2:
             raise ConfigError("cv_folds must be at least 2")
         if self.grid < 1 or self.hog_bins < 1 or self.debounce < 1:
             raise ConfigError("grid, hog_bins and debounce must be at least 1")
+        if self.hog_bins > MAX_HOG_BINS:
+            raise ConfigError(f"hog_bins must be at most {MAX_HOG_BINS}, got {self.hog_bins}")
+        if CROP_SIZE % self.grid or CROP_SIZE // self.grid < MIN_WINDOW:
+            raise ConfigError(f"grid must divide the {CROP_SIZE}-px crop into windows of "
+                              f"at least {MIN_WINDOW} px, got {self.grid}")
         if self.closure_margin < 0:
             raise ConfigError("closure_margin must be nonnegative")
         # The kernel classes check their own parameters, so that a value

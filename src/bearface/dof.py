@@ -11,6 +11,8 @@ from dataclasses import dataclass
 from enum import IntEnum
 from typing import Mapping
 
+import numpy as np
+
 
 class Dof(IntEnum):
     """Mechanical face axes f1..f10."""
@@ -44,9 +46,7 @@ class Pose:
             raise ValueError(
                 f"pose needs {len(ALL_DOFS)} axis values, got {len(self.values)}"
             )
-        for dof, value in zip(ALL_DOFS, self.values):
-            if not (0.0 <= value <= 1.0):
-                raise ValueError(f"{dof.name} value {value} outside [0, 1]")
+        _check_unit_range(np.array([self.values], dtype=float))
 
     def __getitem__(self, dof: Dof) -> float:
         return self.values[int(dof) - 1]
@@ -70,17 +70,41 @@ class Pose:
         return cls((float(value),) * len(ALL_DOFS))
 
 
-def lerp(a: float, b: float, t: float) -> float:
-    """Linear interpolation; t=0 returns `a` exactly, t=1 returns `b` exactly.
+@dataclass(frozen=True)
+class Trajectory:
+    """Timed poses as arrays: `times` (T,) in seconds, `poses` (T, 10) f1..f10.
 
-    Equal endpoints pass through bit-exact at every t.
+    As in `Pose`, every value lies in [0, 1]; one check covers the array.
     """
-    return a if a == b else (1.0 - t) * a + t * b
+
+    times: np.ndarray
+    poses: np.ndarray
+
+    def __post_init__(self) -> None:
+        _check_unit_range(self.poses)
+
+    def __len__(self) -> int:
+        return len(self.times)
+
+    def pose(self, index: int) -> Pose:
+        return Pose(tuple(self.poses[index].tolist()))
 
 
-def lerp_pose(a: Pose, b: Pose, t: float) -> Pose:
-    """`lerp` on every axis."""
-    return Pose(tuple(lerp(va, vb, t) for va, vb in zip(a.values, b.values)))
+def _check_unit_range(poses: np.ndarray) -> None:
+    """Reject the first value outside [0, 1], row by row, naming its axis."""
+    outside = ~((poses >= 0.0) & (poses <= 1.0))
+    if outside.any():
+        row, axis = np.argwhere(outside)[0]
+        raise ValueError(f"{ALL_DOFS[axis].name} value {float(poses[row, axis])} outside [0, 1]")
+
+
+def lerp(a: np.ndarray | float, b: np.ndarray | float, t: np.ndarray | float) -> np.ndarray:
+    """Linear interpolation `(1 - t) * a + t * b`, element-wise on arrays.
+
+    t=0 returns `a` exactly and t=1 returns `b` exactly; equal endpoints
+    pass through bit-exact at every t.
+    """
+    return np.where(a == b, a, (1.0 - t) * a + t * b)
 
 
 def parse_dof(name: str) -> Dof:

@@ -17,8 +17,10 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterable
 
+import numpy as np
+
 from .diagnostics import ClampWarning
-from .dof import ALL_DOFS, Dof, Pose, dof_label, lerp, lerp_pose, parse_dof
+from .dof import ALL_DOFS, Dof, Pose, Trajectory, dof_label, lerp, parse_dof
 from .records import boolean, content_lines, packaged_text, place, typed
 
 
@@ -132,77 +134,70 @@ def pose_for(template: ExpressionTemplate, intensity: float) -> Pose:
             f"intensity {intensity} clamped to [0, 1]", ClampWarning, stacklevel=2
         )
         intensity = min(1.0, max(0.0, intensity))
-    return lerp_pose(template.neutral_pose, template.max_pose, intensity)
+    neutral, peak = np.array(template.neutral_pose.values), np.array(template.max_pose.values)
+    return Pose(tuple(lerp(neutral, peak, intensity).tolist()))
 
 
-def ear_oscillation(intensity: float, t: float) -> tuple[float, float]:
-    """Instantaneous ear drive levels for the continuous joy wiggle.
+def ear_oscillation(intensity: float, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ear drive levels of the continuous joy wiggle at each time.
 
     Returns per-ear interpolation factors in [0, intensity]: 0 is the ear's
     neutral position and `intensity` its intensity-scaled peak. The ears run
     in antiphase (their factors always sum to `intensity`) so they move in
     reverse directions, and the period shrinks linearly with intensity:
     1.5 s at the low end down to 0.5 s at full intensity. The left ear
-    starts at neutral at t = 0.
+    starts at neutral at t = 0. Each cosine is `math.cos` of one time.
 
     Intensity 0 disables the motion entirely.
     """
-    if t < 0:
+    times = np.asarray(times, dtype=float)
+    if (times < 0).any():
         raise ValueError("time must be non-negative")
     if intensity < 0.0 or intensity > 1.0:
         warnings.warn(
-            f"oscillation intensity {intensity} clamped to [0, 1]",
-            ClampWarning,
-            stacklevel=2,
+            f"oscillation intensity {intensity} clamped to [0, 1]", ClampWarning, stacklevel=2
         )
         intensity = min(1.0, max(0.0, intensity))
     if intensity == 0.0:
-        return (0.0, 0.0)
+        return np.zeros_like(times), np.zeros_like(times)
     period = 1.5 - intensity
-    phase = 2.0 * math.pi * t / period
-    left = 0.5 * intensity * (1.0 - math.cos(phase))
-    right = intensity - left
-    return (left, right)
+    phase = 2.0 * math.pi * times / period
+    cosine = np.array([math.cos(angle) for angle in phase.ravel().tolist()]).reshape(times.shape)
+    left = 0.5 * intensity * (1.0 - cosine)
+    return left, intensity - left
 
 
-def oscillating_pose(
-    template: ExpressionTemplate, intensity: float, t: float
-) -> Pose:
-    """Template pose with the ear wiggle applied at time t.
-
-    Falls back to the static pose when the template does not use the
-    oscillation.
-    """
+def hold_poses(
+    template: ExpressionTemplate, intensity: float, times: np.ndarray
+) -> np.ndarray:
+    """Template pose held at each time, shape (len(times), 10): the `pose_for`
+    values, with the ears moving through `ear_oscillation` if the template wiggles."""
     pose = pose_for(template, intensity)
-    if not template.uses_ear_oscillation or intensity <= 0.0:
-        return pose
-    left, right = ear_oscillation(intensity, t)
-    neutral, peak = template.neutral_pose, template.max_pose
-    return pose.replace({
-        dof: lerp(neutral[dof], peak[dof], factor)
-        for dof, factor in ((Dof.EAR_L, left), (Dof.EAR_R, right))
-    })
+    poses = np.tile(np.array(pose.values), (len(times), 1))
+    if template.uses_ear_oscillation and intensity > 0.0:
+        neutral, peak = template.neutral_pose, template.max_pose
+        for dof, factor in zip((Dof.EAR_L, Dof.EAR_R), ear_oscillation(intensity, times)):
+            poses[:, int(dof) - 1] = lerp(neutral[dof], peak[dof], factor)
+    return poses
 
 
 def trajectory(
     start: Pose, end: Pose, duration: float = 1.5, frame_rate: float = 85.0
-) -> list[tuple[float, Pose]]:
+) -> Trajectory:
     """Timed linear sweep from one pose to another.
 
     Emits floor(duration * frame_rate) + 1 frames evenly spanning
-    [0, duration]; the first frame is `start` and the last is `end`,
-    bit-exact. At least two frames are always produced.
+    [0, duration] at u = k / (count - 1); the first frame is `start` and
+    the last is `end`, bit-exact. At least two frames are always produced.
     """
     if duration <= 0:
         raise ValueError("duration must be positive")
     if frame_rate <= 0:
         raise ValueError("frame rate must be positive")
     count = max(2, int(math.floor(duration * frame_rate)) + 1)
-    frames = []
-    for k in range(count):
-        u = k / (count - 1)
-        frames.append((u * duration, lerp_pose(start, end, u)))
-    return frames
+    u = np.arange(count) / (count - 1)
+    poses = lerp(np.array(start.values), np.array(end.values), u[:, None])
+    return Trajectory(u * duration, poses)
 
 
 # ---------------------------------------------------------------------------

@@ -15,19 +15,15 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
+import numpy as np
+
 from .diagnostics import VoteRangeWarning
-from .dof import Pose
-from .expressions import (
-    Expression,
-    Mode,
-    TemplateSet,
-    oscillating_pose,
-    pose_for,
-    trajectory,
-)
-from .lipsync import DEFAULT_FRAME_RATE, MorphWeights, blend_expression, silence_frame
+from .dof import Pose, Trajectory
+from .expressions import Expression, Mode, TemplateSet, hold_poses, pose_for, trajectory
+from .lipsync import DEFAULT_FRAME_RATE, MouthFrames
 from .multiclass import VoteResult
 from .records import write_jsonl
+from .visemes import VISEME_CLASS_COUNT
 
 
 def vote_to_intensity(votes: int, class_count: int) -> float:
@@ -60,16 +56,16 @@ def imitate(
     frame_rate: float = DEFAULT_FRAME_RATE,
     transition_duration: float = 1.5,
     hold_duration: float = 1.0,
-) -> tuple[list[tuple[float, Pose]], list[MorphWeights]]:
+) -> tuple[Trajectory, MouthFrames]:
     """Pose trajectory and mouth frames mirroring a recognition result.
 
     One intensity, derived from the vote count, drives both outputs: the
     mechanical axes sweep from `start_pose` (default neutral) to the
     template pose at that intensity over `transition_duration`, then hold
     for `hold_duration` (with the ear wiggle running if the template uses
-    it). Mouth frames are silence frames carrying the expression offset at
-    the same intensity; a neutral winner produces a neutral pose and no
-    offset.
+    it). Mouth frames are silent and carry the expression's channel at the
+    same intensity on every frame, even at 0; a neutral winner produces a
+    neutral pose and no channel.
     """
     try:
         expression = Expression(result.winner)
@@ -91,29 +87,22 @@ def _mirror(
     frame_rate: float,
     transition_duration: float,
     hold_duration: float,
-) -> tuple[list[tuple[float, Pose]], list[MorphWeights]]:
+) -> tuple[Trajectory, MouthFrames]:
     """`imitate`'s motion for an expression at an intensity already mapped."""
     template = templates.get(expression, mode)
     neutral = expression is Expression.NEUTRAL
     level = 0.0 if neutral else intensity
 
-    target = pose_for(template, level)
     start = start_pose if start_pose is not None else templates.neutral_pose
-    frames = trajectory(start, target, transition_duration, frame_rate)
-
-    hold_count = int(hold_duration * frame_rate)
-    for k in range(1, hold_count + 1):
-        t_hold = k / frame_rate
-        pose = oscillating_pose(template, level, t_hold)
-        frames.append((transition_duration + t_hold, pose))
-
-    morphs = []
-    for t, _ in frames:
-        frame = silence_frame(t)
-        if not neutral:
-            frame = blend_expression(frame, expression, level)
-        morphs.append(frame)
-    return frames, morphs
+    sweep = trajectory(start, pose_for(template, level), transition_duration, frame_rate)
+    t_hold = np.arange(1, int(hold_duration * frame_rate) + 1) / frame_rate
+    frames = Trajectory(
+        np.concatenate([sweep.times, transition_duration + t_hold]),
+        np.concatenate([sweep.poses, hold_poses(template, level, t_hold)]),
+    )
+    count = len(frames)
+    channels = {} if neutral else {expression.value: np.full(count, level)}
+    return frames, MouthFrames(frames.times, np.zeros((count, VISEME_CLASS_COUNT)), channels)
 
 
 @dataclass(frozen=True)
@@ -161,7 +150,7 @@ class ImitationSession:
 
     def consume(
         self, result: VoteResult, timestamp: float
-    ) -> tuple[list[tuple[float, Pose]], list[MorphWeights]] | None:
+    ) -> tuple[Trajectory, MouthFrames] | None:
         """Feed one recognition result; returns the emitted motion, if any."""
         if result.winner == self._streak_winner:
             self._streak += 1
@@ -178,8 +167,9 @@ class ImitationSession:
             expression, intensity, self.templates, self.mode, self.current_pose,
             self.frame_rate, self.transition_duration, self.hold_duration,
         )
+        end = frames.pose(-1)
         self.current_expression = expression
-        self.current_pose = frames[-1][1] if expression is not Expression.NEUTRAL else (
+        self.current_pose = end if expression is not Expression.NEUTRAL else (
             self.templates.neutral_pose
         )
         self.records.append(
@@ -188,7 +178,7 @@ class ImitationSession:
                 winner=result.winner,
                 votes=result.votes,
                 intensity=intensity,
-                pose=frames[-1][1],
+                pose=end,
             )
         )
         return frames, morphs

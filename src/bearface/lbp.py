@@ -30,6 +30,7 @@ NEIGHBOR_OFFSETS: tuple[tuple[int, int], ...] = (
 )
 
 UNIFORM_BIN_COUNT = 59  # 58 uniform codes + 1 shared non-uniform bin
+MIN_WINDOW = 3  # px per window side: one code row and column of its own
 
 
 def circular_transitions(code: int) -> int:
@@ -83,7 +84,7 @@ def lbph(image: GrayImage, grid: tuple[int, int] = (8, 8)) -> np.ndarray:
         )
     win_h = height // grid_y
     win_w = width // grid_x
-    if win_h < 3 or win_w < 3:
+    if win_h < MIN_WINDOW or win_w < MIN_WINDOW:
         raise ValueError(f"windows of {win_w}x{win_h} px are too small for LBP")
     bins = _BIN_TABLE[lbp_codes(image.pixels)]
     # Code row r belongs to window row r // win_h; its last two rows and

@@ -12,15 +12,15 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .diagnostics import ClampWarning
 from .expressions import BASIC_EXPRESSIONS, Expression
-from .records import write_atomic, write_jsonl
+from .records import csv_text, write_atomic, write_jsonl
 from .visemes import PhonemeSegment, VisemeTable, VISEME_CLASS_COUNT
 
 DEFAULT_FRAME_RATE = 85.0      # mouth display runs 80-90 fps; midpoint
@@ -34,34 +34,41 @@ def epanechnikov(u: np.ndarray | float) -> np.ndarray | float:
     return np.where(np.abs(u) <= 1.0, 0.75 * (1.0 - u * u), 0.0)
 
 
-@dataclass(frozen=True)
-class MorphWeights:
-    """One animation frame: viseme weights plus expression offsets.
-
-    `visemes` is indexed by viseme class id. Weights are nonnegative and
-    sum to one whenever anything is active; an all-zero vector means the
-    frame lies outside the utterance. Expression offsets are additive
-    channels in [0, 1], keyed by expression name.
-    """
+class MouthFrame(NamedTuple):
+    """One frame of a `MouthFrames`, for readers that go frame by frame."""
 
     timestamp: float
     visemes: np.ndarray
-    expressions: Mapping[str, float] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        vector = np.asarray(self.visemes, dtype=float)
-        vector.setflags(write=False)
-        object.__setattr__(self, "visemes", vector)
-
-    @property
-    def active(self) -> bool:
-        return bool(self.visemes.sum() > 0.0)
+    expressions: dict[str, float]
 
 
-def silence_frame(
-    timestamp: float = 0.0, class_count: int = VISEME_CLASS_COUNT
-) -> MorphWeights:
-    return MorphWeights(timestamp, np.zeros(class_count))
+@dataclass(frozen=True)
+class MouthFrames:
+    """Mouth animation frames as arrays.
+
+    `times` is (T,). `visemes` is (T, classes), indexed by viseme class id;
+    each row is nonnegative and sums to one whenever anything is active,
+    and an all-zero row lies outside the utterance. `expressions` maps each
+    expression channel the frames carry to its (T,) levels in [0, 1];
+    channels it does not name are zero throughout.
+    """
+
+    times: np.ndarray
+    visemes: np.ndarray
+    expressions: Mapping[str, np.ndarray]
+
+    def __len__(self) -> int:
+        return len(self.times)
+
+    def __iter__(self) -> Iterator[MouthFrame]:
+        levels = {name: column.tolist() for name, column in self.expressions.items()}
+        for k, t in enumerate(self.times.tolist()):
+            yield MouthFrame(t, self.visemes[k], {n: v[k] for n, v in levels.items()})
+
+    def channel_table(self) -> np.ndarray:
+        """(T, classes + 6): the viseme weights, then EXPRESSION_CHANNELS."""
+        levels = [self.expressions.get(n, np.zeros(len(self))) for n in EXPRESSION_CHANNELS]
+        return np.column_stack([self.visemes] + levels)
 
 
 # ---------------------------------------------------------------------------
@@ -133,56 +140,24 @@ def force_labial_closure(
     return tuple(out)
 
 
-def blend_expression(
-    frame: MorphWeights, expression: Expression, level: float
-) -> MorphWeights:
-    """Set one expression offset channel on a frame.
-
-    Viseme weights pass through untouched; each basic expression is a unit
-    direction in morph space, so blending reduces to storing the level on
-    the channel named `expression.value`. Neutral is the resting mouth and
-    has no channel. Levels outside [0, 1] are clamped with a ClampWarning.
-    """
-    if expression is Expression.NEUTRAL:
-        raise ValueError("neutral is the resting mouth, not an expression channel")
-    if not (0.0 <= level <= 1.0):
-        warnings.warn(
-            f"blend level {level} clamped to [0, 1]", ClampWarning, stacklevel=2
-        )
-        level = min(1.0, max(0.0, level))
-    offsets = dict(frame.expressions)
-    offsets[expression.value] = level
-    return MorphWeights(frame.timestamp, frame.visemes, offsets)
-
-
-ExpressionTrack = Sequence[tuple[float, Expression | str, float]]
-
-
-def _track_state(track: ExpressionTrack, t: float) -> tuple[Expression, float] | None:
-    """Latest (expression, level) entry at or before t, if any."""
-    state = None
-    for time, name, level in track:
-        if time > t:
-            break
-        state = (name, level)
-    return state
-
-
 def render_timeline(
     segments: Sequence[PhonemeSegment],
-    expression_track: ExpressionTrack,
+    expression_track: Sequence[tuple[float, Expression | str, float]],
     table: VisemeTable,
     frame_rate: float = DEFAULT_FRAME_RATE,
     bandwidth_scale: float = DEFAULT_BANDWIDTH_SCALE,
     closure_margin: float = DEFAULT_CLOSURE_MARGIN,
-) -> list[MorphWeights]:
+) -> MouthFrames:
     """Closure-forced, smoothed, expression-blended frames for an utterance.
 
     Frames are spaced 1/frame_rate apart starting at the first segment's
     start; floor(span * frame_rate) + 1 frames cover the utterance. The
     expression track is a step function of (time, expression, level)
     entries, each expression an `Expression` or its name; entries naming
-    'neutral' clear the offset. Deterministic for identical inputs.
+    'neutral' clear the offset. Each basic expression is a unit direction
+    in morph space, so an entry sets its level on its own channel; levels
+    outside [0, 1] are clamped with a ClampWarning. Deterministic for
+    identical inputs.
     """
     if frame_rate <= 0:
         raise ValueError("frame rate must be positive")
@@ -191,7 +166,7 @@ def render_timeline(
         key=lambda entry: entry[0],
     )
     if not segments:
-        return []
+        return MouthFrames(np.zeros(0), np.zeros((0, VISEME_CLASS_COUNT)), {})
     forced = force_labial_closure(segments, table, closure_margin)
 
     start = min(s.start for s in forced)
@@ -200,14 +175,21 @@ def render_timeline(
     times = start + np.arange(count) / frame_rate
     weights = class_weights_at(forced, times, table, bandwidth_scale)
 
-    frames = []
-    for column, t in zip(weights.T, times):
-        frame = MorphWeights(float(t), column)
-        state = _track_state(track, t)
-        if state is not None and state[0] is not Expression.NEUTRAL:
-            frame = blend_expression(frame, *state)
-        frames.append(frame)
-    return frames
+    # Each frame takes the last entry before the first one later than it,
+    # as a scan of the sorted track would; a NaN time never ends the scan.
+    entry_times = np.array([time for time, _, _ in track], dtype=float)
+    reached = np.maximum.accumulate(np.where(np.isnan(entry_times), -np.inf, entry_times))
+    state = np.searchsorted(reached, times, side="right") - 1
+    expressions: dict[str, np.ndarray] = {}
+    for index, (_, expression, level) in enumerate(track):
+        held = state == index
+        if expression is Expression.NEUTRAL or not held.any():
+            continue
+        if not (0.0 <= level <= 1.0):
+            warnings.warn(f"blend level {level} clamped to [0, 1]", ClampWarning, stacklevel=2)
+            level = min(1.0, max(0.0, level))
+        expressions.setdefault(expression.value, np.zeros(count))[held] = level
+    return MouthFrames(times, weights.T, expressions)
 
 
 # ---------------------------------------------------------------------------
@@ -222,60 +204,37 @@ def timeline_columns(class_count: int = VISEME_CLASS_COUNT) -> list[str]:
     return ["t"] + names + list(EXPRESSION_CHANNELS)
 
 
-def _frame_row(frame: MorphWeights) -> list[float]:
-    row = [frame.timestamp]
-    row.extend(float(v) for v in frame.visemes)
-    row.extend(float(frame.expressions.get(name, 0.0)) for name in EXPRESSION_CHANNELS)
-    return row
+def write_timeline_csv(frames: MouthFrames, path: str | Path) -> None:
+    table = np.column_stack([frames.times, frames.channel_table()])
+    write_atomic(path, csv_text(timeline_columns(frames.visemes.shape[1]), table))
 
 
-def write_timeline_csv(frames: Sequence[MorphWeights], path: str | Path) -> None:
-    class_count = len(frames[0].visemes) if frames else VISEME_CLASS_COUNT
-    lines = [",".join(timeline_columns(class_count))]
-    for frame in frames:
-        lines.append(",".join(f"{value:.9g}" for value in _frame_row(frame)))
-    write_atomic(path, "\n".join(lines) + "\n")
-
-
-def write_timeline_jsonl(frames: Sequence[MorphWeights], path: str | Path) -> None:
+def write_timeline_jsonl(frames: MouthFrames, path: str | Path) -> None:
+    levels = sorted((name, column.tolist()) for name, column in frames.expressions.items())
+    rows = zip(frames.times.tolist(), frames.visemes.tolist())
     write_jsonl(path, (
         {
-            "t": frame.timestamp,
-            "visemes": [float(v) for v in frame.visemes],
-            "expressions": {
-                name: float(level)
-                for name, level in sorted(frame.expressions.items())
-                if level != 0.0
-            },
+            "t": t,
+            "visemes": visemes,
+            "expressions": {name: column[k] for name, column in levels if column[k] != 0.0},
         }
-        for frame in frames
+        for k, (t, visemes) in enumerate(rows)
     ))
 
 
-def frame_preview(frame: MorphWeights, height: int = 64, bar_width: int = 5) -> np.ndarray:
-    """Grayscale bar chart of one frame's channels (rows x cols, uint8)."""
-    values = _frame_row(frame)[1:]
-    width = bar_width * len(values)
-    image = np.zeros((height, width), dtype=np.uint8)
-    for index, value in enumerate(values):
-        bar = int(round(min(max(value, 0.0), 1.0) * (height - 1)))
-        if bar > 0:
-            left = index * bar_width
-            image[height - bar :, left : left + bar_width - 1] = 255
-    return image
-
-
 def write_preview_pgms(
-    frames: Sequence[MorphWeights], directory: str | Path, height: int = 64
+    frames: MouthFrames, directory: str | Path, height: int = 64, bar_width: int = 5
 ) -> list[Path]:
-    """One portable-graymap bar chart per frame, for eyeballing timelines."""
+    """One portable-graymap bar chart of each frame's channels, for eyeballing timelines."""
     from .imaging import GrayImage, write_pgm
 
+    bars = np.rint(np.clip(frames.channel_table(), 0.0, 1.0) * (height - 1))
+    rows = np.arange(height)[:, None]
+    gap = np.arange(bar_width * bars.shape[1]) % bar_width == bar_width - 1
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    paths = []
-    for index, frame in enumerate(frames):
-        path = directory / f"frame_{index:05d}.pgm"
-        write_pgm(GrayImage.from_array(frame_preview(frame, height)), path)
-        paths.append(path)
+    paths = [directory / f"frame_{index:05d}.pgm" for index in range(len(frames))]
+    for path, bar in zip(paths, bars):
+        lit = np.repeat(rows >= height - bar, bar_width, axis=1) & ~gap
+        write_pgm(GrayImage.from_array(lit * 255), path)
     return paths

@@ -159,6 +159,24 @@ def write_atomic(path: str | Path, data: str | bytes) -> None:
         raise
 
 
+def csv_text(columns: Sequence[str], table) -> str:
+    """A header line, then each row of a 2-D float array, values as '%.9g'
+    (which is `format(v, '.9g')` for every float). A column whose values all
+    have the same bits is formatted once; the rest fill one row template."""
+    header = ",".join(columns) + "\n"
+    if not len(table):
+        return header
+    bits = table.view("int64")
+    varying = (bits != bits[0]).any(axis=0)
+    cells = ["%.9g" if vary else "%.9g" % value for value, vary in zip(table[0].tolist(), varying)]
+    rows = (",".join(cells) + "\n") * len(table)
+    return header + rows % tuple(table[:, varying].ravel().tolist())
+
+
+# What json.dumps(r, sort_keys=True) builds for every call, built once.
+_JSON_ENCODER = json.JSONEncoder(sort_keys=True)
+
+
 def write_jsonl(path: str | Path, records: Iterable[Mapping]) -> None:
     """One JSON object per line, keys sorted, written atomically."""
-    write_atomic(path, "".join(json.dumps(r, sort_keys=True) + "\n" for r in records))
+    write_atomic(path, "".join(_JSON_ENCODER.encode(r) + "\n" for r in records))

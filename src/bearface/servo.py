@@ -11,9 +11,11 @@ Four bytes per axis, ten axes per pose.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Mapping
 
-from .dof import ALL_DOFS, Dof, Pose, dof_label
+import numpy as np
+
+from .dof import ALL_DOFS, Dof, Pose, Trajectory, dof_label
 
 SET_TARGET = 0x84
 TARGET_MAX = 0x3FFF  # 14 bits
@@ -70,26 +72,28 @@ def default_calibration() -> ServoCalibration:
     )
 
 
-def pose_target(value: float, channel: ServoChannel) -> int:
-    """Pulse-width target for a normalized axis value, nearest quarter-us."""
-    return int(round(channel.minimum + value * (channel.maximum - channel.minimum)))
+def pose_target(value, channel: ServoChannel):
+    """Pulse-width targets for normalized axis values (a float or an array),
+    nearest quarter-us; `np.rint` rounds half to even, as `round` does."""
+    span = channel.maximum - channel.minimum
+    return np.rint(channel.minimum + value * span).astype(np.int64)
 
 
-def set_target_command(channel: int, target: int) -> bytes:
-    if not (0 <= target <= TARGET_MAX):
-        raise ValueError(f"target {target} outside 0..{TARGET_MAX}")
-    if not (0 <= channel <= 11):
-        raise ValueError(f"channel {channel} outside 0..11")
-    return bytes((SET_TARGET, channel, target & 0x7F, (target >> 7) & 0x7F))
+def set_target_command(channel, target) -> bytes:
+    """Set-target commands for channels and targets broadcast together, in C order."""
+    channel, target = np.broadcast_arrays(*(np.asarray(a, np.int64) for a in (channel, target)))
+    for name, values, top in (("target", target, TARGET_MAX), ("channel", channel, 11)):
+        outside = (values < 0) | (values > top)
+        if outside.any():
+            raise ValueError(f"{name} {int(values[outside][0])} outside 0..{top}")
+    commands = [np.full_like(target, SET_TARGET), channel, target & 0x7F, target >> 7]
+    return np.stack(commands, axis=-1).astype(np.uint8).tobytes()
 
 
 def to_servo_commands(pose: Pose, calibration: ServoCalibration) -> bytes:
     """Serialize a pose as one set-target command per axis, f1..f10 order."""
-    out = bytearray()
-    for dof in ALL_DOFS:
-        spec = calibration[dof]
-        out += set_target_command(spec.channel, pose_target(pose[dof], spec))
-    return bytes(out)
+    frames = Trajectory(np.zeros(1), np.array([pose.values]))
+    return trajectory_to_servo_commands(frames, calibration)
 
 
 def decode_servo_commands(data: bytes) -> list[tuple[int, int]]:
@@ -108,10 +112,9 @@ def decode_servo_commands(data: bytes) -> list[tuple[int, int]]:
 
 
 def trajectory_to_servo_commands(
-    frames: Iterable[tuple[float, Pose]], calibration: ServoCalibration
+    frames: Trajectory, calibration: ServoCalibration
 ) -> bytes:
     """Concatenated per-frame command blocks for a pose trajectory."""
-    out = bytearray()
-    for _, pose in frames:
-        out += to_servo_commands(pose, calibration)
-    return bytes(out)
+    specs = [calibration[dof] for dof in ALL_DOFS]
+    targets = [pose_target(frames.poses[:, k], spec) for k, spec in enumerate(specs)]
+    return set_target_command([spec.channel for spec in specs], np.column_stack(targets))

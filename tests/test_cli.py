@@ -349,11 +349,20 @@ def test_bad_record_line_names_path_and_line(tmp_path, capsys, command, option, 
          "hold_duration must be at most 60 s, got 1000000000.0"),
         ("bad.config", "bearface-config 1\nframe_rate = 30\ntransition_duration = 60.5\n", 3,
          "transition_duration must be at most 60 s, got 60.5"),
+        ("bad.config", "bearface-config 1\nframe_rate = 1e9\n", 2,
+         "frame_rate must be at most 240 fps, got 1000000000.0"),
+        ("bad.config", "bearface-config 1\nhog_bins = 100000\n", 2,
+         "hog_bins must be at most 180, got 100000"),
+        ("bad.config", "bearface-config 1\ngrid = 64\n", 2,
+         "grid must divide the 128-px crop into windows of at least 3 px, got 64"),
+        ("bad.config", "bearface-config 1\nseed = 1\ngrid = 129\n", 3,
+         "grid must divide the 128-px crop into windows of at least 3 px, got 129"),
     ],
     ids=["manifest-frame", "config-seed", "viseme-id", "config-hold-inf", "config-c-nan",
          "config-gamma-inf", "config-gamma-negative", "config-gamma-negative-unused",
          "config-gamma-zero-first", "config-gamma-zero-unused", "config-poly-unused",
-         "config-hold-long", "config-transition-long"],
+         "config-hold-long", "config-transition-long", "config-frame-rate-high",
+         "config-hog-bins-high", "config-grid-small-windows", "config-grid-not-dividing"],
 )
 def test_bad_input_value_names_path_and_line(tmp_path, capsys, name, text, line, problem):
     path = tmp_path / name
@@ -388,6 +397,20 @@ def test_bad_transcript_line_names_path_and_line(tmp_path, capsys):
     record = _single_error(capsys)
     assert record["kind"] == "ValueError"
     assert record["error"] == f"{transcript}:1: end must be float, got 'x'"
+
+
+@pytest.mark.parametrize(
+    ("duration", "problem"),
+    [("inf", "must be finite, got inf"), ("1e400", "must be finite, got inf"),
+     ("nan", "must be finite, got nan"), ("0", "must be positive"),
+     ("-1", "must be positive"), ("60.5", "must be at most 60 s, got 60.5")],
+)
+def test_export_servo_duration_rule(tmp_path, capsys, duration, problem):
+    argv = ["export-servo", "--expression", "joy", "--duration", duration,
+            "--out", str(tmp_path / "o")]
+    assert main(argv) == 2
+    assert _single_error(capsys)["error"] == f"--duration {problem}"
+    assert not (tmp_path / "o" / "servo.bin").exists()
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,7 @@
 
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -13,8 +14,8 @@ from bearface.expressions import (
     ExpressionTemplate,
     Mode,
     ear_oscillation,
+    hold_poses,
     load_templates,
-    oscillating_pose,
     parse_templates,
     pose_for,
     trajectory,
@@ -67,9 +68,9 @@ def test_pose_for_midpoint_value():
 
 
 def test_pose_for_matches_the_per_axis_formula(template_set):
-    # pose_for goes through dof.lerp_pose, which passes equal endpoints
-    # through unchanged; on the shipped templates (no active axis peaks at
-    # its neutral value) it gives the per-axis formula bit for bit.
+    # pose_for goes through dof.lerp, which passes equal endpoints through
+    # unchanged; on the shipped templates (no active axis peaks at its
+    # neutral value) it gives the per-axis formula bit for bit.
     for template in template_set:
         for intensity in [k / 64 for k in range(65)] + [0.1, 1 / 3, 0.7]:
             pose = pose_for(template, intensity)
@@ -80,10 +81,10 @@ def test_pose_for_matches_the_per_axis_formula(template_set):
                 else:
                     assert pose[dof] == base
             t = intensity / 3
-            left, right = ear_oscillation(intensity, t)
-            moved = oscillating_pose(template, intensity, t)
+            left, right = ear_oscillation(intensity, [t])
+            moved = Pose(tuple(hold_poses(template, intensity, [t])[0].tolist()))
             if template.uses_ear_oscillation and intensity > 0.0:
-                for dof, factor in ((Dof.EAR_L, left), (Dof.EAR_R, right)):
+                for dof, factor in ((Dof.EAR_L, left[0]), (Dof.EAR_R, right[0])):
                     base, peak = template.neutral_pose[dof], template.max_pose[dof]
                     assert moved[dof] == (1.0 - factor) * base + factor * peak
             else:
@@ -200,16 +201,16 @@ def test_ear_oscillation_validation():
 
 def test_oscillating_pose(template_set):
     template = template_set.get(Expression.JOY, Mode.AU_ANIMAL)
-    static = pose_for(template, 1.0)
+    static = np.array(pose_for(template, 1.0).values)
     quarter = 0.5 / 4  # quarter period at full intensity
-    moved = oscillating_pose(template, 1.0, quarter)
-    assert moved[Dof.EAR_L] != static[Dof.EAR_L]
-    for dof in ALL_DOFS:
-        if dof not in (Dof.EAR_L, Dof.EAR_R):
-            assert moved[dof] == static[dof]
-    # Templates without the wiggle return the static pose.
+    moved = hold_poses(template, 1.0, [0.0, quarter])
+    assert moved[1, Dof.EAR_L - 1] != static[Dof.EAR_L - 1]
+    others = [int(dof) - 1 for dof in ALL_DOFS if dof not in (Dof.EAR_L, Dof.EAR_R)]
+    assert (moved[:, others] == static[others]).all()
+    # Templates without the wiggle hold the static pose.
     sadness = template_set.get(Expression.SADNESS, Mode.AU_ANIMAL)
-    assert oscillating_pose(sadness, 0.7, 0.2) == pose_for(sadness, 0.7)
+    held = hold_poses(sadness, 0.7, [0.2, 0.4])
+    assert (held == np.array(pose_for(sadness, 0.7).values)).all()
 
 
 def test_trajectory_frame_count():
@@ -223,24 +224,23 @@ def test_trajectory_endpoints_bit_exact():
     start = Pose((0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.55))
     end = Pose((0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2, 0.1, 0.45))
     frames = trajectory(start, end, duration=0.7, frame_rate=30.0)
-    assert frames[0][1] == start
-    assert frames[-1][1] == end
-    assert frames[0][0] == 0.0
-    assert frames[-1][0] == 0.7
+    assert frames.pose(0) == start
+    assert frames.pose(-1) == end
+    assert frames.times[0] == 0.0
+    assert frames.times[-1] == 0.7
 
 
 def test_trajectory_linear_midpoint():
     start = Pose.uniform(0.0)
     end = Pose.uniform(1.0)
     frames = trajectory(start, end, duration=1.0, frame_rate=2.0)
-    values = [pose[Dof.BROW_L] for _, pose in frames]
-    assert values == [0.0, 0.5, 1.0]
+    assert frames.poses[:, Dof.BROW_L - 1].tolist() == [0.0, 0.5, 1.0]
 
 
 def test_trajectory_constant_when_start_equals_end():
     pose = Pose.uniform(0.42)
     frames = trajectory(pose, pose, duration=0.5, frame_rate=10.0)
-    assert all(p == pose for _, p in frames)
+    assert (frames.poses == np.array(pose.values)).all()
 
 
 @given(
@@ -251,14 +251,14 @@ def test_trajectory_properties(duration, frame_rate):
     start = Pose.uniform(0.25)
     end = Pose.uniform(0.75)
     frames = trajectory(start, end, duration, frame_rate)
-    assert frames[0][1] == start
-    assert frames[-1][1] == end
-    times = [t for t, _ in frames]
+    assert frames.pose(0) == start
+    assert frames.pose(-1) == end
+    times = frames.times
     assert times[0] == 0.0
     assert times[-1] == duration
-    assert all(b > a for a, b in zip(times, times[1:]))
-    values = [pose[Dof.BROW_L] for _, pose in frames]
-    assert all(b >= a for a, b in zip(values, values[1:]))  # monotone sweep
+    assert (np.diff(times) > 0).all()
+    values = frames.poses[:, Dof.BROW_L - 1]
+    assert (np.diff(values) >= 0).all()  # monotone sweep
 
 
 def test_trajectory_validation():

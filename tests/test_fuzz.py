@@ -1,25 +1,32 @@
-"""Fuzzing the parsers of every input format.
+"""Fuzzing the parsers of every input format, and the size settings.
 
 A parser may reject its input, but only with a ValueError or a KeyError
 (or a subclass), which the command line turns into exit status 2 and a
 one-line JSON error record. Anything else would reach the user as a
 traceback. Each strategy mixes arbitrary text with lines of a valid file,
-so that the fuzzer gets past the header. Run with
-`--hypothesis-profile=ci` for more examples.
+so that the fuzzer gets past the header. Settings that size what a command
+allocates (durations, frame rate, descriptor sizes) must be rejected where
+they are parsed; large values are only ever parsed here, never run. Run
+with `--hypothesis-profile=ci` for more examples.
 """
 
+import io
+import json
+import math
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from bearface.arraystore import dump_store, parse_store
-from bearface.config import RunConfig, parse_config
+from bearface.cli import main
+from bearface.config import MAX_DURATION, RunConfig, parse_config
 from bearface.expressions import parse_templates
 from bearface.imaging import read_pnm
 from bearface.kernels import parse_kernel
 from bearface.manifest import parse_manifest
-from bearface.records import packaged_text, parse_records
+from bearface.records import csv_text, packaged_text, parse_records
 from bearface.visemes import parse_transcript, parse_viseme_table
 
 REJECTIONS = (ValueError, KeyError)
@@ -134,3 +141,93 @@ def test_read_pnm(tmp_path, data):
     path = tmp_path / "image.pnm"
     path.write_bytes(data)
     rejects_only_with_value_errors(read_pnm, path)
+
+
+ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+
+
+@given(ANY_FLOAT)
+@example(-0.0)
+@example(5e-324)
+@example(-2.2250738585072014e-308)
+@example(float("inf"))
+@example(float("-inf"))
+@example(float("nan"))
+@example(1e16)
+@example(123456789.5)
+def test_percent_9g_is_format_9g(value):
+    # The CSV writers fill a '%.9g' template; the files must read as if
+    # every value went through format(value, '.9g').
+    assert "%.9g" % value == format(value, ".9g")
+
+
+@given(st.lists(st.lists(ANY_FLOAT, min_size=3, max_size=3), max_size=5)
+       | st.lists(ANY_FLOAT, min_size=3, max_size=3).map(lambda row: [row] * 4))
+@example([[0.0, -0.0, 1.0], [0.0, 0.0, 1.0], [0.0, -0.0, 1.0]])
+@example([[float("nan"), 2.0, 0.6]] * 3 + [[float("nan"), 2.0, 0.6000000000000001]])
+def test_csv_text_formats_each_value(rows):
+    table = np.array(rows, dtype=float).reshape(len(rows), 3)
+    lines = ["a,b,c"] + [",".join(format(v, ".9g") for v in row) for row in table.tolist()]
+    assert csv_text(["a", "b", "c"], table) == "\n".join(lines) + "\n"
+
+
+def run_cli(argv: list[str]) -> tuple[int, list[str]]:
+    """Exit status and standard-error lines of one command."""
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue().splitlines()
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture], deadline=None)
+@given(ANY_FLOAT)
+@example(0.0)
+@example(MAX_DURATION)
+@example(math.nextafter(MAX_DURATION, math.inf))
+@example(1e308)
+def test_duration_flag(tmp_path, duration):
+    # Within the rule the sweep is at most 60 s at 85 fps, small enough
+    # to run; anything else must be refused before it is built.
+    # `--duration=<value>`: argparse reads a separate "-1e+16" as an option.
+    argv = ["export-servo", "--expression", "joy", f"--duration={duration!r}",
+            "--out", str(tmp_path)]
+    code, errors = run_cli(argv)
+    if math.isfinite(duration) and 0 < duration <= MAX_DURATION:
+        assert (code, errors) == (0, [])
+    else:
+        assert code == 2 and len(errors) == 1
+        assert json.loads(errors[0])["error"].startswith("--duration must be")
+
+
+SIZE_FIELDS = st.sampled_from(
+    ["frame_rate", "hog_bins", "grid", "transition_duration", "hold_duration",
+     "debounce", "cv_folds"]
+)
+SIZE_VALUES = (
+    st.integers(-10, 10**12).map(str)
+    | ANY_FLOAT.map(repr)
+    | st.sampled_from(["1e9", "1e400", "-0", "0", "3", "42", "43", "128", "129", "240",
+                       "240.00000000000003", "180", "181"])
+)
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture], deadline=None)
+@given(SIZE_FIELDS, SIZE_VALUES)
+def test_config_size_fields(tmp_path, key, value):
+    # Only parsed, never run: a rejected value must give exit 2 and one
+    # JSON line naming the line, from a command that fails before any work
+    # (`train` with no features), and an accepted one must be in bounds.
+    text = f"bearface-config 1\n{key} = {value}\n"
+    path = tmp_path / "size.config"
+    path.write_text(text)
+    try:
+        config = parse_config(text)
+    except ValueError as error:
+        assert str(error).startswith("line 2: ")
+        code, errors = run_cli(["train", "--config", str(path), "--out", str(tmp_path)])
+        assert code == 2 and len(errors) == 1
+        assert json.loads(errors[0])["error"].startswith(f"{path}:2: ")
+        return
+    assert config.frame_rate * max(config.transition_duration, config.hold_duration) <= 240 * 60
+    assert 128 % config.grid == 0 and 128 // config.grid >= 3
+    assert 1 <= config.hog_bins <= 180

@@ -59,7 +59,7 @@ def test_vote_intensity_validation():
 
 def test_imitate_neutral_winner(templates):
     frames, morphs = imitate(_result("neutral", 6), templates)
-    assert all(pose == templates.neutral_pose for _, pose in frames)
+    assert (frames.poses == np.array(templates.neutral_pose.values)).all()
     for morph in morphs:
         assert not morph.visemes.any()
         assert all(level == 0.0 for level in morph.expressions.values())
@@ -72,11 +72,11 @@ def test_imitate_joy_full_intensity(templates):
     )
     template = templates.get(Expression.JOY, Mode.AU_ANIMAL)
     transition_count = 41  # floor(1.0 * 40) + 1
-    assert frames[transition_count - 1][1] == template.max_pose
-    assert morphs[0].expressions["joy"] == 1.0
+    assert frames.pose(transition_count - 1) == template.max_pose
+    assert morphs.expressions["joy"][0] == 1.0
     # Ear oscillation active during the hold: the ears move between frames.
-    hold_left = [pose[Dof.EAR_L] for _, pose in frames[transition_count:]]
-    assert len(set(hold_left)) > 1
+    hold_left = frames.poses[transition_count:, Dof.EAR_L - 1]
+    assert len(set(hold_left.tolist())) > 1
     # Mouth channel and axis intensity agree on every frame.
     assert all(m.expressions["joy"] == 1.0 for m in morphs)
 
@@ -87,13 +87,13 @@ def test_imitate_sadness_one_third(templates):
     )
     template = templates.get(Expression.SADNESS, Mode.AU_ANIMAL)
     expected = pose_for(template, 1 / 3)
-    final = frames[-1][1]
+    final = frames.pose(-1)
     assert final == expected
     for dof in template.active_dofs:
         base = template.neutral_pose[dof]
         peak = template.max_pose[dof]
         assert final[dof] == pytest.approx(base + (peak - base) / 3, abs=1e-12)
-    assert morphs[-1].expressions["sadness"] == pytest.approx(1 / 3)
+    assert morphs.expressions["sadness"][-1] == pytest.approx(1 / 3)
 
 
 def test_imitate_intensity_equality(templates):
@@ -102,20 +102,36 @@ def test_imitate_intensity_equality(templates):
     intensity = vote_to_intensity(5, len(CLASSES))
     frames, morphs = imitate(result, templates, hold_duration=0.0)
     template = templates.get(Expression.FEAR, Mode.AU_ANIMAL)
-    assert frames[-1][1] == pose_for(template, intensity)
-    assert morphs[-1].expressions["fear"] == intensity
+    assert frames.pose(-1) == pose_for(template, intensity)
+    assert morphs.expressions["fear"][-1] == intensity
 
 
 def test_imitate_deterministic(templates):
     a = imitate(_result("anger", 5), templates)
     b = imitate(_result("anger", 5), templates)
-    assert [(t, pose.values) for t, pose in a[0]] == [
-        (t, pose.values) for t, pose in b[0]
-    ]
+    assert np.array_equal(a[0].times, b[0].times)
+    assert np.array_equal(a[0].poses, b[0].poses)
     assert all(
         np.array_equal(x.visemes, y.visemes) and x.expressions == y.expressions
         for x, y in zip(a[1], b[1])
     )
+
+
+@pytest.mark.parametrize("winner", [e.value for e in Expression])
+@pytest.mark.parametrize("votes", [0, 1, 2])
+def test_mouth_channel_on_every_frame(templates, winner, votes):
+    # A robot loop reads the mouth frame by frame: a non-neutral command
+    # carries its channel on each frame, at exactly 0.0 when the vote count
+    # maps to no intensity; a neutral command carries no channel at all.
+    session = ImitationSession(templates, debounce=1)
+    frames, morphs = session.consume(_result(winner, votes), 0.0)
+    assert len(list(morphs)) == len(frames) == len(morphs)
+    for frame in morphs:
+        if winner == "neutral":
+            assert frame.expressions == {}
+        else:
+            assert frame.expressions == {winner: 0.0}
+            assert frame.expressions.get(winner, -1.0) == 0.0
 
 
 def test_imitate_unknown_label(templates):

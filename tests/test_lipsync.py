@@ -8,21 +8,20 @@ from hypothesis import given, settings, strategies as st
 
 from bearface.diagnostics import ClampWarning
 from bearface.expressions import Expression
+from bearface.imaging import read_pnm
+from bearface.imitation import imitate
 from bearface.lipsync import (
-    MorphWeights,
-    blend_expression,
     class_weights_at,
     epanechnikov,
     force_labial_closure,
-    frame_preview,
     render_timeline,
-    silence_frame,
     timeline_columns,
     write_preview_pgms,
     write_timeline_csv,
     write_timeline_jsonl,
 )
-from bearface.visemes import PhonemeSegment, load_viseme_table
+from bearface.multiclass import VoteResult
+from bearface.visemes import VISEME_CLASS_COUNT, PhonemeSegment, load_viseme_table
 
 TABLE = load_viseme_table()
 LABIAL_ID = next(iter(TABLE.labial_ids()))
@@ -138,36 +137,44 @@ def test_mama_has_pure_labial_frames():
         assert max(f.visemes[LABIAL_ID] for f in inside) >= 0.99
 
 
+SPEECH = (PhonemeSegment("a", 0.0, 0.5), PhonemeSegment("m", 0.5, 1.0))
+
+
 def test_blend_zero_level_is_identity():
-    frame = MorphWeights(0.5, weights_at((PhonemeSegment("a", 0.0, 1.0),), 0.5))
-    blended = blend_expression(frame, Expression.JOY, 0.0)
-    assert np.array_equal(blended.visemes, frame.visemes)
-    assert all(level == 0.0 for level in blended.expressions.values())
+    plain = render_timeline(SPEECH, [], TABLE)
+    blended = render_timeline(SPEECH, [(0.0, "joy", 0.0)], TABLE)
+    assert np.array_equal(blended.visemes, plain.visemes)
+    assert (blended.expressions["joy"] == 0.0).all()
 
 
 def test_blend_full_level():
-    frame = silence_frame(0.25)
-    blended = blend_expression(frame, Expression.JOY, 1.0)
-    assert blended.expressions["joy"] == 1.0
-    assert blended.timestamp == 0.25
+    plain = render_timeline(SPEECH, [], TABLE, frame_rate=10.0)
+    blended = render_timeline(SPEECH, [(0.25, "joy", 1.0)], TABLE, frame_rate=10.0)
+    assert np.array_equal(blended.times, plain.times)
+    assert np.array_equal(blended.visemes, plain.visemes)
+    assert blended.expressions["joy"].tolist() == [0.0] * 3 + [1.0] * 8
 
 
-def test_blend_silence_half_joy():
-    blended = blend_expression(silence_frame(), Expression.JOY, 0.5)
-    assert blended.visemes.sum() == 0.0
-    assert blended.expressions["joy"] == 0.5
+def test_blend_silence_half_joy(templates):
+    # Five classes: 3 of 4 possible votes map to intensity 0.5.
+    result = VoteResult("joy", 3, (), {}, ("joy", "fear", "anger", "sadness", "neutral"))
+    _, mouth = imitate(result, templates)
+    assert mouth.visemes.sum() == 0.0
+    assert (mouth.expressions["joy"] == 0.5).all()
 
 
 def test_blend_clamps_with_warning():
     with pytest.warns(ClampWarning):
-        blended = blend_expression(silence_frame(), Expression.FEAR, 1.5)
-    assert blended.expressions["fear"] == 1.0
+        blended = render_timeline(SPEECH, [(0.0, "fear", 1.5)], TABLE)
+    assert (blended.expressions["fear"] == 1.0).all()
 
 
 def test_blend_rejects_non_expression_target():
-    # Neutral is the resting mouth every channel is an offset from.
-    with pytest.raises(ValueError, match="not an expression"):
-        blend_expression(silence_frame(), Expression.NEUTRAL, 0.5)
+    # Neutral is the resting mouth every channel is an offset from: a track
+    # entry naming it sets no channel, whatever its level.
+    frames = render_timeline(SPEECH, [(0.0, "neutral", 0.5)], TABLE)
+    assert frames.expressions == {}
+    assert all(frame.expressions == {} for frame in frames)
 
 
 def test_exactly_one_neutral_morph_target():
@@ -177,9 +184,10 @@ def test_exactly_one_neutral_morph_target():
     without_channel = {e for e in Expression if e.value not in columns}
     assert without_channel == {Expression.NEUTRAL}
     assert columns[1 + 3] == "viseme_03"
-    assert blend_expression(silence_frame(), Expression.JOY, 0.5).expressions == {
-        "joy": 0.5
-    }
+    frames = render_timeline(SPEECH, [(0.0, "joy", 0.5)], TABLE)
+    assert list(frames.expressions) == ["joy"]
+    table = frames.channel_table()
+    assert (table[:, 1 + len(frames.visemes[0]):] != 0).sum(axis=1).tolist() == [1] * len(frames)
 
 
 @pytest.mark.parametrize("scale", [0.0, -1.0, float("nan")])
@@ -198,7 +206,7 @@ def test_render_rejects_unknown_expression():
 
 
 def test_render_empty_transcript():
-    assert render_timeline((), [(0.0, "joy", 1.0)], TABLE) == []
+    assert len(render_timeline((), [(0.0, "joy", 1.0)], TABLE)) == 0
 
 
 def test_render_frame_count_one_second():
@@ -217,8 +225,8 @@ def test_render_track_steps_and_neutral_clears():
     segments = (PhonemeSegment("a", 0.0, 1.0),)
     track = [(0.0, "joy", 0.8), (0.5, "neutral", 0.0)]
     frames = render_timeline(segments, track, TABLE, frame_rate=10.0)
-    assert frames[0].expressions.get("joy") == 0.8
-    assert frames[-1].expressions.get("joy") is None
+    assert frames.expressions["joy"][0] == 0.8
+    assert frames.expressions["joy"][-1] == 0.0
 
 
 def test_render_deterministic():
@@ -318,9 +326,13 @@ def test_timeline_jsonl(tmp_path):
 
 def test_preview_frames(tmp_path):
     frames = render_timeline((PhonemeSegment("a", 0.0, 0.2),), [], TABLE, frame_rate=10.0)
-    image = frame_preview(frames[1])
-    assert image.dtype == np.uint8
-    assert image.max() == 255
     paths = write_preview_pgms(frames, tmp_path / "preview")
     assert len(paths) == len(frames)
     assert all(p.exists() for p in paths)
+    image = read_pnm(paths[1]).pixels
+    assert image.shape == (64, 5 * (VISEME_CLASS_COUNT + 6))
+    assert image.max() == 255
+    # A channel at weight 1 lights 63 of 64 rows over four of its five columns.
+    column = TABLE.class_id("a")
+    assert (image[1:, 5 * column : 5 * column + 4] == 255).all()
+    assert not image[0].any() and not image[:, 5 * column + 4].any()
