@@ -295,8 +295,16 @@ def _add_common(sub: argparse.ArgumentParser, out_default: str | None = "bearfac
     sub.add_argument("--out", default=out_default, help=where)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a CliError for a malformed command line instead of exiting,
+    so it reaches the one-line JSON record. Subcommand parsers inherit it."""
+
+    def error(self, message: str):
+        raise CliError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bearface",
         description="Desk-scale expressive face pipeline: features, training, "
         "evaluation, lip-sync animation and imitation.",
@@ -357,8 +365,8 @@ _HANDLERS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return _HANDLERS[args.command](args)
     except (CliError, OSError, ValueError, KeyError, OverflowError) as error:
         record = {"error": str(error), "kind": type(error).__name__}

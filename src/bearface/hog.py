@@ -19,9 +19,17 @@ order as a per-window loop, so the features are bit for bit those of one
   how ``np.linalg.norm`` computes the norm of a vector.
   A batched ``norm(axis=1)`` or ``einsum`` adds the squares in another
   order and changes the last bits of some features.
-- The magnitude is ``np.hypot``: with glibc, ``sqrt(gx**2 + gy**2)``
-  rounds differently on 5 964 of the 1 042 441 gradient pairs an 8-bit
-  image can produce.
+- Gradients are doubled central differences taken in integers: interior
+  ``p[k+1] - p[k-1]``, borders ``2 * (p[1] - p[0])``. Halving them is
+  exact, and it is what ``np.gradient`` returns for integer pixels, so
+  every gradient of an 8-bit image lies on the half-integer lattice of
+  [-255, 255]^2.
+- The magnitude is ``np.hypot`` read from a 511 x 511 table over the
+  non-negative quarter of that lattice, indexed by the absolute doubled
+  differences. ``np.hypot`` gives the same bits for (+-gx, +-gy) on the
+  whole lattice, so the table returns what the call would, at a gather's
+  cost. ``sqrt(gx**2 + gy**2)`` is not a substitute: with glibc it rounds
+  differently on 5 964 of the 1 042 441 lattice pairs.
 - The orientation fold adds pi to negative angles and maps an angle of
   exactly pi to 0, which is what ``np.mod(angle, pi)`` computes for
   angles in [-pi, pi], without its slower divmod path.
@@ -29,20 +37,52 @@ order as a per-window loop, so the features are bit for bit those of one
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .imaging import GrayImage
 
 DEFAULT_HOG_BINS = 59
 _NORM_EPS = 1e-6
+_LATTICE = 511  # doubled absolute differences of 8-bit pixels: 0..510
+
+
+@lru_cache(maxsize=None)
+def _magnitude_table() -> np.ndarray:
+    """``np.hypot(i / 2, j / 2)`` at flat index ``i * 511 + j``."""
+    half = np.arange(_LATTICE) / 2.0
+    table = np.hypot(half[:, None], half).ravel()
+    table.setflags(write=False)
+    return table
 
 
 def gradient_field(pixels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(magnitude, unsigned orientation in [0, pi)) per pixel."""
-    image = np.asarray(pixels, dtype=np.float64)
-    gy, gx = np.gradient(image)
-    magnitude = np.hypot(gx, gy)
-    return magnitude, fold_orientation(np.arctan2(gy, gx))
+    """(magnitude, unsigned orientation in [0, pi)) per pixel of an 8-bit image.
+
+    `pixels` must be a 2-D integer array with values in 0..255 and at
+    least 2 px along each axis.
+    """
+    image = np.asarray(pixels)
+    if not np.issubdtype(image.dtype, np.integer):
+        raise ValueError(f"gradient_field takes 8-bit pixels, got dtype {image.dtype}")
+    if image.dtype != np.uint8 and image.size and (image.min() < 0 or image.max() > 255):
+        raise ValueError("gradient_field takes 8-bit pixels, got values outside 0..255")
+    if image.ndim != 2 or min(image.shape) < 2:
+        raise ValueError(f"need a 2-D image at least 2x2, got shape {image.shape}")
+    # Doubled differences: interior p[k+1] - p[k-1], borders 2 (p[1] - p[0]).
+    p = image.astype(np.int32)
+    dy = np.empty_like(p)
+    dy[1:-1] = p[2:] - p[:-2]
+    dy[[0, -1]] = 2 * (p[[1, -1]] - p[[0, -2]])
+    dx = np.empty_like(p)
+    dx[:, 1:-1] = p[:, 2:] - p[:, :-2]
+    dx[:, [0, -1]] = 2 * (p[:, [1, -1]] - p[:, [0, -2]])
+    index = np.abs(dx)
+    index *= _LATTICE
+    index += np.abs(dy)
+    magnitude = _magnitude_table().take(index)
+    return magnitude, fold_orientation(np.arctan2(dy * 0.5, dx * 0.5))
 
 
 def fold_orientation(angle: np.ndarray) -> np.ndarray:
@@ -51,6 +91,17 @@ def fold_orientation(angle: np.ndarray) -> np.ndarray:
     folded = angle + np.where(angle < 0, np.pi, 0.0)
     folded[angle == np.pi] = 0.0
     return folded
+
+
+@lru_cache(maxsize=8)
+def _window_key(height: int, width: int, grid_y: int, grid_x: int, bins: int) -> np.ndarray:
+    """``window * bins`` for each pixel of a height x width image."""
+    key = bins * (
+        (np.arange(height) // (height // grid_y) * grid_x)[:, None]
+        + np.arange(width) // (width // grid_x)
+    )
+    key.setflags(write=False)
+    return key
 
 
 def hog(
@@ -71,8 +122,6 @@ def hog(
         raise ValueError(
             f"image {width}x{height} does not divide into a {grid_x}x{grid_y} grid"
         )
-    win_h = height // grid_y
-    win_w = width // grid_x
 
     magnitude, orientation = gradient_field(image.pixels)
     position = orientation * (bins / np.pi)
@@ -87,9 +136,7 @@ def hog(
     weight_hi = magnitude * fraction
 
     windows = grid_y * grid_x
-    window_key = bins * (
-        (np.arange(height) // win_h * grid_x)[:, None] + np.arange(width) // win_w
-    )
+    window_key = _window_key(height, width, grid_y, grid_x, bins)
     size = windows * bins
     hist_lo = np.bincount((window_key + bin_lo).ravel(), weight_lo.ravel(), size)
     hist_hi = np.bincount((window_key + bin_hi).ravel(), weight_hi.ravel(), size)

@@ -13,10 +13,14 @@ contributes exactly 14x14 codes no matter where it sits in the image.
 All windows are counted in one pass: each valid code position gets the key
 ``window * 59 + bin`` and a single integer ``bincount`` over those keys
 gives every window's histogram. Counts are integers, so the result is
-exactly that of one ``bincount`` per window.
+exactly that of one ``bincount`` per window. The valid positions and their
+keys depend only on the image shape and the grid, so they are built once
+per shape and gathered by flat index.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -54,18 +58,42 @@ _BIN_TABLE = uniform_bin_table()
 def lbp_codes(pixels: np.ndarray) -> np.ndarray:
     """LBP codes of all pixels with a complete 3x3 neighbourhood.
 
-    Input (h, w) yields (h-2, w-2); entry [i, j] codes pixel (i+1, j+1).
+    Input (h, w) yields (h-2, w-2) uint8 codes; entry [i, j] codes pixel
+    (i+1, j+1).
     """
     image = np.asarray(pixels)
     if image.ndim != 2 or image.shape[0] < 3 or image.shape[1] < 3:
         raise ValueError(f"need a 2-D image at least 3x3, got shape {image.shape}")
     center = image[1:-1, 1:-1]
-    codes = np.zeros(center.shape, dtype=np.int64)
+    codes = np.zeros(center.shape, dtype=np.uint8)
     height, width = image.shape
     for bit, (dy, dx) in enumerate(NEIGHBOR_OFFSETS):
         neighbor = image[1 + dy : height - 1 + dy, 1 + dx : width - 1 + dx]
-        codes |= (neighbor >= center).astype(np.int64) << bit
+        codes |= (neighbor >= center).astype(np.uint8) << bit
     return codes
+
+
+@lru_cache(maxsize=8)
+def _code_layout(
+    height: int, width: int, grid_y: int, grid_x: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Flat indices of the counted codes of a height x width image, and
+    ``window * 59`` for each, in row-major code order."""
+    win_h = height // grid_y
+    win_w = width // grid_x
+    # Code row r belongs to window row r // win_h; its last two rows and
+    # columns need pixels from the next window, so they are left out.
+    rows = np.arange(height - 2)
+    rows = rows[rows % win_h < win_h - 2]
+    cols = np.arange(width - 2)
+    cols = cols[cols % win_w < win_w - 2]
+    positions = (rows[:, None] * (width - 2) + cols).ravel()
+    window_key = (
+        UNIFORM_BIN_COUNT * ((rows // win_h * grid_x)[:, None] + cols // win_w)
+    ).ravel()
+    positions.setflags(write=False)
+    window_key.setflags(write=False)
+    return positions, window_key
 
 
 def lbph(image: GrayImage, grid: tuple[int, int] = (8, 8)) -> np.ndarray:
@@ -86,16 +114,7 @@ def lbph(image: GrayImage, grid: tuple[int, int] = (8, 8)) -> np.ndarray:
     win_w = width // grid_x
     if win_h < MIN_WINDOW or win_w < MIN_WINDOW:
         raise ValueError(f"windows of {win_w}x{win_h} px are too small for LBP")
-    bins = _BIN_TABLE[lbp_codes(image.pixels)]
-    # Code row r belongs to window row r // win_h; its last two rows and
-    # columns need pixels from the next window, so they are left out.
-    rows = np.arange(bins.shape[0])
-    rows = rows[rows % win_h < win_h - 2]
-    cols = np.arange(bins.shape[1])
-    cols = cols[cols % win_w < win_w - 2]
-    window_key = UNIFORM_BIN_COUNT * ((rows // win_h * grid_x)[:, None] + cols // win_w)
-    counts = np.bincount(
-        (window_key + bins[np.ix_(rows, cols)]).ravel(),
-        minlength=grid_y * grid_x * UNIFORM_BIN_COUNT,
-    )
+    positions, window_key = _code_layout(height, width, grid_y, grid_x)
+    bins = _BIN_TABLE.take(lbp_codes(image.pixels).ravel().take(positions))
+    counts = np.bincount(window_key + bins, minlength=grid_y * grid_x * UNIFORM_BIN_COUNT)
     return counts.astype(np.float64)

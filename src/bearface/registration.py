@@ -80,9 +80,17 @@ class SimilarityTransform:
 
     def apply(self, points: np.ndarray) -> np.ndarray:
         z = np.asarray(points, dtype=float)
-        w = (z[..., 0] + 1j * z[..., 1]) * self._complex()
-        w = w + complex(*self.translation)
+        w = self.apply_complex(z[..., 0] + 1j * z[..., 1])
         return np.stack([w.real, w.imag], axis=-1)
+
+    def apply_complex(self, z: np.ndarray) -> np.ndarray:
+        """The map on points given as complex numbers x + iy."""
+        # The product stays complex: numpy's complex multiply may fuse its
+        # multiply-adds, so the real form x * ar - y * ai can differ from it
+        # in the last bit, and crops would no longer repeat bit for bit.
+        w = z * self._complex()
+        w += complex(*self.translation)
+        return w
 
     def inverse(self) -> "SimilarityTransform":
         a = self._complex()
@@ -144,25 +152,34 @@ def _bilinear_sample(pixels: np.ndarray, x: np.ndarray, y: np.ndarray) -> tuple[
     inside = (x >= -eps) & (x <= width - 1 + eps) & (y >= -eps) & (y <= height - 1 + eps)
     xs = np.clip(x, 0, width - 1)
     ys = np.clip(y, 0, height - 1)
-    x0 = np.floor(xs).astype(int)
-    y0 = np.floor(ys).astype(int)
+    # Clipped coordinates are nonnegative, so truncation is the floor.
+    x0 = xs.astype(np.intp)
+    y0 = ys.astype(np.intp)
     x1 = np.minimum(x0 + 1, width - 1)
     y1 = np.minimum(y0 + 1, height - 1)
     fx = xs - x0
     fy = ys - y0
-    # Gather the four neighbours straight from the source pixels; uint8
-    # widens to float64 exactly inside the products.
-    flat = pixels.ravel()
+    gx = 1 - fx
+    gy = 1 - fy
+    # uint8 widens to float64 exactly, so one conversion serves all four
+    # gathers. The sum accumulates in place in the left-to-right order of
+    # p00 gx gy + p01 fx gy + p10 gx fy + p11 fx fy, which keeps its bits.
+    flat = pixels.astype(np.float64).ravel()
     row0 = y0 * width
     row1 = y1 * width
-    value = (
-        flat.take(row0 + x0) * (1 - fx) * (1 - fy)
-        + flat.take(row0 + x1) * fx * (1 - fy)
-        + flat.take(row1 + x0) * (1 - fx) * fy
-        + flat.take(row1 + x1) * fx * fy
-    )
-    value = np.where(inside, value, 0.0)
-    return value, bool((~inside).any())
+    value = flat.take(row0 + x0)
+    value *= gx
+    value *= gy
+    for corner, across, down in ((row0 + x1, fx, gy), (row1 + x0, gx, fy), (row1 + x1, fx, fy)):
+        term = flat.take(corner)
+        term *= across
+        term *= down
+        value += term
+    outside = ~inside
+    clipped = bool(outside.any())
+    if clipped:
+        value[outside] = 0.0
+    return value, clipped
 
 
 def register_and_crop(
@@ -187,9 +204,12 @@ def register_and_crop(
     grid = np.arange(size)
     ref_x = low[0] + grid * (high[0] - low[0]) / (size - 1)
     ref_y = low[1] + grid * (high[1] - low[1]) / (size - 1)
-    ref_points = np.stack(np.meshgrid(ref_x, ref_y), axis=-1)  # (size, size, 2)
-    src = transform.inverse().apply(ref_points)
-    values, clipped = _bilinear_sample(image.pixels, src[..., 0], src[..., 1])
+    # The grid as x + iy directly: no (size, size, 2) stack to cast.
+    z = np.empty((size, size), dtype=complex)
+    z.real = ref_x
+    z.imag = ref_y[:, None]
+    w = transform.inverse().apply_complex(z)
+    values, clipped = _bilinear_sample(image.pixels, w.real, w.imag)
     if clipped:
         warnings.warn(
             "crop window reaches outside the source image; missing pixels are 0",

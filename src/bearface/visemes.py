@@ -9,10 +9,12 @@ aligner.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
+from .config import check_duration
 from .records import boolean, packaged_text, parse_records, place
 
 VISEME_CLASS_COUNT = 20
@@ -131,6 +133,11 @@ class PhonemeSegment:
     def __post_init__(self) -> None:
         if not self.phoneme:
             raise ValueError("segment phoneme symbol is empty")
+        if not (math.isfinite(self.start) and math.isfinite(self.end)):
+            raise ValueError(
+                f"segment {self.phoneme!r}: times must be finite, got "
+                f"{self.start} and {self.end}"
+            )
         if not (self.start < self.end):
             raise ValueError(
                 f"segment {self.phoneme!r}: start {self.start} must precede "
@@ -162,12 +169,16 @@ _TRANSCRIPT_FIELDS = (("start", float), ("end", float), ("phoneme", str))
 def parse_transcript(text: str, origin: str | None = None) -> tuple[PhonemeSegment, ...]:
     """Parse 'start end phoneme' lines into a validated transcript.
 
-    Errors in a line name `origin:line` (`line N` without an origin).
+    Times must be finite, and the span from the first start to the last end
+    follows the duration rule of `config.check_duration`, since a rendered
+    timeline holds a frame per 1/frame_rate of it. Errors in a line name
+    `origin:line` (`line N` without an origin).
     """
     segments = []
     for number, (start, end, phoneme) in parse_records(text, _TRANSCRIPT_FIELDS, origin):
         try:
             segments.append(PhonemeSegment(phoneme=phoneme, start=start, end=end))
+            check_duration("transcript span", end - segments[0].start)
         except ValueError as error:
             raise ValueError(f"{place(origin, number)}: {error}") from None
     transcript = tuple(segments)

@@ -399,6 +399,56 @@ def test_bad_transcript_line_names_path_and_line(tmp_path, capsys):
     assert record["error"] == f"{transcript}:1: end must be float, got 'x'"
 
 
+def test_infinite_transcript_time_names_path_and_line(tmp_path, capsys):
+    transcript = tmp_path / "inf.align"
+    transcript.write_text("0 inf a\n")
+    code = main(["animate", "--transcript", str(transcript), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert _single_error(capsys) == {
+        "error": f"{transcript}:1: segment 'a': times must be finite, got 0.0 and inf",
+        "kind": "ValueError",
+    }
+
+
+@pytest.mark.parametrize(
+    ("argv", "problem"),
+    [(["export-servo", "--expression", "joy", "--duration", "abc"],
+      "bearface export-servo: argument --duration: invalid float value: 'abc'"),
+     (["export-servo", "--expression", "joy", "--seed", "x"],
+      "bearface export-servo: argument --seed: invalid int value: 'x'"),
+     # argparse reads a separate "-1e+16" as an option, not as a value.
+     (["export-servo", "--expression", "joy", "--duration", "-1e+16"],
+      "bearface export-servo: argument --duration: expected one argument"),
+     (["animate", "--intensity", "high"],
+      "bearface animate: argument --intensity: invalid float value: 'high'"),
+     (["export-servo"],
+      "bearface export-servo: the following arguments are required: --expression"),
+     (["imitate", "--votes", "v", "--extra"], "bearface: unrecognized arguments: --extra"),
+     (["bogus"], "bearface: argument command: invalid choice: 'bogus' (choose from "
+      "'extract', 'train', 'eval', 'classify', 'animate', 'imitate', 'export-servo')"),
+     ([], "bearface: the following arguments are required: command")],
+)
+def test_malformed_command_line_gives_json_record(tmp_path, capsys, monkeypatch, argv, problem):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert [json.loads(line) for line in captured.err.splitlines()] == [
+        {"error": problem, "kind": "CliError"}
+    ]
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["export-servo", "--help"]])
+def test_help_still_prints_usage_and_exits_zero(capsys, argv):
+    with pytest.raises(SystemExit) as caught:
+        main(argv)
+    assert caught.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: bearface")
+    assert captured.err == ""
+
+
 @pytest.mark.parametrize(
     ("duration", "problem"),
     [("inf", "must be finite, got inf"), ("1e400", "must be finite, got inf"),

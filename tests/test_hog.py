@@ -3,8 +3,19 @@
 import numpy as np
 import pytest
 
+from bearface import hog as hog_module
 from bearface.hog import DEFAULT_HOG_BINS, fold_orientation, gradient_field, hog
 from bearface.imaging import GrayImage
+
+
+def reference_gradient_field(pixels: np.ndarray):
+    """The float ``np.gradient`` + ``np.hypot`` field `gradient_field` must reproduce."""
+    gy, gx = np.gradient(np.asarray(pixels, dtype=np.float64))
+    return np.hypot(gx, gy), np.mod(np.arctan2(gy, gx), np.pi)
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
 def reference_hog(image: GrayImage, grid=(8, 8), bins=DEFAULT_HOG_BINS) -> np.ndarray:
@@ -87,6 +98,48 @@ def test_orientation_fold_matches_mod_on_all_8bit_gradients():
     angle = np.arctan2(gy, gx)
     expected = np.mod(angle, np.pi)
     assert np.array_equal(fold_orientation(angle).view(np.int64), expected.view(np.int64))
+
+
+@pytest.mark.parametrize(
+    "shape", [(2, 2), (2, 9), (11, 2), (3, 3), (17, 31), (128, 128), (64, 200)]
+)
+def test_gradient_field_matches_float_reference(shape):
+    rng = np.random.default_rng(sum(shape))
+    for pixels in (
+        rng.integers(0, 256, shape, dtype=np.uint8),
+        (np.indices(shape).sum(axis=0) % 2 * 255).astype(np.uint8),
+        np.full(shape, 255, dtype=np.uint8),
+    ):
+        magnitude, orientation = gradient_field(pixels)
+        expected_magnitude, expected_orientation = reference_gradient_field(pixels)
+        assert _same_bits(magnitude, expected_magnitude)
+        assert _same_bits(orientation, expected_orientation)
+        # Wider integer types with 8-bit values give the same field.
+        wide_magnitude, wide_orientation = gradient_field(pixels.astype(np.int64))
+        assert _same_bits(wide_magnitude, magnitude)
+        assert _same_bits(wide_orientation, orientation)
+
+
+def test_magnitude_table_matches_hypot_on_the_signed_lattice():
+    # Every (doubled) gradient pair of an 8-bit image: 1021^2 of them.
+    doubled = np.arange(-510, 511)
+    dy, dx = np.meshgrid(doubled, doubled, indexing="ij")
+    assert dx.size == 1021**2
+    table = hog_module._magnitude_table()
+    looked_up = table.take(np.abs(dx) * 511 + np.abs(dy))
+    assert _same_bits(looked_up, np.hypot(dx / 2.0, dy / 2.0))
+
+
+@pytest.mark.parametrize(
+    "pixels",
+    [np.zeros((4, 4)), np.full((4, 4), 256), np.full((4, 4), -1), np.zeros((4, 4), dtype=bool),
+     np.zeros((1, 5), dtype=np.uint8), np.zeros((5, 1), dtype=np.uint8),
+     np.zeros((3, 3, 3), dtype=np.uint8), np.zeros(5, dtype=np.uint8)],
+    ids=["float", "above-255", "negative", "bool", "one-row", "one-column", "3-d", "1-d"],
+)
+def test_gradient_field_rejects_non_8bit_input(pixels):
+    with pytest.raises(ValueError):
+        gradient_field(pixels)
 
 
 def test_constant_image_all_zero():

@@ -33,6 +33,37 @@ def reference_lbph(image: GrayImage, grid=(8, 8)) -> np.ndarray:
     return feature
 
 
+def reference_ix_lbph(image: GrayImage, grid=(8, 8)) -> np.ndarray:
+    """The one-pass `np.ix_` histogram that `lbph` must reproduce."""
+    grid_y, grid_x = grid
+    height, width = image.pixels.shape
+    win_h = height // grid_y
+    win_w = width // grid_x
+    bins = uniform_bin_table()[reference_codes(image.pixels)]
+    rows = np.arange(bins.shape[0])
+    rows = rows[rows % win_h < win_h - 2]
+    cols = np.arange(bins.shape[1])
+    cols = cols[cols % win_w < win_w - 2]
+    window_key = UNIFORM_BIN_COUNT * ((rows // win_h * grid_x)[:, None] + cols // win_w)
+    counts = np.bincount(
+        (window_key + bins[np.ix_(rows, cols)]).ravel(),
+        minlength=grid_y * grid_x * UNIFORM_BIN_COUNT,
+    )
+    return counts.astype(np.float64)
+
+
+def reference_codes(pixels: np.ndarray) -> np.ndarray:
+    """int64 LBP codes, as `lbp_codes` gives them in uint8."""
+    image = np.asarray(pixels)
+    center = image[1:-1, 1:-1]
+    codes = np.zeros(center.shape, dtype=np.int64)
+    height, width = image.shape
+    for bit, (dy, dx) in enumerate(NEIGHBOR_OFFSETS):
+        neighbor = image[1 + dy : height - 1 + dy, 1 + dx : width - 1 + dx]
+        codes |= (neighbor >= center).astype(np.int64) << bit
+    return codes
+
+
 def _checkerboard(size: int = 128) -> np.ndarray:
     return (np.indices((size, size)).sum(axis=0) % 2 * 255).astype(np.uint8)
 
@@ -59,6 +90,26 @@ def test_matches_reference_on_non_square_image():
     for grid in [(8, 8), (4, 10), (3, 5)]:
         image = GrayImage(pixels)
         assert np.array_equal(lbph(image, grid), reference_lbph(image, grid))
+
+
+@pytest.mark.parametrize(
+    ("shape", "grid"),
+    [((128, 128), (8, 8)), ((128, 128), (16, 16)), ((96, 160), (4, 10)), ((9, 12), (3, 4)),
+     ((3, 3), (1, 1)), ((45, 30), (3, 5))],
+)
+def test_matches_ix_reference_bit_for_bit(shape, grid):
+    rng = np.random.default_rng(shape[0] * shape[1])
+    for pixels in (
+        rng.integers(0, 256, shape, dtype=np.uint8),
+        rng.integers(100, 103, shape, dtype=np.uint8),  # many ties
+    ):
+        image = GrayImage(pixels)
+        feature = lbph(image, grid)
+        expected = reference_ix_lbph(image, grid)
+        assert np.array_equal(feature.view(np.int64), expected.view(np.int64))
+        codes = lbp_codes(pixels)
+        assert codes.dtype == np.uint8
+        assert np.array_equal(codes, reference_codes(pixels))
 
 
 def oracle_code(patch: np.ndarray) -> int:

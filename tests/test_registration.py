@@ -1,6 +1,7 @@
 """Image I/O, similarity fitting and the registered crop."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -54,6 +55,74 @@ def reference_sample(pixels: np.ndarray, x: np.ndarray, y: np.ndarray):
     return value, bool((~inside).any())
 
 
+def reference_grid(landmarks: LandmarkSet, reference: LandmarkSet, size: int = CROP_SIZE):
+    """Source coordinates of the crop, through a (size, size, 2) meshgrid."""
+    transform = fit_similarity(landmarks, reference)
+    low = reference.points.min(axis=0)
+    high = reference.points.max(axis=0)
+    grid = np.arange(size)
+    ref_x = low[0] + grid * (high[0] - low[0]) / (size - 1)
+    ref_y = low[1] + grid * (high[1] - low[1]) / (size - 1)
+    ref_points = np.stack(np.meshgrid(ref_x, ref_y), axis=-1)
+    # The arithmetic of SimilarityTransform.apply, inlined so that the
+    # reference shares no code with the grid under test.
+    inverse = transform.inverse()
+    w = (ref_points[..., 0] + 1j * ref_points[..., 1]) * inverse._complex()
+    w = w + complex(*inverse.translation)
+    return w.real, w.imag
+
+
+def reference_register_and_crop(image: GrayImage, landmarks: LandmarkSet, reference: LandmarkSet):
+    """The crop `register_and_crop` must reproduce, and whether it warns."""
+    x, y = reference_grid(landmarks, reference)
+    values, clipped = reference_sample(image.pixels, x, y)
+    return GrayImage.from_array(np.clip(np.round(values), 0, 255)), clipped
+
+
+def _posed(reference: LandmarkSet, centre, scale: float, angle: float) -> LandmarkSet:
+    """Reference landmarks scaled, rotated and moved to `centre`."""
+    z = (reference.points[:, 0] - 63.5) + 1j * (reference.points[:, 1] - 63.5)
+    w = z * scale * complex(math.cos(angle), math.sin(angle)) + complex(*centre)
+    return LandmarkSet(np.column_stack([w.real, w.imag]))
+
+
+# Window centres on a 200 x 200 source: a crop of extent about 63 px around
+# the centre stays inside, or hangs over one edge, or over all four.
+CROP_PLACEMENTS = {
+    "inside": ((100.0, 100.0), 0.9, 0.1),
+    "top": ((100.0, 40.0), 0.9, 0.1),
+    "bottom": ((100.0, 165.0), 0.9, -0.2),
+    "left": ((35.0, 100.0), 0.9, 0.3),
+    "right": ((170.0, 100.0), 0.9, -0.05),
+    "all-edges": ((100.0, 100.0), 2.0, 0.7),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CROP_PLACEMENTS))
+def test_crop_matches_meshgrid_reference(monkeypatch, name):
+    rng = np.random.default_rng(13)
+    image = GrayImage(rng.integers(0, 256, (200, 200), dtype=np.uint8))
+    reference = _spread_landmarks(size=CROP_SIZE - 1)
+    source = _posed(reference, *CROP_PLACEMENTS[name])
+    seen = []
+    sample = registration._bilinear_sample
+    monkeypatch.setattr(
+        registration, "_bilinear_sample", lambda p, x, y: seen.append((x, y)) or sample(p, x, y)
+    )
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        crop = register_and_crop(image, source, reference)
+    expected, clipped = reference_register_and_crop(image, source, reference)
+    assert np.array_equal(crop.pixels, expected.pixels)
+    assert [w.category for w in caught] == ([CropBoundsWarning] if clipped else [])
+    assert clipped == (name != "inside")
+    # The sampling grid itself is bit for bit that of meshgrid + apply.
+    (x, y), = seen
+    expected_x, expected_y = reference_grid(source, reference)
+    assert np.array_equal(x.view(np.int64), expected_x.view(np.int64))
+    assert np.array_equal(y.view(np.int64), expected_y.view(np.int64))
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_sampler_matches_reference(seed):
     rng = np.random.default_rng(seed)
@@ -68,7 +137,7 @@ def test_sampler_matches_reference(seed):
     for xs, ys in [(x, y), (np.clip(x, 0, width - 1), np.clip(y, 0, height - 1))]:
         value, clipped = registration._bilinear_sample(pixels, xs, ys)
         expected, expected_clipped = reference_sample(pixels, xs, ys)
-        assert np.array_equal(value, expected)
+        assert np.array_equal(value.view(np.int64), expected.view(np.int64))
         assert clipped == expected_clipped
 
 

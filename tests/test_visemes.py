@@ -122,6 +122,41 @@ def test_transcript_parse_and_order():
         parse_transcript("0.0 0.5\n")
 
 
+@pytest.mark.parametrize(
+    ("text", "problem"),
+    [("0 inf a\n", "line 1: segment 'a': times must be finite, got 0.0 and inf"),
+     ("nan 1 a\n", "line 1: segment 'a': times must be finite, got nan and 1.0"),
+     ("-inf 0 a\n", "line 1: segment 'a': times must be finite, got -inf and 0.0")],
+)
+def test_transcript_times_must_be_finite(text, problem):
+    with pytest.raises(ValueError) as caught:
+        parse_transcript(text)
+    assert str(caught.value) == problem
+
+
+# Parsed only: rendering these spans would ask for billions of frames.
+@pytest.mark.parametrize(
+    ("text", "problem"),
+    [("0 1e9 a\n", "line 1: transcript span must be at most 60 s, got 1000000000.0"),
+     ("0 30 a\n30 60.5 b\n", "line 2: transcript span must be at most 60 s, got 60.5"),
+     ("-1e308 1e308 a\n", "line 1: transcript span must be finite, got inf")],
+)
+def test_transcript_span_follows_the_duration_rule(text, problem):
+    with pytest.raises(ValueError) as caught:
+        parse_transcript(text)
+    assert str(caught.value) == problem
+
+
+def test_transcript_span_counts_from_the_first_start(tmp_path):
+    # 60 s of speech that starts late is still within the bound.
+    transcript = parse_transcript("100 130 a\n130 160 b\n")
+    assert transcript[-1].end - transcript[0].start == 60.0
+    path = tmp_path / "long.align"
+    path.write_text("100 130 a\n130 160.25 b\n")
+    with pytest.raises(ValueError, match=f"^{path}:2: transcript span"):
+        read_transcript(path)
+
+
 def test_transcript_round_trip(tmp_path):
     transcript = parse_transcript("0.0 0.5 m\n0.5 1.0 ɑ\n")
     path = tmp_path / "demo.align"
