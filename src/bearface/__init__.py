@@ -18,7 +18,7 @@ from .expressions import (
     pose_for,
     trajectory,
 )
-from .imitation import ImitationSession, imitate, vote_to_intensity
+from .imitation import ImitationSession, vote_to_intensity
 from .kernels import AutoRbf, PolyKernel, RbfKernel
 from .lipsync import MouthFrames, force_labial_closure, render_timeline
 from .mkl import BinaryMklSolution, train_binary_mkl
@@ -70,7 +70,6 @@ __all__ = [
     "ear_oscillation",
     "fit_pca",
     "force_labial_closure",
-    "imitate",
     "load_templates",
     "load_viseme_table",
     "pca_project",

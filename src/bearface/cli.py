@@ -23,7 +23,7 @@ from .extraction import describe_faces, extract_dataset, load_features, save_fea
 from .imitation import ImitationSession, vote_to_intensity, write_imitation_log
 from .lipsync import render_timeline, write_preview_pgms, write_timeline_csv, write_timeline_jsonl
 from .manifest import read_manifest, training_labels
-from .modelio import FeatureParams, ModelBundle, load_model, save_model
+from .modelio import ModelBundle, load_model, save_model
 from .multiclass import VoteResult, cross_validate, decision_values, train_multiclass, vote
 from .records import count, csv_text, read_records, typed, write_atomic, write_jsonl
 from .reports import write_report
@@ -52,12 +52,6 @@ def _out_dir(args: argparse.Namespace) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
-
-
-def _feature_params(config: RunConfig) -> FeatureParams:
-    return FeatureParams(
-        descriptors=config.descriptors, grid=config.grid, hog_bins=config.hog_bins
-    )
 
 
 def _require(path: Path, artifact: str, command: str) -> Path:
@@ -96,7 +90,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     out = _out_dir(args)
     manifest = read_manifest(args.manifest)
-    features = extract_dataset(manifest, _feature_params(config))
+    features = extract_dataset(manifest, config.feature_params())
     save_features(features, out / "features.store")
     save_config(config, out / "resolved_config.txt")
     for note in features.diagnostics:

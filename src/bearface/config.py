@@ -12,9 +12,8 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .kernels import AutoRbf, KernelPlan, PolyKernel, RbfKernel
-from .lbp import MIN_WINDOW
+from .modelio import FeatureParams
 from .records import boolean, content_lines, place, typed, write_atomic
-from .registration import CROP_SIZE
 
 
 class ConfigError(ValueError):
@@ -23,8 +22,8 @@ class ConfigError(ValueError):
 
 # Imitation builds every frame of a command in memory, frame_rate of them per
 # second, so durations (s) and the frame rate are bounded; the mouth display
-# runs at 80-90 fps. HOG gets at most one bin per degree of orientation.
-MAX_DURATION, MAX_FRAME_RATE, MAX_HOG_BINS = 60.0, 240.0, 180
+# runs at 80-90 fps.
+MAX_DURATION, MAX_FRAME_RATE = 60.0, 240.0
 
 
 def check_duration(name: str, value: float) -> None:
@@ -71,8 +70,6 @@ class RunConfig:
             value = getattr(self, spec.name)
             if isinstance(value, float) and not math.isfinite(value):
                 raise ConfigError(f"{spec.name} must be finite, got {value!r}")
-        if any(d not in ("lbph", "hog") for d in self.descriptors) or not self.descriptors:
-            raise ConfigError(f"descriptors must be from lbph/hog, got {self.descriptors}")
         if any(k not in ("rbf", "poly") for k in self.kernels) or not self.kernels:
             raise ConfigError(f"kernels must be from rbf/poly, got {self.kernels}")
         if isinstance(self.rbf_gamma, str) and self.rbf_gamma != "auto":
@@ -94,20 +91,17 @@ class RunConfig:
             raise ConfigError("pca_energy must be in (0, 1]")
         if self.cv_folds < 2:
             raise ConfigError("cv_folds must be at least 2")
-        if self.grid < 1 or self.hog_bins < 1 or self.debounce < 1:
-            raise ConfigError("grid, hog_bins and debounce must be at least 1")
-        if self.hog_bins > MAX_HOG_BINS:
-            raise ConfigError(f"hog_bins must be at most {MAX_HOG_BINS}, got {self.hog_bins}")
-        if CROP_SIZE % self.grid or CROP_SIZE // self.grid < MIN_WINDOW:
-            raise ConfigError(f"grid must divide the {CROP_SIZE}-px crop into windows of "
-                              f"at least {MIN_WINDOW} px, got {self.grid}")
+        if self.debounce < 1:
+            raise ConfigError("debounce must be at least 1")
         if self.closure_margin < 0:
             raise ConfigError("closure_margin must be nonnegative")
-        # The kernel classes check their own parameters, so that a value
-        # fails whatever the kernel set and the order of the lines.
+        # The kernel classes and FeatureParams check their own parameters,
+        # so that a value fails whatever the kernel set and the order of the
+        # lines, and a store's settings follow the same rule.
         try:
             for kind in ("rbf", "poly"):
                 self._kernel(kind)
+            self.feature_params()
         except ValueError as error:
             raise ConfigError(str(error)) from None
 
@@ -117,6 +111,9 @@ class RunConfig:
                 degree=self.poly_degree, offset=self.poly_offset, scale=self.poly_scale
             )
         return AutoRbf() if self.rbf_gamma == "auto" else RbfKernel(float(self.rbf_gamma))
+
+    def feature_params(self) -> FeatureParams:
+        return FeatureParams(self.descriptors, self.grid, self.hog_bins)
 
     def kernel_plans(self) -> list[tuple[str, KernelPlan]]:
         """(block, kernel) bank entries: every kernel on every descriptor."""

@@ -65,10 +65,6 @@ class Pose:
             raise ValueError(f"pose is missing axes: {', '.join(missing)}")
         return cls(tuple(float(values[dof]) for dof in ALL_DOFS))
 
-    @classmethod
-    def uniform(cls, value: float) -> "Pose":
-        return cls((float(value),) * len(ALL_DOFS))
-
 
 @dataclass(frozen=True)
 class Trajectory:

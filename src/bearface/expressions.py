@@ -287,6 +287,8 @@ def parse_templates(text: str, origin: str | None = None) -> TemplateSet:
             except ValueError as error:
                 raise ValueError(f"{where}: {error}") from None
             parsed = typed(float, key, value, where)
+            if not 0.0 <= parsed <= 1.0:
+                raise ValueError(f"{where}: {slot.name} value {parsed} outside [0, 1]")
         if slot in values:
             raise ValueError(f"{where}: duplicate key {key!r}")
         values[slot] = parsed

@@ -133,7 +133,7 @@ def load_features(path: str | Path) -> FeatureSet:
         subjects=tuple(str(entries["subjects"]).split("\t")),
         class_names=tuple(str(entries["classes"]).split()),
         reference=LandmarkSet(entries["reference"]),
-        feature=FeatureParams.from_entries(entries),
+        feature=FeatureParams.from_entries(entries, path),
         diagnostics=tuple(
             str(entries[f"diagnostic{i}"])
             for i in range(int(entries.get("diagnostic_count", 0)))

@@ -47,64 +47,6 @@ def vote_to_intensity(votes: int, class_count: int) -> float:
     return min(1.0, max(0.0, intensity))
 
 
-def imitate(
-    result: VoteResult,
-    templates: TemplateSet,
-    *,
-    mode: Mode = Mode.AU_ANIMAL,
-    start_pose: Pose | None = None,
-    frame_rate: float = DEFAULT_FRAME_RATE,
-    transition_duration: float = 1.5,
-    hold_duration: float = 1.0,
-) -> tuple[Trajectory, MouthFrames]:
-    """Pose trajectory and mouth frames mirroring a recognition result.
-
-    One intensity, derived from the vote count, drives both outputs: the
-    mechanical axes sweep from `start_pose` (default neutral) to the
-    template pose at that intensity over `transition_duration`, then hold
-    for `hold_duration` (with the ear wiggle running if the template uses
-    it). Mouth frames are silent and carry the expression's channel at the
-    same intensity on every frame, even at 0; a neutral winner produces a
-    neutral pose and no channel.
-    """
-    try:
-        expression = Expression(result.winner)
-    except ValueError:
-        raise ValueError(f"unknown expression label {result.winner!r}") from None
-    intensity = vote_to_intensity(result.votes, len(result.class_names))
-    return _mirror(
-        expression, intensity, templates, mode, start_pose,
-        frame_rate, transition_duration, hold_duration,
-    )
-
-
-def _mirror(
-    expression: Expression,
-    intensity: float,
-    templates: TemplateSet,
-    mode: Mode,
-    start_pose: Pose | None,
-    frame_rate: float,
-    transition_duration: float,
-    hold_duration: float,
-) -> tuple[Trajectory, MouthFrames]:
-    """`imitate`'s motion for an expression at an intensity already mapped."""
-    template = templates.get(expression, mode)
-    neutral = expression is Expression.NEUTRAL
-    level = 0.0 if neutral else intensity
-
-    start = start_pose if start_pose is not None else templates.neutral_pose
-    sweep = trajectory(start, pose_for(template, level), transition_duration, frame_rate)
-    t_hold = np.arange(1, int(hold_duration * frame_rate) + 1) / frame_rate
-    frames = Trajectory(
-        np.concatenate([sweep.times, transition_duration + t_hold]),
-        np.concatenate([sweep.poses, hold_poses(template, level, t_hold)]),
-    )
-    count = len(frames)
-    channels = {} if neutral else {expression.value: np.full(count, level)}
-    return frames, MouthFrames(frames.times, np.zeros((count, VISEME_CLASS_COUNT)), channels)
-
-
 @dataclass(frozen=True)
 class ImitationRecord:
     """One emitted command plus its trigger, for offline analysis."""
@@ -159,14 +101,14 @@ class ImitationSession:
             self._streak = 1
         if self._streak < self.debounce:
             return None
-        expression = Expression(result.winner)
+        try:
+            expression = Expression(result.winner)
+        except ValueError:
+            raise ValueError(f"unknown expression label {result.winner!r}") from None
         if expression is self.current_expression:
             return None
         intensity = vote_to_intensity(result.votes, len(result.class_names))
-        frames, morphs = _mirror(
-            expression, intensity, self.templates, self.mode, self.current_pose,
-            self.frame_rate, self.transition_duration, self.hold_duration,
-        )
+        frames, morphs = self._mirror(expression, intensity)
         end = frames.pose(-1)
         self.current_expression = expression
         self.current_pose = end if expression is not Expression.NEUTRAL else (
@@ -182,6 +124,35 @@ class ImitationSession:
             )
         )
         return frames, morphs
+
+    def _mirror(
+        self, expression: Expression, intensity: float
+    ) -> tuple[Trajectory, MouthFrames]:
+        """Pose trajectory and mouth frames of one command.
+
+        One intensity drives both outputs. The mechanical axes sweep from
+        `current_pose` to the template pose at `intensity` over
+        `transition_duration`, then hold for `hold_duration` (with the ear
+        wiggle running if the template uses it). Mouth frames are silent
+        and carry the expression's channel at the same intensity on every
+        frame, even at 0; a neutral winner produces a neutral pose and no
+        channel.
+        """
+        template = self.templates.get(expression, self.mode)
+        neutral = expression is Expression.NEUTRAL
+        level = 0.0 if neutral else intensity
+        rate = self.frame_rate
+        sweep = trajectory(
+            self.current_pose, pose_for(template, level), self.transition_duration, rate
+        )
+        t_hold = np.arange(1, int(self.hold_duration * rate) + 1) / rate
+        frames = Trajectory(
+            np.concatenate([sweep.times, self.transition_duration + t_hold]),
+            np.concatenate([sweep.poses, hold_poses(template, level, t_hold)]),
+        )
+        count = len(frames)
+        channels = {} if neutral else {expression.value: np.full(count, level)}
+        return frames, MouthFrames(frames.times, np.zeros((count, VISEME_CLASS_COUNT)), channels)
 
 
 def write_imitation_log(records: Iterable[ImitationRecord], path: str | Path) -> None:

@@ -10,7 +10,7 @@ is bit-exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Mapping
 
@@ -18,9 +18,13 @@ import numpy as np
 
 from .arraystore import read_store, write_store
 from .kernels import format_kernel, parse_kernel
+from .lbp import MIN_WINDOW
 from .multiclass import BankEntry, MulticlassModel
 from .pca import PcaModel
-from .registration import LandmarkSet
+from .registration import CROP_SIZE, LandmarkSet
+
+# HOG gets at most one bin per degree of orientation.
+MAX_HOG_BINS = 180
 
 
 @dataclass(frozen=True)
@@ -32,10 +36,17 @@ class FeatureParams:
     hog_bins: int = 59
 
     def __post_init__(self) -> None:
-        known = {"lbph", "hog"}
-        bad = [d for d in self.descriptors if d not in known]
-        if bad or not self.descriptors:
-            raise ValueError(f"descriptors must be a non-empty subset of {known}")
+        if any(d not in ("lbph", "hog") for d in self.descriptors) or not self.descriptors:
+            raise ValueError(f"descriptors must be from lbph/hog, got {self.descriptors}")
+        if self.grid < 1:
+            raise ValueError(f"grid must be at least 1, got {self.grid}")
+        if CROP_SIZE % self.grid or CROP_SIZE // self.grid < MIN_WINDOW:
+            raise ValueError(f"grid must divide the {CROP_SIZE}-px crop into windows of "
+                             f"at least {MIN_WINDOW} px, got {self.grid}")
+        if self.hog_bins < 1:
+            raise ValueError(f"hog_bins must be at least 1, got {self.hog_bins}")
+        if self.hog_bins > MAX_HOG_BINS:
+            raise ValueError(f"hog_bins must be at most {MAX_HOG_BINS}, got {self.hog_bins}")
 
     def entries(self) -> dict[str, object]:
         """The store entries that hold these settings, in their stored order."""
@@ -46,12 +57,18 @@ class FeatureParams:
         }
 
     @classmethod
-    def from_entries(cls, entries: Mapping[str, object]) -> "FeatureParams":
-        return cls(
-            descriptors=tuple(str(entries["feature_descriptors"]).split()),
-            grid=int(entries["feature_grid"]),
-            hog_bins=int(entries["feature_hog_bins"]),
-        )
+    def from_entries(cls, entries: Mapping[str, object], origin: str | Path) -> "FeatureParams":
+        """The settings a store holds; a bad value names `origin: entry`."""
+        # Every check concerns one field, so setting the fields one at a
+        # time over valid defaults names the entry at fault.
+        params = cls(("lbph", "hog"))
+        for name, read in (("descriptors", lambda text: tuple(str(text).split())),
+                           ("grid", int), ("hog_bins", int)):
+            try:
+                params = replace(params, **{name: read(entries[f"feature_{name}"])})
+            except ValueError as error:
+                raise ValueError(f"{origin}: feature_{name}: {error}") from None
+        return params
 
 
 @dataclass(frozen=True)
@@ -140,5 +157,5 @@ def load_model(path: str | Path) -> ModelBundle:
     reference = None
     if "reference" in entries:
         reference = LandmarkSet(entries["reference"])
-    feature = FeatureParams.from_entries(entries) if "feature_descriptors" in entries else None
+    feature = FeatureParams.from_entries(entries, path) if "feature_descriptors" in entries else None
     return ModelBundle(model=model, reference=reference, feature=feature)

@@ -78,11 +78,6 @@ class SimilarityTransform:
     def _complex(self) -> complex:
         return self.scale * complex(math.cos(self.rotation), math.sin(self.rotation))
 
-    def apply(self, points: np.ndarray) -> np.ndarray:
-        z = np.asarray(points, dtype=float)
-        w = self.apply_complex(z[..., 0] + 1j * z[..., 1])
-        return np.stack([w.real, w.imag], axis=-1)
-
     def apply_complex(self, z: np.ndarray) -> np.ndarray:
         """The map on points given as complex numbers x + iy."""
         # The product stays complex: numpy's complex multiply may fuse its

@@ -196,6 +196,37 @@ def test_bad_kernel_spec_names_store_entry(
 
 
 @pytest.mark.parametrize(
+    ("entry", "value", "problem"),
+    [
+        ("feature_grid", 0, "grid must be at least 1, got 0"),
+        ("feature_grid", 64,
+         "grid must divide the 128-px crop into windows of at least 3 px, got 64"),
+        ("feature_hog_bins", 0, "hog_bins must be at least 1, got 0"),
+        ("feature_hog_bins", 181, "hog_bins must be at most 180, got 181"),
+        ("feature_descriptors", "lbph sift",
+         "descriptors must be from lbph/hog, got ('lbph', 'sift')"),
+    ],
+)
+@pytest.mark.parametrize("store", ["model.store", "features.store"])
+def test_bad_feature_setting_names_store_entry(
+    pipeline_out, synthetic_dataset, tmp_path, capsys, store, entry, value, problem
+):
+    # Before the stored settings followed the config's rule, grid 0 ended
+    # in a ZeroDivisionError traceback and the others named no file.
+    entries = dict(read_store(pipeline_out / store))
+    entries[entry] = value
+    damaged = tmp_path / store
+    write_store(entries, damaged)
+    if store == "model.store":
+        argv = ["classify", "--manifest", str(synthetic_dataset), "--model", str(damaged)]
+    else:
+        argv = ["train", "--features", str(damaged)]
+    code = main(argv + ["--out", str(tmp_path / "o")])
+    assert code == 2
+    assert _single_error(capsys)["error"] == f"{damaged}: {entry}: {problem}"
+
+
+@pytest.mark.parametrize(
     "edit",
     [lambda payload: "é" + payload[1:], lambda payload: payload + "!"],
     ids=["non-ascii", "stray-character"],

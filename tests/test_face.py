@@ -53,7 +53,7 @@ def test_pose_for_endpoints_exact(template_set):
 
 
 def test_pose_for_midpoint_value():
-    neutral = Pose.uniform(0.5)
+    neutral = Pose((0.5,) * 10)
     peak = neutral.replace({Dof.EAR_L: 0.9, Dof.EAR_R: 0.9})
     template = ExpressionTemplate(
         expression=Expression.JOY,
@@ -133,7 +133,7 @@ def test_expression_table_contents():
 
 
 def test_template_validation_rejects_wrong_active_set():
-    neutral = Pose.uniform(0.5)
+    neutral = Pose((0.5,) * 10)
     with pytest.raises(ValueError, match="do not match"):
         ExpressionTemplate(
             expression=Expression.JOY,
@@ -145,7 +145,7 @@ def test_template_validation_rejects_wrong_active_set():
 
 
 def test_template_validation_rejects_moving_inactive_axis():
-    neutral = Pose.uniform(0.5)
+    neutral = Pose((0.5,) * 10)
     moved = neutral.replace({Dof.NECK_YAW: 0.9})
     with pytest.raises(ValueError, match="inactive"):
         ExpressionTemplate(
@@ -214,8 +214,8 @@ def test_oscillating_pose(template_set):
 
 
 def test_trajectory_frame_count():
-    start = Pose.uniform(0.2)
-    end = Pose.uniform(0.8)
+    start = Pose((0.2,) * 10)
+    end = Pose((0.8,) * 10)
     frames = trajectory(start, end, duration=1.5, frame_rate=85.0)
     assert len(frames) == 128  # floor(1.5 * 85) + 1
 
@@ -231,14 +231,14 @@ def test_trajectory_endpoints_bit_exact():
 
 
 def test_trajectory_linear_midpoint():
-    start = Pose.uniform(0.0)
-    end = Pose.uniform(1.0)
+    start = Pose((0.0,) * 10)
+    end = Pose((1.0,) * 10)
     frames = trajectory(start, end, duration=1.0, frame_rate=2.0)
     assert frames.poses[:, Dof.BROW_L - 1].tolist() == [0.0, 0.5, 1.0]
 
 
 def test_trajectory_constant_when_start_equals_end():
-    pose = Pose.uniform(0.42)
+    pose = Pose((0.42,) * 10)
     frames = trajectory(pose, pose, duration=0.5, frame_rate=10.0)
     assert (frames.poses == np.array(pose.values)).all()
 
@@ -248,8 +248,8 @@ def test_trajectory_constant_when_start_equals_end():
     frame_rate=st.floats(1.0, 120.0, allow_nan=False),
 )
 def test_trajectory_properties(duration, frame_rate):
-    start = Pose.uniform(0.25)
-    end = Pose.uniform(0.75)
+    start = Pose((0.25,) * 10)
+    end = Pose((0.75,) * 10)
     frames = trajectory(start, end, duration, frame_rate)
     assert frames.pose(0) == start
     assert frames.pose(-1) == end
@@ -262,7 +262,7 @@ def test_trajectory_properties(duration, frame_rate):
 
 
 def test_trajectory_validation():
-    pose = Pose.uniform(0.5)
+    pose = Pose((0.5,) * 10)
     with pytest.raises(ValueError):
         trajectory(pose, pose, duration=0.0, frame_rate=10.0)
     with pytest.raises(ValueError):
@@ -299,12 +299,16 @@ SHIPPED = packaged_text("expression_templates.txt").splitlines()
         ("neutral", "[neutral]", ["f1 = 0.5", "[neutral]"], "line",
          "'f1' is outside any section"),
         ("anger au", "f1 = 0.15", ["f1: 0.15"], "line", "expected '[section]' or 'key = value'"),
+        ("anger au", "f1 = 0.15", ["f1 = 1.5"], "line", "BROW_L value 1.5 outside [0, 1]"),
+        ("neutral", "f1 = 0.5", ["f1 = -0.5"], "line", "BROW_L value -0.5 outside [0, 1]"),
+        ("neutral", "f1 = 0.5", ["f1 = nan"], "line", "BROW_L value nan outside [0, 1]"),
         ("neutral", "f10 = 0.5", [], "section", "pose is missing axes: NECK_YAW"),
         ("anger au", "f1 = 0.15", ["f1 = 0.15", "f9 = 0.6"], "section",
          "anger/au: active axes"),
     ],
     ids=["value", "flag", "duplicate-section", "default-section", "duplicate-key",
-         "outside-section", "colon", "missing-neutral-axis", "active-axes"],
+         "outside-section", "colon", "value-high", "neutral-value-low", "neutral-value-nan",
+         "missing-neutral-axis", "active-axes"],
 )
 def test_template_errors_name_path_and_line(tmp_path, section, old, new, at, problem):
     lines = list(SHIPPED)

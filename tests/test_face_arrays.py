@@ -17,7 +17,7 @@ from bearface.cli import write_trajectory_csv
 from bearface.diagnostics import ClampWarning
 from bearface.dof import ALL_DOFS, Dof, Pose, Trajectory, dof_label
 from bearface.expressions import Expression, Mode, trajectory
-from bearface.imitation import ImitationSession, _mirror, imitate
+from bearface.imitation import ImitationSession
 from bearface.lipsync import (
     EXPRESSION_CHANNELS,
     class_weights_at,
@@ -166,9 +166,10 @@ def test_mirror_matches_reference(templates, tmp_path, mode, frame_rate):
     for expression in Expression:
         for level in INTENSITIES:
             for hold in (1.0, 0.0):
-                motion = _mirror(
-                    expression, level, templates, mode, None, frame_rate, 1.5, hold
+                session = ImitationSession(
+                    templates, mode=mode, frame_rate=frame_rate, hold_duration=hold
                 )
+                motion = session._mirror(expression, level)
                 reference = reference_mirror(
                     expression, level, templates, mode, neutral, frame_rate, 1.5, hold
                 )
@@ -197,7 +198,8 @@ def test_chained_commands_match_reference(templates, tmp_path, mode):
 
 def test_imitate_matches_reference(templates, tmp_path):
     for votes in range(7):
-        motion = imitate(VoteResult("joy", votes, (), {}, CLASSES), templates)
+        session = ImitationSession(templates, debounce=1)
+        motion = session.consume(VoteResult("joy", votes, (), {}, CLASSES), 0.0)
         level = max(0.0, (2.0 * votes - 6.0) / 6.0)
         reference = reference_mirror(
             Expression.JOY, level, templates, Mode.AU_ANIMAL,

@@ -10,12 +10,7 @@ import pytest
 from bearface.diagnostics import VoteRangeWarning
 from bearface.dof import ALL_DOFS, Dof
 from bearface.expressions import Expression, Mode, pose_for
-from bearface.imitation import (
-    ImitationSession,
-    imitate,
-    vote_to_intensity,
-    write_imitation_log,
-)
+from bearface.imitation import ImitationSession, vote_to_intensity, write_imitation_log
 from bearface.multiclass import VoteResult
 
 CLASSES = tuple(e.value for e in Expression)
@@ -25,6 +20,12 @@ def _result(winner: str, votes: int) -> VoteResult:
     return VoteResult(
         winner=winner, votes=votes, tally=(), decisions={}, class_names=CLASSES
     )
+
+
+def _command(templates, winner: str, votes: int, **settings):
+    """The motion a fresh session, which starts from neutral, emits at once."""
+    session = ImitationSession(templates, debounce=1, **settings)
+    return session.consume(_result(winner, votes), 0.0)
 
 
 def test_vote_intensity_table_seven_classes():
@@ -58,7 +59,7 @@ def test_vote_intensity_validation():
 
 
 def test_imitate_neutral_winner(templates):
-    frames, morphs = imitate(_result("neutral", 6), templates)
+    frames, morphs = _command(templates, "neutral", 6)
     assert (frames.poses == np.array(templates.neutral_pose.values)).all()
     for morph in morphs:
         assert not morph.visemes.any()
@@ -66,8 +67,8 @@ def test_imitate_neutral_winner(templates):
 
 
 def test_imitate_joy_full_intensity(templates):
-    frames, morphs = imitate(
-        _result("joy", 6), templates, mode=Mode.AU_ANIMAL,
+    frames, morphs = _command(
+        templates, "joy", 6, mode=Mode.AU_ANIMAL,
         transition_duration=1.0, hold_duration=0.5, frame_rate=40.0,
     )
     template = templates.get(Expression.JOY, Mode.AU_ANIMAL)
@@ -82,9 +83,7 @@ def test_imitate_joy_full_intensity(templates):
 
 
 def test_imitate_sadness_one_third(templates):
-    frames, morphs = imitate(
-        _result("sadness", 4), templates, mode=Mode.AU_ANIMAL, hold_duration=0.0
-    )
+    frames, morphs = _command(templates, "sadness", 4, mode=Mode.AU_ANIMAL, hold_duration=0.0)
     template = templates.get(Expression.SADNESS, Mode.AU_ANIMAL)
     expected = pose_for(template, 1 / 3)
     final = frames.pose(-1)
@@ -98,17 +97,16 @@ def test_imitate_sadness_one_third(templates):
 
 def test_imitate_intensity_equality(templates):
     # The same number drives the axes and the mouth channel.
-    result = _result("fear", 5)
     intensity = vote_to_intensity(5, len(CLASSES))
-    frames, morphs = imitate(result, templates, hold_duration=0.0)
+    frames, morphs = _command(templates, "fear", 5, hold_duration=0.0)
     template = templates.get(Expression.FEAR, Mode.AU_ANIMAL)
     assert frames.pose(-1) == pose_for(template, intensity)
     assert morphs.expressions["fear"][-1] == intensity
 
 
 def test_imitate_deterministic(templates):
-    a = imitate(_result("anger", 5), templates)
-    b = imitate(_result("anger", 5), templates)
+    a = _command(templates, "anger", 5)
+    b = _command(templates, "anger", 5)
     assert np.array_equal(a[0].times, b[0].times)
     assert np.array_equal(a[0].poses, b[0].poses)
     assert all(
@@ -123,8 +121,7 @@ def test_mouth_channel_on_every_frame(templates, winner, votes):
     # A robot loop reads the mouth frame by frame: a non-neutral command
     # carries its channel on each frame, at exactly 0.0 when the vote count
     # maps to no intensity; a neutral command carries no channel at all.
-    session = ImitationSession(templates, debounce=1)
-    frames, morphs = session.consume(_result(winner, votes), 0.0)
+    frames, morphs = _command(templates, winner, votes)
     assert len(list(morphs)) == len(frames) == len(morphs)
     for frame in morphs:
         if winner == "neutral":
@@ -135,8 +132,8 @@ def test_mouth_channel_on_every_frame(templates, winner, votes):
 
 
 def test_imitate_unknown_label(templates):
-    with pytest.raises(ValueError, match="unknown expression"):
-        imitate(_result("confusion", 4), templates)
+    with pytest.raises(ValueError, match="^unknown expression label 'confusion'$"):
+        _command(templates, "confusion", 4)
 
 
 def test_session_debounce(templates):

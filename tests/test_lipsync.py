@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from bearface.diagnostics import ClampWarning
 from bearface.expressions import Expression
 from bearface.imaging import read_pnm
-from bearface.imitation import imitate
+from bearface.imitation import ImitationSession
 from bearface.lipsync import (
     class_weights_at,
     epanechnikov,
@@ -158,7 +158,7 @@ def test_blend_full_level():
 def test_blend_silence_half_joy(templates):
     # Five classes: 3 of 4 possible votes map to intensity 0.5.
     result = VoteResult("joy", 3, (), {}, ("joy", "fear", "anger", "sadness", "neutral"))
-    _, mouth = imitate(result, templates)
+    _, mouth = ImitationSession(templates, debounce=1).consume(result, 0.0)
     assert mouth.visemes.sum() == 0.0
     assert (mouth.expressions["joy"] == 0.5).all()
 

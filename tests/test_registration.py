@@ -31,6 +31,10 @@ def _spread_landmarks(size: float = 127.0, offset: float = 0.0) -> LandmarkSet:
     return LandmarkSet(points)
 
 
+def _complex(points: np.ndarray) -> np.ndarray:
+    return points[:, 0] + 1j * points[:, 1]
+
+
 def reference_sample(pixels: np.ndarray, x: np.ndarray, y: np.ndarray):
     """The float64 fancy-indexing sampler `_bilinear_sample` must reproduce."""
     height, width = pixels.shape
@@ -64,8 +68,8 @@ def reference_grid(landmarks: LandmarkSet, reference: LandmarkSet, size: int = C
     ref_x = low[0] + grid * (high[0] - low[0]) / (size - 1)
     ref_y = low[1] + grid * (high[1] - low[1]) / (size - 1)
     ref_points = np.stack(np.meshgrid(ref_x, ref_y), axis=-1)
-    # The arithmetic of SimilarityTransform.apply, inlined so that the
-    # reference shares no code with the grid under test.
+    # The arithmetic of SimilarityTransform.apply_complex, inlined so that
+    # the reference shares no code with the grid under test.
     inverse = transform.inverse()
     w = (ref_points[..., 0] + 1j * ref_points[..., 1]) * inverse._complex()
     w = w + complex(*inverse.translation)
@@ -116,7 +120,7 @@ def test_crop_matches_meshgrid_reference(monkeypatch, name):
     assert np.array_equal(crop.pixels, expected.pixels)
     assert [w.category for w in caught] == ([CropBoundsWarning] if clipped else [])
     assert clipped == (name != "inside")
-    # The sampling grid itself is bit for bit that of meshgrid + apply.
+    # The sampling grid itself is bit for bit that of meshgrid + apply_complex.
     (x, y), = seen
     expected_x, expected_y = reference_grid(source, reference)
     assert np.array_equal(x.view(np.int64), expected_x.view(np.int64))
@@ -219,8 +223,8 @@ def test_fit_recovers_rotation():
     transform = fit_similarity(source, reference)
     assert transform.rotation == pytest.approx(-angle, abs=1e-6)
     assert transform.scale == pytest.approx(1.0, abs=1e-9)
-    aligned = transform.apply(source.points)
-    assert np.allclose(aligned, reference.points, atol=1e-6)
+    aligned = transform.apply_complex(_complex(source.points))
+    assert np.allclose(aligned, _complex(reference.points), atol=1e-6)
 
 
 def test_fit_recovers_scale_and_shift():
@@ -228,8 +232,8 @@ def test_fit_recovers_scale_and_shift():
     source = LandmarkSet(reference.points * 2.0 + np.array([10.0, 5.0]))
     transform = fit_similarity(source, reference)
     assert transform.scale == pytest.approx(0.5, abs=1e-9)
-    aligned = transform.apply(source.points)
-    assert np.allclose(aligned, reference.points, atol=1e-6)
+    aligned = transform.apply_complex(_complex(source.points))
+    assert np.allclose(aligned, _complex(reference.points), atol=1e-6)
 
 
 def test_fit_translation_equivariance():
@@ -252,8 +256,8 @@ def test_fit_rejects_degenerate_source():
 
 def test_transform_inverse_round_trip():
     transform = SimilarityTransform(scale=1.7, rotation=0.3, translation=(4.0, -2.0))
-    points = np.array([[1.0, 2.0], [-3.0, 0.5]])
-    back = transform.inverse().apply(transform.apply(points))
+    points = np.array([1.0 + 2.0j, -3.0 + 0.5j])
+    back = transform.inverse().apply_complex(transform.apply_complex(points))
     assert np.allclose(back, points, atol=1e-12)
 
 

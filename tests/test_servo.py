@@ -43,7 +43,7 @@ def test_pose_boundaries_hit_calibrated_limits():
 
 def test_to_servo_commands_order_and_values():
     calibration = default_calibration()
-    pose = Pose.uniform(0.5)
+    pose = Pose((0.5,) * 10)
     data = to_servo_commands(pose, calibration)
     assert len(data) == 40
     decoded = decode_servo_commands(data)
@@ -53,7 +53,7 @@ def test_to_servo_commands_order_and_values():
 
 def test_to_servo_commands_varied_pose():
     calibration = default_calibration()
-    pose = Pose.uniform(0.5).replace({Dof.EAR_L: 1.0, Dof.BROW_L: 0.0})
+    pose = Pose((0.5,) * 10).replace({Dof.EAR_L: 1.0, Dof.BROW_L: 0.0})
     decoded = decode_servo_commands(to_servo_commands(pose, calibration))
     by_channel = dict(decoded)
     assert by_channel[0] == 4000   # f1 at its low limit
