@@ -19,7 +19,7 @@ from __future__ import annotations
 import base64
 import math
 from pathlib import Path
-from typing import Mapping
+from typing import Any, Callable, Mapping
 
 import numpy as np
 
@@ -125,11 +125,16 @@ def parse_store(text: str, origin: str | None = None) -> dict[str, object]:
     return entries
 
 
+# The kind of store line that `parse_store` reads as each Python type.
+_KIND_OF = {int: "int", float: "float", str: "str", np.ndarray: "array"}
+
+
 class StoreEntries(dict):
     """Entries read from one store file.
 
     Looking up an entry the file lacks raises a `ValueError` that names the
-    file, the kind of store and the entry, not a bare `KeyError`.
+    file, the kind of store and the entry, not a bare `KeyError`; so does
+    `typed` for an entry stored as another kind.
     """
 
     def __init__(self, entries: Mapping[str, object], path: "str | Path") -> None:
@@ -139,6 +144,21 @@ class StoreEntries(dict):
     def __missing__(self, name: str) -> object:
         kind = self.get("kind", "untyped")
         raise ValueError(f"{self.path}: {kind} store lacks the {name!r} entry")
+
+    def typed(self, name: str, kind: type) -> Any:
+        """The entry `name`, which must be stored as `kind` (int, float, str, np.ndarray)."""
+        value = self[name]
+        if type(value) is not kind:
+            raise ValueError(f"{self.path}: {name}: stored as {_KIND_OF[type(value)]}, "
+                             f"expected {_KIND_OF[kind]}")
+        return value
+
+    def build(self, make: Callable, *args: object, **kwargs: object) -> Any:
+        """`make(*args, **kwargs)`; a ValueError it raises names this store."""
+        try:
+            return make(*args, **kwargs)
+        except ValueError as error:
+            raise ValueError(f"{self.path}: {error}") from None
 
 
 def write_store(entries: Mapping[str, object], path: "str | Path") -> None:

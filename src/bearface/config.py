@@ -143,12 +143,10 @@ _KINDS = {"int": int, "float": float, "str": str, "bool": boolean,
           "tuple[str, ...]": lambda text: tuple(text.split()), "float | str": float}
 
 
-def parse_config(
-    text: str, base: RunConfig | None = None, origin: str | None = None
-) -> RunConfig:
-    """`text`'s settings over `base` (the defaults); ConfigErrors name `origin:line`."""
+def parse_config(text: str, origin: str | None = None) -> RunConfig:
+    """`text`'s settings over the defaults; ConfigErrors name `origin:line`."""
     kinds = {spec.name: _KINDS[spec.type] for spec in fields(RunConfig)}
-    config, seen = base or RunConfig(), set()
+    config, seen = RunConfig(), set()
     try:
         for number, line in content_lines(text, "config", origin):
             where = place(origin, number)
@@ -174,11 +172,11 @@ def parse_config(
     return config
 
 
-def load_config(path: str | Path | None = None, base: RunConfig | None = None) -> RunConfig:
+def load_config(path: str | Path | None = None) -> RunConfig:
     """Config from a file, or the defaults when no path is given."""
     if path is None:
-        return base or RunConfig()
-    return parse_config(Path(path).read_text(encoding="utf-8"), base, str(path))
+        return RunConfig()
+    return parse_config(Path(path).read_text(encoding="utf-8"), str(path))
 
 
 def save_config(config: RunConfig, path: str | Path) -> None:

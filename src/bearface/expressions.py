@@ -223,9 +223,6 @@ class TemplateSet:
     def __iter__(self) -> Iterable[ExpressionTemplate]:
         return iter(self._templates.values())
 
-    def __len__(self) -> int:
-        return len(self._templates)
-
 
 def _build_template(
     expression: Expression,

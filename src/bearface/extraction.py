@@ -126,16 +126,18 @@ def load_features(path: str | Path) -> FeatureSet:
     entries = read_store(path)
     if entries.get("kind") != "features":
         raise ValueError(f"{path} is not a feature cache")
-    block_names = str(entries["blocks"]).split()
     return FeatureSet(
-        blocks={name: entries[f"block_{name}"] for name in block_names},
-        labels=tuple(str(entries["labels"]).split()),
-        subjects=tuple(str(entries["subjects"]).split("\t")),
-        class_names=tuple(str(entries["classes"]).split()),
-        reference=LandmarkSet(entries["reference"]),
-        feature=FeatureParams.from_entries(entries, path),
+        blocks={
+            name: entries.typed(f"block_{name}", np.ndarray)
+            for name in entries.typed("blocks", str).split()
+        },
+        labels=tuple(entries.typed("labels", str).split()),
+        subjects=tuple(entries.typed("subjects", str).split("\t")),
+        class_names=tuple(entries.typed("classes", str).split()),
+        reference=entries.build(LandmarkSet, entries.typed("reference", np.ndarray)),
+        feature=FeatureParams.from_entries(entries),
         diagnostics=tuple(
-            str(entries[f"diagnostic{i}"])
-            for i in range(int(entries.get("diagnostic_count", 0)))
+            entries.typed(f"diagnostic{i}", str)
+            for i in range(entries.typed("diagnostic_count", int))
         ),
     )

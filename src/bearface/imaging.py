@@ -90,7 +90,12 @@ def read_pnm(path: str | Path) -> GrayImage:
     return GrayImage(np.ascontiguousarray(gray))
 
 
+def pgm_bytes(image: GrayImage) -> bytes:
+    """The image as a binary P5 graymap."""
+    return f"P5\n{image.width} {image.height}\n255\n".encode("ascii") + image.pixels.tobytes()
+
+
 def write_pgm(image: GrayImage, path: str | Path) -> None:
-    """Write a binary P5 graymap."""
-    header = f"P5\n{image.width} {image.height}\n255\n".encode("ascii")
-    Path(path).write_bytes(header + image.pixels.tobytes())
+    """Write a binary P5 graymap in place, for input files; artifacts go
+    through `records.write_atomic(path, pgm_bytes(image))`."""
+    Path(path).write_bytes(pgm_bytes(image))

@@ -94,6 +94,10 @@ class ImitationSession:
         self, result: VoteResult, timestamp: float
     ) -> tuple[Trajectory, MouthFrames] | None:
         """Feed one recognition result; returns the emitted motion, if any."""
+        try:
+            expression = Expression(result.winner)
+        except ValueError:
+            raise ValueError(f"unknown expression label {result.winner!r}") from None
         if result.winner == self._streak_winner:
             self._streak += 1
         else:
@@ -101,10 +105,6 @@ class ImitationSession:
             self._streak = 1
         if self._streak < self.debounce:
             return None
-        try:
-            expression = Expression(result.winner)
-        except ValueError:
-            raise ValueError(f"unknown expression label {result.winner!r}") from None
         if expression is self.current_expression:
             return None
         intensity = vote_to_intensity(result.votes, len(result.class_names))

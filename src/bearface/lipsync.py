@@ -222,12 +222,11 @@ def write_timeline_jsonl(frames: MouthFrames, path: str | Path) -> None:
     ))
 
 
-def write_preview_pgms(
-    frames: MouthFrames, directory: str | Path, height: int = 64, bar_width: int = 5
-) -> list[Path]:
-    """One portable-graymap bar chart of each frame's channels, for eyeballing timelines."""
-    from .imaging import GrayImage, write_pgm
+def write_preview_pgms(frames: MouthFrames, directory: str | Path) -> list[Path]:
+    """A 64-px-high graymap bar chart of each frame's channels, for eyeballing timelines."""
+    from .imaging import GrayImage, pgm_bytes
 
+    height, bar_width = 64, 5
     bars = np.rint(np.clip(frames.channel_table(), 0.0, 1.0) * (height - 1))
     rows = np.arange(height)[:, None]
     gap = np.arange(bar_width * bars.shape[1]) % bar_width == bar_width - 1
@@ -236,5 +235,5 @@ def write_preview_pgms(
     paths = [directory / f"frame_{index:05d}.pgm" for index in range(len(frames))]
     for path, bar in zip(paths, bars):
         lit = np.repeat(rows >= height - bar, bar_width, axis=1) & ~gap
-        write_pgm(GrayImage.from_array(lit * 255), path)
+        write_atomic(path, pgm_bytes(GrayImage.from_array(lit * 255)))
     return paths

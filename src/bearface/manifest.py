@@ -72,24 +72,9 @@ def parse_manifest(
     return DatasetManifest(root=root, class_names=class_names, entries=tuple(entries))
 
 
-def read_manifest(path: str | Path, check_files: bool = True) -> DatasetManifest:
+def read_manifest(path: str | Path) -> DatasetManifest:
     path = Path(path)
-    return parse_manifest(
-        path.read_text(encoding="utf-8"), path.parent, check_files, str(path)
-    )
-
-
-def write_manifest(manifest: DatasetManifest, path: str | Path) -> None:
-    lines = ["bearface-manifest 1", "classes = " + " ".join(manifest.class_names)]
-    for e in manifest.entries:
-        image = e.image.relative_to(manifest.root)
-        landmarks = e.landmarks.relative_to(manifest.root)
-        lines.append(
-            "\t".join(
-                (str(image), str(landmarks), e.label, e.subject, e.sequence, str(e.frame))
-            )
-        )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return parse_manifest(path.read_text(encoding="utf-8"), path.parent, origin=str(path))
 
 
 def training_labels(manifest: DatasetManifest) -> list[str]:

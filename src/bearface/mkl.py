@@ -102,16 +102,16 @@ class BinaryMklSolution:
         cutoff = _SUPPORT_EPS * float(self.alphas.max(initial=0.0))
         return np.nonzero(self.alphas > cutoff)[0]
 
-    def validate(self, atol_equality: float = 1e-8, atol_simplex: float = 1e-10) -> None:
+    def validate(self) -> None:
         """Raise if the dual/simplex feasibility invariants are broken."""
         upper = self.C * (1 + _BOX_RTOL)
         if (self.alphas < -1e-12).any() or (self.alphas > upper).any():
             raise AssertionError("dual variables leave the box [0, C]")
-        if abs(float(self.alphas @ self.labels)) > atol_equality:
+        if abs(float(self.alphas @ self.labels)) > 1e-8:
             raise AssertionError("dual equality constraint violated")
         if (self.kernel_weights < 0).any():
             raise AssertionError("negative kernel weight")
-        if abs(float(self.kernel_weights.sum()) - 1.0) > atol_simplex:
+        if abs(float(self.kernel_weights.sum()) - 1.0) > 1e-10:
             raise AssertionError("kernel weights do not sum to one")
 
 

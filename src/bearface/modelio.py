@@ -12,19 +12,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Mapping
 
 import numpy as np
 
-from .arraystore import read_store, write_store
+from .arraystore import StoreEntries, read_store, write_store
 from .kernels import format_kernel, parse_kernel
 from .lbp import MIN_WINDOW
-from .multiclass import BankEntry, MulticlassModel
+from .multiclass import BankEntry, MulticlassModel, class_pairs
 from .pca import PcaModel
 from .registration import CROP_SIZE, LandmarkSet
 
 # HOG gets at most one bin per degree of orientation.
 MAX_HOG_BINS = 180
+
+# The stored fields of a block's PcaModel, in its field order.
+_PCA_ENTRIES = (("mean", np.ndarray), ("components", np.ndarray),
+                ("variances", np.ndarray), ("retained", float), ("energy", float))
 
 
 @dataclass(frozen=True)
@@ -57,17 +60,19 @@ class FeatureParams:
         }
 
     @classmethod
-    def from_entries(cls, entries: Mapping[str, object], origin: str | Path) -> "FeatureParams":
-        """The settings a store holds; a bad value names `origin: entry`."""
+    def from_entries(cls, entries: StoreEntries) -> "FeatureParams":
+        """The settings a store holds; a bad value names `path: entry`."""
+        stored = {"descriptors": tuple(entries.typed("feature_descriptors", str).split()),
+                  "grid": entries.typed("feature_grid", int),
+                  "hog_bins": entries.typed("feature_hog_bins", int)}
         # Every check concerns one field, so setting the fields one at a
         # time over valid defaults names the entry at fault.
         params = cls(("lbph", "hog"))
-        for name, read in (("descriptors", lambda text: tuple(str(text).split())),
-                           ("grid", int), ("hog_bins", int)):
+        for name, value in stored.items():
             try:
-                params = replace(params, **{name: read(entries[f"feature_{name}"])})
+                params = replace(params, **{name: value})
             except ValueError as error:
-                raise ValueError(f"{origin}: feature_{name}: {error}") from None
+                raise ValueError(f"{entries.path}: feature_{name}: {error}") from None
         return params
 
 
@@ -93,12 +98,8 @@ def save_model(bundle: ModelBundle, path: str | Path) -> None:
         entries[f"bank{m}_spec"] = format_kernel(entry.spec)
     entries["pca_blocks"] = " ".join(sorted(model.pca))
     for name in sorted(model.pca):
-        pca = model.pca[name]
-        entries[f"pca_{name}_mean"] = pca.mean
-        entries[f"pca_{name}_components"] = pca.components
-        entries[f"pca_{name}_variances"] = pca.variances
-        entries[f"pca_{name}_retained"] = pca.retained
-        entries[f"pca_{name}_energy"] = pca.energy
+        for key, _ in _PCA_ENTRIES:
+            entries[f"pca_{name}_{key}"] = getattr(model.pca[name], key)
     entries["pairs"] = np.asarray(model.pairs, dtype=np.int64).reshape(-1, 2)
     entries["bias"] = model.bias
     entries["kernel_weights"] = model.kernel_weights
@@ -116,46 +117,38 @@ def load_model(path: str | Path) -> ModelBundle:
     entries = read_store(path)
     if entries.get("kind") != "model":
         raise ValueError(f"{path} is not a model bundle")
-    pooled = ("pairs", "bias", "kernel_weights", "dual_coef")
-    missing = [key for key in pooled if key not in entries]
-    if missing:
-        raise ValueError(
-            f"{path} lacks the {missing[0]!r} entry of the shared support-vector "
-            f"pool layout; retrain the model"
-        )
-    class_names = tuple(str(entries["classes"]).split())
+    class_names = tuple(entries.typed("classes", str).split())
+    pairs = class_pairs(len(class_names))
+    if entries.typed("pairs", np.ndarray).tolist() != [list(pair) for pair in pairs]:
+        raise ValueError(f"{path}: pairs: expected the {len(pairs)} pairs (a, b), a < b, "
+                         f"of {len(class_names)} classes in lexicographic order")
     bank = []
-    for m in range(int(entries["bank_count"])):
-        block, spec = str(entries[f"bank{m}_block"]), str(entries[f"bank{m}_spec"])
+    for m in range(entries.typed("bank_count", int)):
+        block, spec = entries.typed(f"bank{m}_block", str), entries.typed(f"bank{m}_spec", str)
         try:
             bank.append(BankEntry(block=block, spec=parse_kernel(spec)))
         except ValueError as error:
             raise ValueError(f"{path}: bank{m}_spec: {error}") from None
-    pca = {}
-    pca_blocks = str(entries.get("pca_blocks", "")).split()
-    for name in pca_blocks:
-        pca[name] = PcaModel(
-            mean=entries[f"pca_{name}_mean"],
-            components=entries[f"pca_{name}_components"],
-            variances=entries[f"pca_{name}_variances"],
-            retained=float(entries[f"pca_{name}_retained"]),
-            energy=float(entries[f"pca_{name}_energy"]),
-        )
-    model = MulticlassModel(
+    pca = {
+        name: PcaModel(*(entries.typed(f"pca_{name}_{key}", kind) for key, kind in _PCA_ENTRIES))
+        for name in entries.typed("pca_blocks", str).split()
+    }
+    model = entries.build(
+        MulticlassModel,
         class_names=class_names,
         bank=tuple(bank),
-        pairs=entries["pairs"],
-        kernel_weights=entries["kernel_weights"],
-        bias=entries["bias"],
+        kernel_weights=entries.typed("kernel_weights", np.ndarray),
+        bias=entries.typed("bias", np.ndarray),
         pool={
-            block: entries[f"pool_{block}"] for block in sorted({e.block for e in bank})
+            block: entries.typed(f"pool_{block}", np.ndarray)
+            for block in sorted({e.block for e in bank})
         },
-        dual_coef=entries["dual_coef"],
+        dual_coef=entries.typed("dual_coef", np.ndarray),
         pca=pca,
-        include_bias=bool(int(entries["include_bias"])),
+        include_bias=bool(entries.typed("include_bias", int)),
     )
     reference = None
     if "reference" in entries:
-        reference = LandmarkSet(entries["reference"])
-    feature = FeatureParams.from_entries(entries, path) if "feature_descriptors" in entries else None
+        reference = entries.build(LandmarkSet, entries.typed("reference", np.ndarray))
+    feature = FeatureParams.from_entries(entries) if "feature_descriptors" in entries else None
     return ModelBundle(model=model, reference=reference, feature=feature)

@@ -14,7 +14,9 @@ basis kernels whose weights each pair learns.
 from __future__ import annotations
 
 import hashlib
+import itertools
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -54,6 +56,12 @@ def order_classes(labels: Sequence[str]) -> tuple[str, ...]:
     return tuple(ordered)
 
 
+@cache
+def class_pairs(class_count: int) -> tuple[tuple[int, int], ...]:
+    """The (a, b) class index pairs, a < b, in the order of a model's pair axis."""
+    return tuple(itertools.combinations(range(class_count), 2))
+
+
 @dataclass(frozen=True)
 class BankEntry:
     """One basis kernel: which feature block it reads and its spec."""
@@ -70,12 +78,11 @@ class MulticlassModel:
     feature block, the reduced training rows that are a support vector of
     at least one pair (in training order), and column p of `dual_coef`
     holds alpha_i * y_i of pair p over those rows (zero where a row is not
-    one of that pair's support vectors).
+    one of that pair's support vectors). Pair p is `class_pairs(P)[p]`.
     """
 
     class_names: tuple[str, ...]
     bank: tuple[BankEntry, ...]
-    pairs: tuple[tuple[int, int], ...]   # (a, b) class indices, a < b
     kernel_weights: np.ndarray           # (pairs, M)
     bias: np.ndarray                     # (pairs,)
     pool: Mapping[str, np.ndarray]       # block -> (S, d_block)
@@ -84,22 +91,11 @@ class MulticlassModel:
     include_bias: bool = True
 
     def __post_init__(self) -> None:
-        P = len(self.class_names)
-        table = np.asarray(self.pairs, dtype=np.int64).reshape(-1, 2)
-        pairs = tuple(map(tuple, table.tolist()))
-        object.__setattr__(self, "pairs", pairs)
-        expected = {(a, b) for a in range(P) for b in range(a + 1, P)}
-        got = set(pairs)
-        if got != expected or len(pairs) != len(expected):
-            raise ValueError(
-                f"need exactly one classifier per unordered class pair; "
-                f"missing {sorted(expected - got)}, extra {sorted(got - expected)}"
-            )
         for name in ("kernel_weights", "bias", "dual_coef"):
             object.__setattr__(self, name, _frozen(getattr(self, name)))
         pool = {name: _frozen(rows) for name, rows in self.pool.items()}
         object.__setattr__(self, "pool", pool)
-        count = len(pairs)
+        count = len(self.pairs)
         if self.kernel_weights.shape != (count, len(self.bank)):
             raise ValueError(
                 f"kernel weights have shape {self.kernel_weights.shape}, "
@@ -126,6 +122,10 @@ class MulticlassModel:
     def class_count(self) -> int:
         return len(self.class_names)
 
+    @property
+    def pairs(self) -> tuple[tuple[int, int], ...]:
+        return class_pairs(self.class_count)
+
 
 def _frozen(array) -> np.ndarray:
     array = np.ascontiguousarray(array, dtype=np.float64)
@@ -144,18 +144,16 @@ class VoteResult:
     class_names: tuple[str, ...]
 
 
-def tally_votes(
-    class_count: int, decisions: Mapping[tuple[int, int], float]
-) -> tuple[np.ndarray, int]:
+def tally_votes(class_count: int, row: Sequence[float]) -> tuple[np.ndarray, int]:
     """Count pairwise wins and resolve the winner.
 
-    `decisions` maps (a, b) with a < b to the discriminant value; h >= 0 is
-    a win for a. Ties on votes break on the larger sum of |h| over won
-    pairs, then on the lower class index.
+    `row` holds one discriminant value per pair (a, b) of
+    `class_pairs(class_count)`; h >= 0 is a win for a. Ties on votes break
+    on the larger sum of |h| over won pairs, then on the lower class index.
     """
     votes = np.zeros(class_count, dtype=np.int64)
     margin = np.zeros(class_count)
-    for (a, b), h in decisions.items():
+    for (a, b), h in zip(class_pairs(class_count), row):
         winner = a if h >= 0 else b
         votes[winner] += 1
         margin[winner] += abs(h)
@@ -217,8 +215,7 @@ def train_multiclass(
         raise ValueError("kernel bank is empty")
     grams = [kernel_matrix(entry.spec, used[entry.block]) for entry in bank]
 
-    P = len(names)
-    pairs = [(a, b) for a in range(P) for b in range(a + 1, P)]
+    pairs = class_pairs(len(names))
     weights = np.zeros((len(pairs), len(bank)))
     bias = np.zeros(len(pairs))
     coef = np.zeros((n, len(pairs)))  # alpha * y over all training rows
@@ -237,7 +234,6 @@ def train_multiclass(
     return MulticlassModel(
         class_names=names,
         bank=bank,
-        pairs=tuple(pairs),
         kernel_weights=weights,
         bias=bias,
         pool={block: used[block][in_pool] for block in blocks_used},
@@ -272,7 +268,7 @@ def decision_values(model: MulticlassModel, x_blocks: FeatureBlocks) -> np.ndarr
 def vote(model: MulticlassModel, row: np.ndarray) -> VoteResult:
     """Max-wins voting over one query's row of `decision_values`."""
     h = row.tolist()
-    votes, winner = tally_votes(model.class_count, dict(zip(model.pairs, h)))
+    votes, winner = tally_votes(model.class_count, h)
     names = model.class_names
     return VoteResult(
         winner=names[winner],

@@ -123,10 +123,8 @@ def fit_similarity(source: LandmarkSet, reference: LandmarkSet) -> SimilarityTra
     )
 
 
-def mean_reference(
-    landmark_sets: Sequence[LandmarkSet], size: int = CROP_SIZE
-) -> LandmarkSet:
-    """Mean landmark shape, uniformly rescaled and centred in a size^2 frame."""
+def mean_reference(landmark_sets: Sequence[LandmarkSet]) -> LandmarkSet:
+    """Mean landmark shape, uniformly rescaled and centred in the crop frame."""
     if not landmark_sets:
         raise ValueError("need at least one landmark set")
     mean = np.mean([ls.points for ls in landmark_sets], axis=0)
@@ -135,8 +133,8 @@ def mean_reference(
     extent = float((high - low).max())
     if extent <= 0:
         raise DegenerateLandmarksError("mean landmark shape has no spread")
-    scale = (size - 1) / extent
-    scaled = (mean - (low + high) / 2.0) * scale + (size - 1) / 2.0
+    scale = (CROP_SIZE - 1) / extent
+    scaled = (mean - (low + high) / 2.0) * scale + (CROP_SIZE - 1) / 2.0
     return LandmarkSet(scaled)
 
 
@@ -181,9 +179,8 @@ def register_and_crop(
     image: GrayImage,
     landmarks: LandmarkSet,
     reference: LandmarkSet,
-    size: int = CROP_SIZE,
 ) -> GrayImage:
-    """Warp a face onto the reference shape and crop it to size x size.
+    """Warp a face onto the reference shape and crop it to CROP_SIZE x CROP_SIZE.
 
     The crop window is the bounding box of the reference landmarks; output
     pixel centres span it inclusively. Sampling is bilinear through the
@@ -196,11 +193,11 @@ def register_and_crop(
     high = reference.points.max(axis=0)
     if not (high > low).all():
         raise DegenerateLandmarksError("reference bounding box is empty")
-    grid = np.arange(size)
-    ref_x = low[0] + grid * (high[0] - low[0]) / (size - 1)
-    ref_y = low[1] + grid * (high[1] - low[1]) / (size - 1)
-    # The grid as x + iy directly: no (size, size, 2) stack to cast.
-    z = np.empty((size, size), dtype=complex)
+    grid = np.arange(CROP_SIZE)
+    ref_x = low[0] + grid * (high[0] - low[0]) / (CROP_SIZE - 1)
+    ref_y = low[1] + grid * (high[1] - low[1]) / (CROP_SIZE - 1)
+    # The grid as x + iy directly: no (CROP_SIZE, CROP_SIZE, 2) stack to cast.
+    z = np.empty((CROP_SIZE, CROP_SIZE), dtype=complex)
     z.real = ref_x
     z.imag = ref_y[:, None]
     w = transform.inverse().apply_complex(z)

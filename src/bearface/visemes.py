@@ -78,14 +78,11 @@ class VisemeTable:
         )
         self._owner = owner
 
-    def lookup(self, phoneme: str) -> VisemeClass:
+    def class_id(self, phoneme: str) -> int:
         try:
-            return self.classes[self._owner[phoneme]]
+            return self._owner[phoneme]
         except KeyError:
             raise UnknownPhonemeError(phoneme) from None
-
-    def class_id(self, phoneme: str) -> int:
-        return self.lookup(phoneme).id
 
     def labial_ids(self) -> frozenset[int]:
         return frozenset(c.id for c in self.classes if c.labial)
@@ -190,9 +187,9 @@ def read_transcript(path: str | Path) -> tuple[PhonemeSegment, ...]:
     return parse_transcript(Path(path).read_text(encoding="utf-8"), str(path))
 
 
-def bundled_transcript(name: str = "demo.align") -> tuple[PhonemeSegment, ...]:
-    """A transcript shipped with the package (demo material for the CLI)."""
-    return parse_transcript(packaged_text(name))
+def bundled_transcript() -> tuple[PhonemeSegment, ...]:
+    """The transcript shipped with the package (demo material for the CLI)."""
+    return parse_transcript(packaged_text("demo.align"))
 
 
 def write_transcript(segments: Iterable[PhonemeSegment], path: str | Path) -> None:

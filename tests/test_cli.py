@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from bearface.arraystore import read_store, write_store
@@ -224,6 +225,43 @@ def test_bad_feature_setting_names_store_entry(
     code = main(argv + ["--out", str(tmp_path / "o")])
     assert code == 2
     assert _single_error(capsys)["error"] == f"{damaged}: {entry}: {problem}"
+
+
+@pytest.mark.parametrize(
+    ("store", "entry", "value", "problem"),
+    [
+        ("model.store", "feature_grid", np.array([8, 8]),
+         "feature_grid: stored as array, expected int"),
+        ("model.store", "bank_count", "two", "bank_count: stored as str, expected int"),
+        ("model.store", "classes", np.arange(7), "classes: stored as array, expected str"),
+        ("model.store", "bias", 0.5, "bias: stored as float, expected array"),
+        ("model.store", "pca_hog_energy", 1, "pca_hog_energy: stored as int, expected float"),
+        ("features.store", "feature_grid", np.array([8, 8]),
+         "feature_grid: stored as array, expected int"),
+        ("features.store", "labels", 3, "labels: stored as int, expected str"),
+        ("features.store", "block_hog", "hog", "block_hog: stored as str, expected array"),
+        ("model.store", "bias", np.zeros(3), "bias has shape (3,), expected (21,)"),
+        ("model.store", "reference", np.zeros((3, 2)), "landmark set must be (68, 2), got (3, 2)"),
+        ("features.store", "reference", np.full((68, 2), np.nan),
+         "landmark coordinates must be finite"),
+    ],
+)
+def test_wrong_kind_or_shape_of_store_entry_names_file(
+    pipeline_out, synthetic_dataset, fast_config, tmp_path, capsys, store, entry, value, problem
+):
+    # An array grid used to end in a TypeError traceback, and the other
+    # cases in an error that named no file or in a model that loaded.
+    entries = dict(read_store(pipeline_out / store))
+    entries[entry] = value
+    damaged = tmp_path / store
+    write_store(entries, damaged)
+    if store == "model.store":
+        argv = ["classify", "--manifest", str(synthetic_dataset), "--model", str(damaged)]
+    else:
+        argv = ["train", "--config", fast_config, "--features", str(damaged)]
+    code = main(argv + ["--out", str(tmp_path / "o")])
+    assert code == 2
+    assert _single_error(capsys)["error"] == f"{damaged}: {problem}"
 
 
 @pytest.mark.parametrize(

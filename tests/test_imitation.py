@@ -136,6 +136,14 @@ def test_imitate_unknown_label(templates):
         _command(templates, "confusion", 4)
 
 
+def test_unknown_label_is_rejected_before_the_debounce(templates):
+    # The label used to count into the streak first, so a default session
+    # returned None twice and raised only on the third result.
+    session = ImitationSession(templates)
+    with pytest.raises(ValueError, match="^unknown expression label 'confusion'$"):
+        session.consume(_result("confusion", 4), 0.0)
+
+
 def test_session_debounce(templates):
     session = ImitationSession(templates, debounce=3, hold_duration=0.0)
     assert session.consume(_result("joy", 6), 0.0) is None

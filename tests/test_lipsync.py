@@ -10,6 +10,7 @@ from bearface.diagnostics import ClampWarning
 from bearface.expressions import Expression
 from bearface.imaging import read_pnm
 from bearface.imitation import ImitationSession
+from bearface import records
 from bearface.lipsync import (
     class_weights_at,
     epanechnikov,
@@ -336,3 +337,20 @@ def test_preview_frames(tmp_path):
     column = TABLE.class_id("a")
     assert (image[1:, 5 * column : 5 * column + 4] == 255).all()
     assert not image[0].any() and not image[:, 5 * column + 4].any()
+
+
+def test_failed_preview_write_keeps_previous_frame(tmp_path, monkeypatch):
+    directory = tmp_path / "preview"
+    directory.mkdir()
+    first = directory / "frame_00000.pgm"
+    first.write_bytes(b"old frame")
+
+    def refuse(source, target):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(records.os, "replace", refuse)
+    frames = render_timeline((PhonemeSegment("a", 0.0, 0.2),), [], TABLE, frame_rate=10.0)
+    with pytest.raises(OSError, match="rename refused"):
+        write_preview_pgms(frames, directory)
+    assert first.read_bytes() == b"old frame"
+    assert sorted(p.name for p in directory.iterdir()) == [first.name]

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from bearface import multiclass
 from bearface.kernels import AutoRbf, PolyKernel, RbfKernel
 from bearface.multiclass import (
+    class_pairs,
     classify,
     cross_validate,
     decision_values,
@@ -35,23 +36,28 @@ def test_order_classes_canonical_first():
 
 
 def test_tally_votes_two_classes():
-    votes, winner = tally_votes(2, {(0, 1): -0.3})
+    votes, winner = tally_votes(2, [-0.3])
     assert votes.tolist() == [0, 1]
     assert winner == 1
-    votes, winner = tally_votes(2, {(0, 1): 0.0})  # h >= 0 goes to the first class
+    votes, winner = tally_votes(2, [0.0])  # h >= 0 goes to the first class
     assert winner == 0
 
 
 def test_tally_votes_tie_breaks_on_margin_then_index():
+    # Rows follow class_pairs(3): (0, 1), (0, 2), (1, 2).
     # Perfect 3-way cycle: everyone wins once with margin 1.0 -> lowest index.
-    cycle = {(0, 1): 1.0, (1, 2): 1.0, (0, 2): -1.0}
-    votes, winner = tally_votes(3, cycle)
+    votes, winner = tally_votes(3, [1.0, -1.0, 1.0])
     assert votes.tolist() == [1, 1, 1]
     assert winner == 0
     # Boost class 2's winning margin: it takes the tie.
-    boosted = {(0, 1): 1.0, (1, 2): 1.0, (0, 2): -2.5}
-    _, winner = tally_votes(3, boosted)
+    _, winner = tally_votes(3, [1.0, -2.5, 1.0])
     assert winner == 2
+
+
+def test_class_pairs_order():
+    assert class_pairs(3) == ((0, 1), (0, 2), (1, 2))
+    assert len(class_pairs(7)) == 21
+    assert class_pairs(1) == ()
 
 
 @given(
@@ -60,12 +66,8 @@ def test_tally_votes_tie_breaks_on_margin_then_index():
 )
 def test_tally_votes_bounds(class_count, seed):
     rng = np.random.default_rng(seed)
-    decisions = {
-        (a, b): float(rng.normal())
-        for a in range(class_count)
-        for b in range(a + 1, class_count)
-    }
-    votes, winner = tally_votes(class_count, decisions)
+    row = rng.normal(size=len(class_pairs(class_count))).tolist()
+    votes, winner = tally_votes(class_count, row)
     assert votes.sum() == class_count * (class_count - 1) // 2
     assert votes.max() <= class_count - 1
     assert votes[winner] == votes.max()

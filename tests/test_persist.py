@@ -1,6 +1,7 @@
 """Array store and model bundle round trips."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -167,8 +168,21 @@ def test_model_without_shared_pool_is_rejected(tmp_path):
     entries["pair0_alphas"] = np.ones(3)
     old = tmp_path / "old.store"
     write_store(entries, old)
-    with pytest.raises(ValueError, match="old.store.*retrain"):
+    with pytest.raises(ValueError, match="old.store: model store lacks the 'pairs' entry"):
         load_model(old)
+
+
+@pytest.mark.parametrize("edit", ["permuted", "short"])
+def test_pair_table_must_be_the_class_pairs(tmp_path, edit):
+    # A permuted table used to load, because the check compared sets.
+    model, _ = _small_model()
+    path = tmp_path / "model.store"
+    save_model(ModelBundle(model=model), path)
+    entries = dict(read_store(path))
+    entries["pairs"] = entries["pairs"][::-1].copy() if edit == "permuted" else entries["pairs"][1:]
+    write_store(entries, path)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: pairs: "):
+        load_model(path)
 
 
 def test_model_shapes_must_agree():

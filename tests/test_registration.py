@@ -297,7 +297,7 @@ def test_mean_reference_fits_frame():
     sets = [
         LandmarkSet(rng.uniform(0, 300, (LANDMARK_COUNT, 2))) for _ in range(5)
     ]
-    reference = mean_reference(sets, size=CROP_SIZE)
+    reference = mean_reference(sets)
     low = reference.points.min(axis=0)
     high = reference.points.max(axis=0)
     assert (low >= -1e-9).all()

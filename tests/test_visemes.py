@@ -22,30 +22,25 @@ def test_default_table_shape(viseme_table):
 
 
 def test_labials_share_one_class(viseme_table):
-    b = viseme_table.lookup("b")
-    p = viseme_table.lookup("p")
-    m = viseme_table.lookup("m")
-    assert b.id == p.id == m.id
-    assert b.labial
-    assert viseme_table.labial_ids() == {b.id}
+    b, p, m = (viseme_table.class_id(phoneme) for phoneme in ("b", "p", "m"))
+    assert b == p == m
+    assert viseme_table.classes[b].labial
+    assert viseme_table.labial_ids() == {b}
 
 
 def test_silence_marker_maps_to_silence_class(viseme_table):
-    silence = viseme_table.lookup("sil")
-    assert {viseme_table.class_id(m) for m in ("sil", "sp", "pau")} == {silence.id}
-    assert not silence.labial
+    silence = viseme_table.class_id("sil")
+    assert {viseme_table.class_id(m) for m in ("sil", "sp", "pau")} == {silence}
+    assert not viseme_table.classes[silence].labial
 
 
 def test_vowel_and_labial_differ(viseme_table):
-    assert (
-        viseme_table.lookup("a").id
-        != viseme_table.lookup("b").id
-    )
+    assert viseme_table.class_id("a") != viseme_table.class_id("b")
 
 
 def test_unknown_phoneme_names_symbol(viseme_table):
     with pytest.raises(UnknownPhonemeError, match="xx"):
-        viseme_table.lookup("xx")
+        viseme_table.class_id("xx")
 
 
 def test_table_rejects_duplicate_ownership():
