@@ -36,6 +36,13 @@ class FeatureSet:
     feature: FeatureParams
     diagnostics: tuple[str, ...] = ()
 
+    def __post_init__(self) -> None:
+        for name, rows in self.blocks.items():
+            for field, values in (("labels", self.labels), ("subjects", self.subjects)):
+                if len(values) != len(rows):
+                    raise ValueError(f"{field} has {len(values)} entries, expected one "
+                                     f"per row of block {name!r} ({len(rows)})")
+
     def __len__(self) -> int:
         return len(self.labels)
 
@@ -126,7 +133,8 @@ def load_features(path: str | Path) -> FeatureSet:
     entries = read_store(path)
     if entries.get("kind") != "features":
         raise ValueError(f"{path} is not a feature cache")
-    return FeatureSet(
+    return entries.build(
+        FeatureSet,
         blocks={
             name: entries.typed(f"block_{name}", np.ndarray)
             for name in entries.typed("blocks", str).split()

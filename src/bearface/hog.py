@@ -16,7 +16,9 @@ order as a per-window loop, so the features are bit for bit those of one
   its window's own row-major scan would. The lower-anchor and the
   upper-anchor votes are two sums that are added afterwards.
 - Each window's L2 norm is one ``dot`` of its own histogram row, which is
-  how ``np.linalg.norm`` computes the norm of a vector.
+  how ``np.linalg.norm`` computes the norm of a vector. The batched
+  product of (windows, 1, bins) by (windows, bins, 1) stacks takes that
+  same dot once per window, and so gives the same bits.
   A batched ``norm(axis=1)`` or ``einsum`` adds the squares in another
   order and changes the last bits of some features.
 - Gradients are doubled central differences taken in integers: interior
@@ -30,9 +32,13 @@ order as a per-window loop, so the features are bit for bit those of one
   whole lattice, so the table returns what the call would, at a gather's
   cost. ``sqrt(gx**2 + gy**2)`` is not a substitute: with glibc it rounds
   differently on 5 964 of the 1 042 441 lattice pairs.
-- The orientation fold adds pi to negative angles and maps an angle of
-  exactly pi to 0, which is what ``np.mod(angle, pi)`` computes for
-  angles in [-pi, pi], without its slower divmod path.
+- The orientation fold maps an angle of exactly pi to 0 and adds pi to
+  negative angles, which is what ``np.mod(angle, pi)`` computes for
+  angles in [-pi, pi], without its slower divmod path. The angle is
+  negative exactly where the integer ``dy`` is, and is pi only where
+  ``dy == 0`` and ``dx < 0``; ``dy`` halves to +0.0, never -0.0, so
+  adding 0.0 elsewhere changes no bit. The offsets are ``(dy < 0) * pi``:
+  a ``np.where`` of two scalars, or ``np.add(..., where=)``, is slower.
 """
 
 from __future__ import annotations
@@ -81,16 +87,16 @@ def gradient_field(pixels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     index = np.abs(dx)
     index *= _LATTICE
     index += np.abs(dy)
-    magnitude = _magnitude_table().take(index)
-    return magnitude, fold_orientation(np.arctan2(dy * 0.5, dx * 0.5))
+    return _magnitude_table().take(index), _orientation(dy, dx)
 
 
-def fold_orientation(angle: np.ndarray) -> np.ndarray:
-    """``np.mod(angle, pi)`` bit for bit, for angles in [-pi, pi]."""
-    # Adding 0.0 to the other angles turns -0.0 into 0.0, as np.mod does.
-    folded = angle + np.where(angle < 0, np.pi, 0.0)
-    folded[angle == np.pi] = 0.0
-    return folded
+def _orientation(dy: np.ndarray, dx: np.ndarray) -> np.ndarray:
+    """``np.mod(np.arctan2(dy / 2, dx / 2), pi)`` bit for bit, for integer
+    doubled differences; see the module notes."""
+    angle = np.arctan2(dy * 0.5, dx * 0.5)
+    angle[angle == np.pi] = 0.0
+    angle += np.multiply(dy < 0, np.pi)
+    return angle
 
 
 @lru_cache(maxsize=8)
@@ -142,6 +148,6 @@ def hog(
     hist_hi = np.bincount((window_key + bin_hi).ravel(), weight_hi.ravel(), size)
     hist = (hist_lo + hist_hi).reshape(windows, bins)
     # np.linalg.norm of a 1-D array is sqrt(x.dot(x)); see the module notes.
-    norms = np.sqrt([row.dot(row) for row in hist])
+    norms = np.sqrt((hist[:, None, :] @ hist[:, :, None]).ravel())
     scale = np.where(norms > 0, norms + _NORM_EPS, 1.0)
     return (hist / scale[:, None]).ravel()

@@ -66,10 +66,16 @@ def lbp_codes(pixels: np.ndarray) -> np.ndarray:
         raise ValueError(f"need a 2-D image at least 3x3, got shape {image.shape}")
     center = image[1:-1, 1:-1]
     codes = np.zeros(center.shape, dtype=np.uint8)
+    # One boolean plane serves every neighbour: True is the byte 1, so its
+    # uint8 view shifted in place is the neighbour's bit.
+    plane = np.empty(center.shape, dtype=bool)
+    bits = plane.view(np.uint8)
     height, width = image.shape
     for bit, (dy, dx) in enumerate(NEIGHBOR_OFFSETS):
         neighbor = image[1 + dy : height - 1 + dy, 1 + dx : width - 1 + dx]
-        codes |= (neighbor >= center).astype(np.uint8) << bit
+        np.greater_equal(neighbor, center, out=plane)
+        bits <<= bit
+        codes |= bits
     return codes
 
 

@@ -35,6 +35,7 @@ view; the Newton direction reuses the Gram its duals were solved on.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -56,17 +57,34 @@ _BACKTRACK_LIMIT = 25
 
 
 def project_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto {d : d >= 0, sum(d) = 1}."""
-    v = np.asarray(v, dtype=np.float64)
-    if v.ndim != 1 or v.size == 0:
+    """Euclidean projection onto {d : d >= 0, sum(d) = 1}.
+
+    The sort-and-threshold rule: sort descending, keep running sums s_k,
+    and take theta = (s_rho - 1) / rho for the last rho with
+    d_rho > (s_rho - 1) / rho. It runs on Python floats, which do the
+    IEEE operations of the array form (``np.cumsum`` adds in sequence,
+    then the same divisions and subtractions, and ``np.maximum(v - theta,
+    0.0)``, which gives +0.0 for a zero of either sign) in the same order,
+    so the bits are the same at a fraction of the per-call cost on the few
+    weights of a kernel bank.
+    """
+    values = np.asarray(v, dtype=np.float64)
+    if values.ndim != 1 or values.size == 0:
         raise ValueError("need a non-empty 1-D vector")
-    descending = np.sort(v)[::-1]
-    cumulative = np.cumsum(descending) - 1.0
-    indices = np.arange(1, v.size + 1)
-    mask = descending - cumulative / indices > 0
-    rho = int(np.nonzero(mask)[0][-1]) + 1
-    theta = cumulative[rho - 1] / rho
-    return np.maximum(v - theta, 0.0)
+    values = values.tolist()
+    running = 0.0
+    theta = None
+    for rank, value in enumerate(sorted(values, reverse=True), start=1):
+        running += value
+        shifted = (running - 1.0) / rank
+        if value - shifted > 0:
+            theta = shifted
+    # No threshold: an entry of +inf or NaN, or a sum that overflows. The
+    # array form sorts NaN first and so finds none; Python's sort may
+    # leave a NaN anywhere, so a NaN sum is rejected too.
+    if theta is None or math.isnan(running):
+        raise ValueError(f"no simplex projection of {values}")
+    return np.array([0.0 if x - theta <= 0.0 else x - theta for x in values])
 
 
 def mkl_gradient(

@@ -130,7 +130,9 @@ def load_model(path: str | Path) -> ModelBundle:
         except ValueError as error:
             raise ValueError(f"{path}: bank{m}_spec: {error}") from None
     pca = {
-        name: PcaModel(*(entries.typed(f"pca_{name}_{key}", kind) for key, kind in _PCA_ENTRIES))
+        name: entries.build(
+            PcaModel, *(entries.typed(f"pca_{name}_{key}", kind) for key, kind in _PCA_ENTRIES)
+        )
         for name in entries.typed("pca_blocks", str).split()
     }
     model = entries.build(

@@ -117,6 +117,11 @@ class MulticlassModel:
                     f"pool block {name!r} has shape {rows.shape}, expected "
                     f"{self.dual_coef.shape[0]} rows"
                 )
+            if name in self.pca and rows.shape[1] != self.pca[name].k:
+                raise ValueError(
+                    f"pool block {name!r} has {rows.shape[1]} columns, expected the "
+                    f"{self.pca[name].k} components of its PCA model"
+                )
 
     @property
     def class_count(self) -> int:
@@ -249,15 +254,16 @@ def decision_values(model: MulticlassModel, x_blocks: FeatureBlocks) -> np.ndarr
     h_p(x) = sum_m w[p, m] * sum_i dual_coef[i, p] * k_m(x, pool_i) + bias[p];
     a single query may be given as 1-D block vectors. h >= 0 is a vote for
     the pair's first class.
+
+    A single query's 1-D block is projected as 1-D, through gemv, which
+    gives the bits of the (1, d) product; a batch goes through gemm, whose
+    rows need not have those bits, so each keeps its own path.
     """
-    x = {
-        name: np.atleast_2d(np.asarray(x_blocks[name], dtype=np.float64))
-        for name in model.pool
-    }
+    x = {name: np.asarray(x_blocks[name], dtype=np.float64) for name in model.pool}
     for name in model.pca:
         if name in x:
             x[name] = _reduce_block(model.pca[name], x[name])
-    n = next(iter(x.values())).shape[0]
+    n = len(np.atleast_2d(next(iter(x.values()))))
     total = np.zeros((n, len(model.pairs)))
     for m, entry in enumerate(model.bank):
         K = kernel_matrix(entry.spec, x[entry.block], model.pool[entry.block])

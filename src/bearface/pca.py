@@ -57,6 +57,14 @@ class PcaModel:
             array = np.ascontiguousarray(getattr(self, name), dtype=np.float64)
             array.setflags(write=False)
             object.__setattr__(self, name, array)
+        if self.components.ndim != 2:
+            raise ValueError(f"PCA components must be 2-D, got shape {self.components.shape}")
+        if self.mean.shape != (self.dimension,):
+            raise ValueError(f"PCA mean has shape {self.mean.shape}, expected "
+                             f"({self.dimension},) for {self.dimension} component rows")
+        if self.variances.shape != (self.k,):
+            raise ValueError(f"PCA variances have shape {self.variances.shape}, expected "
+                             f"({self.k},) for {self.k} components")
 
     @property
     def dimension(self) -> int:

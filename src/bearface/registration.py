@@ -141,6 +141,26 @@ def mean_reference(landmark_sets: Sequence[LandmarkSet]) -> LandmarkSet:
 def _bilinear_sample(pixels: np.ndarray, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, bool]:
     """Sample at float coords (x cols, y rows); outside the image reads 0."""
     height, width = pixels.shape
+    # The crop passes the strided .real and .imag views of a complex grid;
+    # every pass below reads contiguous copies faster.
+    x = np.ascontiguousarray(x)
+    y = np.ascontiguousarray(y)
+    # uint8 widens to float64 exactly, so one conversion serves all four
+    # gathers.
+    flat = pixels.astype(np.float64).ravel()
+    if x.min() > 0 and y.min() > 0 and x.max() < width - 1 and y.max() < height - 1:
+        # Strictly inside (NaN fails every test), so the clips and corner
+        # minimums below are identities, no sample is outside, truncation
+        # is the floor, and the corners are base, base + 1, base + W and
+        # base + W + 1: one index into shifted views of the pixels.
+        x0 = x.astype(np.intp)
+        y0 = y.astype(np.intp)
+        base = y0 * width
+        base += x0
+        value = _interpolate(
+            (flat, flat[1:], flat[width:], flat[width + 1 :]), (base,) * 4, x - x0, y - y0
+        )
+        return value, False
     eps = 1e-9  # round-off from transform chains must not count as outside
     inside = (x >= -eps) & (x <= width - 1 + eps) & (y >= -eps) & (y <= height - 1 + eps)
     xs = np.clip(x, 0, width - 1)
@@ -150,29 +170,39 @@ def _bilinear_sample(pixels: np.ndarray, x: np.ndarray, y: np.ndarray) -> tuple[
     y0 = ys.astype(np.intp)
     x1 = np.minimum(x0 + 1, width - 1)
     y1 = np.minimum(y0 + 1, height - 1)
-    fx = xs - x0
-    fy = ys - y0
-    gx = 1 - fx
-    gy = 1 - fy
-    # uint8 widens to float64 exactly, so one conversion serves all four
-    # gathers. The sum accumulates in place in the left-to-right order of
-    # p00 gx gy + p01 fx gy + p10 gx fy + p11 fx fy, which keeps its bits.
-    flat = pixels.astype(np.float64).ravel()
     row0 = y0 * width
     row1 = y1 * width
-    value = flat.take(row0 + x0)
-    value *= gx
-    value *= gy
-    for corner, across, down in ((row0 + x1, fx, gy), (row1 + x0, gx, fy), (row1 + x1, fx, fy)):
-        term = flat.take(corner)
-        term *= across
-        term *= down
-        value += term
+    value = _interpolate(
+        (flat,) * 4, (row0 + x0, row0 + x1, row1 + x0, row1 + x1), xs - x0, ys - y0
+    )
     outside = ~inside
     clipped = bool(outside.any())
     if clipped:
         value[outside] = 0.0
     return value, clipped
+
+
+def _interpolate(
+    sources: Sequence[np.ndarray], indices: Sequence[np.ndarray], fx: np.ndarray, fy: np.ndarray
+) -> np.ndarray:
+    """p00 gx gy + p01 fx gy + p10 gx fy + p11 fx fy, with g = 1 - f.
+
+    Corner k is ``sources[k].take(indices[k])``. The sum accumulates in
+    place in that left-to-right order, which keeps its bits.
+    """
+    gx = 1 - fx
+    gy = 1 - fy
+    value = sources[0].take(indices[0])
+    value *= gx
+    value *= gy
+    for source, index, across, down in zip(
+        sources[1:], indices[1:], (fx, gx, fx), (gy, fy, fy)
+    ):
+        term = source.take(index)
+        term *= across
+        term *= down
+        value += term
+    return value
 
 
 def register_and_crop(

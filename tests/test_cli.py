@@ -264,6 +264,48 @@ def test_wrong_kind_or_shape_of_store_entry_names_file(
     assert _single_error(capsys)["error"] == f"{damaged}: {problem}"
 
 
+def _store_case(entries, case):
+    """Damage `entries` in place as `case` says; returns the expected error."""
+    rows = len(entries["block_hog"]) if "block_hog" in entries else None
+    if case == "label-dropped":
+        entries["labels"] = entries["labels"].split(" ", 1)[1]
+        return f"labels has {rows - 1} entries, expected one per row of block 'hog' ({rows})"
+    if case == "subject-dropped":
+        entries["subjects"] = entries["subjects"].split("\t", 1)[1]
+        return f"subjects has {rows - 1} entries, expected one per row of block 'hog' ({rows})"
+    if case == "pool-cut":
+        k = entries["pca_hog_components"].shape[1]
+        entries["pool_hog"] = entries["pool_hog"][:, :5]
+        return f"pool block 'hog' has 5 columns, expected the {k} components of its PCA model"
+    d = len(entries["pca_hog_mean"])
+    entries["pca_hog_mean"] = entries["pca_hog_mean"][1:]
+    return f"PCA mean has shape ({d - 1},), expected ({d},) for {d} component rows"
+
+
+@pytest.mark.parametrize(
+    ("store", "case"),
+    [("features.store", "label-dropped"), ("features.store", "subject-dropped"),
+     ("model.store", "pool-cut"), ("model.store", "mean-cut")],
+)
+def test_store_arrays_that_do_not_fit_name_file(
+    pipeline_out, synthetic_dataset, fast_config, tmp_path, capsys, store, case
+):
+    # A dropped label used to fail in training with "block 'hog' has 48
+    # rows, expected 47", and a cut pool in classify with "feature
+    # dimensions differ", neither naming the file.
+    entries = dict(read_store(pipeline_out / store))
+    problem = _store_case(entries, case)
+    damaged = tmp_path / store
+    write_store(entries, damaged)
+    if store == "model.store":
+        argv = ["classify", "--manifest", str(synthetic_dataset), "--model", str(damaged)]
+    else:
+        argv = ["train", "--config", fast_config, "--features", str(damaged)]
+    code = main(argv + ["--out", str(tmp_path / "o")])
+    assert code == 2
+    assert _single_error(capsys)["error"] == f"{damaged}: {problem}"
+
+
 @pytest.mark.parametrize(
     "edit",
     [lambda payload: "é" + payload[1:], lambda payload: payload + "!"],

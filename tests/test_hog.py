@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bearface import hog as hog_module
-from bearface.hog import DEFAULT_HOG_BINS, fold_orientation, gradient_field, hog
+from bearface.hog import DEFAULT_HOG_BINS, gradient_field, hog
 from bearface.imaging import GrayImage
 
 
@@ -82,22 +82,38 @@ REFERENCE_IMAGES = {
 
 
 @pytest.mark.parametrize("name", sorted(REFERENCE_IMAGES))
-@pytest.mark.parametrize("bins", [1, 9, 59])
+@pytest.mark.parametrize("bins", [1, 9, 59, 180])
 @pytest.mark.parametrize("grid", [(8, 8), (4, 4), (2, 8)])
 def test_matches_per_window_reference(name, bins, grid):
     image = GrayImage(REFERENCE_IMAGES[name])
     assert np.array_equal(hog(image, grid, bins), reference_hog(image, grid, bins))
 
 
+@pytest.mark.parametrize("bins", [1, 9, 59, 180])
+@pytest.mark.parametrize("grid", [(8, 8), (4, 4), (2, 8)])
+def test_batched_window_norms_match_per_row_dot(bins, grid):
+    # `hog` squares its window rows in one batched product; each must be
+    # the row's own dot, which is what np.linalg.norm takes.
+    rng = np.random.default_rng(bins * 100 + grid[0] * 10 + grid[1])
+    windows = grid[0] * grid[1]
+    for hist in (
+        rng.random((windows, bins)) * 300.0,
+        rng.integers(0, 40, (windows, bins)).astype(np.float64),
+        np.zeros((windows, bins)),
+    ):
+        batched = (hist[:, None, :] @ hist[:, :, None]).ravel()
+        assert _same_bits(batched, np.array([row.dot(row) for row in hist]))
+        assert _same_bits(np.sqrt(batched), np.array([np.linalg.norm(row) for row in hist]))
+
+
 def test_orientation_fold_matches_mod_on_all_8bit_gradients():
-    # Central differences of 8-bit pixels are halves in [-255, 255] and
-    # one-sided ones are integers there: every pair is on this lattice.
-    steps = np.arange(-510, 511) / 2.0
-    gy, gx = np.meshgrid(steps, steps, indexing="ij")
-    assert gy.size == 1_042_441
-    angle = np.arctan2(gy, gx)
-    expected = np.mod(angle, np.pi)
-    assert np.array_equal(fold_orientation(angle).view(np.int64), expected.view(np.int64))
+    # Doubled central differences of 8-bit pixels lie in [-510, 510]
+    # (interior ones in [-255, 255]): every pair is on this lattice.
+    doubled = np.arange(-510, 511, dtype=np.int32)
+    dy, dx = np.meshgrid(doubled, doubled, indexing="ij")
+    assert dy.size == 1_042_441
+    expected = np.mod(np.arctan2(dy / 2.0, dx / 2.0), np.pi)
+    assert _same_bits(hog_module._orientation(dy, dx), expected)
 
 
 @pytest.mark.parametrize(

@@ -40,6 +40,46 @@ def _blob_problem(rng, per_class=15, dims=4, gap=4.0):
     return X, y
 
 
+def reference_project_simplex(v: np.ndarray) -> np.ndarray:
+    """The array form of the sort-and-threshold projection, which
+    `project_simplex` must reproduce bit for bit on Python floats."""
+    v = np.asarray(v, dtype=np.float64)
+    descending = np.sort(v)[::-1]
+    cumulative = np.cumsum(descending) - 1.0
+    indices = np.arange(1, v.size + 1)
+    mask = descending - cumulative / indices > 0
+    rho = int(np.nonzero(mask)[0][-1]) + 1
+    theta = cumulative[rho - 1] / rho
+    return np.maximum(v - theta, 0.0)
+
+
+def test_project_simplex_matches_array_reference():
+    rng = np.random.default_rng(44)
+    special = [0.0, -0.0, 0.25, 0.5, 1.0, -1.0, 1 / 3, 5e-324, 1e308, np.inf, -np.inf, np.nan]
+    raised = 0
+    for i in range(20_000):
+        size = int(rng.integers(1, 6))
+        vector = [
+            rng.normal(size=size),
+            rng.uniform(-1, 2, size=size),
+            np.round(rng.normal(size=size) * 4) / 4,  # ties and exact zeros
+            rng.choice(special, size=size),
+        ][i % 4]
+        with np.errstate(all="ignore"):
+            try:
+                expected = reference_project_simplex(vector)
+            except IndexError:  # no threshold: a NaN, or infinities
+                expected = None
+        if expected is None:
+            with pytest.raises(ValueError, match="no simplex projection"):
+                project_simplex(vector)
+            raised += 1
+            continue
+        out = project_simplex(vector)
+        assert np.array_equal(out.view(np.int64), expected.view(np.int64)), vector
+    assert raised > 0
+
+
 def test_project_simplex_basics():
     out = project_simplex(np.array([0.2, 0.3, 0.1]))
     assert out.sum() == pytest.approx(1.0, abs=1e-12)
@@ -257,7 +297,7 @@ def reference_train_binary_mkl(grams, labels, C, trial_hook=None):
         for index, direction in enumerate(directions):
             scale = 1.0
             for _ in range(25):
-                candidate = project_simplex(d + scale * direction)
+                candidate = reference_project_simplex(d + scale * direction)
                 if float(np.abs(candidate - d).max()) < 1e-15:
                     break
                 trial = inner(candidate, solution.alpha)

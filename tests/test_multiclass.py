@@ -133,6 +133,30 @@ def test_batch_decisions_match_single_queries():
         assert (voted.winner, voted.tally) == (single.winner, single.tally)
 
 
+def test_single_query_projection_matches_one_row_product():
+    # A 1-D query is projected by gemv; it must give the bits of the
+    # (1, d) product, block by block and in every decision.
+    rng = np.random.default_rng(52)
+    names = ["anger", "joy", "fear", "sadness"]
+    X, labels = make_blobs(rng, names, per_class=10, dims=300, spread=1.0)
+    blocks = {"x": X, "y": np.abs(X[:, :120]) * 40.0}
+    model = train_multiclass(
+        blocks, labels, [("x", AutoRbf()), ("y", PolyKernel())], C=10.0, pca_energy=0.95,
+    )
+    assert all(pca.k > 1 for pca in model.pca.values())
+    for i in range(0, len(labels), 7):
+        query = {name: data[i] + rng.normal(size=data.shape[1]) for name, data in blocks.items()}
+        for name, pca in model.pca.items():
+            one = multiclass._reduce_block(pca, query[name])
+            row = multiclass._reduce_block(pca, query[name][None, :])
+            assert one.shape == (pca.k,) and row.shape == (1, pca.k)
+            assert np.array_equal(one.view(np.int64), row[0].view(np.int64))
+        single = decision_values(model, query)
+        as_row = decision_values(model, {name: v[None, :] for name, v in query.items()})
+        assert single.shape == as_row.shape == (1, len(model.pairs))
+        assert np.array_equal(single.view(np.int64), as_row.view(np.int64))
+
+
 def test_pool_holds_each_support_vector_once(monkeypatch):
     rng = np.random.default_rng(52)
     X, labels = make_blobs(

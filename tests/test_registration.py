@@ -160,6 +160,97 @@ def test_crop_outside_source_matches_reference(monkeypatch):
     assert np.array_equal(crop.pixels, expected.pixels)
 
 
+def _record_paths(monkeypatch) -> list[bool]:
+    """Per sampler call from now on, whether it took the interior path:
+    only that path gathers its corners from shifted views of the pixels."""
+    paths = []
+    interpolate = registration._interpolate
+
+    def spy(sources, *args):
+        paths.append(sources[1] is not sources[0])
+        return interpolate(sources, *args)
+
+    monkeypatch.setattr(registration, "_interpolate", spy)
+    return paths
+
+
+def _sample_with_path(monkeypatch, pixels, x, y):
+    """`_bilinear_sample` of the coordinates, and whether it took the interior path."""
+    paths = _record_paths(monkeypatch)
+    value, clipped = registration._bilinear_sample(pixels, x, y)
+    (interior,) = paths
+    return value, clipped, interior
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (3, 7), (128, 128), (90, 110)])
+def test_interior_sampler_matches_reference(monkeypatch, shape):
+    rng = np.random.default_rng(sum(shape))
+    height, width = shape
+    pixels = rng.integers(0, 256, shape, dtype=np.uint8)
+    # Strictly inside, down to the last representable step off each edge.
+    x = rng.uniform(0, width - 1, (30, 40))
+    y = rng.uniform(0, height - 1, (30, 40))
+    x[0, :4] = [np.nextafter(0, 1), np.nextafter(width - 1, 0), 0.5, width - 1.5]
+    y[1, :4] = [np.nextafter(0, 1), np.nextafter(height - 1, 0), 0.5, height - 1.5]
+    x = np.clip(x, np.nextafter(0, 1), np.nextafter(width - 1, 0))
+    y = np.clip(y, np.nextafter(0, 1), np.nextafter(height - 1, 0))
+    value, clipped, interior = _sample_with_path(monkeypatch, pixels, x, y)
+    expected, expected_clipped = reference_sample(pixels, x, y)
+    assert interior and not clipped and not expected_clipped
+    assert np.array_equal(value.view(np.int64), expected.view(np.int64))
+
+
+EDGE_COORDINATES = {
+    # On an edge, within eps outside of one, or beyond: the general path.
+    "x-at-0": (0.0, None, False),
+    "x-at-last-column": ("last", None, False),
+    "y-at-0": (None, 0.0, False),
+    "y-at-last-row": (None, "last", False),
+    "x-within-eps-before-0": (-1e-10, None, False),
+    "y-within-eps-after-last-row": (None, "last+", False),
+    "x-outside": (-0.5, None, True),
+    "y-outside": (None, "last+1", True),
+    "x-infinite": (np.inf, None, True),
+    "y-minus-infinite": (None, -np.inf, True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_COORDINATES))
+def test_edge_coordinates_take_the_general_path(monkeypatch, name):
+    rng = np.random.default_rng(21)
+    height, width = 40, 50
+    pixels = rng.integers(0, 256, (height, width), dtype=np.uint8)
+    x = rng.uniform(1, width - 2, (12, 16))
+    y = rng.uniform(1, height - 2, (12, 16))
+    at_x, at_y, outside = EDGE_COORDINATES[name]
+    for grid, at, last in ((x, at_x, width - 1), (y, at_y, height - 1)):
+        if at is not None:
+            grid[3, 5] = {"last": last, "last+": last + 1e-10, "last+1": last + 1.0}.get(at, at)
+    value, clipped, interior = _sample_with_path(monkeypatch, pixels, x, y)
+    expected, expected_clipped = reference_sample(pixels, x, y)
+    assert not interior
+    assert clipped == expected_clipped == outside
+    assert np.array_equal(value.view(np.int64), expected.view(np.int64))
+
+
+def test_crop_on_the_source_edges_takes_the_general_path(monkeypatch):
+    # Landmarks equal to the reference: the crop grid spans the whole
+    # 128 x 128 source, edges included, up to rounding.
+    rng = np.random.default_rng(14)
+    image = GrayImage(rng.integers(0, 256, (CROP_SIZE, CROP_SIZE), dtype=np.uint8))
+    reference = _spread_landmarks(size=CROP_SIZE - 1)
+    x, y = reference_grid(reference, reference)
+    assert x.min() <= 0 and y.min() <= 0 and x.max() == y.max() == CROP_SIZE - 1
+    paths = _record_paths(monkeypatch)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        crop = register_and_crop(image, reference, reference)
+    expected, clipped = reference_register_and_crop(image, reference, reference)
+    assert paths == [False]
+    assert caught == [] and not clipped
+    assert np.array_equal(crop.pixels, expected.pixels)
+
+
 def test_pgm_round_trip(tmp_path):
     rng = np.random.default_rng(0)
     image = GrayImage(rng.integers(0, 256, (17, 23), dtype=np.uint8))
