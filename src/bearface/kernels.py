@@ -54,7 +54,8 @@ KernelSpec = Union[RbfKernel, PolyKernel]
 KernelPlan = Union[RbfKernel, PolyKernel, AutoRbf]
 
 
-def _check_finite(X: np.ndarray, side: str) -> None:
+def check_finite(X: np.ndarray, side: str) -> None:
+    """Reject a 2-D sample block holding NaN or inf, naming the first such row."""
     finite = np.isfinite(X)
     if not finite.all():
         index = int(np.nonzero(~finite.all(axis=tuple(range(1, X.ndim))))[0][0])
@@ -68,11 +69,11 @@ def kernel_matrix(
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     if X.size == 0:
         raise ValueError("empty feature set")
-    _check_finite(X, "left")
+    check_finite(X, "left")
     symmetric = Z is None
     Zm = X if symmetric else np.atleast_2d(np.asarray(Z, dtype=np.float64))
     if not symmetric:
-        _check_finite(Zm, "right")
+        check_finite(Zm, "right")
     if Zm.shape[1] != X.shape[1]:
         raise ValueError(
             f"feature dimensions differ: {X.shape[1]} vs {Zm.shape[1]}"

@@ -25,6 +25,7 @@ from .expressions import CLASS_ORDER
 from .kernels import (
     KernelPlan,
     KernelSpec,
+    check_finite,
     kernel_matrix,
     resolve_kernel,
 )
@@ -42,8 +43,7 @@ def _reduce_block(model: PcaModel, x: np.ndarray) -> np.ndarray:
     thousands) blow polynomial-kernel entries up to ~1e16 and the dual
     becomes numerically meaningless.
     """
-    scales = np.sqrt(np.maximum(model.variances, 1e-12 * model.variances.max()))
-    return pca_project(model, x) / scales
+    return pca_project(model, x) / model.whitening_scales
 
 _CANONICAL = tuple(e.value for e in CLASS_ORDER)
 
@@ -79,6 +79,10 @@ class MulticlassModel:
     at least one pair (in training order), and column p of `dual_coef`
     holds alpha_i * y_i of pair p over those rows (zero where a row is not
     one of that pair's support vectors). Pair p is `class_pairs(P)[p]`.
+
+    `live_entries` lists, in bank order, the bank entries whose column of
+    `kernel_weights` has a nonzero value. It is worked out from the weights
+    when the model is built; it is not a field and is never stored.
     """
 
     class_names: tuple[str, ...]
@@ -122,6 +126,8 @@ class MulticlassModel:
                     f"pool block {name!r} has {rows.shape[1]} columns, expected the "
                     f"{self.pca[name].k} components of its PCA model"
                 )
+        live = np.flatnonzero(self.kernel_weights.any(axis=0)).tolist()
+        object.__setattr__(self, "live_entries", tuple(live))
 
     @property
     def class_count(self) -> int:
@@ -258,14 +264,28 @@ def decision_values(model: MulticlassModel, x_blocks: FeatureBlocks) -> np.ndarr
     A single query's 1-D block is projected as 1-D, through gemv, which
     gives the bits of the (1, d) product; a batch goes through gemm, whose
     rows need not have those bits, so each keeps its own path.
+
+    Only the live bank entries (`MulticlassModel.live_entries`) are scored.
+    A dead entry adds w[:, m] * (K @ dual_coef) with every w[p, m] a zero,
+    and `total` is never -0.0: it starts at +0.0, and a sum of nonzero
+    terms that cancels exactly rounds to +0.0. So skipping the term
+    changes no bit whenever K @ dual_coef is finite. Where it is not (a
+    dead polynomial kernel that overflows on a query far from the pool),
+    the full sum would give 0 * inf = NaN; the row is the finite sum of
+    the live entries. Every reduced query block is checked for NaN and
+    inf, in the order the bank first names the blocks and with the error
+    `kernel_matrix` raises, a block whose entries are all dead included.
     """
     x = {name: np.asarray(x_blocks[name], dtype=np.float64) for name in model.pool}
     for name in model.pca:
         if name in x:
             x[name] = _reduce_block(model.pca[name], x[name])
+    for name in dict.fromkeys(entry.block for entry in model.bank):
+        check_finite(np.atleast_2d(x[name]), "left")
     n = len(np.atleast_2d(next(iter(x.values()))))
     total = np.zeros((n, len(model.pairs)))
-    for m, entry in enumerate(model.bank):
+    for m in model.live_entries:
+        entry = model.bank[m]
         K = kernel_matrix(entry.spec, x[entry.block], model.pool[entry.block])
         total += model.kernel_weights[:, m] * (K @ model.dual_coef)
     return total + model.bias

@@ -32,6 +32,7 @@ basis vector is positive, making fits reproducible across runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -73,6 +74,14 @@ class PcaModel:
     @property
     def k(self) -> int:
         return self.components.shape[1]
+
+    @cached_property
+    def whitening_scales(self) -> np.ndarray:
+        """The divisors that whiten a projection, worked out once per model:
+        each variance's square root, the variance floored at 1e-12 of the largest."""
+        scales = np.sqrt(np.maximum(self.variances, 1e-12 * self.variances.max()))
+        scales.setflags(write=False)
+        return scales
 
 
 def fit_pca(samples: np.ndarray, energy: float = DEFAULT_ENERGY) -> PcaModel:

@@ -18,10 +18,14 @@ import numpy as np
 
 from .diagnostics import CropBoundsWarning
 from .imaging import GrayImage
-from .records import read_records
+from .records import parse_records, place
 
 LANDMARK_COUNT = 68
 CROP_SIZE = 128
+# Far beyond any image, and small enough that the sums of squared centred
+# coordinates in `fit_similarity` (68 points, under 600 * COORDINATE_LIMIT**2)
+# stay finite.
+COORDINATE_LIMIT = 1e9
 
 
 class DegenerateLandmarksError(ValueError):
@@ -30,7 +34,10 @@ class DegenerateLandmarksError(ValueError):
 
 @dataclass(frozen=True)
 class LandmarkSet:
-    """Exactly 68 (x, y) points in image pixel coordinates."""
+    """Exactly 68 (x, y) points in image pixel coordinates.
+
+    Every coordinate is finite and at most COORDINATE_LIMIT in magnitude.
+    """
 
     points: np.ndarray  # (68, 2) float64
 
@@ -42,6 +49,10 @@ class LandmarkSet:
             )
         if not np.isfinite(array).all():
             raise ValueError("landmark coordinates must be finite")
+        if not (np.abs(array) <= COORDINATE_LIMIT).all():
+            raise ValueError(
+                f"landmark coordinates must be at most {COORDINATE_LIMIT:g} in magnitude"
+            )
         array = np.ascontiguousarray(array)
         array.setflags(write=False)
         object.__setattr__(self, "points", array)
@@ -51,11 +62,28 @@ _LANDMARK_FIELDS = (("x", float), ("y", float))
 
 
 def read_landmarks(path: str | Path) -> LandmarkSet:
-    """Load an 'x y' per line landmark file (one per image, same stem)."""
-    rows = read_records(path, _LANDMARK_FIELDS)
+    """Load an 'x y' per line landmark file (one per image, same stem).
+
+    A coordinate that is not finite or is above COORDINATE_LIMIT in
+    magnitude raises a ValueError naming its `path:line`.
+    """
+    text = Path(path).read_text(encoding="utf-8")
+    rows = parse_records(text, _LANDMARK_FIELDS, str(path))
     if len(rows) != LANDMARK_COUNT:
         raise ValueError(f"{path}: expected {LANDMARK_COUNT} landmarks, got {len(rows)}")
-    return LandmarkSet(np.asarray(rows))
+    points = np.array([record for _, record in rows])
+    try:
+        return LandmarkSet(points)
+    except ValueError:
+        # The set holds 68 (x, y) rows, so a coordinate is at fault: name
+        # the first one (the comparison is False for NaN) and its line.
+        row, column = np.argwhere(~(np.abs(points) <= COORDINATE_LIMIT))[0]
+        value = float(points[row, column])
+        rule = f"at most {COORDINATE_LIMIT:g} in magnitude" if math.isfinite(value) else "finite"
+        raise ValueError(
+            f"{place(str(path), rows[row][0])}: {_LANDMARK_FIELDS[column][0]} must be "
+            f"{rule}, got {value!r}"
+        ) from None
 
 
 def write_landmarks(landmarks: LandmarkSet, path: str | Path) -> None:
@@ -163,8 +191,11 @@ def _bilinear_sample(pixels: np.ndarray, x: np.ndarray, y: np.ndarray) -> tuple[
         return value, False
     eps = 1e-9  # round-off from transform chains must not count as outside
     inside = (x >= -eps) & (x <= width - 1 + eps) & (y >= -eps) & (y <= height - 1 + eps)
-    xs = np.clip(x, 0, width - 1)
-    ys = np.clip(y, 0, height - 1)
+    # An outside sample reads 0 below whatever its corners, so its
+    # coordinates go to 0 first: a NaN (outside, as it fails every test)
+    # then never reaches the integer cast.
+    xs = np.clip(np.where(inside, x, 0.0), 0, width - 1)
+    ys = np.clip(np.where(inside, y, 0.0), 0, height - 1)
     # Clipped coordinates are nonnegative, so truncation is the floor.
     x0 = xs.astype(np.intp)
     y0 = ys.astype(np.intp)

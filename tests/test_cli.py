@@ -576,7 +576,11 @@ def test_export_servo_duration_rule(tmp_path, capsys, duration, problem):
 
 @pytest.mark.parametrize(
     ("line", "problem"),
-    [("a 1", "x must be float, got 'a'"), ("1", "expected 'x y', got 1 fields")],
+    [("a 1", "x must be float, got 'a'"), ("1", "expected 'x y', got 1 fields"),
+     # These two used to name no place; the second also warned of an
+     # overflow in the similarity fit and ended in an OverflowError.
+     ("nan 10.0", "x must be finite, got nan"), ("10.0 -inf", "y must be finite, got -inf"),
+     ("1e300 10.0", "x must be at most 1e+09 in magnitude, got 1e+300")],
 )
 def test_bad_landmark_line_names_path_and_line(tmp_path, capsys, synthetic_dataset, line, problem):
     # One four-frame sequence of the synthetic set, its first landmark file

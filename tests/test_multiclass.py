@@ -1,5 +1,7 @@
 """One-vs-one voting, tie-breaks and cross-validation."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -155,6 +157,97 @@ def test_single_query_projection_matches_one_row_product():
         as_row = decision_values(model, {name: v[None, :] for name, v in query.items()})
         assert single.shape == as_row.shape == (1, len(model.pairs))
         assert np.array_equal(single.view(np.int64), as_row.view(np.int64))
+
+
+def reference_decision_values(model, x_blocks):
+    """h_p(x) summed over every bank entry, dead ones included."""
+    x = {name: np.asarray(x_blocks[name], dtype=np.float64) for name in model.pool}
+    for name, pca in model.pca.items():
+        x[name] = multiclass._reduce_block(pca, x[name])
+    n = len(np.atleast_2d(next(iter(x.values()))))
+    total = np.zeros((n, len(model.pairs)))
+    for m, entry in enumerate(model.bank):
+        K = multiclass.kernel_matrix(entry.spec, x[entry.block], model.pool[entry.block])
+        total += model.kernel_weights[:, m] * (K @ model.dual_coef)
+    return total + model.bias
+
+
+def _model_with_dead_entries():
+    """Two live kernels on block x; both kernels on block y dead.
+
+    The dead columns mix +0.0 and -0.0, and a live column has a zero.
+    """
+    rng = np.random.default_rng(53)
+    names = ["anger", "joy", "fear", "sadness"]
+    X, labels = make_blobs(rng, names, per_class=8, dims=12, spread=2.0)
+    blocks = {"x": X, "y": np.abs(X[:, :6]) * 3.0}
+    plans = [("x", AutoRbf()), ("y", PolyKernel(degree=3)), ("x", PolyKernel()), ("y", AutoRbf())]
+    model = train_multiclass(blocks, labels, plans, C=10.0, pca_energy=0.95)
+    pairs = len(model.pairs)
+    weights = np.zeros((pairs, 4))
+    weights[:, 0] = rng.uniform(0.2, 0.8, pairs)
+    weights[:, 2] = 1.0 - weights[:, 0]
+    weights[0, 0] = 0.0
+    weights[1::2, 1] = -0.0
+    weights[::3, 3] = -0.0
+    model = dataclasses.replace(model, kernel_weights=weights)
+    queries = {name: data + rng.normal(size=data.shape) for name, data in blocks.items()}
+    return model, queries
+
+
+def test_decision_values_score_only_live_entries():
+    model, queries = _model_with_dead_entries()
+    assert model.live_entries == (0, 2)
+    batch = decision_values(model, queries)
+    expected = reference_decision_values(model, queries)
+    assert np.array_equal(batch.view(np.int64), expected.view(np.int64))
+    for i in range(len(batch)):
+        query = {name: data[i] for name, data in queries.items()}
+        single = decision_values(model, query)
+        expected = reference_decision_values(model, query)
+        assert np.array_equal(single.view(np.int64), expected.view(np.int64))
+
+
+def test_live_entries_are_kernels_with_a_nonzero_weight():
+    model, _ = _model_with_dead_entries()
+    weights = model.kernel_weights.copy()
+    weights[4, 1] = -1e-300
+    weights[2, 3] = np.nan
+    assert dataclasses.replace(model, kernel_weights=weights).live_entries == (0, 1, 2, 3)
+    assert dataclasses.replace(model, kernel_weights=-np.zeros_like(weights)).live_entries == ()
+
+
+def test_dead_kernel_overflow_leaves_the_row_finite():
+    # The cubic kernel on y overflows on this query; it is dead, so the
+    # row is that of any finite y. The full sum gives 0 * inf = NaN.
+    model, queries = _model_with_dead_entries()
+    query = {"x": queries["x"][:3], "y": np.full((3, 6), 1e120)}
+    rows = decision_values(model, query)
+    assert np.isfinite(rows).all()
+    tame = decision_values(model, {"x": query["x"], "y": queries["y"][:3]})
+    assert np.array_equal(rows.view(np.int64), tame.view(np.int64))
+    single = decision_values(model, {"x": query["x"][1], "y": query["y"][1]})
+    tame = decision_values(model, {"x": query["x"][1], "y": queries["y"][1]})
+    assert np.isfinite(single).all()
+    assert np.array_equal(single.view(np.int64), tame.view(np.int64))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.isnan(reference_decision_values(model, query)).all()
+
+
+@pytest.mark.parametrize("block", ["x", "y"])
+def test_non_finite_query_is_rejected(block):
+    # Block y has only dead kernels, and is still checked.
+    model, queries = _model_with_dead_entries()
+    batch = {name: data[:5].copy() for name, data in queries.items()}
+    batch[block][3, 1] = np.nan
+    with pytest.raises(ValueError, match="^non-finite feature values in left sample 3$"):
+        decision_values(model, batch)
+    single = {name: data[3] for name, data in batch.items()}
+    with pytest.raises(ValueError, match="^non-finite feature values in left sample 0$"):
+        decision_values(model, single)
+    single[block] = np.where(np.isnan(single[block]), np.inf, single[block])
+    with pytest.raises(ValueError, match="^non-finite feature values in left sample 0$"):
+        classify(model, single)
 
 
 def test_pool_holds_each_support_vector_once(monkeypatch):

@@ -210,3 +210,16 @@ def test_loaded_model_classifies_identically(tmp_path):
     assert original.tally == restored.tally
     for key, value in original.decisions.items():
         assert restored.decisions[key] == value  # bit-identical decisions
+
+
+def test_loaded_model_derives_the_same_live_entries(tmp_path):
+    model, _ = _small_model()
+    weights = model.kernel_weights.copy()
+    weights[:, 0] = 0.0
+    weights[1, 0] = -0.0
+    dead = dataclasses.replace(model, kernel_weights=weights)
+    assert dead.live_entries == (1,)
+    for index, built in enumerate((model, dead)):
+        path = tmp_path / f"model{index}.store"
+        save_model(ModelBundle(model=built), path)
+        assert load_model(path).model.live_entries == built.live_entries

@@ -233,6 +233,22 @@ def test_edge_coordinates_take_the_general_path(monkeypatch, name):
     assert np.array_equal(value.view(np.int64), expected.view(np.int64))
 
 
+def test_nan_coordinate_reads_zero_as_outside(monkeypatch):
+    # A NaN used to reach the integer cast (INT_MIN) and end in IndexError.
+    rng = np.random.default_rng(22)
+    pixels = rng.integers(1, 256, (10, 10), dtype=np.uint8)
+    x = rng.uniform(1, 8, (4, 5))
+    y = rng.uniform(1, 8, (4, 5))
+    x[1, 2] = np.nan
+    y[3, 0] = np.nan
+    value, clipped, interior = _sample_with_path(monkeypatch, pixels, x, y)
+    assert not interior and clipped
+    assert value[1, 2] == value[3, 0] == 0.0
+    tame = np.isfinite(x) & np.isfinite(y)
+    expected, _ = reference_sample(pixels, np.where(tame, x, 4.0), np.where(tame, y, 4.0))
+    assert np.array_equal(value[tame].view(np.int64), expected[tame].view(np.int64))
+
+
 def test_crop_on_the_source_edges_takes_the_general_path(monkeypatch):
     # Landmarks equal to the reference: the crop grid spans the whole
     # 128 x 128 source, edges included, up to rounding.
@@ -293,6 +309,16 @@ def test_landmark_file_round_trip(tmp_path):
     path.write_text("0 0\n1 1\n")
     with pytest.raises(ValueError, match="68"):
         read_landmarks(path)
+
+
+def test_landmark_coordinates_are_bounded():
+    limit = registration.COORDINATE_LIMIT
+    points = _spread_landmarks().points.copy()
+    points[5, 1] = -limit
+    LandmarkSet(points.copy())  # the limit itself is allowed
+    points[5, 1] = np.nextafter(-limit, -np.inf)
+    with pytest.raises(ValueError, match=r"^landmark coordinates must be at most 1e\+09 in magnitude$"):
+        LandmarkSet(points)
 
 
 def test_fit_identity():
