@@ -23,7 +23,7 @@ from typing import Any, Callable, Mapping
 
 import numpy as np
 
-from .records import check_header, place, typed, write_atomic
+from .records import check_header, located, place, typed, write_atomic
 
 _DTYPES = {"f8": "<f8", "i8": "<i8", "u1": "|u1"}
 
@@ -155,10 +155,8 @@ class StoreEntries(dict):
 
     def build(self, make: Callable, *args: object, **kwargs: object) -> Any:
         """`make(*args, **kwargs)`; a ValueError it raises names this store."""
-        try:
+        with located(self.path):
             return make(*args, **kwargs)
-        except ValueError as error:
-            raise ValueError(f"{self.path}: {error}") from None
 
 
 def write_store(entries: Mapping[str, object], path: "str | Path") -> None:

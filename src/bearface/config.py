@@ -13,7 +13,7 @@ from pathlib import Path
 
 from .kernels import AutoRbf, KernelPlan, PolyKernel, RbfKernel
 from .modelio import FeatureParams
-from .records import boolean, content_lines, place, typed, write_atomic
+from .records import boolean, content_lines, located, place, typed, write_atomic
 
 
 class ConfigError(ValueError):
@@ -163,10 +163,8 @@ def parse_config(text: str, origin: str | None = None) -> RunConfig:
                 value = typed(kinds[key], key, value, where)
             # Every check of RunConfig concerns one field, so checking each
             # line as it is applied names the line at fault.
-            try:
+            with located(where):
                 config = replace(config, **{key: value})
-            except ConfigError as error:
-                raise ValueError(f"{where}: {error}") from None
     except ValueError as error:
         raise ConfigError(str(error)) from None
     return config

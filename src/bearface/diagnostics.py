@@ -8,6 +8,7 @@ silence them per category.
 
 import os
 import sys
+import warnings
 
 
 class BearfaceWarning(UserWarning):
@@ -16,6 +17,15 @@ class BearfaceWarning(UserWarning):
 
 class ClampWarning(BearfaceWarning):
     """An input was outside its documented range and was clamped."""
+
+
+def clamped(value: float, what: str) -> float:
+    """`value` clamped to [0, 1]. A value outside, NaN included (which
+    becomes 0), issues a ClampWarning naming `what` at the caller's caller."""
+    if not 0.0 <= value <= 1.0:
+        warnings.warn(f"{what} {value} clamped to [0, 1]", ClampWarning, stacklevel=3)
+        value = min(1.0, max(0.0, value))
+    return value
 
 
 class NumericsWarning(BearfaceWarning):

@@ -11,7 +11,6 @@ two poses.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -19,9 +18,9 @@ from typing import Iterable
 
 import numpy as np
 
-from .diagnostics import ClampWarning
+from .diagnostics import clamped
 from .dof import ALL_DOFS, Dof, Pose, Trajectory, dof_label, lerp, parse_dof
-from .records import boolean, content_lines, packaged_text, place, typed
+from .records import boolean, content_lines, located, packaged_text, place, typed
 
 
 class Expression(str, Enum):
@@ -129,11 +128,7 @@ def pose_for(template: ExpressionTemplate, intensity: float) -> Pose:
     neutral pose exactly and intensity 1 the peak pose exactly. Values
     outside [0, 1] are clamped with a ClampWarning.
     """
-    if not (0.0 <= intensity <= 1.0):
-        warnings.warn(
-            f"intensity {intensity} clamped to [0, 1]", ClampWarning, stacklevel=2
-        )
-        intensity = min(1.0, max(0.0, intensity))
+    intensity = clamped(intensity, "intensity")
     neutral, peak = np.array(template.neutral_pose.values), np.array(template.max_pose.values)
     return Pose(tuple(lerp(neutral, peak, intensity).tolist()))
 
@@ -148,16 +143,13 @@ def ear_oscillation(intensity: float, times: np.ndarray) -> tuple[np.ndarray, np
     1.5 s at the low end down to 0.5 s at full intensity. The left ear
     starts at neutral at t = 0. Each cosine is `math.cos` of one time.
 
-    Intensity 0 disables the motion entirely.
+    Intensity 0 disables the motion entirely; one outside [0, 1], NaN
+    included, is clamped with a ClampWarning.
     """
     times = np.asarray(times, dtype=float)
     if (times < 0).any():
         raise ValueError("time must be non-negative")
-    if intensity < 0.0 or intensity > 1.0:
-        warnings.warn(
-            f"oscillation intensity {intensity} clamped to [0, 1]", ClampWarning, stacklevel=2
-        )
-        intensity = min(1.0, max(0.0, intensity))
+    intensity = clamped(intensity, "oscillation intensity")
     if intensity == 0.0:
         return np.zeros_like(times), np.zeros_like(times)
     period = 1.5 - intensity
@@ -279,10 +271,8 @@ def parse_templates(text: str, origin: str | None = None) -> TemplateSet:
         if key == "ear_oscillation":
             slot, parsed = key, typed(boolean, key, value, where)
         else:
-            try:
+            with located(where):
                 slot = parse_dof(key)
-            except ValueError as error:
-                raise ValueError(f"{where}: {error}") from None
             parsed = typed(float, key, value, where)
             if not 0.0 <= parsed <= 1.0:
                 raise ValueError(f"{where}: {slot.name} value {parsed} outside [0, 1]")
@@ -295,18 +285,17 @@ def parse_templates(text: str, origin: str | None = None) -> TemplateSet:
         raise ValueError(f"{file}: no [neutral] section")
     templates: dict[tuple[Expression, Mode], ExpressionTemplate] = {}
     where, values = sections.pop("neutral")
-    try:  # `where` names the section being built
+    with located(where):
         if "ear_oscillation" in values:
             raise ValueError("[neutral] takes axis values only")
         neutral_pose = Pose.from_mapping(values)
-        for name, (where, values) in sections.items():
+    for name, (where, values) in sections.items():
+        with located(where):
             expression, mode = _section(name)
             oscillate = values.pop("ear_oscillation", False)
             templates[(expression, mode)] = _build_template(
                 expression, mode, neutral_pose, values, oscillate
             )
-    except ValueError as error:
-        raise ValueError(f"{where}: {error}") from None
 
     # Neutral templates are implicit: peak equals neutral in both modes.
     for mode in Mode:
@@ -314,10 +303,8 @@ def parse_templates(text: str, origin: str | None = None) -> TemplateSet:
             (Expression.NEUTRAL, mode),
             _build_template(Expression.NEUTRAL, mode, neutral_pose, {}, False),
         )
-    try:
+    with located(file):
         return TemplateSet(neutral_pose, templates)
-    except ValueError as error:
-        raise ValueError(f"{file}: {error}") from None
 
 
 def load_templates(path: str | Path | None = None) -> TemplateSet:

@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .records import frozen
+
 
 @dataclass(frozen=True)
 class GrayImage:
@@ -24,9 +26,7 @@ class GrayImage:
             raise ValueError(f"image must be 2-D, got shape {array.shape}")
         if array.dtype != np.uint8:
             raise ValueError(f"image must be uint8, got {array.dtype}")
-        array = np.ascontiguousarray(array)
-        array.setflags(write=False)
-        object.__setattr__(self, "pixels", array)
+        object.__setattr__(self, "pixels", frozen(array))
 
     @property
     def width(self) -> int:
@@ -87,7 +87,7 @@ def read_pnm(path: str | Path) -> GrayImage:
         rgb = raster.reshape(height, width, 3).astype(np.float64)
         luma = 0.299 * rgb[:, :, 0] + 0.587 * rgb[:, :, 1] + 0.114 * rgb[:, :, 2]
         gray = np.clip(np.round(luma), 0, 255).astype(np.uint8)
-    return GrayImage(np.ascontiguousarray(gray))
+    return GrayImage(gray)
 
 
 def pgm_bytes(image: GrayImage) -> bytes:

@@ -62,6 +62,12 @@ def check_finite(X: np.ndarray, side: str) -> None:
         raise ValueError(f"non-finite feature values in {side} sample {index}")
 
 
+def sq_distances(X: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    """||x_i - z_j||^2 as ||x_i||^2 + ||z_j||^2 - 2 <x_i, z_j>, floored at 0."""
+    sq_dist = np.sum(X * X, axis=1)[:, None] + np.sum(Z * Z, axis=1)[None, :] - 2.0 * (X @ Z.T)
+    return np.maximum(sq_dist, 0.0, out=sq_dist)
+
+
 def kernel_matrix(
     spec: KernelSpec, X: np.ndarray, Z: np.ndarray | None = None
 ) -> np.ndarray:
@@ -79,11 +85,7 @@ def kernel_matrix(
             f"feature dimensions differ: {X.shape[1]} vs {Zm.shape[1]}"
         )
     if isinstance(spec, RbfKernel):
-        x_sq = np.sum(X * X, axis=1)
-        z_sq = np.sum(Zm * Zm, axis=1)
-        sq_dist = x_sq[:, None] + z_sq[None, :] - 2.0 * (X @ Zm.T)
-        np.maximum(sq_dist, 0.0, out=sq_dist)
-        K = np.exp(-spec.gamma * sq_dist)
+        K = np.exp(-spec.gamma * sq_distances(X, Zm))
     elif isinstance(spec, PolyKernel):
         K = (spec.scale * (X @ Zm.T) + spec.offset) ** spec.degree
     else:
@@ -99,10 +101,7 @@ def median_sq_distance(X: np.ndarray) -> float:
     n = X.shape[0]
     if n < 2:
         return 0.0
-    sq = np.sum(X * X, axis=1)
-    dist = sq[:, None] + sq[None, :] - 2.0 * (X @ X.T)
-    upper = dist[np.triu_indices(n, k=1)]
-    return float(np.median(np.maximum(upper, 0.0)))
+    return float(np.median(sq_distances(X, X)[np.triu_indices(n, k=1)]))
 
 
 def auto_gamma(X: np.ndarray) -> float:

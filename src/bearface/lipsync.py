@@ -11,14 +11,13 @@ Expression offsets ride on top as independent additive channels.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .diagnostics import ClampWarning
+from .diagnostics import clamped
 from .expressions import BASIC_EXPRESSIONS, Expression
 from .records import csv_text, write_atomic, write_jsonl
 from .visemes import PhonemeSegment, VisemeTable, VISEME_CLASS_COUNT
@@ -185,9 +184,7 @@ def render_timeline(
         held = state == index
         if expression is Expression.NEUTRAL or not held.any():
             continue
-        if not (0.0 <= level <= 1.0):
-            warnings.warn(f"blend level {level} clamped to [0, 1]", ClampWarning, stacklevel=2)
-            level = min(1.0, max(0.0, level))
+        level = clamped(level, "blend level")
         expressions.setdefault(expression.value, np.zeros(count))[held] = level
     return MouthFrames(times, weights.T, expressions)
 

@@ -41,8 +41,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .svm import DualSolution, ensure_psd, solve_svm_dual
 from .kernels import combine_grams
+from .records import frozen
+from .svm import DualSolution, ensure_psd, free_set, solve_svm_dual
 
 DEFAULT_C = 10.0
 STEP_TOL = 1e-4          # sup-norm of the accepted weight step
@@ -109,9 +110,7 @@ class BinaryMklSolution:
 
     def __post_init__(self) -> None:
         for name in ("alphas", "kernel_weights", "labels"):
-            array = np.ascontiguousarray(getattr(self, name), dtype=np.float64)
-            array.setflags(write=False)
-            object.__setattr__(self, name, array)
+            object.__setattr__(self, name, frozen(getattr(self, name), np.float64))
 
     @property
     def support_indices(self) -> np.ndarray:
@@ -166,8 +165,7 @@ def _curvature_direction(
     Returns None when the system is degenerate or ill-conditioned.
     """
     M = len(grams)
-    eps = 1e-9 * C
-    free = (alpha > eps) & (alpha < C - eps)
+    free = free_set(alpha, C)
     count = int(free.sum())
     if count == 0:
         return None

@@ -20,6 +20,7 @@ from .kernels import format_kernel, parse_kernel
 from .lbp import MIN_WINDOW
 from .multiclass import BankEntry, MulticlassModel, class_pairs
 from .pca import PcaModel
+from .records import located
 from .registration import CROP_SIZE, LandmarkSet
 
 # HOG gets at most one bin per degree of orientation.
@@ -69,10 +70,8 @@ class FeatureParams:
         # time over valid defaults names the entry at fault.
         params = cls(("lbph", "hog"))
         for name, value in stored.items():
-            try:
+            with located(f"{entries.path}: feature_{name}"):
                 params = replace(params, **{name: value})
-            except ValueError as error:
-                raise ValueError(f"{entries.path}: feature_{name}: {error}") from None
         return params
 
 
@@ -125,10 +124,8 @@ def load_model(path: str | Path) -> ModelBundle:
     bank = []
     for m in range(entries.typed("bank_count", int)):
         block, spec = entries.typed(f"bank{m}_block", str), entries.typed(f"bank{m}_spec", str)
-        try:
+        with located(f"{path}: bank{m}_spec"):
             bank.append(BankEntry(block=block, spec=parse_kernel(spec)))
-        except ValueError as error:
-            raise ValueError(f"{path}: bank{m}_spec: {error}") from None
     pca = {
         name: entries.build(
             PcaModel, *(entries.typed(f"pca_{name}_{key}", kind) for key, kind in _PCA_ENTRIES)

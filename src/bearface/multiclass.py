@@ -31,6 +31,7 @@ from .kernels import (
 )
 from .mkl import train_binary_mkl
 from .pca import PcaModel, fit_pca, pca_project
+from .records import frozen
 
 FeatureBlocks = Mapping[str, np.ndarray]
 
@@ -96,8 +97,8 @@ class MulticlassModel:
 
     def __post_init__(self) -> None:
         for name in ("kernel_weights", "bias", "dual_coef"):
-            object.__setattr__(self, name, _frozen(getattr(self, name)))
-        pool = {name: _frozen(rows) for name, rows in self.pool.items()}
+            object.__setattr__(self, name, frozen(getattr(self, name), np.float64))
+        pool = {name: frozen(rows, np.float64) for name, rows in self.pool.items()}
         object.__setattr__(self, "pool", pool)
         count = len(self.pairs)
         if self.kernel_weights.shape != (count, len(self.bank)):
@@ -136,12 +137,6 @@ class MulticlassModel:
     @property
     def pairs(self) -> tuple[tuple[int, int], ...]:
         return class_pairs(self.class_count)
-
-
-def _frozen(array) -> np.ndarray:
-    array = np.ascontiguousarray(array, dtype=np.float64)
-    array.setflags(write=False)
-    return array
 
 
 @dataclass(frozen=True)
@@ -326,9 +321,7 @@ class CvResult:
     scheme: str
 
     def __post_init__(self) -> None:
-        array = np.ascontiguousarray(self.counts, dtype=np.int64)
-        array.setflags(write=False)
-        object.__setattr__(self, "counts", array)
+        object.__setattr__(self, "counts", frozen(self.counts, np.int64))
 
     @property
     def percentages(self) -> np.ndarray:

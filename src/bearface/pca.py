@@ -36,6 +36,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .records import frozen
+
 DEFAULT_ENERGY = 0.95
 
 
@@ -55,9 +57,7 @@ class PcaModel:
 
     def __post_init__(self) -> None:
         for name in ("mean", "components", "variances"):
-            array = np.ascontiguousarray(getattr(self, name), dtype=np.float64)
-            array.setflags(write=False)
-            object.__setattr__(self, name, array)
+            object.__setattr__(self, name, frozen(getattr(self, name), np.float64))
         if self.components.ndim != 2:
             raise ValueError(f"PCA components must be 2-D, got shape {self.components.shape}")
         if self.mean.shape != (self.dimension,):

@@ -22,7 +22,12 @@ The rules are the same for all of them:
   fields are tab-separated. Stores keep their own body rule, because a
   store string may hold `#`.
 - **Places.** Every error names its place: `path:line` when the text came
-  from a file, `line N` otherwise (`place`, `typed`).
+  from a file, `line N` otherwise (`place`, `typed`); `located` puts the
+  place in front of a ValueError that a record's own checks raise.
+
+Every record holds its arrays as read-only, C-ordered copies of its own
+(`frozen`): the caller's array stays writable, and writing to it later
+leaves the record as it was.
 
 Every artifact the command line writes goes through `write_atomic`, so an
 interrupted run leaves the previous file or the whole new one.
@@ -33,9 +38,12 @@ from __future__ import annotations
 import json
 import os
 import secrets
+from contextlib import contextmanager
 from importlib import resources
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
+
+import numpy as np
 
 Fields = Sequence[tuple[str, Callable[[str], object]]]
 
@@ -46,6 +54,22 @@ _FLAGS = {"true": True, "yes": True, "on": True, "1": True,
 def place(origin: str | None, number: int) -> str:
     """`path:line` for a file, `line N` for text without one."""
     return f"{origin}:{number}" if origin is not None else f"line {number}"
+
+
+@contextmanager
+def located(where: object) -> Iterator[None]:
+    """Prefix a ValueError raised inside with `where: `; other errors pass."""
+    try:
+        yield
+    except ValueError as error:
+        raise ValueError(f"{where}: {error}") from None
+
+
+def frozen(value: object, dtype: object = None) -> np.ndarray:
+    """A read-only, C-ordered copy of `value`, which the caller keeps writable."""
+    array = np.array(value, dtype=dtype, order="C")
+    array.setflags(write=False)
+    return array
 
 
 def check_header(lines: Sequence[str], kind: str, origin: str | None = None) -> None:

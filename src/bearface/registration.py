@@ -18,7 +18,7 @@ import numpy as np
 
 from .diagnostics import CropBoundsWarning
 from .imaging import GrayImage
-from .records import parse_records, place
+from .records import frozen, parse_records, place
 
 LANDMARK_COUNT = 68
 CROP_SIZE = 128
@@ -53,9 +53,7 @@ class LandmarkSet:
             raise ValueError(
                 f"landmark coordinates must be at most {COORDINATE_LIMIT:g} in magnitude"
             )
-        array = np.ascontiguousarray(array)
-        array.setflags(write=False)
-        object.__setattr__(self, "points", array)
+        object.__setattr__(self, "points", frozen(array))
 
 
 _LANDMARK_FIELDS = (("x", float), ("y", float))

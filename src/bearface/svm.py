@@ -52,6 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diagnostics import NumericsWarning
+from .records import frozen
 
 DEFAULT_KKT_TOL = 1e-3
 _PSD_FLOOR = -1e-8   # most negative eigenvalue tolerated without repair
@@ -70,9 +71,12 @@ class DualSolution:
     iterations: int
 
     def __post_init__(self) -> None:
-        array = np.ascontiguousarray(self.alpha, dtype=np.float64)
-        array.setflags(write=False)
-        object.__setattr__(self, "alpha", array)
+        object.__setattr__(self, "alpha", frozen(self.alpha, np.float64))
+
+
+def free_set(alpha: np.ndarray, C: float) -> np.ndarray:
+    """The free duals, 1e-9 * C clear of both bounds of the box [0, C]."""
+    return (alpha > 1e-9 * C) & (alpha < C - 1e-9 * C)
 
 
 def dual_objective(alpha: np.ndarray, K: np.ndarray, y: np.ndarray) -> float:
@@ -232,14 +236,12 @@ def solve_svm_dual(
         )
     alpha = np.array(alpha_l, dtype=np.float64)
 
-    eps = 1e-9 * C
-    free = (alpha > eps) & (alpha < C - eps)
+    free = free_set(alpha, C)
     count = int(np.count_nonzero(free))
     if count:
         bias = float(np.add.reduce(yg[free]) / count)  # np.mean's own steps
     else:
-        up = ((y > 0) & (alpha < C)) | ((y < 0) & (alpha > 0))
-        low = ((y > 0) & (alpha > 0)) | ((y < 0) & (alpha < C))
+        up, low = penalty == 0.0  # I_up and I_low of the final alpha
         hi = yg[up].max() if up.any() else 0.0
         lo = yg[low].min() if low.any() else 0.0
         bias = float(0.5 * (hi + lo))

@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .config import check_duration
-from .records import boolean, packaged_text, parse_records, place
+from .records import boolean, located, packaged_text, parse_records, place
 
 VISEME_CLASS_COUNT = 20
 
@@ -100,10 +100,8 @@ def parse_viseme_table(text: str, origin: str | None = None) -> VisemeTable:
     for number, (class_id, labial, phonemes) in parse_records(
         text, _TABLE_FIELDS, origin, kind="visemes", rest=True
     ):
-        try:
+        with located(place(origin, number)):
             classes.append(VisemeClass(id=class_id, labial=labial, phonemes=phonemes))
-        except ValueError as error:
-            raise ValueError(f"{place(origin, number)}: {error}") from None
     return VisemeTable(classes)
 
 
@@ -173,11 +171,9 @@ def parse_transcript(text: str, origin: str | None = None) -> tuple[PhonemeSegme
     """
     segments = []
     for number, (start, end, phoneme) in parse_records(text, _TRANSCRIPT_FIELDS, origin):
-        try:
+        with located(place(origin, number)):
             segments.append(PhonemeSegment(phoneme=phoneme, start=start, end=end))
             check_duration("transcript span", end - segments[0].start)
-        except ValueError as error:
-            raise ValueError(f"{place(origin, number)}: {error}") from None
     transcript = tuple(segments)
     validate_transcript(transcript)
     return transcript

@@ -20,7 +20,9 @@ from bearface.expressions import (
     pose_for,
     trajectory,
 )
+from bearface.lipsync import render_timeline
 from bearface.records import packaged_text
+from bearface.visemes import bundled_transcript, load_viseme_table
 
 
 def test_dof_identities():
@@ -190,6 +192,27 @@ def test_ear_oscillation_period():
         left_a = ear_oscillation(intensity, 0.1)[0]
         left_b = ear_oscillation(intensity, 0.1 + period)[0]
         assert left_a == pytest.approx(left_b, abs=1e-12)
+
+
+@pytest.mark.parametrize("value, expected", [(float("nan"), 0.0), (-0.5, 0.0), (1.5, 1.0)])
+def test_every_clamp_warns_at_its_caller(template_set, value, expected):
+    # NaN clamps to 0 with a warning in all three, ear_oscillation included.
+    template = template_set.get(Expression.JOY, Mode.AU_ANIMAL)
+    times = np.array([0.0, 0.3])
+    with pytest.warns(ClampWarning) as caught:
+        pose = pose_for(template, value)
+        left, right = ear_oscillation(value, times)
+        frames = render_timeline(bundled_transcript(), [(0.0, "fear", value)], load_viseme_table())
+    assert [str(w.message) for w in caught] == [
+        f"intensity {value} clamped to [0, 1]",
+        f"oscillation intensity {value} clamped to [0, 1]",
+        f"blend level {value} clamped to [0, 1]",
+    ]
+    assert {w.filename for w in caught} == {__file__}
+    assert pose == pose_for(template, expected)
+    for got, want in zip((left, right), ear_oscillation(expected, times)):
+        np.testing.assert_array_equal(got, want)
+    assert (frames.expressions["fear"] == expected).all()
 
 
 def test_ear_oscillation_validation():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bearface import multiclass
-from bearface.kernels import AutoRbf, PolyKernel, RbfKernel
+from bearface.kernels import AutoRbf, PolyKernel, RbfKernel, sq_distances
 from bearface.multiclass import (
     class_pairs,
     classify,
@@ -383,3 +383,13 @@ def test_train_multiclass_validates_labels():
         train_multiclass({"x": X[:-1]}, labels, [("x", RbfKernel(1.0))])
     with pytest.raises(ValueError, match="bank is empty"):
         train_multiclass({"x": X}, labels, [])
+
+
+def test_rbf_squared_distances_are_floored_at_zero():
+    # Two equal rows far from the origin: the norm expansion leaves a
+    # negative residue between them, which the floor turns into 0.
+    X = np.random.default_rng(0).normal(1e4, 1.0, (3, 3, 5))[2]
+    X[1] = X[0]
+    assert (np.sum(X * X, axis=1)[:, None] + np.sum(X * X, axis=1) - 2.0 * (X @ X.T)).min() < 0
+    assert sq_distances(X, X).min() == 0.0
+    assert multiclass.kernel_matrix(RbfKernel(1.0), X).max() == 1.0

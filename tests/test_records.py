@@ -1,8 +1,17 @@
 """The shared line conventions of the small text formats."""
 
+import numpy as np
 import pytest
 
-from bearface.records import content_lines, parse_records
+from bearface.config import ConfigError
+from bearface.imaging import GrayImage
+from bearface.kernels import RbfKernel
+from bearface.mkl import BinaryMklSolution
+from bearface.multiclass import BankEntry, CvResult, MulticlassModel
+from bearface.pca import PcaModel
+from bearface.records import content_lines, frozen, located, parse_records
+from bearface.registration import LandmarkSet
+from bearface.svm import DualSolution
 
 
 def test_content_lines_drop_comments_trailing_space_and_blank_lines():
@@ -24,3 +33,71 @@ def test_rest_field_takes_the_rest_of_the_line():
         parse_records("1\n", fields, "t.txt", rest=True)
     with pytest.raises(ValueError, match="^line 2: id must be int, got 'x'$"):
         parse_records("bearface-t 1\nx a\n", fields, kind="t", rest=True)
+
+
+def test_located_prefixes_a_value_error_and_passes_others():
+    with pytest.raises(ValueError, match="^f.txt:3: bad value$"):
+        with located("f.txt:3"):
+            raise ValueError("bad value")
+    # A subclass comes out as a plain ValueError with the same text.
+    with pytest.raises(ValueError) as caught:
+        with located("f.txt"):
+            raise ConfigError("cv_folds must be at least 2")
+    assert type(caught.value) is ValueError
+    assert str(caught.value) == "f.txt: cv_folds must be at least 2"
+    missing = KeyError("zz")
+    with pytest.raises(KeyError) as caught:
+        with located("f.txt"):
+            raise missing
+    assert caught.value is missing
+
+
+# Each record type with a builder from one array, the record's copy of it,
+# and a writable, C-contiguous array of the record's dtype.
+RECORDS = {
+    "GrayImage": (GrayImage, lambda r: r.pixels, np.arange(12, dtype=np.uint8).reshape(3, 4)),
+    "LandmarkSet": (LandmarkSet, lambda r: r.points, np.arange(136.0).reshape(68, 2)),
+    "PcaModel": (
+        lambda a: PcaModel(np.zeros(3), a, np.ones(2), 1.0, 1.0),
+        lambda r: r.components,
+        np.arange(6.0).reshape(3, 2),
+    ),
+    "DualSolution": (
+        lambda a: DualSolution(a, 0.0, 0.0, 0.0, 1), lambda r: r.alpha, np.array([0.5, 0.5])
+    ),
+    "BinaryMklSolution": (
+        lambda a: BinaryMklSolution(a, np.ones(1), 0.0, np.array([1.0, -1.0]), 1.0, 0.0),
+        lambda r: r.alphas,
+        np.array([0.5, 0.5]),
+    ),
+    "MulticlassModel": (
+        lambda a: MulticlassModel(("a", "b"), (BankEntry("x", RbfKernel(1.0)),),
+                                  np.ones((1, 1)), np.zeros(1), {"x": a}, np.ones((2, 1))),
+        lambda r: r.pool["x"],
+        np.arange(6.0).reshape(2, 3),
+    ),
+    "CvResult": (
+        lambda a: CvResult(("a", "b"), a, (), 2, "random"),
+        lambda r: r.counts,
+        np.array([[3, 1], [0, 4]], dtype=np.int64),
+    ),
+}
+
+
+@pytest.mark.parametrize("make, held, array", RECORDS.values(), ids=RECORDS.keys())
+def test_record_holds_its_own_read_only_copy(make, held, array):
+    assert array.flags.writeable and array.flags.c_contiguous
+    before = array.copy()
+    record = make(array)
+    assert array.flags.writeable
+    array += 1
+    np.testing.assert_array_equal(held(record), before)
+    assert not held(record).flags.writeable
+
+
+def test_frozen_copies_into_c_order():
+    fortran = np.asfortranarray(np.arange(6.0).reshape(2, 3))
+    copy = frozen(fortran, np.float32)
+    assert copy.flags.c_contiguous and not copy.flags.writeable
+    assert copy.dtype == np.float32 and fortran.flags.writeable
+    np.testing.assert_array_equal(copy, fortran)
