@@ -44,8 +44,10 @@ def dump_store(entries: Mapping[str, object]) -> str:
         elif isinstance(value, (float, np.floating)):
             lines.append(f"float {name} {float(value)!r}")
         elif isinstance(value, str):
-            if "\n" in value:
-                raise ValueError(f"string entry {name!r} contains a newline")
+            # parse_store splits on every line boundary of str.splitlines,
+            # not only on a newline.
+            if value.splitlines() not in ([value], []):
+                raise ValueError(f"string entry {name!r} contains a line break")
             lines.append(f"str {name} {value}")
         elif isinstance(value, np.ndarray):
             if value.dtype == np.float64:

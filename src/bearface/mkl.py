@@ -165,21 +165,26 @@ def _curvature_direction(
     Returns None when the system is degenerate or ill-conditioned.
     """
     M = len(grams)
-    free = free_set(alpha, C)
-    count = int(free.sum())
+    free = np.flatnonzero(free_set(alpha, C))
+    count = free.size
     if count == 0:
         return None
     v = alpha * y
-    # u_m = (yy' o K^m) alpha restricted to the free set.
-    U = np.stack([y[free] * (K[free] @ v) for K in grams], axis=1)  # (F, M)
+    y_free = y[free]
+    # The bordered system S [dalpha; db] = [U; 0]. U's column m is
+    # u_m = (yy' o K^m) alpha on the free set, written in place.
+    sensitivity = np.zeros((count + 1, M))
+    U = sensitivity[:count]
+    for m, K in enumerate(grams):
+        np.multiply(y_free, K.take(free, axis=0) @ v, out=U[:, m])
     # The bordered KKT matrix uses the current combined kernel on the free set.
-    Q_ff = (y[free, None] * y[None, free]) * combined[np.ix_(free, free)]
     S = np.zeros((count + 1, count + 1))
-    S[:count, :count] = Q_ff
-    S[:count, count] = y[free]
-    S[count, :count] = y[free]
+    np.multiply(np.multiply.outer(y_free, y_free), combined[free[:, None], free],
+                out=S[:count, :count])
+    S[:count, count] = y_free
+    S[count, :count] = y_free
     try:
-        solved = np.linalg.solve(S, np.vstack([U, np.zeros((1, M))]))
+        solved = np.linalg.solve(S, sensitivity)
     except np.linalg.LinAlgError:
         return None
     if not np.isfinite(solved).all():

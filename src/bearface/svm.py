@@ -17,9 +17,12 @@ operations, which write into buffers made once per solve:
 - the loop state is yg = -y * gradient, not the gradient. Because y is
   +/-1, y_k * gradient_k == -yg_k, and the update -y * (Q[:, i] * delta_i)
   equals K[:, i] * (-y_i * delta_i) bit for bit, so yg moves by columns of
-  K (its rows, when K is symmetric) times -y_k * delta_k;
+  K times -y_k * delta_k, read as rows of one transposed copy of K; a warm
+  start's yg = -y * (Q @ alpha - 1) is y - K @ (y * alpha) for the same
+  reason;
 - membership of I_up and I_low lives in one (2, n) additive penalty array
-  (0 in the set, -inf / +inf outside), built once per solve, and yg is
+  (0 in the set, -inf / +inf outside), built once per solve in one
+  `np.where` (from y > 0 alone on a cold start), and yg is
   added to both rows in one call; a step changes only alpha_i and alpha_j,
   so it rewrites only those two entries of each row;
 - the curvature of every candidate pair is one (n, n) matrix built once per
@@ -42,6 +45,30 @@ unchanged (a -0.0 turns into +0.0, which compares equal; at most the sign
 of a zero violation can differ), because y is +/-1, 2.0 * y[i] * y[j] *
 Q[i, j] equals 2.0 * K[i, j] exactly, and the bias mean is np.mean's own
 add.reduce over the free set divided by its count.
+
+The PSD check (`ensure_psd`) adds diagonal jitter when the smallest
+eigenvalue that `np.linalg.eigvalsh` computes is below -1e-8. One
+Cholesky factorisation can prove that it is not, with eps = 2**-52:
+lower K's diagonal by s = max(0, 64 n**2 eps tr(K) - 1e-8) and factor.
+- A factorisation that completes, with a finite diagonal, is the exact
+  factorisation of K - s I + E with ||E||_2 <= (n + 1) eps ||L||_F**2 /
+  (1 - (n + 1) eps) (Demmel's backward error; Higham, Accuracy and
+  Stability of Numerical Algorithms, 2nd ed., Thm 10.5), and ||L||_F**2 is
+  the trace of L L', at most tr(K) to first order. So lambda_min(K) >=
+  s - (n + 2) eps tr(K).
+- LAPACK's symmetric eigensolvers return each eigenvalue within
+  p(n) eps ||K||_2 of the exact one (LAPACK Users' Guide, 3rd ed.,
+  section 4.7), for a modestly growing p(n), and ||K||_2 <= tr(K) to
+  first order once lambda_min(K) is bounded as above. The constant 64
+  lets 64 n**2 - (n + 2) stand for p(n) with room to spare.
+So the computed eigvalsh(K)[0] is at least s - 64 n**2 eps tr(K) >= -1e-8,
+and the eigendecomposition would return K unchanged: the check returns K
+without running it. Every other matrix (the factorisation fails because K
+is indefinite, singular or too close to the floor; K is empty, not square
+or not float64) goes through eigvalsh as before, with its floor, warning
+and jitter. On the benchmark's Grams, lambda_min / (n**2 eps tr(K)) is at
+least about 770, twelve times the constant, so the certificate decides
+every one of them.
 """
 
 from __future__ import annotations
@@ -56,8 +83,14 @@ from .records import frozen
 
 DEFAULT_KKT_TOL = 1e-3
 _PSD_FLOOR = -1e-8   # most negative eigenvalue tolerated without repair
+# The PSD certificate's constant: c n**2 eps tr(K) covers the Cholesky
+# backward error and eigvalsh's error bound together (module docstring).
+_CERTIFICATE = 64.0
+_EPS = float(np.finfo(np.float64).eps)
 _JITTER = 1e-8
 _TAU = 1e-12
+# The penalty of an index outside I_up (row 0) and outside I_low (row 1).
+_OUTSIDE = np.array([[-np.inf], [np.inf]])
 
 
 @dataclass(frozen=True)
@@ -85,8 +118,47 @@ def dual_objective(alpha: np.ndarray, K: np.ndarray, y: np.ndarray) -> float:
     return float(alpha.sum() - 0.5 * v @ K @ v)
 
 
+def _certified_psd(K: np.ndarray) -> bool:
+    """Whether one Cholesky factorisation proves eigvalsh(K)[0] >= -1e-8.
+
+    K is lowered on its diagonal by s = max(0, 64 n**2 eps tr(K) - 1e-8)
+    and factored; see the module docstring for the two error bounds that
+    make a completed factorisation a proof. Like eigvalsh, the
+    factorisation reads only the lower triangle.
+    """
+    if (not isinstance(K, np.ndarray) or K.dtype != np.float64 or K.ndim != 2
+            or K.shape[0] != K.shape[1] or not K.size):
+        return False
+    n = K.shape[0]
+    # A trace summed on Python floats overflows to inf without a warning,
+    # and an infinite shift fails the factorisation.
+    shift = _CERTIFICATE * n * n * _EPS * sum(K.diagonal().tolist()) + _PSD_FLOOR
+    if shift > 0.0:
+        K = K.copy()
+        K.reshape(-1)[:: n + 1] -= shift
+    try:
+        factor = np.linalg.cholesky(K)
+    except np.linalg.LinAlgError:
+        return False
+    # OpenBLAS takes a NaN pivot (an overflow inside the factorisation of
+    # a finite matrix) for a positive one; every NaN ends on the diagonal.
+    return bool(np.isfinite(factor.diagonal()).all())
+
+
 def ensure_psd(K: np.ndarray) -> np.ndarray:
-    """Add diagonal jitter when the matrix is meaningfully indefinite."""
+    """Add diagonal jitter when the matrix is meaningfully indefinite.
+
+    Returns K itself when eigvalsh's smallest eigenvalue is at least -1e-8,
+    and otherwise K + 1e-8 I with a NumericsWarning. A completed Cholesky
+    factorisation of K lowered by max(0, 64 n**2 eps tr(K) - 1e-8) on its
+    diagonal proves the first case without the eigendecomposition (module
+    docstring); any other matrix goes through eigvalsh. A matrix with a
+    NaN or an infinite entry is rejected with a ValueError first.
+    """
+    if not np.isfinite(K).all():
+        raise ValueError("kernel matrix has non-finite entries")
+    if _certified_psd(K):
+        return K
     smallest = float(np.linalg.eigvalsh(K)[0])
     if smallest < _PSD_FLOOR:
         warnings.warn(
@@ -121,9 +193,11 @@ def solve_svm_dual(
         raise ValueError(f"kernel matrix must be square, got {K.shape}")
     if y.shape != (n,):
         raise ValueError(f"labels shape {y.shape} does not match matrix size {n}")
-    if not ((y == 1.0) | (y == -1.0)).all():
+    y_l = y.tolist()
+    classes = set(y_l)
+    if not classes <= {1.0, -1.0}:
         raise ValueError("labels must be -1 or +1")
-    if (y > 0).all() or (y < 0).all():
+    if len(classes) < 2:
         raise ValueError("both classes must be present")
     if C <= 0:
         raise ValueError(f"C must be positive, got {C}")
@@ -132,32 +206,38 @@ def solve_svm_dual(
     if max_iter is None:
         max_iter = max(20000, 200 * n)
 
+    positive = y > 0
     if warm_alpha is not None:
-        alpha = np.clip(np.asarray(warm_alpha, dtype=np.float64).copy(), 0.0, C)
-        Q = (y[:, None] * y[None, :]) * K
-        yg = -y * (Q @ alpha - 1.0)
+        alpha = np.clip(np.asarray(warm_alpha, dtype=np.float64), 0.0, C)
+        alpha_l = alpha.tolist()
+        # -y * (Q @ alpha - 1.0) with Q = yy' o K: each product and partial
+        # sum of Q's rows is K's times y_k, an exact sign flip, and so is
+        # the subtraction of 1.0 (module docstring). K is read in C order,
+        # as Q was, so the dot products add in the same order.
+        yg = y - np.ascontiguousarray(K) @ (y * alpha)
+        above, below = alpha > 0, alpha < C
+        # In I_up: below C for y = +1, above 0 for y = -1; I_low the reverse.
+        members = np.where(positive, [below, above], [above, below])
     else:
-        alpha = np.zeros(n)
+        alpha_l = [0.0] * n
         yg = y.copy()  # -y * gradient with gradient = -1, bit for bit
-    # Row k of `rows` is column k of K (module docstring).
-    rows = K if np.array_equal(K, K.T) else np.ascontiguousarray(K.T)
-
-    diag = np.diag(K).copy()  # the diagonal of Q, since y_k**2 == 1
-    # Row i is the partner search's curvature vector (module docstring).
-    curvature = (diag[:, None] + diag[None, :]) - 2.0 * K
-    curvature = np.where(curvature > 0, curvature, _TAU)
+        members = (positive, ~positive)
     # Row 0 is the I_up penalty, row 1 the I_low penalty.
-    penalty = np.empty((2, n))
+    penalty = np.where(members, 0.0, _OUTSIDE)
     up_pen, low_pen = penalty
-    up_pen[:] = np.where(((y > 0) & (alpha < C)) | ((y < 0) & (alpha > 0)), 0.0, -np.inf)
-    low_pen[:] = np.where(((y > 0) & (alpha > 0)) | ((y < 0) & (alpha < C)), 0.0, np.inf)
+    # Row k of `rows` is column k of K (module docstring).
+    rows = np.ascontiguousarray(K.T)
+
+    diag = K.diagonal()  # the diagonal of Q, since y_k**2 == 1
+    # Row i is the partner search's curvature vector (module docstring).
+    curvature = np.add.outer(diag, diag)
+    np.subtract(curvature, 2.0 * K, out=curvature)
+    curvature[~(curvature > 0)] = _TAU
     scores = np.empty((2, n))
     up_scores, low_scores = scores
     gain = np.empty(n)
     step = np.empty(n)
-    alpha_l = alpha.tolist()
     diag_l = diag.tolist()
-    y_l = y.tolist()
     iterations = 0
     violation = np.inf
     for iterations in range(1, max_iter + 1):

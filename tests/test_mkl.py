@@ -26,7 +26,7 @@ from bearface.mkl import (
     train_binary_mkl,
 )
 from bearface.multiclass import decision_values, train_multiclass
-from bearface.svm import ensure_psd, solve_svm_dual
+from bearface.svm import ensure_psd, free_set, solve_svm_dual
 
 
 def _blob_problem(rng, per_class=15, dims=4, gap=4.0):
@@ -259,6 +259,76 @@ def test_train_input_validation():
 # ---------------------------------------------------------------------------
 
 
+def reference_curvature_direction(grams, combined, y, alpha, C, gradient):
+    """The Newton direction built from full-length masks and stacked copies.
+
+    A plain restatement of the bordered KKT solve, kept as the reference
+    `_curvature_direction` must reproduce bit for bit.
+    """
+    M = len(grams)
+    free = free_set(alpha, C)
+    count = int(free.sum())
+    if count == 0:
+        return None
+    v = alpha * y
+    U = np.stack([y[free] * (K[free] @ v) for K in grams], axis=1)  # (F, M)
+    Q_ff = (y[free, None] * y[None, free]) * combined[np.ix_(free, free)]
+    S = np.zeros((count + 1, count + 1))
+    S[:count, :count] = Q_ff
+    S[:count, count] = y[free]
+    S[count, :count] = y[free]
+    try:
+        solved = np.linalg.solve(S, np.vstack([U, np.zeros((1, M))]))
+    except np.linalg.LinAlgError:
+        return None
+    if not np.isfinite(solved).all():
+        return None
+    H = U.T @ solved[:count]
+    H = 0.5 * (H + H.T)
+    ridge = 1e-10 * max(1.0, float(np.trace(H)) / max(M, 1))
+    system = np.zeros((M + 1, M + 1))
+    system[:M, :M] = H + ridge * np.eye(M)
+    system[:M, M] = 1.0
+    system[M, :M] = 1.0
+    rhs = np.concatenate([-gradient, [0.0]])
+    try:
+        step = np.linalg.solve(system, rhs)[:M]
+    except np.linalg.LinAlgError:
+        return None
+    if not np.isfinite(step).all():
+        return None
+    return step
+
+
+@pytest.mark.parametrize("M", [1, 2, 4])
+def test_newton_direction_matches_reference_bit_for_bit(M):
+    # Duals with no free entry, one, several and all of them, on weights
+    # off the barycenter, so every column of U and of the bordered system
+    # counts.
+    C = 2.0
+    steps = 0
+    for seed in range(4):
+        grams, y = _mkl_problem(seed, M)
+        grams = np.stack(grams)
+        n = len(y)
+        rng = np.random.default_rng([seed, M])
+        d = rng.dirichlet(np.ones(M))
+        combined = np.tensordot(d, grams, axes=1)
+        solved = solve_svm_dual(combined, y, C, psd_check=False).alpha
+        one = np.where(rng.random(n) < 0.5, 0.0, C)
+        one[int(rng.integers(n))] = 0.3 * C
+        for alpha in (np.zeros(n), np.full(n, C), one, solved,
+                      rng.uniform(0.1, 0.9, size=n) * C):
+            gradient = mkl_gradient(alpha, y, grams)
+            expected = reference_curvature_direction(grams, combined, y, alpha, C, gradient)
+            ours = _curvature_direction(grams, combined, y, alpha, C, gradient)
+            assert (ours is None) == (expected is None)
+            if expected is not None:
+                assert ours.tobytes() == expected.tobytes()
+                steps += 1
+    assert steps >= 12
+
+
 def reference_train_binary_mkl(grams, labels, C, trial_hook=None):
     """The outer loop that solves every line-search trial.
 
@@ -289,7 +359,7 @@ def reference_train_binary_mkl(grams, labels, C, trial_hook=None):
     for _ in range(MAX_OUTER_ITERATIONS):
         gradient = mkl_gradient(solution.alpha, y, grams)
         combined = np.tensordot(d, grams, axes=1)
-        newton = _curvature_direction(grams, combined, y, solution.alpha, C, gradient)
+        newton = reference_curvature_direction(grams, combined, y, solution.alpha, C, gradient)
         gradient_step = -gradient * (0.5 / max(float(np.abs(gradient).max()), 1e-12))
         directions = [newton, gradient_step] if newton is not None else [gradient_step]
         accepted = None

@@ -93,6 +93,24 @@ def test_store_rejects_bad_input():
             parse_store(text.replace("f8 2,3", f"f8 {shape}"))
 
 
+# Every character str.splitlines breaks a line on.
+_LINE_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+@pytest.mark.parametrize("mark", list(_LINE_BREAKS))
+def test_store_rejects_a_string_it_could_not_read_back(mark):
+    for value in (mark, f"a{mark}", f"{mark}b", f"a{mark}b", f"a\r\n{mark}"):
+        with pytest.raises(ValueError, match="^string entry 'label' contains a line break$"):
+            dump_store({"label": value})
+
+
+def test_store_strings_without_line_breaks_round_trip():
+    values = ["", "a", "  two  spaces ", "tab\tinside", "# not a comment", "\x1f\x1b\u200b",
+              "".join(chr(c) for c in range(32, 0x3000) if chr(c) not in _LINE_BREAKS)]
+    entries = {f"s{k}": value for k, value in enumerate(values)}
+    assert parse_store(dump_store(entries)) == entries
+
+
 def _small_model():
     rng = np.random.default_rng(51)
     names = ["anger", "joy", "fear"]

@@ -311,6 +311,80 @@ def test_landmark_file_round_trip(tmp_path):
         read_landmarks(path)
 
 
+def reference_read_landmarks(path):
+    """Every landmark file through the records path, which names places."""
+    text = path.read_text(encoding="utf-8")
+    fields = (("x", float), ("y", float))
+    rows = registration.parse_records(text, fields, str(path))
+    if len(rows) != LANDMARK_COUNT:
+        raise ValueError(f"{path}: expected {LANDMARK_COUNT} landmarks, got {len(rows)}")
+    points = np.array([record for _, record in rows])
+    try:
+        return LandmarkSet(points)
+    except ValueError:
+        row, column = np.argwhere(~(np.abs(points) <= registration.COORDINATE_LIMIT))[0]
+        value = float(points[row, column])
+        rule = "at most 1e+09 in magnitude" if math.isfinite(value) else "finite"
+        raise ValueError(
+            f"{path}:{rows[row][0]}: {'xy'[column]} must be {rule}, got {value!r}"
+        ) from None
+
+
+def _landmark_outcome(read, path):
+    try:
+        return read(path).points.tobytes(), None
+    except ValueError as error:
+        return None, str(error)
+
+
+def _landmark_texts():
+    rng = np.random.default_rng(12)
+    lines = [f"{x!r} {y!r}" for x, y in rng.uniform(-5.0, 130.0, (LANDMARK_COUNT, 2)).tolist()]
+    lines[3] = "1e2 -0.0"
+    lines[4] = "  7   8.5  "
+    plain = "\n".join(lines) + "\n"
+    yield "plain", plain
+    yield "no final newline", plain.rstrip("\n")
+    yield "crlf", plain.replace("\n", "\r\n")
+    yield "tabs", plain.replace(" ", "\t")
+    yield "comment", "# face 7\n" + plain
+    yield "trailing comment", plain.replace("\n", " # point\n", 1)
+    yield "blank line", plain.replace("\n", "\n\n", 1)
+    yield "blank lines only at the end", plain + "\n   \n"
+    yield "third field", plain.replace(lines[10], lines[10] + " 3.0")
+    yield "one field", plain.replace(lines[10], "4.5")
+    yield "missing line", plain.replace(lines[10] + "\n", "")
+    yield "extra line", plain + "1 2\n"
+    yield "not a number", plain.replace(lines[20], "1.5 abc")
+    for bad in ("nan", "-inf", "1e300", "-1e300", "1000000000.0001"):
+        yield bad, plain.replace(lines[30], f"2.0 {bad}")
+        yield bad + " with a comment", "# x\n" + plain.replace(lines[30], f"{bad} 2.0")
+    yield "underscore digits", plain.replace(lines[40], "1_000 2")
+    yield "empty", ""
+
+
+@pytest.mark.parametrize("name, text", list(_landmark_texts()))
+def test_landmark_reader_matches_the_records_path(tmp_path, name, text):
+    path = tmp_path / "face.pts"
+    path.write_bytes(text.encode("utf-8"))
+    assert _landmark_outcome(read_landmarks, path) == _landmark_outcome(reference_read_landmarks, path)
+
+
+def test_plain_landmark_file_skips_the_records_path(tmp_path, monkeypatch):
+    path = tmp_path / "face.pts"
+    write_landmarks(_spread_landmarks(), path)
+    expected = read_landmarks(path).points.tobytes()
+
+    def unused(*args, **kwargs):
+        raise AssertionError("records path taken")
+
+    monkeypatch.setattr(registration, "parse_records", unused)
+    assert read_landmarks(path).points.tobytes() == expected
+    path.write_text("# a comment\n" + path.read_text())
+    with pytest.raises(AssertionError, match="records path taken"):
+        read_landmarks(path)
+
+
 def test_landmark_coordinates_are_bounded():
     limit = registration.COORDINATE_LIMIT
     points = _spread_landmarks().points.copy()

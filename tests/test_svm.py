@@ -8,7 +8,8 @@ import pytest
 
 from bearface.diagnostics import NumericsWarning
 from bearface.kernels import PolyKernel, RbfKernel, kernel_matrix
-from bearface.svm import DEFAULT_KKT_TOL, dual_objective, solve_svm_dual
+from bearface.mkl import train_binary_mkl
+from bearface.svm import DEFAULT_KKT_TOL, dual_objective, ensure_psd, solve_svm_dual
 
 _TAU = 1e-12
 
@@ -466,3 +467,142 @@ def test_objective_agrees_with_scipy_on_medium_problems():
         bound = n * C * DEFAULT_KKT_TOL / 2
         assert ours.objective == pytest.approx(reference, abs=bound)
         assert ours.kkt_violation < DEFAULT_KKT_TOL
+
+
+def test_warm_start_matches_reference_on_any_layout():
+    # The warm start reads K in C order whatever the caller's layout, as the
+    # reference's Q = yy' o K is; the gradient update reads K's columns.
+    rng = np.random.default_rng(63)
+    for n in (5, 17, 40):
+        y = random_labels(rng, n)
+        K = kernel_matrix(PolyKernel(degree=2), rng.normal(size=(n, 4)) + 0.4 * y[:, None])
+        asymmetric = K + 1e-9 * rng.normal(size=K.shape)
+        seed = solve_svm_dual(K, y, 1.0, tol=0.5, psd_check=False).alpha
+        padded = np.zeros(n * n + 1)
+        padded[1:] = K.ravel()
+        strided = np.zeros((n, 2 * n))[:, ::2]
+        strided[:] = asymmetric
+        for layout in (np.asfortranarray(K), asymmetric, np.asfortranarray(asymmetric),
+                       padded[1:].reshape(n, n), strided):
+            assert_matches_reference(layout, y, 1.0, warm_alpha=seed)
+
+
+def reference_ensure_psd(K):
+    """The PSD check as one eigendecomposition: jitter below -1e-8."""
+    smallest = float(np.linalg.eigvalsh(K)[0])
+    if smallest < -1e-8:
+        warnings.warn(
+            f"combined kernel matrix has eigenvalue {smallest:.3e}; "
+            f"adding diagonal jitter {1e-8:g}",
+            NumericsWarning,
+            stacklevel=3,
+        )
+        K = K + 1e-8 * np.eye(K.shape[0])
+    return K
+
+
+def _psd_outcome(check, K):
+    """(returned bytes, returned K itself, warning texts, error) of one check."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = check(K)
+        except Exception as error:  # the same error from both checks
+            return None, None, [], (type(error), str(error))
+    texts = [(w.category, str(w.message)) for w in caught]
+    return result.tobytes(), result is K, texts, None
+
+
+def _rotated(rng, eigenvalues):
+    Q, _ = np.linalg.qr(rng.normal(size=(len(eigenvalues), len(eigenvalues))))
+    return (Q * eigenvalues) @ Q.T
+
+
+def _graded_gram(rng, n):
+    """A correlation matrix scaled by norms from 1e-4.5 to 1e5: positive
+    definite, and Cholesky completes on it, while eigvalsh's error of
+    eps * ||K|| often puts its smallest eigenvalue below -1e-8."""
+    A = rng.normal(size=(n, n))
+    C = A @ A.T + n * np.eye(n)
+    scale = 1.0 / np.sqrt(np.diag(C))
+    norms = 10 ** rng.uniform(-4.5, 5.0, size=n)
+    K = C * (scale * norms)[:, None] * (scale * norms)[None, :]
+    return 0.5 * (K + K.T)
+
+
+def _psd_cases():
+    rng = np.random.default_rng(71)
+    floor = -1e-8
+    for n in (2, 7, 30, 90):
+        X = rng.normal(size=(n, n + 3))
+        yield X @ X.T                                        # random PSD
+        A = rng.normal(size=(n, n))
+        yield 0.5 * (A + A.T)                                # indefinite
+        yield kernel_matrix(RbfKernel(gamma=0.7), rng.normal(size=(n, 3)))
+    for n in (3, 10, 40):
+        values = np.linspace(1.0, 3.0, n)
+        for smallest in (floor, 0.0, 1e-12):
+            for ulps in range(-3, 4):
+                edge = smallest
+                for _ in range(abs(ulps)):
+                    edge = np.nextafter(edge, np.inf if ulps > 0 else -np.inf)
+                values[0] = edge
+                yield np.diag(values)                        # exact eigenvalues
+                yield _rotated(rng, values)                  # eigvalsh's rounding
+    for n in (4, 12, 40):                                    # duplicated rows
+        X = rng.normal(size=(n // 2, 3))
+        X = np.vstack([X, X])
+        yield kernel_matrix(RbfKernel(gamma=0.8), X)
+        yield kernel_matrix(PolyKernel(degree=2), 30.0 * X)
+    for n in (20, 60, 90):                                   # large traces
+        X = rng.normal(size=(n, 60)) * rng.uniform(0.6, 1.5, size=(n, 1))
+        yield kernel_matrix(PolyKernel(degree=2), X)
+        yield kernel_matrix(PolyKernel(degree=2), 40.0 * X[:, :5])   # rank 21
+    for n in (12, 16, 20, 24, 29):
+        for _ in range(6):
+            yield _graded_gram(rng, n)
+    for value in (-1.0, -1e-8, -5e-9, 0.0, 1e-12, 3.0):      # n = 1
+        yield np.array([[value]])
+    yield np.zeros((0, 0))
+    yield np.zeros((2, 3))
+
+
+def test_psd_check_matches_the_eigendecomposition_bit_for_bit():
+    cases = list(_psd_cases())
+    outcomes = [(_psd_outcome(ensure_psd, K), _psd_outcome(reference_ensure_psd, K)) for K in cases]
+    for K, (ours, expected) in zip(cases, outcomes):
+        assert ours == expected, K.shape
+    # The cases reach the jitter, both sides of the floor, and an error.
+    assert any(expected[2] for _, expected in outcomes)
+    assert any(expected[1] for _, expected in outcomes)
+    assert any(expected[3] for _, expected in outcomes)
+
+
+def test_cholesky_of_the_unlowered_matrix_proves_nothing():
+    # On graded Grams a factorisation of K itself completes although
+    # eigvalsh puts the smallest eigenvalue below the floor: the diagonal
+    # must come down by 64 n**2 eps tr(K) before a factorisation proves it.
+    rng = np.random.default_rng(72)
+    fooled = 0
+    for _ in range(60):
+        K = _graded_gram(rng, int(rng.integers(12, 30)))
+        if np.linalg.eigvalsh(K)[0] < -1e-8:
+            np.linalg.cholesky(K)  # completes
+            fooled += 1
+            assert _psd_outcome(ensure_psd, K) == _psd_outcome(reference_ensure_psd, K)
+    assert fooled >= 3
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_gram_is_rejected_up_front(bad):
+    rng = np.random.default_rng(73)
+    y = random_labels(rng, 10)
+    K = kernel_matrix(RbfKernel(gamma=0.5), rng.normal(size=(10, 3)))
+    K[3, 6] = bad
+    message = "^kernel matrix has non-finite entries$"
+    with pytest.raises(ValueError, match=message):
+        ensure_psd(K)
+    with pytest.raises(ValueError, match=message):
+        solve_svm_dual(K, y, 1.0)
+    with pytest.raises(ValueError, match=message):
+        train_binary_mkl([K, np.eye(10)], y, 1.0)
