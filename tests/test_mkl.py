@@ -335,7 +335,8 @@ def reference_train_binary_mkl(grams, labels, C, trial_hook=None):
     A plain restatement of the trainer before trials were screened by the
     warm-start bound, kept as the reference `train_binary_mkl` must
     reproduce bit for bit. It combines the Grams with `np.tensordot` and
-    builds the combined Gram again for the Newton direction. Returns the
+    builds the combined Gram again for the Newton direction, which it takes
+    from `reference_curvature_direction`. Returns the
     solution fields and the set of events the fit went through:
     "newton" (a Newton step accepted), "fallback" (the Newton direction
     rejected, then the gradient step accepted) and "final sweep" (both
