@@ -21,12 +21,13 @@ from .imaging import GrayImage, read_pnm
 from .lbp import lbph
 from .manifest import DatasetManifest, ingest_sequences
 from .modelio import FeatureParams
+from .records import check_finite
 from .registration import LandmarkSet, mean_reference, read_landmarks, register_and_crop
 
 
 @dataclass(frozen=True)
 class FeatureSet:
-    """Extracted descriptor blocks for a labeled sample set."""
+    """Extracted descriptor blocks for a labeled sample set; every block finite."""
 
     blocks: Mapping[str, np.ndarray]   # name -> (n, d)
     labels: tuple[str, ...]
@@ -42,6 +43,7 @@ class FeatureSet:
                 if len(values) != len(rows):
                     raise ValueError(f"{field} has {len(values)} entries, expected one "
                                      f"per row of block {name!r} ({len(rows)})")
+            check_finite(rows, f"values in block {name!r} row")
 
     def __len__(self) -> int:
         return len(self.labels)

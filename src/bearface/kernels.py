@@ -54,14 +54,6 @@ KernelSpec = Union[RbfKernel, PolyKernel]
 KernelPlan = Union[RbfKernel, PolyKernel, AutoRbf]
 
 
-def check_finite(X: np.ndarray, side: str) -> None:
-    """Reject a 2-D sample block holding NaN or inf, naming the first such row."""
-    finite = np.isfinite(X)
-    if not finite.all():
-        index = int(np.nonzero(~finite.all(axis=tuple(range(1, X.ndim))))[0][0])
-        raise ValueError(f"non-finite feature values in {side} sample {index}")
-
-
 def sq_distances(X: np.ndarray, Z: np.ndarray) -> np.ndarray:
     """||x_i - z_j||^2 as ||x_i||^2 + ||z_j||^2 - 2 <x_i, z_j>, floored at 0."""
     sq_dist = np.sum(X * X, axis=1)[:, None] + np.sum(Z * Z, axis=1)[None, :] - 2.0 * (X @ Z.T)
@@ -71,15 +63,15 @@ def sq_distances(X: np.ndarray, Z: np.ndarray) -> np.ndarray:
 def kernel_matrix(
     spec: KernelSpec, X: np.ndarray, Z: np.ndarray | None = None
 ) -> np.ndarray:
-    """Kernel evaluations k(x_i, z_j); Z = None gives the symmetric Gram."""
+    """Kernel evaluations k(x_i, z_j); Z = None gives the symmetric Gram.
+
+    Pure arithmetic: NaN and inf are checked where data enters, not here.
+    """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     if X.size == 0:
         raise ValueError("empty feature set")
-    check_finite(X, "left")
     symmetric = Z is None
     Zm = X if symmetric else np.atleast_2d(np.asarray(Z, dtype=np.float64))
-    if not symmetric:
-        check_finite(Zm, "right")
     if Zm.shape[1] != X.shape[1]:
         raise ValueError(
             f"feature dimensions differ: {X.shape[1]} vs {Zm.shape[1]}"

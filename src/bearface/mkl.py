@@ -239,7 +239,7 @@ def train_binary_mkl(
         weights: np.ndarray, warm: np.ndarray | None
     ) -> tuple[DualSolution, np.ndarray]:
         combined = combine_grams(flat, weights).reshape(n, n)
-        solution = solve_svm_dual(combined, y, C, warm_alpha=warm, psd_check=False)
+        solution = solve_svm_dual(combined, y, C, warm_alpha=warm)
         return solution, combined
 
     solution, combined = inner(d, None)

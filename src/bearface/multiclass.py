@@ -22,16 +22,10 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .expressions import CLASS_ORDER
-from .kernels import (
-    KernelPlan,
-    KernelSpec,
-    check_finite,
-    kernel_matrix,
-    resolve_kernel,
-)
+from .kernels import KernelPlan, KernelSpec, kernel_matrix, resolve_kernel
 from .mkl import train_binary_mkl
 from .pca import PcaModel, fit_pca, pca_project
-from .records import frozen
+from .records import check_finite, frozen
 
 FeatureBlocks = Mapping[str, np.ndarray]
 
@@ -81,6 +75,8 @@ class MulticlassModel:
     holds alpha_i * y_i of pair p over those rows (zero where a row is not
     one of that pair's support vectors). Pair p is `class_pairs(P)[p]`.
 
+    Every array must be finite, which is checked when the model is built.
+
     `live_entries` lists, in bank order, the bank entries whose column of
     `kernel_weights` has a nonzero value. It is worked out from the weights
     when the model is built; it is not a field and is never stored.
@@ -127,6 +123,10 @@ class MulticlassModel:
                     f"pool block {name!r} has {rows.shape[1]} columns, expected the "
                     f"{self.pca[name].k} components of its PCA model"
                 )
+            check_finite(rows, f"values in pool block {name!r} row")
+        check_finite(self.kernel_weights, "values in kernel_weights row")
+        check_finite(self.bias, "values in bias entry")
+        check_finite(self.dual_coef, "values in dual_coef row")
         live = np.flatnonzero(self.kernel_weights.any(axis=0)).tolist()
         object.__setattr__(self, "live_entries", tuple(live))
 
@@ -185,7 +185,8 @@ def train_multiclass(
     """Train every pairwise classifier over the feature blocks.
 
     Kernel plans resolve against the training data (auto RBF widths use the
-    full training set of their block). With `pca_energy` set, each block is
+    full training set of their block). Each block must be finite: a NaN or
+    inf is named by its block and row. With `pca_energy` set, each block is
     reduced first and the projections are stored in the model so queries go
     through the same mapping.
     """
@@ -207,6 +208,7 @@ def train_multiclass(
     used: dict[str, np.ndarray] = {}
     for name, data in blocks.items():
         data = np.asarray(data, dtype=np.float64)
+        check_finite(data, f"values in block {name!r} row")
         if pca_energy is not None:
             model = fit_pca(data, pca_energy)
             pca_models[name] = model
@@ -268,15 +270,16 @@ def decision_values(model: MulticlassModel, x_blocks: FeatureBlocks) -> np.ndarr
     dead polynomial kernel that overflows on a query far from the pool),
     the full sum would give 0 * inf = NaN; the row is the finite sum of
     the live entries. Every reduced query block is checked for NaN and
-    inf, in the order the bank first names the blocks and with the error
-    `kernel_matrix` raises, a block whose entries are all dead included.
+    inf, in the order the bank first names the blocks, a block whose
+    entries are all dead included; the pool, weights and PCA models were
+    checked when the model was built.
     """
     x = {name: np.asarray(x_blocks[name], dtype=np.float64) for name in model.pool}
     for name in model.pca:
         if name in x:
             x[name] = _reduce_block(model.pca[name], x[name])
     for name in dict.fromkeys(entry.block for entry in model.bank):
-        check_finite(np.atleast_2d(x[name]), "left")
+        check_finite(np.atleast_2d(x[name]), "feature values in left sample")
     n = len(np.atleast_2d(next(iter(x.values()))))
     total = np.zeros((n, len(model.pairs)))
     for m in model.live_entries:

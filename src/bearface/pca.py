@@ -36,7 +36,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .records import frozen
+from .records import check_finite, frozen
 
 DEFAULT_ENERGY = 0.95
 
@@ -47,7 +47,7 @@ class ZeroVarianceError(ValueError):
 
 @dataclass(frozen=True)
 class PcaModel:
-    """Mean, orthonormal basis columns, per-component variances."""
+    """Mean, orthonormal basis columns, per-component variances, all finite."""
 
     mean: np.ndarray        # (d,)
     components: np.ndarray  # (d, k), orthonormal columns, variance order
@@ -66,6 +66,9 @@ class PcaModel:
         if self.variances.shape != (self.k,):
             raise ValueError(f"PCA variances have shape {self.variances.shape}, expected "
                              f"({self.k},) for {self.k} components")
+        check_finite(self.mean, "values in PCA mean entry")
+        check_finite(self.components, "values in PCA components row")
+        check_finite(self.variances, "values in PCA variances entry")
 
     @property
     def dimension(self) -> int:

@@ -27,7 +27,9 @@ The rules are the same for all of them:
 
 Every record holds its arrays as read-only, C-ordered copies of its own
 (`frozen`): the caller's array stays writable, and writing to it later
-leaves the record as it was.
+leaves the record as it was. A record whose arrays hold numbers checks
+them for NaN and inf when it is built (`check_finite`), so data is
+checked once, where it enters, and a bad store names its file.
 
 Every artifact the command line writes goes through `write_atomic`, so an
 interrupted run leaves the previous file or the whole new one.
@@ -70,6 +72,15 @@ def frozen(value: object, dtype: object = None) -> np.ndarray:
     array = np.array(value, dtype=dtype, order="C")
     array.setflags(write=False)
     return array
+
+
+def check_finite(array: np.ndarray, what: str) -> None:
+    """Reject an array holding NaN or inf with `non-finite <what> <i>`, where
+    i is the first row (the first entry of a vector) that holds one."""
+    finite = np.isfinite(array)
+    if not finite.all():
+        index = int(np.nonzero(~finite.all(axis=tuple(range(1, finite.ndim))))[0][0])
+        raise ValueError(f"non-finite {what} {index}")
 
 
 def check_header(lines: Sequence[str], kind: str, origin: str | None = None) -> None:

@@ -145,6 +145,11 @@ def _certified_psd(K: np.ndarray) -> bool:
     return bool(np.isfinite(factor.diagonal()).all())
 
 
+def _check_finite_gram(K: np.ndarray) -> None:
+    if not np.isfinite(K).all():
+        raise ValueError("kernel matrix has non-finite entries")
+
+
 def ensure_psd(K: np.ndarray) -> np.ndarray:
     """Add diagonal jitter when the matrix is meaningfully indefinite.
 
@@ -155,8 +160,7 @@ def ensure_psd(K: np.ndarray) -> np.ndarray:
     docstring); any other matrix goes through eigvalsh. A matrix with a
     NaN or an infinite entry is rejected with a ValueError first.
     """
-    if not np.isfinite(K).all():
-        raise ValueError("kernel matrix has non-finite entries")
+    _check_finite_gram(K)
     if _certified_psd(K):
         return K
     smallest = float(np.linalg.eigvalsh(K)[0])
@@ -178,19 +182,21 @@ def solve_svm_dual(
     tol: float = DEFAULT_KKT_TOL,
     max_iter: int | None = None,
     warm_alpha: np.ndarray | None = None,
-    psd_check: bool = True,
 ) -> DualSolution:
     """Maximize the box-constrained dual over a combined kernel matrix.
 
-    `y` must contain both classes as +/-1. `warm_alpha`, when given, must be
-    feasible (box and equality constraints); it seeds the solve, which makes
-    repeated solves under slowly changing kernels cheap.
+    K must be finite, which is checked, and positive semidefinite, which is
+    not: `ensure_psd` repairs a K that is not. `y` must contain both classes
+    as +/-1. `warm_alpha`, when given, must be feasible (box and equality
+    constraints); it seeds the solve, which makes repeated solves under
+    slowly changing kernels cheap.
     """
     K = np.asarray(K, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     n = K.shape[0]
     if K.shape != (n, n):
         raise ValueError(f"kernel matrix must be square, got {K.shape}")
+    _check_finite_gram(K)
     if y.shape != (n,):
         raise ValueError(f"labels shape {y.shape} does not match matrix size {n}")
     y_l = y.tolist()
@@ -201,8 +207,6 @@ def solve_svm_dual(
         raise ValueError("both classes must be present")
     if C <= 0:
         raise ValueError(f"C must be positive, got {C}")
-    if psd_check:
-        K = ensure_psd(K)
     if max_iter is None:
         max_iter = max(20000, 200 * n)
 

@@ -306,6 +306,60 @@ def test_store_arrays_that_do_not_fit_name_file(
     assert _single_error(capsys)["error"] == f"{damaged}: {problem}"
 
 
+# Each float array of a model store, the row (entry of a vector) that gets
+# the bad value, and the record's name for it.
+_MODEL_ARRAYS = {
+    "pool_hog": (1, "pool block 'hog' row"),
+    "pool_lbph": (0, "pool block 'lbph' row"),
+    "dual_coef": (2, "dual_coef row"),
+    "bias": (3, "bias entry"),
+    "kernel_weights": (4, "kernel_weights row"),
+    "pca_hog_mean": (5, "PCA mean entry"),
+    "pca_hog_components": (6, "PCA components row"),
+    "pca_lbph_variances": (1, "PCA variances entry"),
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("entry", _MODEL_ARRAYS)
+def test_non_finite_model_array_names_file(
+    pipeline_out, synthetic_dataset, tmp_path, capsys, entry, bad
+):
+    # A NaN in dual_coef, bias or kernel_weights used to load and classify
+    # silently (a NaN decision votes for the pair's second class), and one
+    # in the PCA components was reported as a fault of the query.
+    entries = dict(read_store(pipeline_out / "model.store"))
+    row, name = _MODEL_ARRAYS[entry]
+    values = entries[entry].copy()
+    values.reshape(len(values), -1)[row, -1] = bad
+    entries[entry] = values
+    damaged = tmp_path / "model.store"
+    write_store(entries, damaged)
+    problem = f"{damaged}: non-finite values in {name} {row}"
+    with pytest.raises(ValueError) as caught:
+        load_model(damaged)
+    assert str(caught.value) == problem
+    argv = ["classify", "--manifest", str(synthetic_dataset), "--model", str(damaged)]
+    assert main(argv + ["--out", str(tmp_path / "o")]) == 2
+    assert _single_error(capsys) == {"error": problem, "kind": "ValueError"}
+
+
+def test_non_finite_feature_block_names_file(pipeline_out, fast_config, tmp_path, capsys):
+    # Training used to fail in fit_pca with "zero-size array to reduction
+    # operation maximum which has no identity", naming no file.
+    entries = dict(read_store(pipeline_out / "features.store"))
+    block = entries["block_lbph"].copy()
+    block[9, 17] = np.nan
+    entries["block_lbph"] = block
+    damaged = tmp_path / "features.store"
+    write_store(entries, damaged)
+    argv = ["train", "--config", fast_config, "--features", str(damaged)]
+    assert main(argv + ["--out", str(tmp_path / "o")]) == 2
+    assert _single_error(capsys) == {
+        "error": f"{damaged}: non-finite values in block 'lbph' row 9", "kind": "ValueError"
+    }
+
+
 @pytest.mark.parametrize(
     "edit",
     [lambda payload: "é" + payload[1:], lambda payload: payload + "!"],

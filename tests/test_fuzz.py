@@ -6,8 +6,10 @@ one-line JSON error record. Anything else would reach the user as a
 traceback. Each strategy mixes arbitrary text with lines of a valid file,
 so that the fuzzer gets past the header. Settings that size what a command
 allocates (durations, frame rate, descriptor sizes) must be rejected where
-they are parsed; large values are only ever parsed here, never run. Run
-with `--hypothesis-profile=ci` for more examples.
+they are parsed; large values are only ever parsed here, never run. A
+saved model with a NaN or inf written into it must be refused when it
+loads, naming the file. Run with `--hypothesis-profile=ci` for more
+examples.
 """
 
 import io
@@ -17,16 +19,20 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from bearface.arraystore import dump_store, parse_store
+from bearface.arraystore import dump_store, parse_store, read_store, write_store
 from bearface.cli import main
 from bearface.config import MAX_DURATION, RunConfig, parse_config
 from bearface.expressions import parse_templates
 from bearface.imaging import read_pnm
-from bearface.kernels import parse_kernel
+from bearface.kernels import AutoRbf, PolyKernel, parse_kernel
 from bearface.manifest import parse_manifest
+from bearface.modelio import ModelBundle, load_model, save_model
+from bearface.multiclass import train_multiclass
 from bearface.records import csv_text, packaged_text, parse_records
+from bearface.registration import LandmarkSet
 from bearface.visemes import parse_transcript, parse_viseme_table
 
 REJECTIONS = (ValueError, KeyError)
@@ -231,3 +237,35 @@ def test_config_size_fields(tmp_path, key, value):
     assert config.frame_rate * max(config.transition_duration, config.hold_duration) <= 240 * 60
     assert 128 % config.grid == 0 and 128 // config.grid >= 3
     assert 1 <= config.hog_bins <= 180
+
+
+@pytest.fixture(scope="module")
+def model_entries(tmp_path_factory):
+    """The entries of a saved three-class model with PCA on two blocks."""
+    rng = np.random.default_rng(8)
+    labels = ["anger"] * 5 + ["joy"] * 5 + ["fear"] * 5
+    X = rng.normal(size=(15, 6)) + 3.0 * np.repeat(np.eye(3, 6), 5, axis=0)
+    blocks = {"x": X, "y": np.abs(X[:, :4])}
+    plans = [("x", AutoRbf()), ("y", PolyKernel()), ("y", AutoRbf())]
+    model = train_multiclass(blocks, labels, plans, pca_energy=0.95)
+    path = tmp_path_factory.mktemp("fuzz") / "model.store"
+    reference = LandmarkSet(np.arange(136.0).reshape(68, 2))
+    save_model(ModelBundle(model, reference=reference), path)
+    return dict(read_store(path))
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture], deadline=None)
+@given(st.data(), st.sampled_from([math.nan, math.inf, -math.inf]))
+def test_non_finite_model_value_names_file(tmp_path, model_entries, data, bad):
+    # One NaN or inf in any float array of a model store: pool, dual
+    # coefficients, bias, kernel weights, PCA arrays or the reference.
+    names = sorted(name for name, value in model_entries.items()
+                   if isinstance(value, np.ndarray) and value.dtype == np.float64)
+    name = data.draw(st.sampled_from(names))
+    values = model_entries[name].copy()
+    values.reshape(-1)[data.draw(st.integers(0, values.size - 1))] = bad
+    path = tmp_path / "model.store"
+    write_store({**model_entries, name: values}, path)
+    with pytest.raises(ValueError) as caught:
+        load_model(path)
+    assert str(caught.value).startswith(f"{path}: ")

@@ -314,7 +314,7 @@ def test_newton_direction_matches_reference_bit_for_bit(M):
         rng = np.random.default_rng([seed, M])
         d = rng.dirichlet(np.ones(M))
         combined = np.tensordot(d, grams, axes=1)
-        solved = solve_svm_dual(combined, y, C, psd_check=False).alpha
+        solved = solve_svm_dual(combined, y, C).alpha
         one = np.where(rng.random(n) < 0.5, 0.0, C)
         one[int(rng.integers(n))] = 0.3 * C
         for alpha in (np.zeros(n), np.full(n, C), one, solved,
@@ -351,7 +351,7 @@ def reference_train_binary_mkl(grams, labels, C, trial_hook=None):
 
     def inner(weights, warm):
         combined = np.tensordot(weights, grams, axes=1)
-        return solve_svm_dual(combined, y, C, warm_alpha=warm, psd_check=False)
+        return solve_svm_dual(combined, y, C, warm_alpha=warm)
 
     solution = inner(d, None)
     objective = solution.objective

@@ -212,9 +212,13 @@ def test_live_entries_are_kernels_with_a_nonzero_weight():
     model, _ = _model_with_dead_entries()
     weights = model.kernel_weights.copy()
     weights[4, 1] = -1e-300
-    weights[2, 3] = np.nan
+    weights[2, 3] = 5e-324
     assert dataclasses.replace(model, kernel_weights=weights).live_entries == (0, 1, 2, 3)
     assert dataclasses.replace(model, kernel_weights=-np.zeros_like(weights)).live_entries == ()
+    # A NaN weight, which would count as nonzero, no longer builds a model.
+    weights[2, 3] = np.nan
+    with pytest.raises(ValueError, match="^non-finite values in kernel_weights row 2$"):
+        dataclasses.replace(model, kernel_weights=weights)
 
 
 def test_dead_kernel_overflow_leaves_the_row_finite():
@@ -383,6 +387,21 @@ def test_train_multiclass_validates_labels():
         train_multiclass({"x": X[:-1]}, labels, [("x", RbfKernel(1.0))])
     with pytest.raises(ValueError, match="bank is empty"):
         train_multiclass({"x": X}, labels, [])
+
+
+@pytest.mark.parametrize("pca_energy", [None, 0.95])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_training_block_names_block_and_row(pca_energy, bad):
+    # With PCA this used to fail in fit_pca with "zero-size array to
+    # reduction operation maximum", without it in the auto RBF width with
+    # "rbf gamma must be positive and finite, got nan".
+    rng = np.random.default_rng(54)
+    X, labels = make_blobs(rng, ["anger", "joy", "fear"], per_class=6, dims=8)
+    blocks = {"x": X, "y": np.abs(X[:, :5])}
+    blocks["y"][7, 2] = bad
+    plans = [("x", AutoRbf()), ("y", AutoRbf())]
+    with pytest.raises(ValueError, match="^non-finite values in block 'y' row 7$"):
+        train_multiclass(blocks, labels, plans, pca_energy=pca_energy)
 
 
 def test_rbf_squared_distances_are_floored_at_zero():

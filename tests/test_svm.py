@@ -110,7 +110,7 @@ def reference_solve(K, y, C, tol=DEFAULT_KKT_TOL, max_iter=None, warm_alpha=None
 def assert_matches_reference(K, y, C, **options):
     """Solve with both loops; returns the reference's `eta <= 0` step count."""
     expected, flat_steps = reference_solve(K, y, C, **options)
-    solution = solve_svm_dual(K, y, C, psd_check=False, **options)
+    solution = solve_svm_dual(K, y, C, **options)
     assert solution.alpha.tobytes() == expected["alpha"].tobytes()
     for name in ("bias", "objective", "kkt_violation", "iterations"):
         assert getattr(solution, name) == expected[name], name
@@ -271,10 +271,11 @@ def test_bad_labels_rejected():
 
 
 def test_indefinite_matrix_gets_jitter_warning():
+    # The repair is ensure_psd's; the solver takes K as it is.
     K = np.array([[0.0, 1.0], [1.0, 0.0]])  # eigenvalues +/-1
-    y = np.array([1.0, -1.0])
     with pytest.warns(NumericsWarning, match="jitter"):
-        solve_svm_dual(K, y, C=1.0)
+        repaired = ensure_psd(K)
+    np.testing.assert_array_equal(repaired, K + 1e-8 * np.eye(2))
 
 
 def test_dual_objective_helper():
@@ -330,7 +331,7 @@ def test_loop_matches_reference_from_warm_starts():
         K1 = kernel_matrix(RbfKernel(gamma=0.3), X)
         K2 = 0.6 * K1 + 0.4 * kernel_matrix(RbfKernel(gamma=1.5), X)
         for C in (0.5, 10.0):
-            seed = solve_svm_dual(K1, y, C, psd_check=False).alpha
+            seed = solve_svm_dual(K1, y, C).alpha
             assert abs(float(seed @ y)) <= 1e-8
             assert_matches_reference(K2, y, C, warm_alpha=seed)
             assert_matches_reference(K1, y, C, tol=1e-6, warm_alpha=seed)
@@ -377,7 +378,7 @@ def test_cancellation_residue_does_not_stop_the_solve():
     X += 0.3 * y[:, None]
     K = kernel_matrix(PolyKernel(degree=2), X)
     assert n == 7
-    solution = solve_svm_dual(K, y, 1.0, psd_check=False)
+    solution = solve_svm_dual(K, y, 1.0)
     assert solution.kkt_violation < DEFAULT_KKT_TOL
     assert solution.alpha[0] == 0.0
     assert abs(float(solution.alpha @ y)) <= 1e-15
@@ -477,7 +478,7 @@ def test_warm_start_matches_reference_on_any_layout():
         y = random_labels(rng, n)
         K = kernel_matrix(PolyKernel(degree=2), rng.normal(size=(n, 4)) + 0.4 * y[:, None])
         asymmetric = K + 1e-9 * rng.normal(size=K.shape)
-        seed = solve_svm_dual(K, y, 1.0, tol=0.5, psd_check=False).alpha
+        seed = solve_svm_dual(K, y, 1.0, tol=0.5).alpha
         padded = np.zeros(n * n + 1)
         padded[1:] = K.ravel()
         strided = np.zeros((n, 2 * n))[:, ::2]
@@ -602,7 +603,13 @@ def test_non_finite_gram_is_rejected_up_front(bad):
     message = "^kernel matrix has non-finite entries$"
     with pytest.raises(ValueError, match=message):
         ensure_psd(K)
-    with pytest.raises(ValueError, match=message):
-        solve_svm_dual(K, y, 1.0)
+    # The solver checks K itself, before its loop: an infinite entry used
+    # to run to the iteration cap on NaNs, with RuntimeWarnings.
+    for warm in (None, np.zeros(10)):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match=message):
+                solve_svm_dual(K, y, 1.0, warm_alpha=warm)
+        assert caught == []
     with pytest.raises(ValueError, match=message):
         train_binary_mkl([K, np.eye(10)], y, 1.0)
