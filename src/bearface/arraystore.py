@@ -37,9 +37,7 @@ def dump_store(entries: Mapping[str, object]) -> str:
     lines = ["bearface-store 1"]
     for name, value in entries.items():
         _check_name(name)
-        if isinstance(value, bool):
-            lines.append(f"int {name} {int(value)}")
-        elif isinstance(value, (int, np.integer)):
+        if isinstance(value, (int, np.integer)):  # a bool is an int
             lines.append(f"int {name} {int(value)}")
         elif isinstance(value, (float, np.floating)):
             lines.append(f"float {name} {float(value)!r}")

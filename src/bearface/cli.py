@@ -26,6 +26,7 @@ from .manifest import read_manifest, training_labels
 from .modelio import ModelBundle, load_model, save_model
 from .multiclass import VoteResult, cross_validate, decision_values, train_multiclass, vote
 from .records import count, csv_text, read_records, typed, write_atomic, write_jsonl
+from .registration import read_landmarks
 from .reports import write_report
 from .visemes import bundled_transcript, load_viseme_table, read_transcript
 
@@ -154,7 +155,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
     if bundle.reference is None or bundle.feature is None:
         raise CliError("model bundle lacks extraction context; retrain from features")
     manifest = read_manifest(args.manifest)
-    faces = [(entry.image, entry.landmarks) for entry in manifest.entries]
+    faces = [(entry.image, read_landmarks(entry.landmarks)) for entry in manifest.entries]
     rows = []
     if faces:  # a manifest of no images scores nothing
         blocks = describe_faces(faces, bundle.reference, bundle.feature)

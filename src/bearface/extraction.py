@@ -67,20 +67,17 @@ def describe_image(
 
 
 def describe_faces(
-    faces: Sequence[tuple[Path, LandmarkSet | Path]],
+    faces: Sequence[tuple[Path, LandmarkSet]],
     reference: LandmarkSet,
     feature: FeatureParams,
 ) -> dict[str, np.ndarray]:
     """Descriptor blocks of faces given as (image path, landmarks) pairs.
 
-    Row i of each block describes face i; landmarks given as a path are
-    read here. Needs at least one face.
+    Row i of each block describes face i. Needs at least one face.
     """
     rows: dict[str, list[np.ndarray]] = {name: [] for name in feature.descriptors}
     for index, (image_path, landmarks) in enumerate(faces):
         progress(f"describe {index + 1}/{len(faces)}: {image_path.name}")
-        if not isinstance(landmarks, LandmarkSet):
-            landmarks = read_landmarks(landmarks)
         described = describe_image(read_pnm(image_path), landmarks, reference, feature)
         for name, vector in described.items():
             rows[name].append(vector)

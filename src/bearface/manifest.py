@@ -29,7 +29,6 @@ class ManifestEntry:
 
 @dataclass(frozen=True)
 class DatasetManifest:
-    root: Path
     class_names: tuple[str, ...]
     entries: tuple[ManifestEntry, ...]
 
@@ -69,7 +68,7 @@ def parse_manifest(
         entries.append(entry)
     if class_names is None:
         raise ValueError(f"{origin or 'manifest'}: no 'classes = ...' line")
-    return DatasetManifest(root=root, class_names=class_names, entries=tuple(entries))
+    return DatasetManifest(class_names=class_names, entries=tuple(entries))
 
 
 def read_manifest(path: str | Path) -> DatasetManifest:

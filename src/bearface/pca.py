@@ -31,6 +31,7 @@ basis vector is positive, making fits reproducible across runs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -47,7 +48,8 @@ class ZeroVarianceError(ValueError):
 
 @dataclass(frozen=True)
 class PcaModel:
-    """Mean, orthonormal basis columns, per-component variances, all finite."""
+    """Mean, orthonormal basis columns, per-component variances, all finite;
+    every variance positive, `retained` and `energy` finite."""
 
     mean: np.ndarray        # (d,)
     components: np.ndarray  # (d, k), orthonormal columns, variance order
@@ -69,6 +71,13 @@ class PcaModel:
         check_finite(self.mean, "values in PCA mean entry")
         check_finite(self.components, "values in PCA components row")
         check_finite(self.variances, "values in PCA variances entry")
+        positive = self.variances > 0
+        if not positive.all():
+            index = int(positive.argmin())
+            raise ValueError(f"non-positive values in PCA variances entry {index}")
+        for name in ("retained", "energy"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"PCA {name} must be finite, got {getattr(self, name)!r}")
 
     @property
     def dimension(self) -> int:

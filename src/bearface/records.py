@@ -105,7 +105,7 @@ def content_lines(
         check_header(lines, kind, origin)
         lines, first = lines[1:], 2
     stripped = (
-        (number, raw.split("#", 1)[0].rstrip()) for number, raw in enumerate(lines, first)
+        (number, raw.partition("#")[0].rstrip()) for number, raw in enumerate(lines, first)
     )
     return [(number, line) for number, line in stripped if line]
 
@@ -144,18 +144,25 @@ def parse_records(
     takes the rest of the line (one or more values) as a list. `kind`
     names the header the text must start with, if any. A wrong field
     count or a value its type rejects raises ValueError naming the place.
+    Each value goes through its type alone; only a line that fails is
+    converted again through `typed`, which names the place and the field.
     """
     layout = " ".join(name for name, _ in fields) + ("..." if rest else "")
+    kinds = [k for _, k in fields]
     last = len(fields) - 1
     records = []
     for number, line in content_lines(text, kind, origin):
-        where = place(origin, number)
         texts: list = line.split()
         if len(texts) != len(fields) and not (rest and len(texts) > len(fields)):
-            raise ValueError(f"{where}: expected '{layout}', got {len(texts)} fields")
+            raise ValueError(f"{place(origin, number)}: expected '{layout}', "
+                             f"got {len(texts)} fields")
         if rest:
             texts[last:] = [texts[last:]]
-        record = tuple(typed(k, n, v, where) for (n, k), v in zip(fields, texts))
+        try:
+            record = tuple([k(v) for k, v in zip(kinds, texts)])
+        except ValueError:
+            where = place(origin, number)
+            record = tuple(typed(k, n, v, where) for (n, k), v in zip(fields, texts))
         records.append((number, record))
     return records
 

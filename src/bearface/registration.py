@@ -62,23 +62,12 @@ _LANDMARK_FIELDS = (("x", float), ("y", float))
 def read_landmarks(path: str | Path) -> LandmarkSet:
     """Load an 'x y' per line landmark file (one per image, same stem).
 
-    A coordinate that is not finite or is above COORDINATE_LIMIT in
-    magnitude raises a ValueError naming its `path:line`.
-
-    A file of exactly 68 lines of two fields and no comment, the common
-    case, is read with `str.split` and `float`, the conversion that
-    `records.typed` applies, so it gives the records path's array. Any
-    other file, and any file whose values fail, takes the records path,
-    which names the place of every error.
+    The file follows the records conventions (`records.parse_records`):
+    comments, blank lines, any whitespace between the fields. Every error
+    names its `path:line`, a coordinate that is not finite or is above
+    COORDINATE_LIMIT in magnitude included.
     """
     text = Path(path).read_text(encoding="utf-8")
-    if "#" not in text:
-        fields = [line.split() for line in text.splitlines()]
-        if len(fields) == LANDMARK_COUNT and all(len(pair) == 2 for pair in fields):
-            try:
-                return LandmarkSet(np.array([[float(x), float(y)] for x, y in fields]))
-            except ValueError:
-                pass
     rows = parse_records(text, _LANDMARK_FIELDS, str(path))
     if len(rows) != LANDMARK_COUNT:
         raise ValueError(f"{path}: expected {LANDMARK_COUNT} landmarks, got {len(rows)}")

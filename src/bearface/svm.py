@@ -17,14 +17,15 @@ operations, which write into buffers made once per solve:
 - the loop state is yg = -y * gradient, not the gradient. Because y is
   +/-1, y_k * gradient_k == -yg_k, and the update -y * (Q[:, i] * delta_i)
   equals K[:, i] * (-y_i * delta_i) bit for bit, so yg moves by columns of
-  K times -y_k * delta_k, read as rows of one transposed copy of K; a warm
+  K times -y_k * delta_k, read as rows of one transposed copy of K; the
   start's yg = -y * (Q @ alpha - 1) is y - K @ (y * alpha) for the same
-  reason;
+  reason. A cold start is the warm start from alpha = 0: K @ (y * 0) is a
+  vector of zeros, so yg starts as y bit for bit, the plain loop's -y * -1;
 - membership of I_up and I_low lives in one (2, n) additive penalty array
   (0 in the set, -inf / +inf outside), built once per solve in one
-  `np.where` (from y > 0 alone on a cold start), and yg is
-  added to both rows in one call; a step changes only alpha_i and alpha_j,
-  so it rewrites only those two entries of each row;
+  `np.where`, and yg is added to both rows in one call; a step changes
+  only alpha_i and alpha_j, so it rewrites only those two entries of each
+  row;
 - the curvature of every candidate pair is one (n, n) matrix built once per
   solve, and row i is the partner search's curvature vector;
 - the partner gain is max(m_up - low_score, 0)**2 / curvature, with no
@@ -189,7 +190,8 @@ def solve_svm_dual(
     not: `ensure_psd` repairs a K that is not. `y` must contain both classes
     as +/-1. `warm_alpha`, when given, must be feasible (box and equality
     constraints); it seeds the solve, which makes repeated solves under
-    slowly changing kernels cheap.
+    slowly changing kernels cheap. Without it the solve starts from
+    alpha = 0.
     """
     K = np.asarray(K, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -210,22 +212,17 @@ def solve_svm_dual(
     if max_iter is None:
         max_iter = max(20000, 200 * n)
 
-    positive = y > 0
-    if warm_alpha is not None:
-        alpha = np.clip(np.asarray(warm_alpha, dtype=np.float64), 0.0, C)
-        alpha_l = alpha.tolist()
-        # -y * (Q @ alpha - 1.0) with Q = yy' o K: each product and partial
-        # sum of Q's rows is K's times y_k, an exact sign flip, and so is
-        # the subtraction of 1.0 (module docstring). K is read in C order,
-        # as Q was, so the dot products add in the same order.
-        yg = y - np.ascontiguousarray(K) @ (y * alpha)
-        above, below = alpha > 0, alpha < C
-        # In I_up: below C for y = +1, above 0 for y = -1; I_low the reverse.
-        members = np.where(positive, [below, above], [above, below])
-    else:
-        alpha_l = [0.0] * n
-        yg = y.copy()  # -y * gradient with gradient = -1, bit for bit
-        members = (positive, ~positive)
+    start = np.zeros(n) if warm_alpha is None else np.asarray(warm_alpha, dtype=np.float64)
+    alpha = np.clip(start, 0.0, C)
+    alpha_l = alpha.tolist()
+    # -y * (Q @ alpha - 1.0) with Q = yy' o K: each product and partial
+    # sum of Q's rows is K's times y_k, an exact sign flip, and so is
+    # the subtraction of 1.0 (module docstring). K is read in C order,
+    # as Q was, so the dot products add in the same order.
+    yg = y - np.ascontiguousarray(K) @ (y * alpha)
+    above, below = alpha > 0, alpha < C
+    # In I_up: below C for y = +1, above 0 for y = -1; I_low the reverse.
+    members = np.where(y > 0, [below, above], [above, below])
     # Row 0 is the I_up penalty, row 1 the I_low penalty.
     penalty = np.where(members, 0.0, _OUTSIDE)
     up_pen, low_pen = penalty

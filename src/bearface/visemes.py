@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .config import check_duration
 from .records import boolean, located, packaged_text, parse_records, place
@@ -187,7 +187,3 @@ def bundled_transcript() -> tuple[PhonemeSegment, ...]:
     """The transcript shipped with the package (demo material for the CLI)."""
     return parse_transcript(packaged_text("demo.align"))
 
-
-def write_transcript(segments: Iterable[PhonemeSegment], path: str | Path) -> None:
-    lines = [f"{s.start:.6g} {s.end:.6g} {s.phoneme}" for s in segments]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -344,6 +344,36 @@ def test_non_finite_model_array_names_file(
     assert _single_error(capsys) == {"error": problem, "kind": "ValueError"}
 
 
+@pytest.mark.parametrize(
+    "entry, value, problem",
+    [
+        ("pca_lbph_variances", -1.0, "non-positive values in PCA variances entry 0"),
+        ("pca_lbph_variances", 0.0, "non-positive values in PCA variances entry 0"),
+        ("pca_hog_retained", np.nan, "PCA retained must be finite, got nan"),
+        ("pca_hog_energy", np.nan, "PCA energy must be finite, got nan"),
+    ],
+)
+def test_bad_pca_entry_names_file(
+    pipeline_out, synthetic_dataset, tmp_path, capsys, entry, value, problem
+):
+    # Variances of -1.0 or 0.0 used to load and then fail per query in the
+    # whitening (a RuntimeWarning, or a non-finite query blamed on the
+    # query); a NaN retained or energy loaded without a word.
+    entries = dict(read_store(pipeline_out / "model.store"))
+    if isinstance(entries[entry], np.ndarray):
+        entries[entry] = np.full_like(entries[entry], value)
+    else:
+        entries[entry] = value
+    damaged = tmp_path / "model.store"
+    write_store(entries, damaged)
+    with pytest.raises(ValueError) as caught:
+        load_model(damaged)
+    assert str(caught.value) == f"{damaged}: {problem}"
+    argv = ["classify", "--manifest", str(synthetic_dataset), "--model", str(damaged)]
+    assert main(argv + ["--out", str(tmp_path / "o")]) == 2
+    assert _single_error(capsys) == {"error": f"{damaged}: {problem}", "kind": "ValueError"}
+
+
 def test_non_finite_feature_block_names_file(pipeline_out, fast_config, tmp_path, capsys):
     # Training used to fail in fit_pca with "zero-size array to reduction
     # operation maximum which has no identity", naming no file.

@@ -8,8 +8,9 @@ so that the fuzzer gets past the header. Settings that size what a command
 allocates (durations, frame rate, descriptor sizes) must be rejected where
 they are parsed; large values are only ever parsed here, never run. A
 saved model with a NaN or inf written into it must be refused when it
-loads, naming the file. Run with `--hypothesis-profile=ci` for more
-examples.
+loads, naming the file. A landmark file reads the same whatever comments,
+blank lines, tabs and line endings surround its values. Run with
+`--hypothesis-profile=ci` for more examples.
 """
 
 import io
@@ -32,7 +33,7 @@ from bearface.manifest import parse_manifest
 from bearface.modelio import ModelBundle, load_model, save_model
 from bearface.multiclass import train_multiclass
 from bearface.records import csv_text, packaged_text, parse_records
-from bearface.registration import LandmarkSet
+from bearface.registration import LANDMARK_COUNT, LandmarkSet, read_landmarks
 from bearface.visemes import parse_transcript, parse_viseme_table
 
 REJECTIONS = (ValueError, KeyError)
@@ -269,3 +270,47 @@ def test_non_finite_model_value_names_file(tmp_path, model_entries, data, bad):
     with pytest.raises(ValueError) as caught:
         load_model(path)
     assert str(caught.value).startswith(f"{path}: ")
+
+
+# A landmark file's values, written with every digit.
+LANDMARK_POINTS = np.random.default_rng(9).uniform(-5.0, 130.0, (LANDMARK_COUNT, 2)).tolist()
+# Comment text: anything but the characters that str.splitlines breaks at.
+COMMENT = st.text(st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp")), max_size=8).map(
+    lambda text: "#" + text
+)
+SPACES = st.sampled_from(["", " ", "\t", " \t "])
+# Values that no landmark file may hold; each must name its line.
+CORRUPT = st.sampled_from(["nan", "-inf", "inf", "1e10", "-2e9", "abc", "1,5", "0x10", "--1", ""])
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture], deadline=None)
+@given(
+    end=st.sampled_from(["\n", "\r\n"]),
+    separators=st.lists(st.sampled_from([" ", "\t", "  ", " \t"]),
+                        min_size=LANDMARK_COUNT, max_size=LANDMARK_COUNT),
+    leading=st.dictionaries(st.integers(0, LANDMARK_COUNT - 1), SPACES, max_size=6),
+    trailing=st.dictionaries(st.integers(0, LANDMARK_COUNT - 1), SPACES | COMMENT, max_size=6),
+    inserted=st.lists(st.tuples(st.integers(0, LANDMARK_COUNT), SPACES | COMMENT), max_size=8),
+    corrupt=st.none() | st.tuples(st.integers(0, LANDMARK_COUNT - 1), st.integers(0, 1), CORRUPT),
+)
+def test_landmark_file_layout(tmp_path, end, separators, leading, trailing, inserted, corrupt):
+    plain = tmp_path / "plain.pts"
+    plain.write_text("".join(f"{x!r} {y!r}\n" for x, y in LANDMARK_POINTS), encoding="utf-8")
+    lines, numbers = [], []
+    for index, point in enumerate(LANDMARK_POINTS):
+        lines += [extra for before, extra in inserted if before == index]
+        values = [repr(value) for value in point]
+        if corrupt is not None and corrupt[0] == index:
+            values[corrupt[1]] = corrupt[2]
+        numbers.append(len(lines) + 1)
+        lines.append(leading.get(index, "") + separators[index].join(values)
+                     + trailing.get(index, ""))
+    lines += [extra for before, extra in inserted if before == LANDMARK_COUNT]
+    path = tmp_path / "face.pts"
+    path.write_bytes(end.join(lines).encode("utf-8") + end.encode())
+    if corrupt is None:
+        assert read_landmarks(path).points.tobytes() == read_landmarks(plain).points.tobytes()
+    else:
+        with pytest.raises(ValueError) as caught:
+            read_landmarks(path)
+        assert str(caught.value).startswith(f"{path}:{numbers[corrupt[0]]}: ")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from bearface.pca import (
+    PcaModel,
     ZeroVarianceError,
     fit_pca,
     pca_project,
@@ -134,6 +135,22 @@ def test_errors():
     model = fit_pca(rng.normal(size=(20, 6)))
     with pytest.raises(ValueError, match="dimension"):
         pca_project(model, np.zeros(5))
+
+
+@pytest.mark.parametrize(
+    "variances, retained, energy, problem",
+    [
+        ([2.0, -1.0], 0.9, 0.95, "^non-positive values in PCA variances entry 1$"),
+        ([0.0, 0.0], 0.9, 0.95, "^non-positive values in PCA variances entry 0$"),
+        ([2.0, 1.0], np.nan, 0.95, "^PCA retained must be finite, got nan$"),
+        ([2.0, 1.0], 0.9, np.nan, "^PCA energy must be finite, got nan$"),
+    ],
+)
+def test_model_rejects_what_whitening_cannot_use(variances, retained, energy, problem):
+    # Whitening divides by the square roots of the variances, so a model
+    # with one that is not positive is refused when it is built.
+    with pytest.raises(ValueError, match=problem):
+        PcaModel(np.zeros(3), np.eye(3, 2), np.array(variances), retained, energy)
 
 
 @pytest.mark.parametrize("shape", [(3, 40), (40, 3)])

@@ -3,15 +3,17 @@
 import numpy as np
 import pytest
 
+from bearface import cli
 from bearface.config import ConfigError
 from bearface.imaging import GrayImage
 from bearface.kernels import RbfKernel
 from bearface.mkl import BinaryMklSolution
 from bearface.multiclass import BankEntry, CvResult, MulticlassModel
 from bearface.pca import PcaModel
-from bearface.records import content_lines, frozen, located, parse_records
-from bearface.registration import LandmarkSet
+from bearface.records import content_lines, frozen, located, parse_records, read_records
+from bearface.registration import LandmarkSet, read_landmarks
 from bearface.svm import DualSolution
+from bearface.visemes import load_viseme_table, read_transcript
 
 
 def test_content_lines_drop_comments_trailing_space_and_blank_lines():
@@ -33,6 +35,56 @@ def test_rest_field_takes_the_rest_of_the_line():
         parse_records("1\n", fields, "t.txt", rest=True)
     with pytest.raises(ValueError, match="^line 2: id must be int, got 'x'$"):
         parse_records("bearface-t 1\nx a\n", fields, kind="t", rest=True)
+
+
+def _landmarks_with(line: str) -> str:
+    lines = [f"{i} {i % 7}.5" for i in range(68)]
+    lines[4] = line
+    return "\n".join(lines) + "\n"
+
+
+READERS = {
+    "transcript": read_transcript,
+    "votes": lambda path: read_records(path, cli._VOTE_FIELDS),
+    "track": lambda path: read_records(path, cli._TRACK_FIELDS),
+    "visemes": load_viseme_table,
+    "landmarks": read_landmarks,
+}
+
+
+@pytest.mark.parametrize(
+    "reader, text, problem",
+    [
+        ("transcript", "0.0 0.1 sil\n0.1 m\n", "2: expected 'start end phoneme', got 2 fields"),
+        ("transcript", "0.0 0.1 sil\nx 0.2 m\n", "2: start must be float, got 'x'"),
+        ("transcript", "0.0 0.1 sil\n0.1 y m\n", "2: end must be float, got 'y'"),
+        ("votes", "0.0 joy 6\n0.1 joy\n", "2: expected 'time winner votes', got 2 fields"),
+        ("votes", "0.0 joy 6\nt joy 6\n", "2: time must be float, got 't'"),
+        ("votes", "0.0 joy 6\n0.1 glee 6\n", "2: winner must be Expression, got 'glee'"),
+        ("track", "0.0 joy 1.0\n1.0 joy 0.5 2\n",
+         "2: expected 'time expression level', got 4 fields"),
+        ("track", "0.0 joy 1.0\nsoon joy 0.5\n", "2: time must be float, got 'soon'"),
+        ("track", "0.0 joy 1.0\n1.0 Joy 0.5\n", "2: expression must be Expression, got 'Joy'"),
+        ("visemes", "bearface-visemes 1\n0 no sil\n1 yes\n",
+         "3: expected 'id labial phonemes...', got 2 fields"),
+        ("visemes", "bearface-visemes 1\n0 no sil\none yes p b m\n",
+         "3: id must be int, got 'one'"),
+        ("visemes", "bearface-visemes 1\n0 no sil\n1 maybe p b m\n",
+         "3: labial must be boolean, got 'maybe'"),
+        ("landmarks", _landmarks_with("4 2.5 1"), "5: expected 'x y', got 3 fields"),
+        ("landmarks", _landmarks_with("four 2.5"), "5: x must be float, got 'four'"),
+        ("landmarks", _landmarks_with("4 2,5"), "5: y must be float, got '2,5'"),
+    ],
+    ids=[f"{reader}-{case}" for reader in READERS for case in ("count", "first", "second")],
+)
+def test_record_errors_name_line_and_field(tmp_path, reader, text, problem):
+    # The texts are pinned: a conversion only goes through `typed`, which
+    # words them, once a value has failed.
+    path = tmp_path / "records.txt"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError) as caught:
+        READERS[reader](path)
+    assert str(caught.value) == f"{path}:{problem}"
 
 
 def test_located_prefixes_a_value_error_and_passes_others():

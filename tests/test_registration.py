@@ -370,21 +370,6 @@ def test_landmark_reader_matches_the_records_path(tmp_path, name, text):
     assert _landmark_outcome(read_landmarks, path) == _landmark_outcome(reference_read_landmarks, path)
 
 
-def test_plain_landmark_file_skips_the_records_path(tmp_path, monkeypatch):
-    path = tmp_path / "face.pts"
-    write_landmarks(_spread_landmarks(), path)
-    expected = read_landmarks(path).points.tobytes()
-
-    def unused(*args, **kwargs):
-        raise AssertionError("records path taken")
-
-    monkeypatch.setattr(registration, "parse_records", unused)
-    assert read_landmarks(path).points.tobytes() == expected
-    path.write_text("# a comment\n" + path.read_text())
-    with pytest.raises(AssertionError, match="records path taken"):
-        read_landmarks(path)
-
-
 def test_landmark_coordinates_are_bounded():
     limit = registration.COORDINATE_LIMIT
     points = _spread_landmarks().points.copy()

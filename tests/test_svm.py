@@ -110,11 +110,15 @@ def reference_solve(K, y, C, tol=DEFAULT_KKT_TOL, max_iter=None, warm_alpha=None
 def assert_matches_reference(K, y, C, **options):
     """Solve with both loops; returns the reference's `eta <= 0` step count."""
     expected, flat_steps = reference_solve(K, y, C, **options)
-    solution = solve_svm_dual(K, y, C, **options)
+    assert_same_solution(solve_svm_dual(K, y, C, **options), expected)
+    return flat_steps
+
+
+def assert_same_solution(solution, expected):
+    """The solver's result is the reference's, bit for bit."""
     assert solution.alpha.tobytes() == expected["alpha"].tobytes()
     for name in ("bias", "objective", "kkt_violation", "iterations"):
         assert getattr(solution, name) == expected[name], name
-    return flat_steps
 
 
 def random_labels(rng, n):
@@ -426,6 +430,24 @@ def test_loop_matches_reference_when_gains_underflow():
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", NumericsWarning)  # the cap, at n = 12
             assert_matches_reference(1e300 * K, y, 1.0, tol=1e-300, max_iter=300)
+
+
+def test_cold_start_is_the_warm_start_from_zero():
+    # The solver has one start: no warm_alpha means alpha = 0, whose yg is
+    # y - K @ (y * 0) = y. Both must give the reference's own cold start,
+    # a gradient of -1, bit for bit, on a Gram scaled by 1e300 too.
+    rng = np.random.default_rng(63)
+    for n, scale, options in ((7, 1.0, {}), (40, 1.0, {"tol": 1e-6}),
+                              (12, 1e300, {"tol": 1e-300, "max_iter": 300})):
+        y = random_labels(rng, n)
+        K = scale * kernel_matrix(RbfKernel(gamma=0.5), rng.normal(size=(n, 3)) + 0.5 * y[:, None])
+        for C in (1.0, 10.0):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", NumericsWarning)  # the cap, at 1e300
+                expected, _ = reference_solve(K, y, C, **options)
+                assert_same_solution(solve_svm_dual(K, y, C, **options), expected)
+                zero = np.zeros(n)
+                assert_same_solution(solve_svm_dual(K, y, C, **options, warm_alpha=zero), expected)
 
 
 def test_loop_matches_reference_on_asymmetric_matrices():
