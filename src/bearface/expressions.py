@@ -251,8 +251,9 @@ def parse_templates(text: str, origin: str | None = None) -> TemplateSet:
     peak values of the axes that expression moves and an optional
     `ear_oscillation = true` flag. Sections and keys may not repeat.
     """
-    sections: dict[str, tuple[str, dict[Dof | str, float | bool]]] = {}
-    values = None
+    # Per section: its header's place, its values, and each key's place.
+    sections: dict[str, tuple[str, dict[Dof | str, float | bool], dict[Dof | str, str]]] = {}
+    values = places = None
     for number, line in content_lines(text, "templates", origin):
         where = place(origin, number)
         line = line.strip()
@@ -260,8 +261,8 @@ def parse_templates(text: str, origin: str | None = None) -> TemplateSet:
             name = " ".join(line[1:-1].split())
             if name in sections:
                 raise ValueError(f"{where}: duplicate section [{name}]")
-            values = {}
-            sections[name] = (where, values)
+            values, places = {}, {}
+            sections[name] = (where, values, places)
             continue
         key, sep, value = (part.strip() for part in line.partition("="))
         if not sep:
@@ -279,19 +280,31 @@ def parse_templates(text: str, origin: str | None = None) -> TemplateSet:
         if slot in values:
             raise ValueError(f"{where}: duplicate key {key!r}")
         values[slot] = parsed
+        places[slot] = where
 
     file = origin or "template text"
     if "neutral" not in sections:
         raise ValueError(f"{file}: no [neutral] section")
     templates: dict[tuple[Expression, Mode], ExpressionTemplate] = {}
-    where, values = sections.pop("neutral")
+    where, values, _ = sections.pop("neutral")
     with located(where):
         if "ear_oscillation" in values:
             raise ValueError("[neutral] takes axis values only")
         neutral_pose = Pose.from_mapping(values)
-    for name, (where, values) in sections.items():
+    for name, (where, values, places) in sections.items():
         with located(where):
             expression, mode = _section(name)
+        moved = EXPRESSION_DOFS[(expression, mode)]
+        for slot in values:
+            # An axis too many is the fault of its own line; one too few is
+            # the section's, and the template check names its header.
+            if isinstance(slot, Dof) and slot not in moved:
+                raise ValueError(
+                    f"{places[slot]}: {expression.value}/{mode.value}: {dof_label(slot)} "
+                    f"is not an axis this expression moves "
+                    f"{sorted(dof_label(d) for d in moved)}"
+                )
+        with located(where):
             oscillate = values.pop("ear_oscillation", False)
             templates[(expression, mode)] = _build_template(
                 expression, mode, neutral_pose, values, oscillate

@@ -1,10 +1,15 @@
 """End-to-end command-line pipeline on a synthetic dataset."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bearface
 from bearface.arraystore import read_store, write_store
 from bearface.cli import main
 from bearface.extraction import describe_image
@@ -692,3 +697,39 @@ def test_bad_transcript_reports_error(tmp_path, capsys):
     assert code == 2
     record = json.loads(capsys.readouterr().err.strip())
     assert record["kind"] == "ValueError"
+
+
+# extract -> train -> eval -> classify in a fresh interpreter, so that the
+# BLAS thread count is set before numpy loads.
+_PIPELINE = """
+import sys
+from bearface.cli import main
+manifest, config, out = sys.argv[1:]
+for command in (
+    ["extract", "--manifest", manifest, "--config", config, "--out", out],
+    ["train", "--config", config, "--out", out],
+    ["eval", "--config", config, "--out", out],
+    ["classify", "--manifest", manifest, "--config", config, "--out", out],
+):
+    if main(command):
+        sys.exit(f"{command[0]} failed")
+"""
+
+
+def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path, synthetic_dataset, fast_config):
+    src = str(Path(bearface.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    outputs = {}
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads-{threads}"
+        env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads}
+        subprocess.run(
+            [sys.executable, "-c", _PIPELINE, str(synthetic_dataset), fast_config, str(out)],
+            env=env, check=True, capture_output=True,
+        )
+        outputs[threads] = {
+            name: (out / name).read_bytes()
+            for name in ("features.store", "model.store", "report.txt", "confusion.csv",
+                         "classifications.jsonl")
+        }
+    assert outputs["1"] == outputs["2"]

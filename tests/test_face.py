@@ -326,12 +326,15 @@ SHIPPED = packaged_text("expression_templates.txt").splitlines()
         ("neutral", "f1 = 0.5", ["f1 = -0.5"], "line", "BROW_L value -0.5 outside [0, 1]"),
         ("neutral", "f1 = 0.5", ["f1 = nan"], "line", "BROW_L value nan outside [0, 1]"),
         ("neutral", "f10 = 0.5", [], "section", "pose is missing axes: NECK_YAW"),
-        ("anger au", "f1 = 0.15", ["f1 = 0.15", "f9 = 0.6"], "section",
-         "anger/au: active axes"),
+        ("anger au", "f1 = 0.15", [], "section",
+         "anger/au: active axes ['f2', 'f5', 'f6'] do not match the expression table "
+         "['f1', 'f2', 'f5', 'f6']"),
+        ("anger au", "f2 = 0.15", ["f9 = 0.3", "f2 = 0.15"], "line",
+         "anger/au: f9 is not an axis this expression moves ['f1', 'f2', 'f5', 'f6']"),
     ],
     ids=["value", "flag", "duplicate-section", "default-section", "duplicate-key",
          "outside-section", "colon", "value-high", "neutral-value-low", "neutral-value-nan",
-         "missing-neutral-axis", "active-axes"],
+         "missing-neutral-axis", "active-axes", "extra-axis"],
 )
 def test_template_errors_name_path_and_line(tmp_path, section, old, new, at, problem):
     lines = list(SHIPPED)

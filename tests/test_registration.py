@@ -1,6 +1,7 @@
 """Image I/O, similarity fitting and the registered crop."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -108,10 +109,13 @@ def test_crop_matches_meshgrid_reference(monkeypatch, name):
     image = GrayImage(rng.integers(0, 256, (200, 200), dtype=np.uint8))
     reference = _spread_landmarks(size=CROP_SIZE - 1)
     source = _posed(reference, *CROP_PLACEMENTS[name])
+    # The sampler overwrites its coordinates, so the spy keeps copies.
     seen = []
     sample = registration._bilinear_sample
     monkeypatch.setattr(
-        registration, "_bilinear_sample", lambda p, x, y: seen.append((x, y)) or sample(p, x, y)
+        registration,
+        "_bilinear_sample",
+        lambda p, x, y: seen.append((x.copy(), y.copy())) or sample(p, x, y),
     )
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -139,7 +143,7 @@ def test_sampler_matches_reference(seed):
     y[:, 0] = height - 1
     x[1] = np.round(x[1])
     for xs, ys in [(x, y), (np.clip(x, 0, width - 1), np.clip(y, 0, height - 1))]:
-        value, clipped = registration._bilinear_sample(pixels, xs, ys)
+        value, clipped = registration._bilinear_sample(pixels, xs.copy(), ys.copy())
         expected, expected_clipped = reference_sample(pixels, xs, ys)
         assert np.array_equal(value.view(np.int64), expected.view(np.int64))
         assert clipped == expected_clipped
@@ -160,6 +164,74 @@ def test_crop_outside_source_matches_reference(monkeypatch):
     assert np.array_equal(crop.pixels, expected.pixels)
 
 
+def _with_corner(reference: LandmarkSet, corner: float) -> LandmarkSet:
+    """`reference` with its top-left bounding-box corner moved to (corner, corner)."""
+    points = reference.points.copy()
+    points[0] = (corner, corner)  # point 0 pins the low corner of the box
+    return LandmarkSet(points)
+
+
+def test_crops_stay_exact_across_grid_cache_hits_and_misses():
+    rng = np.random.default_rng(15)
+    image = GrayImage(rng.integers(0, 256, (200, 200), dtype=np.uint8))
+    spread = _spread_landmarks(size=CROP_SIZE - 1)
+    # +0.0 and -0.0 corners make one cache key, and give one grid: each
+    # corner coordinate enters the grid as low + 0.0 first, which is +0.0.
+    plus, minus = _with_corner(spread, 0.0), _with_corner(spread, -0.0)
+    assert math.copysign(1.0, minus.points.min(axis=0)[0]) == -1.0
+    other = LandmarkSet(spread.points * 0.8 + 10.0)
+    registration._crop_grid.cache_clear()
+    for reference in (plus, other, minus, other, plus, minus):
+        for name in ("inside", "all-edges"):
+            source = _posed(reference, *CROP_PLACEMENTS[name])
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                crop = register_and_crop(image, source, reference)
+            expected, clipped = reference_register_and_crop(image, source, reference)
+            assert np.array_equal(crop.pixels, expected.pixels)
+            assert [w.category for w in caught] == ([CropBoundsWarning] if clipped else [])
+            assert clipped == (name != "inside")
+    info = registration._crop_grid.cache_info()
+    assert (info.misses, info.hits) == (2, 10)
+
+
+def test_cached_grid_is_read_only_and_crops_do_not_share_it():
+    rng = np.random.default_rng(16)
+    image = GrayImage(rng.integers(0, 256, (200, 200), dtype=np.uint8))
+    reference = _spread_landmarks(size=CROP_SIZE - 1)
+    low = reference.points.min(axis=0)
+    high = reference.points.max(axis=0)
+    grid = registration._crop_grid(*low.tolist(), *high.tolist())
+    assert not grid.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        grid[0, 0] = 0.0
+    first = register_and_crop(image, _posed(reference, *CROP_PLACEMENTS["inside"]), reference)
+    with pytest.warns(CropBoundsWarning):
+        second = register_and_crop(image, _posed(reference, *CROP_PLACEMENTS["left"]), reference)
+    assert registration._crop_grid(*low.tolist(), *high.tolist()) is grid
+    assert not np.shares_memory(first.pixels, grid)
+    assert not np.shares_memory(first.pixels, second.pixels)
+
+
+def test_interior_crop_allocates_at_most_1_2_mib(monkeypatch):
+    # A deterministic stand-in for page faults: what the crop allocates at
+    # peak is what the C heap must find, or fault in, for every face.
+    rng = np.random.default_rng(17)
+    image = GrayImage(rng.integers(0, 256, (CROP_SIZE, CROP_SIZE), dtype=np.uint8))
+    reference = _spread_landmarks(size=CROP_SIZE - 1)
+    source = _posed(reference, (63.5, 63.5), 0.9, 0.1)
+    register_and_crop(image, source, reference)  # warm-up: builds the cached grid
+    paths = _record_paths(monkeypatch)
+    tracemalloc.start()
+    try:
+        register_and_crop(image, source, reference)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert paths == [True]
+    assert peak <= 1.2 * 2**20
+
+
 def _record_paths(monkeypatch) -> list[bool]:
     """Per sampler call from now on, whether it took the interior path:
     only that path gathers its corners from shifted views of the pixels."""
@@ -175,9 +247,12 @@ def _record_paths(monkeypatch) -> list[bool]:
 
 
 def _sample_with_path(monkeypatch, pixels, x, y):
-    """`_bilinear_sample` of the coordinates, and whether it took the interior path."""
+    """`_bilinear_sample` of the coordinates, and whether it took the interior path.
+
+    The sampler gets copies, since it may overwrite them.
+    """
     paths = _record_paths(monkeypatch)
-    value, clipped = registration._bilinear_sample(pixels, x, y)
+    value, clipped = registration._bilinear_sample(pixels, x.copy(), y.copy())
     (interior,) = paths
     return value, clipped, interior
 
