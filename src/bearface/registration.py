@@ -14,14 +14,15 @@ The crop runs once per face, so it keeps its working memory small:
   product is freed before sampling starts. The interior sampler then works
   in place: the fractional parts go into the coordinate arrays, the corner
   base into the row index array, and rounding and clipping into the
-  interpolated sum. Each step keeps today's operands and their order, so
-  every crop keeps its bits. Only the returned uint8 crop is new.
+  interpolated sum. Each in-place step is the same operation on the same
+  operands, in the same order, as its out-of-place form, so the crop's
+  bits do not depend on it. Only the returned uint8 crop is new.
 
-Why: a crop that built some twenty crop-sized temporaries (2.1 MiB at
-peak) left the top of the C heap free after every face. glibc gave that
-memory back to the system and the next face faulted it in again, some 240
-minor page faults a face in a describe pass over many faces. At about
-1 MiB the temporaries fit the heap that the pass already holds.
+Why: glibc gives free memory at the top of the C heap back to the system,
+and the next allocation faults it in again. With twenty crop-sized
+temporaries (2.1 MiB at peak) a describe pass over many faces took some
+240 minor page faults a face; at about 1 MiB the temporaries fit in heap
+that the pass already holds, and the crop takes none after its first call.
 """
 
 from __future__ import annotations
@@ -303,6 +304,8 @@ def register_and_crop(
     if not (high > low).all():
         raise DegenerateLandmarksError("reference bounding box is empty")
     grid = _crop_grid(*low.tolist(), *high.tolist())
+    # No name here holds the coordinates: the sampler works in them, and
+    # they are freed as soon as it returns.
     values, clipped = _bilinear_sample(image.pixels, *_source_points(transform.inverse(), grid))
     if clipped:
         warnings.warn(
