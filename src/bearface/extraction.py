@@ -73,15 +73,19 @@ def describe_faces(
 ) -> dict[str, np.ndarray]:
     """Descriptor blocks of faces given as (image path, landmarks) pairs.
 
-    Row i of each block describes face i. Needs at least one face.
+    Row i of each block describes face i. Needs at least one face, on
+    which the blocks are allocated, in `feature.descriptors` order.
     """
-    rows: dict[str, list[np.ndarray]] = {name: [] for name in feature.descriptors}
+    blocks: dict[str, np.ndarray] = {}
     for index, (image_path, landmarks) in enumerate(faces):
         progress(f"describe {index + 1}/{len(faces)}: {image_path.name}")
         described = describe_image(read_pnm(image_path), landmarks, reference, feature)
-        for name, vector in described.items():
-            rows[name].append(vector)
-    return {name: np.vstack(vectors) for name, vectors in rows.items()}
+        if not blocks:
+            blocks = {name: np.empty((len(faces), described[name].size))
+                      for name in feature.descriptors}
+        for name, block in blocks.items():
+            block[index] = described[name]
+    return blocks
 
 
 def extract_dataset(manifest: DatasetManifest, feature: FeatureParams) -> FeatureSet:

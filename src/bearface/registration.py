@@ -11,18 +11,18 @@ The crop runs once per face, so it keeps its working memory small:
   It is built once per box (`_crop_grid`, cached on the four bounds) and
   is read-only; every face maps it through its own inverse transform.
 - The mapped coordinates become two contiguous arrays, and the complex
-  product is freed before sampling starts. The interior sampler then works
-  in place: the fractional parts go into the coordinate arrays, the corner
-  base into the row index array, and rounding and clipping into the
-  interpolated sum. Each in-place step is the same operation on the same
-  operands, in the same order, as its out-of-place form, so the crop's
-  bits do not depend on it. Only the returned uint8 crop is new.
+  product is freed before sampling starts. Every crop, inside the image
+  or clipped, is then sampled in place on one path: bounds and fractional
+  parts go into the coordinate arrays, the corner base into the row index
+  array, and rounding and clipping into the interpolated sum. Each step
+  is its out-of-place form's operation on the same operands, in the same
+  order, so the bits do not depend on it. Only the returned crop is new.
 
 Why: glibc gives free memory at the top of the C heap back to the system,
 and the next allocation faults it in again. With twenty crop-sized
-temporaries (2.1 MiB at peak) a describe pass over many faces took some
-240 minor page faults a face; at about 1 MiB the temporaries fit in heap
-that the pass already holds, and the crop takes none after its first call.
+temporaries (2.1 MiB at peak, 2.7 MiB for a clipped crop) a describe pass
+took some 240 minor page faults a face; at about 1 MiB the temporaries of
+any crop fit in heap that the pass already holds.
 """
 
 from __future__ import annotations
@@ -216,68 +216,59 @@ def _bilinear_sample(pixels: np.ndarray, x: np.ndarray, y: np.ndarray) -> tuple[
     """Sample at float coords (x cols, y rows); outside the image reads 0.
 
     x and y are C-contiguous float64 arrays of one shape that the sampler
-    owns: the interior path overwrites them with their fractional parts.
+    owns: it overwrites them with their fractional parts.
     """
     height, width = pixels.shape
-    # uint8 widens to float64 exactly, so one conversion serves all four
-    # gathers.
-    flat = pixels.astype(np.float64).ravel()
-    if x.min() > 0 and y.min() > 0 and x.max() < width - 1 and y.max() < height - 1:
-        # Strictly inside (NaN fails every test), so the clips and corner
-        # minimums below are identities, no sample is outside, truncation
-        # is the floor, and the corners are base, base + 1, base + W and
-        # base + W + 1: one index into shifted views of the pixels. Each
-        # step writes into an array it no longer needs.
-        x0 = x.astype(np.intp)
-        base = y.astype(np.intp)
-        np.subtract(x, x0, out=x)
-        np.subtract(y, base, out=y)
-        base *= width
-        base += x0
-        del x0
-        value = _interpolate((flat, flat[1:], flat[width:], flat[width + 1 :]), (base,) * 4, x, y)
-        return value, False
-    eps = 1e-9  # round-off from transform chains must not count as outside
-    inside = (x >= -eps) & (x <= width - 1 + eps) & (y >= -eps) & (y <= height - 1 + eps)
-    # An outside sample reads 0 below whatever its corners, so its
-    # coordinates go to 0 first: a NaN (outside, as it fails every test)
-    # then never reaches the integer cast.
-    xs = np.clip(np.where(inside, x, 0.0), 0, width - 1)
-    ys = np.clip(np.where(inside, y, 0.0), 0, height - 1)
-    # Clipped coordinates are nonnegative, so truncation is the floor.
-    x0 = xs.astype(np.intp)
-    y0 = ys.astype(np.intp)
-    x1 = np.minimum(x0 + 1, width - 1)
-    y1 = np.minimum(y0 + 1, height - 1)
-    row0 = y0 * width
-    row1 = y1 * width
-    value = _interpolate(
-        (flat,) * 4, (row0 + x0, row0 + x1, row1 + x0, row1 + x1), xs - x0, ys - y0
-    )
-    outside = ~inside
-    clipped = bool(outside.any())
+    # The pixels as float64 (uint8 widens exactly), then a row and a pixel
+    # of zeros: the corners are base, base + 1, base + W and base + W + 1
+    # on the last row and column too, where the fraction towards the
+    # corner past the edge is exactly 0, so that corner adds +0.0.
+    flat = np.zeros((height + 1) * width + 1)
+    flat[: height * width] = pixels.ravel()
+    clipped = False
+    # Only samples not strictly inside need bounds (NaN fails every test).
+    if not (x.min() > 0 and y.min() > 0 and x.max() < width - 1 and y.max() < height - 1):
+        eps = 1e-9  # round-off from transform chains must not count as outside
+        outside = ~((x >= -eps) & (x <= width - 1 + eps) & (y >= -eps) & (y <= height - 1 + eps))
+        clipped = bool(outside.any())
+        # An outside sample reads 0 below whatever its corners, so its
+        # coordinates go to 0 first: a NaN (outside, as it fails every
+        # test) then never reaches the integer cast.
+        x[outside] = 0.0
+        y[outside] = 0.0
+        np.clip(x, 0, width - 1, out=x)
+        np.clip(y, 0, height - 1, out=y)
+    # Nonnegative now, so truncation is the floor. Each step writes into
+    # an array it no longer needs.
+    x0 = x.astype(np.intp)
+    base = y.astype(np.intp)
+    np.subtract(x, x0, out=x)
+    np.subtract(y, base, out=y)
+    base *= width
+    base += x0
+    del x0
+    value = _interpolate(flat, width, base, x, y)
     if clipped:
         value[outside] = 0.0
     return value, clipped
 
 
 def _interpolate(
-    sources: Sequence[np.ndarray], indices: Sequence[np.ndarray], fx: np.ndarray, fy: np.ndarray
+    flat: np.ndarray, width: int, base: np.ndarray, fx: np.ndarray, fy: np.ndarray
 ) -> np.ndarray:
     """p00 gx gy + p01 fx gy + p10 gx fy + p11 fx fy, with g = 1 - f.
 
-    Corner k is ``sources[k].take(indices[k])``. The sum accumulates in
+    Corner p00 is ``flat[base]``, p01 the pixel after it, p10 the one a row
+    of `width` below it and p11 the one after that. The sum accumulates in
     place in that left-to-right order, which keeps its bits.
     """
     gx = 1 - fx
     gy = 1 - fy
-    value = sources[0].take(indices[0])
+    value = flat.take(base)
     value *= gx
     value *= gy
-    for source, index, across, down in zip(
-        sources[1:], indices[1:], (fx, gx, fx), (gy, fy, fy)
-    ):
-        term = source.take(index)
+    for offset, across, down in ((1, fx, gy), (width, gx, fy), (width + 1, fx, fy)):
+        term = flat[offset:].take(base)
         term *= across
         term *= down
         value += term

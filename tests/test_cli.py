@@ -12,12 +12,12 @@ import pytest
 import bearface
 from bearface.arraystore import read_store, write_store
 from bearface.cli import main
-from bearface.extraction import describe_image
+from bearface.extraction import describe_faces, describe_image
 from bearface.imaging import read_pnm
 from bearface.manifest import read_manifest
-from bearface.modelio import load_model
+from bearface.modelio import FeatureParams, load_model
 from bearface.multiclass import classify
-from bearface.registration import read_landmarks
+from bearface.registration import mean_reference, read_landmarks
 from bearface.servo import decode_servo_commands
 
 
@@ -103,6 +103,22 @@ def test_classify_command(
         single = classify(bundle.model, blocks)
         assert record["winner"] == single.winner
         assert record["tally"] == dict(zip(single.class_names, single.tally))
+
+
+@pytest.mark.parametrize("descriptors", [("lbph", "hog"), ("hog", "lbph"), ("hog",)])
+def test_describe_faces_blocks_stack_describe_image(synthetic_dataset, descriptors):
+    entries = read_manifest(synthetic_dataset).entries[::7]
+    faces = [(entry.image, read_landmarks(entry.landmarks)) for entry in entries]
+    reference = mean_reference([landmarks for _, landmarks in faces])
+    feature = FeatureParams(descriptors, grid=4, hog_bins=9)
+    blocks = describe_faces(faces, reference, feature)
+    assert list(blocks) == list(descriptors)
+    singles = [describe_image(read_pnm(path), landmarks, reference, feature)
+               for path, landmarks in faces]
+    for name, block in blocks.items():
+        expected = np.vstack([single[name] for single in singles])
+        assert block.dtype == expected.dtype and block.shape == expected.shape
+        assert block.tobytes() == expected.tobytes()
 
 
 def test_classify_manifest_without_images(pipeline_out, fast_config, tmp_path, capsys):

@@ -9,7 +9,9 @@ allocates (durations, frame rate, descriptor sizes) must be rejected where
 they are parsed; large values are only ever parsed here, never run. A
 saved model with a NaN or inf written into it must be refused when it
 loads, naming the file. A landmark file reads the same whatever comments,
-blank lines, tabs and line endings surround its values. Run with
+blank lines, tabs and line endings surround its values. The crop's
+bilinear sampler matches the test suite's fancy-indexing reference bit for
+bit, edges, NaN and infinities included. Run with
 `--hypothesis-profile=ci` for more examples.
 """
 
@@ -33,8 +35,9 @@ from bearface.manifest import parse_manifest
 from bearface.modelio import ModelBundle, load_model, save_model
 from bearface.multiclass import train_multiclass
 from bearface.records import csv_text, packaged_text, parse_records
-from bearface.registration import LANDMARK_COUNT, LandmarkSet, read_landmarks
+from bearface.registration import LANDMARK_COUNT, LandmarkSet, _bilinear_sample, read_landmarks
 from bearface.visemes import parse_transcript, parse_viseme_table
+from test_registration import reference_sample
 
 REJECTIONS = (ValueError, KeyError)
 
@@ -314,3 +317,35 @@ def test_landmark_file_layout(tmp_path, end, separators, leading, trailing, inse
         with pytest.raises(ValueError) as caught:
             read_landmarks(path)
         assert str(caught.value).startswith(f"{path}:{numbers[corrupt[0]]}: ")
+
+
+def sample_coordinate(last: float) -> st.SearchStrategy[float]:
+    """A coordinate on an axis whose last pixel is at `last`: inside, on an
+    edge, 1e-10 off one, outside, or not finite."""
+    edges = [0.0, -0.0, last, 1e-10, -1e-10, last - 1e-10, last + 1e-10]
+    return st.one_of(
+        st.floats(0.0, last),
+        st.sampled_from(edges),
+        st.floats(-last - 2.0, 2.0 * last + 2.0),
+        st.sampled_from([math.nan, math.inf, -math.inf]),
+        ANY_FLOAT,
+    )
+
+
+@given(st.data())
+def test_bilinear_sample_matches_reference(data):
+    height = data.draw(st.integers(2, 64), label="height")
+    width = data.draw(st.integers(2, 64), label="width")
+    count = data.draw(st.integers(1, 24), label="count")
+    points = st.tuples(sample_coordinate(width - 1.0), sample_coordinate(height - 1.0))
+    x, y = np.array(data.draw(st.lists(points, min_size=count, max_size=count)), dtype=float).T
+    seed = data.draw(st.integers(0, 2**32 - 1), label="pixel seed")
+    pixels = np.random.default_rng(seed).integers(0, 256, (height, width), dtype=np.uint8)
+    value, clipped = _bilinear_sample(pixels, x.copy(), y.copy())
+    # A NaN is outside and reads 0 either way; -1 is outside too, and keeps
+    # the reference's integer cast from warning.
+    expected, expected_clipped = reference_sample(
+        pixels, np.where(np.isnan(x), -1.0, x), np.where(np.isnan(y), -1.0, y)
+    )
+    assert clipped == expected_clipped
+    assert value.tobytes() == expected.tobytes()

@@ -213,52 +213,60 @@ def test_cached_grid_is_read_only_and_crops_do_not_share_it():
     assert not np.shares_memory(first.pixels, second.pixels)
 
 
-def test_interior_crop_allocates_at_most_1_2_mib(monkeypatch):
-    # A deterministic stand-in for page faults: what the crop allocates at
-    # peak is what the C heap must find, or fault in, for every face.
-    rng = np.random.default_rng(17)
-    image = GrayImage(rng.integers(0, 256, (CROP_SIZE, CROP_SIZE), dtype=np.uint8))
-    reference = _spread_landmarks(size=CROP_SIZE - 1)
-    source = _posed(reference, (63.5, 63.5), 0.9, 0.1)
+def _crop_peak(image: GrayImage, source: LandmarkSet, reference: LandmarkSet) -> int:
+    """Bytes the crop allocates at peak, traced after a warm-up crop.
+
+    A deterministic stand-in for page faults: what the crop allocates at
+    peak is what the C heap must find, or fault in, for every face.
+    """
     register_and_crop(image, source, reference)  # warm-up: builds the cached grid
-    paths = _record_paths(monkeypatch)
     tracemalloc.start()
     try:
         register_and_crop(image, source, reference)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert paths == [True]
+    return peak
+
+
+def test_interior_crop_allocates_at_most_1_2_mib():
+    rng = np.random.default_rng(17)
+    image = GrayImage(rng.integers(0, 256, (CROP_SIZE, CROP_SIZE), dtype=np.uint8))
+    reference = _spread_landmarks(size=CROP_SIZE - 1)
+    source = _posed(reference, (63.5, 63.5), 0.9, 0.1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", CropBoundsWarning)
+        assert _crop_peak(image, source, reference) <= 1.2 * 2**20
+
+
+def test_clipped_crop_allocates_at_most_1_2_mib():
+    # A 128-px crop that hangs over the top-left corner of a 160-px source:
+    # the bounds mask and the clips work in the sampler's own coordinates.
+    rng = np.random.default_rng(18)
+    image = GrayImage(rng.integers(0, 256, (160, 160), dtype=np.uint8))
+    reference = _spread_landmarks(size=CROP_SIZE - 1)
+    source = _posed(reference, (30.0, 40.0), 1.0, 0.3)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        peak = _crop_peak(image, source, reference)
+    assert [w.category for w in caught] == [CropBoundsWarning] * 2
     assert peak <= 1.2 * 2**20
 
 
-def _record_paths(monkeypatch) -> list[bool]:
-    """Per sampler call from now on, whether it took the interior path:
-    only that path gathers its corners from shifted views of the pixels."""
-    paths = []
-    interpolate = registration._interpolate
-
-    def spy(sources, *args):
-        paths.append(sources[1] is not sources[0])
-        return interpolate(sources, *args)
-
-    monkeypatch.setattr(registration, "_interpolate", spy)
-    return paths
+def _sample(pixels, x, y):
+    """`_bilinear_sample` of copies of the coordinates, which it overwrites."""
+    return registration._bilinear_sample(pixels, x.copy(), y.copy())
 
 
-def _sample_with_path(monkeypatch, pixels, x, y):
-    """`_bilinear_sample` of the coordinates, and whether it took the interior path.
-
-    The sampler gets copies, since it may overwrite them.
-    """
-    paths = _record_paths(monkeypatch)
-    value, clipped = registration._bilinear_sample(pixels, x.copy(), y.copy())
-    (interior,) = paths
-    return value, clipped, interior
+def _assert_matches_reference(pixels, x, y, clipped: bool):
+    value, flag = _sample(pixels, x, y)
+    expected, expected_flag = reference_sample(pixels, x, y)
+    assert flag == expected_flag == clipped
+    assert np.array_equal(value.view(np.int64), expected.view(np.int64))
 
 
 @pytest.mark.parametrize("shape", [(2, 2), (3, 7), (128, 128), (90, 110)])
-def test_interior_sampler_matches_reference(monkeypatch, shape):
+def test_interior_sampler_matches_reference(shape):
     rng = np.random.default_rng(sum(shape))
     height, width = shape
     pixels = rng.integers(0, 256, shape, dtype=np.uint8)
@@ -269,14 +277,11 @@ def test_interior_sampler_matches_reference(monkeypatch, shape):
     y[1, :4] = [np.nextafter(0, 1), np.nextafter(height - 1, 0), 0.5, height - 1.5]
     x = np.clip(x, np.nextafter(0, 1), np.nextafter(width - 1, 0))
     y = np.clip(y, np.nextafter(0, 1), np.nextafter(height - 1, 0))
-    value, clipped, interior = _sample_with_path(monkeypatch, pixels, x, y)
-    expected, expected_clipped = reference_sample(pixels, x, y)
-    assert interior and not clipped and not expected_clipped
-    assert np.array_equal(value.view(np.int64), expected.view(np.int64))
+    _assert_matches_reference(pixels, x, y, clipped=False)
 
 
 EDGE_COORDINATES = {
-    # On an edge, within eps outside of one, or beyond: the general path.
+    # On an edge, within eps outside of one, or beyond.
     "x-at-0": (0.0, None, False),
     "x-at-last-column": ("last", None, False),
     "y-at-0": (None, 0.0, False),
@@ -291,7 +296,7 @@ EDGE_COORDINATES = {
 
 
 @pytest.mark.parametrize("name", sorted(EDGE_COORDINATES))
-def test_edge_coordinates_take_the_general_path(monkeypatch, name):
+def test_edge_coordinates_match_reference(name):
     rng = np.random.default_rng(21)
     height, width = 40, 50
     pixels = rng.integers(0, 256, (height, width), dtype=np.uint8)
@@ -301,14 +306,28 @@ def test_edge_coordinates_take_the_general_path(monkeypatch, name):
     for grid, at, last in ((x, at_x, width - 1), (y, at_y, height - 1)):
         if at is not None:
             grid[3, 5] = {"last": last, "last+": last + 1e-10, "last+1": last + 1.0}.get(at, at)
-    value, clipped, interior = _sample_with_path(monkeypatch, pixels, x, y)
-    expected, expected_clipped = reference_sample(pixels, x, y)
-    assert not interior
-    assert clipped == expected_clipped == outside
-    assert np.array_equal(value.view(np.int64), expected.view(np.int64))
+    _assert_matches_reference(pixels, x, y, clipped=outside)
 
 
-def test_nan_coordinate_reads_zero_as_outside(monkeypatch):
+@pytest.mark.parametrize("shape", [(1, 1), (1, 6), (5, 1), (2, 2), (40, 50)])
+def test_last_pixel_reads_the_padding_as_nothing(shape):
+    # At exactly (W - 1, H - 1), within eps past it, or on the last row or
+    # column, the corners past the edge are the zero padding, or the next
+    # row's first pixel, with a fraction of exactly 0: the sample is the
+    # pixel itself, or its blend along the edge, bit for bit.
+    rng = np.random.default_rng(23)
+    height, width = shape
+    pixels = rng.integers(1, 256, shape, dtype=np.uint8)
+    last_x, last_y = width - 1.0, height - 1.0
+    x = np.array([[last_x, last_x + 1e-10, last_x, max(last_x - 0.25, 0.0)]])
+    y = np.array([[last_y, last_y, last_y + 1e-10, last_y]])
+    value, clipped = _sample(pixels, x, y)
+    assert not clipped
+    assert value[0, 0] == value[0, 1] == value[0, 2] == pixels[-1, -1]
+    _assert_matches_reference(pixels, x, y, clipped=False)
+
+
+def test_nan_coordinate_reads_zero_as_outside():
     # A NaN used to reach the integer cast (INT_MIN) and end in IndexError.
     rng = np.random.default_rng(22)
     pixels = rng.integers(1, 256, (10, 10), dtype=np.uint8)
@@ -316,15 +335,15 @@ def test_nan_coordinate_reads_zero_as_outside(monkeypatch):
     y = rng.uniform(1, 8, (4, 5))
     x[1, 2] = np.nan
     y[3, 0] = np.nan
-    value, clipped, interior = _sample_with_path(monkeypatch, pixels, x, y)
-    assert not interior and clipped
+    value, clipped = _sample(pixels, x, y)
+    assert clipped
     assert value[1, 2] == value[3, 0] == 0.0
     tame = np.isfinite(x) & np.isfinite(y)
     expected, _ = reference_sample(pixels, np.where(tame, x, 4.0), np.where(tame, y, 4.0))
     assert np.array_equal(value[tame].view(np.int64), expected[tame].view(np.int64))
 
 
-def test_crop_on_the_source_edges_takes_the_general_path(monkeypatch):
+def test_crop_on_the_source_edges_matches_reference():
     # Landmarks equal to the reference: the crop grid spans the whole
     # 128 x 128 source, edges included, up to rounding.
     rng = np.random.default_rng(14)
@@ -332,12 +351,10 @@ def test_crop_on_the_source_edges_takes_the_general_path(monkeypatch):
     reference = _spread_landmarks(size=CROP_SIZE - 1)
     x, y = reference_grid(reference, reference)
     assert x.min() <= 0 and y.min() <= 0 and x.max() == y.max() == CROP_SIZE - 1
-    paths = _record_paths(monkeypatch)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         crop = register_and_crop(image, reference, reference)
     expected, clipped = reference_register_and_crop(image, reference, reference)
-    assert paths == [False]
     assert caught == [] and not clipped
     assert np.array_equal(crop.pixels, expected.pixels)
 
