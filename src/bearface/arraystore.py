@@ -26,6 +26,9 @@ import numpy as np
 from .records import check_header, located, place, typed, write_atomic
 
 _DTYPES = {"f8": "<f8", "i8": "<i8", "u1": "|u1"}
+# The writer's side of the same map: the code of each native-order dtype,
+# which is converted to the stored little-endian one.
+_CODES = {np.dtype(stored).newbyteorder("="): code for code, stored in _DTYPES.items()}
 
 
 def _check_name(name: str) -> None:
@@ -48,13 +51,8 @@ def dump_store(entries: Mapping[str, object]) -> str:
                 raise ValueError(f"string entry {name!r} contains a line break")
             lines.append(f"str {name} {value}")
         elif isinstance(value, np.ndarray):
-            if value.dtype == np.float64:
-                code = "f8"
-            elif value.dtype == np.int64:
-                code = "i8"
-            elif value.dtype == np.uint8:
-                code = "u1"
-            else:
+            code = _CODES.get(value.dtype)
+            if code is None:
                 raise ValueError(
                     f"array entry {name!r} has unsupported dtype {value.dtype}"
                 )

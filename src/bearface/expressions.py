@@ -3,9 +3,9 @@
 Each of the six basic expressions (plus an explicit neutral) exists in two
 flavours: a plain facial-action mode driving only the muscles the coding
 system prescribes, and an animal mode that adds ear and forehead gestures.
-A template stores the neutral pose, the full-intensity pose and the set of
-axes the expression is allowed to move; synthesis interpolates between the
-two poses.
+`EXPRESSION_DOFS` is the one statement of the axes each pair may move; a
+template stores the neutral and full-intensity poses, and synthesis
+interpolates between the two.
 """
 
 from __future__ import annotations
@@ -33,16 +33,9 @@ class Expression(str, Enum):
     NEUTRAL = "neutral"
 
 
-#: Report/row ordering used by every confusion matrix and report.
-CLASS_ORDER: tuple[Expression, ...] = (
-    Expression.ANGER,
-    Expression.SURPRISE,
-    Expression.DISGUST,
-    Expression.FEAR,
-    Expression.JOY,
-    Expression.SADNESS,
-    Expression.NEUTRAL,
-)
+#: Report/row ordering used by every confusion matrix and report: the
+#: declaration order of `Expression`.
+CLASS_ORDER: tuple[Expression, ...] = tuple(Expression)
 
 BASIC_EXPRESSIONS: tuple[Expression, ...] = tuple(
     e for e in CLASS_ORDER if e is not Expression.NEUTRAL
@@ -89,34 +82,29 @@ for _expr in Expression:
 
 @dataclass(frozen=True)
 class ExpressionTemplate:
-    """Neutral and full-intensity poses for one (expression, mode) pair."""
+    """Neutral and full-intensity poses for one (expression, mode) pair.
+
+    The axes it may move are its `EXPRESSION_DOFS` entry; every other axis
+    must peak at its neutral value (so a neutral template moves nothing).
+    """
 
     expression: Expression
     mode: Mode
     neutral_pose: Pose
     max_pose: Pose
-    active_dofs: frozenset[Dof]
     uses_ear_oscillation: bool = False
 
+    @property
+    def active_dofs(self) -> frozenset[Dof]:
+        return EXPRESSION_DOFS[(self.expression, self.mode)]
+
     def __post_init__(self) -> None:
-        expected = EXPRESSION_DOFS[(self.expression, self.mode)]
-        if self.active_dofs != expected:
-            got = sorted(dof_label(d) for d in self.active_dofs)
-            want = sorted(dof_label(d) for d in expected)
-            raise ValueError(
-                f"{self.expression.value}/{self.mode.value}: active axes {got} "
-                f"do not match the expression table {want}"
-            )
         for dof in ALL_DOFS:
-            if dof not in self.active_dofs:
-                if self.max_pose[dof] != self.neutral_pose[dof]:
-                    raise ValueError(
-                        f"{self.expression.value}/{self.mode.value}: inactive axis "
-                        f"{dof_label(dof)} moves in the peak pose"
-                    )
-        if self.expression is Expression.NEUTRAL:
-            if self.max_pose != self.neutral_pose:
-                raise ValueError("neutral template must not move any axis")
+            if dof not in self.active_dofs and self.max_pose[dof] != self.neutral_pose[dof]:
+                raise ValueError(
+                    f"{self.expression.value}/{self.mode.value}: inactive axis "
+                    f"{dof_label(dof)} moves in the peak pose"
+                )
 
 
 def pose_for(template: ExpressionTemplate, intensity: float) -> Pose:
@@ -216,24 +204,6 @@ class TemplateSet:
         return iter(self._templates.values())
 
 
-def _build_template(
-    expression: Expression,
-    mode: Mode,
-    neutral_pose: Pose,
-    peaks: dict[Dof, float],
-    ear_oscillation_flag: bool,
-) -> ExpressionTemplate:
-    max_pose = neutral_pose.replace(peaks)
-    return ExpressionTemplate(
-        expression=expression,
-        mode=mode,
-        neutral_pose=neutral_pose,
-        max_pose=max_pose,
-        active_dofs=frozenset(peaks),
-        uses_ear_oscillation=ear_oscillation_flag,
-    )
-
-
 def _section(name: str) -> tuple[Expression, Mode]:
     expression, _, mode = name.partition(" ")
     try:
@@ -248,8 +218,10 @@ def parse_templates(text: str, origin: str | None = None) -> TemplateSet:
     After the `bearface-templates 1` header, each line is a `[<section>]`
     header or a `key = value` line of the section above it. `[neutral]`
     lists all ten axes; each `[<expression> <mode>]` section gives the
-    peak values of the axes that expression moves and an optional
-    `ear_oscillation = true` flag. Sections and keys may not repeat.
+    peak values of exactly the axes `EXPRESSION_DOFS` lets it move (an
+    extra axis is reported at its line, a missing one at the header) and
+    an optional `ear_oscillation = true` flag. Sections and keys may not
+    repeat; the neutral ones need no section.
     """
     # Per section: its header's place, its values, and each key's place.
     sections: dict[str, tuple[str, dict[Dof | str, float | bool], dict[Dof | str, str]]] = {}
@@ -294,27 +266,32 @@ def parse_templates(text: str, origin: str | None = None) -> TemplateSet:
     for name, (where, values, places) in sections.items():
         with located(where):
             expression, mode = _section(name)
+        oscillate = values.pop("ear_oscillation", False)
         moved = EXPRESSION_DOFS[(expression, mode)]
-        for slot in values:
-            # An axis too many is the fault of its own line; one too few is
-            # the section's, and the template check names its header.
-            if isinstance(slot, Dof) and slot not in moved:
+        table = sorted(dof_label(d) for d in moved)
+        # An axis too many is the fault of its own line; one too few is
+        # the section's, named at its header.
+        for dof in values:
+            if dof not in moved:
                 raise ValueError(
-                    f"{places[slot]}: {expression.value}/{mode.value}: {dof_label(slot)} "
-                    f"is not an axis this expression moves "
-                    f"{sorted(dof_label(d) for d in moved)}"
+                    f"{places[dof]}: {expression.value}/{mode.value}: {dof_label(dof)} "
+                    f"is not an axis this expression moves {table}"
                 )
-        with located(where):
-            oscillate = values.pop("ear_oscillation", False)
-            templates[(expression, mode)] = _build_template(
-                expression, mode, neutral_pose, values, oscillate
+        if set(values) != moved:
+            raise ValueError(
+                f"{where}: {expression.value}/{mode.value}: active axes "
+                f"{sorted(dof_label(d) for d in values)} do not match the expression "
+                f"table {table}"
             )
+        templates[(expression, mode)] = ExpressionTemplate(
+            expression, mode, neutral_pose, neutral_pose.replace(values), oscillate
+        )
 
     # Neutral templates are implicit: peak equals neutral in both modes.
     for mode in Mode:
         templates.setdefault(
             (Expression.NEUTRAL, mode),
-            _build_template(Expression.NEUTRAL, mode, neutral_pose, {}, False),
+            ExpressionTemplate(Expression.NEUTRAL, mode, neutral_pose, neutral_pose),
         )
     with located(file):
         return TemplateSet(neutral_pose, templates)

@@ -6,6 +6,7 @@ via the usual luma weights (0.299, 0.587, 0.114).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -45,28 +46,31 @@ class GrayImage:
         return cls(np.full((height, width), value, dtype=np.uint8))
 
 
+# One header token, after any whitespace and `#` comments. A comment runs to
+# the end of its line and a token never starts with `#`, so no match can end
+# a comment early to find a token inside it.
+_PNM_TOKEN = re.compile(rb"(?:\s|#[^\n]*(?![^\n]))*([^\s#]\S*)")
+
+
 def _read_pnm_tokens(data: bytes, count: int, offset: int) -> tuple[list[int], int]:
     """Read whitespace/comment-separated ASCII integers from a PNM header."""
     tokens: list[int] = []
-    i = offset
-    while len(tokens) < count:
-        while i < len(data) and data[i : i + 1].isspace():
-            i += 1
-        if i < len(data) and data[i : i + 1] == b"#":
-            while i < len(data) and data[i] != 0x0A:
-                i += 1
-            continue
-        start = i
-        while i < len(data) and not data[i : i + 1].isspace():
-            i += 1
-        if start == i:
+    for _ in range(count):
+        match = _PNM_TOKEN.match(data, offset)
+        if match is None:
             raise ValueError("truncated PNM header")
-        tokens.append(int(data[start:i]))
-    return tokens, i + 1  # skip the single whitespace after the last token
+        tokens.append(int(match[1]))
+        offset = match.end()
+    return tokens, offset + 1  # skip the single whitespace after the last token
 
 
 def read_pnm(path: str | Path) -> GrayImage:
-    """Load a binary P5 graymap or P6 pixmap as grayscale."""
+    """Load a binary P5 graymap or P6 pixmap as grayscale.
+
+    Samples are scaled from 0..maxval to 0..255 as rint(v * 255 / maxval)
+    (for a pixmap, before the luma weights); a sample above maxval is an
+    error.
+    """
     data = Path(path).read_bytes()
     magic = data[:2]
     if magic not in (b"P5", b"P6"):
@@ -81,6 +85,10 @@ def read_pnm(path: str | Path) -> GrayImage:
     if len(data) - offset < expected:
         raise ValueError(f"{path}: truncated raster")
     raster = np.frombuffer(data, dtype=np.uint8, count=expected, offset=offset)
+    if maxval != 255:
+        if raster.max() > maxval:
+            raise ValueError(f"{path}: sample {raster.max()} above maxval {maxval}")
+        raster = np.rint(raster * 255.0 / maxval).astype(np.uint8)
     if channels == 1:
         gray = raster.reshape(height, width)
     else:

@@ -62,7 +62,6 @@ def test_pose_for_midpoint_value():
         mode=Mode.AU_ANIMAL,
         neutral_pose=neutral,
         max_pose=peak,
-        active_dofs=frozenset({Dof.EAR_L, Dof.EAR_R}),
     )
     pose = pose_for(template, 0.5)
     assert pose[Dof.EAR_L] == pytest.approx(0.7, abs=1e-15)
@@ -134,16 +133,12 @@ def test_expression_table_contents():
     }
 
 
-def test_template_validation_rejects_wrong_active_set():
-    neutral = Pose((0.5,) * 10)
-    with pytest.raises(ValueError, match="do not match"):
-        ExpressionTemplate(
-            expression=Expression.JOY,
-            mode=Mode.AU,
-            neutral_pose=neutral,
-            max_pose=neutral,
-            active_dofs=frozenset({Dof.EAR_L}),
-        )
+def test_template_active_dofs_are_the_table_entries(template_set):
+    templates = list(template_set)
+    assert len(templates) == 14
+    assert {(t.expression, t.mode) for t in templates} == set(EXPRESSION_DOFS)
+    for template in templates:
+        assert template.active_dofs == EXPRESSION_DOFS[(template.expression, template.mode)]
 
 
 def test_template_validation_rejects_moving_inactive_axis():
@@ -155,7 +150,6 @@ def test_template_validation_rejects_moving_inactive_axis():
             mode=Mode.AU,
             neutral_pose=neutral,
             max_pose=moved,
-            active_dofs=frozenset(),
         )
 
 

@@ -11,7 +11,8 @@ saved model with a NaN or inf written into it must be refused when it
 loads, naming the file. A landmark file reads the same whatever comments,
 blank lines, tabs and line endings surround its values. The crop's
 bilinear sampler matches the test suite's fancy-indexing reference bit for
-bit, edges, NaN and infinities included. Run with
+bit, edges, NaN and infinities included. The PNM header tokenizer returns
+a byte loop's tokens, offsets and errors. Run with
 `--hypothesis-profile=ci` for more examples.
 """
 
@@ -29,7 +30,7 @@ from bearface.arraystore import dump_store, parse_store, read_store, write_store
 from bearface.cli import main
 from bearface.config import MAX_DURATION, RunConfig, parse_config
 from bearface.expressions import parse_templates
-from bearface.imaging import read_pnm
+from bearface.imaging import _read_pnm_tokens, read_pnm
 from bearface.kernels import AutoRbf, PolyKernel, parse_kernel
 from bearface.manifest import parse_manifest
 from bearface.modelio import ModelBundle, load_model, save_model
@@ -151,6 +152,51 @@ def test_read_pnm(tmp_path, data):
     path = tmp_path / "image.pnm"
     path.write_bytes(data)
     rejects_only_with_value_errors(read_pnm, path)
+
+
+def reference_pnm_tokens(data: bytes, count: int, offset: int) -> tuple[list[int], int]:
+    """The PNM header tokenizer as a byte loop: skip whitespace, skip a `#`
+    comment up to (not past) its newline, then take a run of non-space bytes."""
+    tokens: list[int] = []
+    i = offset
+    while len(tokens) < count:
+        while i < len(data) and data[i : i + 1].isspace():
+            i += 1
+        if i < len(data) and data[i : i + 1] == b"#":
+            while i < len(data) and data[i] != 0x0A:
+                i += 1
+            continue
+        start = i
+        while i < len(data) and not data[i : i + 1].isspace():
+            i += 1
+        if start == i:
+            raise ValueError("truncated PNM header")
+        tokens.append(int(data[start:i]))
+    return tokens, i + 1
+
+
+def tokens_or_error(tokenize, data: bytes) -> object:
+    try:
+        return tokenize(data, 3, 2)
+    except ValueError as error:
+        return str(error)
+
+
+HEADER_BYTES = st.sampled_from(
+    [b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c", b"#", b"0", b"1", b"7", b"25", b"x",
+     b"\x1c", b"\xa0", b"-", b"+", b"_"]
+)
+
+
+@given(st.lists(HEADER_BYTES, max_size=20).map(b"".join) | st.binary(max_size=20))
+@example(b" 2 1 #255")  # a comment with no token after it
+@example(b" 2 1 #25\n")
+@example(b" 2 1 #2 5 \r")
+@example(b" 2 1 5#x\n")  # '#' inside a token is part of it
+@example(b"\n#c\n2\t1\n255\n\x00")
+def test_pnm_tokens_match_byte_loop(header):
+    data = b"P5" + header
+    assert tokens_or_error(_read_pnm_tokens, data) == tokens_or_error(reference_pnm_tokens, data)
 
 
 ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)

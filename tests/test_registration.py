@@ -1,6 +1,7 @@
 """Image I/O, similarity fitting and the registered crop."""
 
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -390,6 +391,31 @@ def test_ppm_luma(tmp_path):
     image = read_pnm(path)
     assert image.pixels[0, 0] == round(0.299 * 255)
     assert image.pixels[0, 1] == round(0.587 * 255)
+
+
+def test_pnm_samples_scale_from_maxval(tmp_path):
+    path = tmp_path / "m.pgm"
+    path.write_bytes(b"P5 3 1 15\n\x0f\x07\x00")
+    assert read_pnm(path).pixels.tolist() == [[255, 119, 0]]  # rint(7 * 255 / 15)
+    for maxval in (1, 2, 3, 100, 254):
+        path.write_bytes(b"P5 %d 1 %d\n" % (maxval + 1, maxval) + bytes(range(maxval + 1)))
+        expected = [round(v * 255 / maxval) for v in range(maxval + 1)]
+        assert read_pnm(path).pixels[0].tolist() == expected
+    # A pixmap's samples are scaled before the luma weights.
+    ppm = tmp_path / "m.ppm"
+    ppm.write_bytes(b"P6 2 1 1\n\x01\x00\x00\x00\x01\x00")
+    assert read_pnm(ppm).pixels.tolist() == [[round(0.299 * 255), round(0.587 * 255)]]
+
+
+def test_pnm_sample_above_maxval_is_rejected(tmp_path):
+    path = tmp_path / "over.pgm"
+    path.write_bytes(b"P5 2 1 15\n\x0f\xc8")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: sample 200 above maxval 15")):
+        read_pnm(path)
+    ppm = tmp_path / "over.ppm"
+    ppm.write_bytes(b"P6 1 1 100\n\x00\x65\x00")
+    with pytest.raises(ValueError, match=re.escape(f"{ppm}: sample 101 above maxval 100")):
+        read_pnm(ppm)
 
 
 def test_landmark_file_round_trip(tmp_path):
