@@ -1,15 +1,17 @@
-"""Versioned text container for arrays, scalars and strings.
+"""Versioned line-based container for arrays, scalars and strings.
 
 Models and feature caches persist through this one format: a magic first
 line, then one entry per record. Numeric arrays are stored as raw
-little-endian bytes in base64, so every value round-trips bit-exactly.
-Stores are written atomically (`write_atomic`), so an interrupted write
-never leaves a half-written store that later loads.
+little-endian bytes in base64, so every value round-trips bit-exactly. A
+line ends at `\\n` (one `\\r` before it is dropped, so CRLF stores load);
+any other line break is an error at its line, and the writer refuses a
+string holding one. An array has at least one dimension. Stores stay bytes:
+`write_store` streams `dump_store`'s lines into `write_atomic` (so an
+interrupted write never leaves a half-written store that later loads), and
+`parse_store` decodes only the short lines of a file's bytes as text.
 
     bearface-store 1
     int seed 42
-    float svm_c 10.0
-    str classes anger surprise ...
     array mean f8 1,3776
     <one base64 line>
 """
@@ -17,9 +19,10 @@ never leaves a half-written store that later loads.
 from __future__ import annotations
 
 import base64
+import binascii
 import math
 from pathlib import Path
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Iterator, Mapping
 
 import numpy as np
 
@@ -31,59 +34,69 @@ _DTYPES = {"f8": "<f8", "i8": "<i8", "u1": "|u1"}
 _CODES = {np.dtype(stored).newbyteorder("="): code for code, stored in _DTYPES.items()}
 
 
-def _check_name(name: str) -> None:
-    if not name or any(ch.isspace() for ch in name):
-        raise ValueError(f"bad store entry name {name!r}")
-
-
-def dump_store(entries: Mapping[str, object]) -> str:
-    lines = ["bearface-store 1"]
+def dump_store(entries: Mapping[str, object]) -> Iterator[bytes]:
+    """The store's bytes: each header line, then each array's payload line."""
+    yield b"bearface-store 1\n"
     for name, value in entries.items():
-        _check_name(name)
+        if not name or any(ch.isspace() for ch in name):
+            raise ValueError(f"bad store entry name {name!r}")
         if isinstance(value, (int, np.integer)):  # a bool is an int
-            lines.append(f"int {name} {int(value)}")
+            yield f"int {name} {int(value)}\n".encode()
         elif isinstance(value, (float, np.floating)):
-            lines.append(f"float {name} {float(value)!r}")
+            yield f"float {name} {float(value)!r}\n".encode()
         elif isinstance(value, str):
-            # parse_store splits on every line boundary of str.splitlines,
-            # not only on a newline.
+            # parse_store rejects every line break of str.splitlines but '\\n'.
             if value.splitlines() not in ([value], []):
                 raise ValueError(f"string entry {name!r} contains a line break")
-            lines.append(f"str {name} {value}")
+            yield f"str {name} {value}\n".encode()
         elif isinstance(value, np.ndarray):
             code = _CODES.get(value.dtype)
             if code is None:
-                raise ValueError(
-                    f"array entry {name!r} has unsupported dtype {value.dtype}"
-                )
-            shape = ",".join(str(s) for s in value.shape) or "0"
-            payload = base64.b64encode(
-                np.ascontiguousarray(value).astype(_DTYPES[code]).tobytes()
-            ).decode("ascii")
-            lines.append(f"array {name} {code} {shape}")
-            lines.append(payload)
+                raise ValueError(f"array entry {name!r} has unsupported dtype {value.dtype}")
+            if value.ndim == 0:
+                raise ValueError(f"array entry {name!r} has no dimensions")
+            yield f"array {name} {code} {','.join(map(str, value.shape))}\n".encode()
+            yield binascii.b2a_base64(np.ascontiguousarray(value, _DTYPES[code]))
         else:
             raise ValueError(f"entry {name!r} has unsupported type {type(value)!r}")
-    return "\n".join(lines) + "\n"
 
 
-def parse_store(text: str, origin: str | None = None) -> dict[str, object]:
-    """The entries of a store's text; errors name `origin:line`.
+def _lines(data: bytes) -> Iterator[bytes]:
+    """Each line of `data`: it ends at '\\n' or the end, less one '\\r' before that."""
+    start = 0
+    while start < len(data):
+        end = data.find(b"\n", start)
+        end = len(data) if end < 0 else end
+        yield data[start:end - 1 if end > start and data[end - 1] == 0x0D else end]
+        start = end + 1
+
+
+def _text(line: bytes, where: str) -> str:
+    """A line that is not a payload, as text."""
+    with located(where):
+        text = line.decode("utf-8")
+    if text.splitlines() not in ([text], []):
+        raise ValueError(f"{where}: a line break other than '\\n' inside the line")
+    return text
+
+
+def parse_store(data: bytes, origin: str | None = None) -> dict[str, object]:
+    """The entries of a store's bytes; errors name `origin:line`.
 
     The body has its own loop, not `records.content_lines`: a string entry
     may hold '#', and an array's payload is the line after its header.
     """
-    lines = text.splitlines()
-    check_header(lines, "store", origin)
+    lines = _lines(data)
+    check_header([_text(next(lines, b""), place(origin, 1))], "store", origin)
     entries: dict[str, object] = {}
-    index = 1
-    while index < len(lines):
-        line = lines[index]
-        index += 1
-        if not line.strip():
+    number = 1
+    for line in lines:
+        number += 1
+        where = place(origin, number)
+        text = _text(line, where)
+        if not text.strip():
             continue
-        where = place(origin, index)
-        kind, _, rest = line.partition(" ")
+        kind, _, rest = text.partition(" ")
         name, _, tail = rest.partition(" ")
         if name in entries:
             raise ValueError(f"{where}: duplicate store entry {name!r}")
@@ -96,28 +109,29 @@ def parse_store(text: str, origin: str | None = None) -> dict[str, object]:
             if code not in _DTYPES:
                 raise ValueError(f"{where}: entry {name!r}: unknown dtype code {code!r}")
             shape = tuple(typed(int, "shape", s, where) for s in shape_text.split(",") if s)
-            if index >= len(lines):
+            payload = next(lines, None)
+            if payload is None:
                 raise ValueError(f"{where}: entry {name!r}: missing payload line")
-            try:
-                raw = base64.b64decode(lines[index], validate=True)
+            number += 1
+            try:  # rebinding `payload` frees its text before the array is built
+                payload = base64.b64decode(payload, validate=True)
             except ValueError as error:  # binascii.Error is a ValueError
                 raise ValueError(
-                    f"{place(origin, index + 1)}: entry {name!r}: bad base64 payload: {error}"
+                    f"{place(origin, number)}: entry {name!r}: bad base64 payload: {error}"
                 ) from None
-            index += 1
             dtype = np.dtype(_DTYPES[code])
             if any(s < 0 for s in shape):
                 raise ValueError(
                     f"{where}: entry {name!r}: negative dimension in shape {shape_text}"
                 )
             needed = math.prod(shape) * dtype.itemsize
-            if len(raw) != needed:
+            if len(payload) != needed:
                 raise ValueError(
-                    f"{where}: entry {name!r}: payload holds {len(raw)} bytes, "
+                    f"{where}: entry {name!r}: payload holds {len(payload)} bytes, "
                     f"shape {shape_text} of {code} needs {needed}"
                 )
-            array = np.frombuffer(raw, dtype=dtype).reshape(shape)
-            entries[name] = array.copy()
+            with located(f"{where}: entry {name!r}"):
+                entries[name] = np.frombuffer(payload, dtype=dtype).reshape(shape).copy()
         else:
             raise ValueError(f"{where}: unknown store entry kind {kind!r}")
     return entries
@@ -162,4 +176,4 @@ def write_store(entries: Mapping[str, object], path: "str | Path") -> None:
 
 
 def read_store(path: "str | Path") -> StoreEntries:
-    return StoreEntries(parse_store(Path(path).read_text(encoding="utf-8"), str(path)), path)
+    return StoreEntries(parse_store(Path(path).read_bytes(), str(path)), path)

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .records import frozen
+from .records import frozen, located
 
 
 @dataclass(frozen=True)
@@ -75,7 +75,8 @@ def read_pnm(path: str | Path) -> GrayImage:
     magic = data[:2]
     if magic not in (b"P5", b"P6"):
         raise ValueError(f"{path}: unsupported PNM magic {magic!r} (need P5/P6)")
-    (width, height, maxval), offset = _read_pnm_tokens(data, 3, 2)
+    with located(path):
+        (width, height, maxval), offset = _read_pnm_tokens(data, 3, 2)
     if width <= 0 or height <= 0:
         raise ValueError(f"{path}: bad dimensions {width}x{height}")
     if not (0 < maxval <= 255):

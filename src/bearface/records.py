@@ -178,13 +178,13 @@ def packaged_text(name: str) -> str:
     return resources.files("bearface").joinpath(f"data/{name}").read_text(encoding="utf-8")
 
 
-def write_atomic(path: str | Path, data: str | bytes) -> None:
-    """Write text (as UTF-8) or bytes so that readers see the old file or the new.
+def write_atomic(path: str | Path, data: str | bytes | Iterable[bytes]) -> None:
+    """Write text (as UTF-8), bytes or byte chunks so readers see the old file or the new.
 
     The data goes to a temporary file in the same directory, which then
-    replaces `path` in one `os.replace`. A write that fails midway leaves
-    the previous file as it was and removes the temporary file. There is
-    no fsync: this guards against an interrupted process, not a power loss.
+    replaces `path` in one `os.replace`. A write that fails midway, a chunk
+    that raises included, leaves the previous file and removes the temporary
+    file. There is no fsync: this guards against an interrupted process, not a power loss.
     """
     path = Path(path)
     temporary = path.with_name(f".{path.name}.{secrets.token_hex(4)}.tmp")
@@ -192,9 +192,9 @@ def write_atomic(path: str | Path, data: str | bytes) -> None:
     # the umask set the permissions, as for any other created file.
     fd = os.open(temporary, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        binary = isinstance(data, bytes)
+        binary = not isinstance(data, str)
         with open(fd, "wb" if binary else "w", encoding=None if binary else "utf-8") as out:
-            out.write(data)
+            out.writelines([data] if isinstance(data, (str, bytes)) else data)
         os.replace(temporary, path)
     except BaseException:
         temporary.unlink(missing_ok=True)

@@ -433,6 +433,30 @@ def test_bad_payload_names_path_and_line(pipeline_out, synthetic_dataset, tmp_pa
     assert error.startswith(f"{damaged}:{header + 2}: entry 'pool_hog': bad base64 payload: ")
 
 
+@pytest.mark.parametrize(
+    ("store", "word", "command"),
+    [("model.store", b"model", "classify"), ("features.store", b"features", "train")],
+)
+def test_store_with_invalid_utf8_names_path_and_line(
+    pipeline_out, synthetic_dataset, fast_config, tmp_path, capsys, store, word, command
+):
+    # The whole file used to be decoded at once, so the error named neither
+    # the file nor the line: "'utf-8' codec can't decode byte 0xff in
+    # position 29: invalid start byte".
+    data = (pipeline_out / store).read_bytes()
+    line = data[:data.index(b"\nstr kind ")].count(b"\n") + 2
+    damaged = tmp_path / store
+    damaged.write_bytes(data.replace(b"str kind " + word, b"str kind " + word[:3] + b"\xff" + word[4:]))
+    if command == "classify":
+        argv = ["classify", "--manifest", str(synthetic_dataset), "--model", str(damaged)]
+    else:
+        argv = ["train", "--config", fast_config, "--features", str(damaged)]
+    assert main(argv + ["--out", str(tmp_path / "o")]) == 2
+    record = _single_error(capsys)
+    assert record["kind"] == "ValueError"
+    assert record["error"].startswith(f"{damaged}:{line}: 'utf-8' codec can't decode byte 0xff")
+
+
 def test_classify_missing_model(tmp_path, synthetic_dataset, capsys):
     code = main(
         ["classify", "--manifest", str(synthetic_dataset), "--out", str(tmp_path)]
@@ -704,6 +728,27 @@ def test_bad_landmark_line_names_path_and_line(tmp_path, capsys, synthetic_datas
     record = _single_error(capsys)
     assert record["kind"] == "ValueError"
     assert record["error"] == f"{landmarks}:1: {problem}"
+
+
+@pytest.mark.parametrize(
+    ("header", "problem"),
+    [(b"P5 2 x", "invalid literal for int() with base 10: b'x'"),
+     (b"P5 2", "truncated PNM header")],
+)
+def test_bad_image_header_names_path(tmp_path, capsys, synthetic_dataset, header, problem):
+    # These header errors used to name no image.
+    lines = synthetic_dataset.read_text().splitlines()
+    rows = [row.split("\t") for row in lines[2:6]]
+    for row in rows:
+        for name in row[:2]:
+            (tmp_path / name).write_bytes((synthetic_dataset.parent / name).read_bytes())
+    image = tmp_path / rows[1][0]
+    image.write_bytes(header)
+    manifest = tmp_path / "one.manifest"
+    manifest.write_text("\n".join(lines[:2] + lines[2:6]) + "\n")
+    code = main(["extract", "--manifest", str(manifest), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert _single_error(capsys) == {"error": f"{image}: {problem}", "kind": "ValueError"}
 
 
 def test_bad_transcript_reports_error(tmp_path, capsys):

@@ -12,19 +12,26 @@ loads, naming the file. A landmark file reads the same whatever comments,
 blank lines, tabs and line endings surround its values. The crop's
 bilinear sampler matches the test suite's fancy-indexing reference bit for
 bit, edges, NaN and infinities included. The PNM header tokenizer returns
-a byte loop's tokens, offsets and errors. Run with
+a byte loop's tokens, offsets and errors, and `read_pnm` names the file in
+them. A store is written as the text-based writer wrote it and read as the
+text-based reader read it, mutated stores included, except that a line
+break other than '\\n' is an error at its own line. Run with
 `--hypothesis-profile=ci` for more examples.
 """
 
+import base64
 import io
 import json
 import math
+import re
+import struct
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from bearface.arraystore import dump_store, parse_store, read_store, write_store
 from bearface.cli import main
@@ -35,7 +42,7 @@ from bearface.kernels import AutoRbf, PolyKernel, parse_kernel
 from bearface.manifest import parse_manifest
 from bearface.modelio import ModelBundle, load_model, save_model
 from bearface.multiclass import train_multiclass
-from bearface.records import csv_text, packaged_text, parse_records
+from bearface.records import check_header, csv_text, packaged_text, parse_records, place, typed
 from bearface.registration import LANDMARK_COUNT, LandmarkSet, _bilinear_sample, read_landmarks
 from bearface.visemes import parse_transcript, parse_viseme_table
 from test_registration import reference_sample
@@ -77,10 +84,10 @@ MANIFEST = (
 TEMPLATES = packaged_text("expression_templates.txt") + (
     "[DEFAULT]\n[neutral au]\n[ joy  au ]\n[joy]\n[]\n[neutral\n[fear au-animal]\n"
 )
-STORE = dump_store(
+STORE = b"".join(dump_store(
     {"kind": "model", "seed": 3, "c": 0.5, "note": "a # b",
      "grid": np.arange(6.0).reshape(2, 3), "codes": np.arange(4, dtype=np.uint8)}
-)
+)).decode("utf-8")
 
 
 @given(st.text() | text_like("0.0 1.0 x\n1 2 3\n0.5 joy 1\n"))
@@ -122,10 +129,11 @@ def test_parse_templates(text):
     rejects_only_with_value_errors(parse_templates, text)
 
 
-@given(text_like(STORE))
-@example("bearface-store 1\narray a f8 0\n\n")
-def test_parse_store(text):
-    rejects_only_with_value_errors(parse_store, text)
+@given(text_like(STORE).map(lambda text: text.encode("utf-8", "surrogatepass")) | st.binary())
+@example(b"bearface-store 1\narray a f8 0\n\n")
+@example(b"bearface-store 1\narray a f8 0,99999999999999999999\n\n")
+def test_parse_store(data):
+    rejects_only_with_value_errors(parse_store, data)
 
 
 @given(text_like("\nrbf gamma=0.5\npoly degree=3 offset=1 scale=0.5\nrbf\npoly degree=x\n"))
@@ -188,15 +196,26 @@ HEADER_BYTES = st.sampled_from(
 )
 
 
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(st.lists(HEADER_BYTES, max_size=20).map(b"".join) | st.binary(max_size=20))
 @example(b" 2 1 #255")  # a comment with no token after it
 @example(b" 2 1 #25\n")
 @example(b" 2 1 #2 5 \r")
 @example(b" 2 1 5#x\n")  # '#' inside a token is part of it
 @example(b"\n#c\n2\t1\n255\n\x00")
-def test_pnm_tokens_match_byte_loop(header):
+@example(b" 2 x")
+@example(b" 2")
+def test_pnm_tokens_match_byte_loop(tmp_path, header):
     data = b"P5" + header
-    assert tokens_or_error(_read_pnm_tokens, data) == tokens_or_error(reference_pnm_tokens, data)
+    expected = tokens_or_error(reference_pnm_tokens, data)
+    assert tokens_or_error(_read_pnm_tokens, data) == expected
+    if isinstance(expected, str):
+        # read_pnm gives the tokenizer's error with the file's name in front.
+        path = tmp_path / "image.pgm"
+        path.write_bytes(data)
+        with pytest.raises(ValueError) as caught:
+            read_pnm(path)
+        assert str(caught.value) == f"{path}: {expected}"
 
 
 ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
@@ -395,3 +414,204 @@ def test_bilinear_sample_matches_reference(data):
     )
     assert clipped == expected_clipped
     assert value.tobytes() == expected.tobytes()
+
+
+# The store's text writer and reader from before stores became bytes: the
+# oracle for the byte-level ones.
+def text_dump_store(entries) -> str:
+    lines = ["bearface-store 1"]
+    for name, value in entries.items():
+        if not name or any(ch.isspace() for ch in name):
+            raise ValueError(f"bad store entry name {name!r}")
+        if isinstance(value, (int, np.integer)):
+            lines.append(f"int {name} {int(value)}")
+        elif isinstance(value, (float, np.floating)):
+            lines.append(f"float {name} {float(value)!r}")
+        elif isinstance(value, str):
+            if value.splitlines() not in ([value], []):
+                raise ValueError(f"string entry {name!r} contains a line break")
+            lines.append(f"str {name} {value}")
+        else:
+            code = {np.dtype(np.float64): "f8", np.dtype(np.int64): "i8",
+                    np.dtype(np.uint8): "u1"}[value.dtype]
+            shape = ",".join(str(s) for s in value.shape) or "0"
+            stored = {"f8": "<f8", "i8": "<i8", "u1": "|u1"}[code]
+            payload = base64.b64encode(
+                np.ascontiguousarray(value).astype(stored).tobytes()
+            ).decode("ascii")
+            lines.append(f"array {name} {code} {shape}")
+            lines.append(payload)
+    return "\n".join(lines) + "\n"
+
+
+def text_parse_store(text: str, origin: str | None = None) -> dict:
+    dtypes = {"f8": "<f8", "i8": "<i8", "u1": "|u1"}
+    lines = text.splitlines()
+    check_header(lines, "store", origin)
+    entries: dict = {}
+    index = 1
+    while index < len(lines):
+        line = lines[index]
+        index += 1
+        if not line.strip():
+            continue
+        where = place(origin, index)
+        kind, _, rest = line.partition(" ")
+        name, _, tail = rest.partition(" ")
+        if name in entries:
+            raise ValueError(f"{where}: duplicate store entry {name!r}")
+        if kind in ("int", "float"):
+            entries[name] = typed(int if kind == "int" else float, name, tail, where)
+        elif kind == "str":
+            entries[name] = tail
+        elif kind == "array":
+            code, _, shape_text = tail.partition(" ")
+            if code not in dtypes:
+                raise ValueError(f"{where}: entry {name!r}: unknown dtype code {code!r}")
+            shape = tuple(typed(int, "shape", s, where) for s in shape_text.split(",") if s)
+            if index >= len(lines):
+                raise ValueError(f"{where}: entry {name!r}: missing payload line")
+            try:
+                raw = base64.b64decode(lines[index], validate=True)
+            except ValueError as error:
+                raise ValueError(
+                    f"{place(origin, index + 1)}: entry {name!r}: bad base64 payload: {error}"
+                ) from None
+            index += 1
+            dtype = np.dtype(dtypes[code])
+            if any(s < 0 for s in shape):
+                raise ValueError(
+                    f"{where}: entry {name!r}: negative dimension in shape {shape_text}"
+                )
+            needed = math.prod(shape) * dtype.itemsize
+            if len(raw) != needed:
+                raise ValueError(
+                    f"{where}: entry {name!r}: payload holds {len(raw)} bytes, "
+                    f"shape {shape_text} of {code} needs {needed}"
+                )
+            entries[name] = np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
+        else:
+            raise ValueError(f"{where}: unknown store entry kind {kind!r}")
+    return entries
+
+
+def store_bits(entries) -> list:
+    """Each entry's name, type and bits, in order; arrays with dtype, shape
+    and whether they are writable."""
+    def bits(value):
+        if isinstance(value, np.ndarray):
+            return (value.dtype.str, value.shape, value.tobytes(), value.flags.writeable)
+        if isinstance(value, float):
+            return struct.pack("<d", value)
+        return value
+    return [(name, type(value), bits(value)) for name, value in entries.items()]
+
+
+# Every line break of str.splitlines but '\n'.
+OTHER_BREAKS = "\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+STORE_NAME = st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=6).filter(
+    lambda name: not any(ch.isspace() for ch in name)
+)
+ONE_LINE = st.text(st.characters(blacklist_categories=("Cs",)), max_size=12).filter(
+    lambda text: text.splitlines() in ([text], [])
+)
+STORE_SHAPE = array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=4)
+STORE_ARRAY = st.one_of(
+    arrays(np.float64, STORE_SHAPE, elements=st.floats() | st.sampled_from([-0.0, math.nan])),
+    # f8 values of any bits: NaN payloads and subnormals too.
+    arrays(np.uint8, STORE_SHAPE.map(lambda shape: (*shape, 8))).map(
+        lambda raw: raw.view(np.float64)[..., 0]
+    ),
+    arrays(np.int64, STORE_SHAPE),
+    arrays(np.uint8, STORE_SHAPE),
+)
+STORE_ENTRIES = st.dictionaries(
+    STORE_NAME,
+    st.one_of(st.integers(), st.booleans(), st.floats(), ONE_LINE, STORE_ARRAY,
+              STORE_ARRAY.map(np.transpose)),
+    max_size=6,
+)
+
+
+@given(STORE_ENTRIES)
+@example({"z": np.zeros((0, 3)), "n": -0.0, "i": math.inf, "e": np.zeros(0, dtype=np.uint8)})
+def test_store_bytes_match_the_text_oracle(entries):
+    data = b"".join(dump_store(entries))
+    assert data == text_dump_store(entries).encode("utf-8")
+    loaded = parse_store(data, "s.store")
+    assert store_bits(loaded) == store_bits(text_parse_store(data.decode("utf-8"), "s.store"))
+    for name, value in entries.items():
+        if isinstance(value, np.ndarray):
+            assert loaded[name].dtype == value.dtype and loaded[name].shape == value.shape
+            assert loaded[name].tobytes() == np.ascontiguousarray(value).tobytes()
+        else:
+            assert repr(loaded[name]) == repr(int(value) if isinstance(value, bool) else value)
+
+
+def mutate(store: bytes, data) -> bytes:
+    """`store` cut short, with one byte changed, a line dropped or repeated,
+    or with CRLF endings; one to three of these in turn."""
+    for _ in range(data.draw(st.integers(1, 3), label="mutations")):
+        kind = data.draw(st.sampled_from(["cut", "byte", "drop", "repeat", "crlf"]), label="kind")
+        lines = store.splitlines(keepends=True)
+        if kind == "cut":
+            store = store[:data.draw(st.integers(0, len(store)), label="cut at")]
+        elif kind == "byte" and store:
+            at = data.draw(st.integers(0, len(store) - 1), label="byte at")
+            # A single-byte line break other than '\n' gets its own property.
+            new = data.draw(st.integers(0, 255).filter(lambda b: chr(b) not in OTHER_BREAKS[:6]))
+            store = store[:at] + bytes([new]) + store[at + 1:]
+        elif kind in ("drop", "repeat") and lines:
+            at = data.draw(st.integers(0, len(lines) - 1), label="line")
+            lines[at:at + 1] = [] if kind == "drop" else [lines[at]] * 2
+            store = b"".join(lines)
+        elif kind == "crlf":
+            store = store.replace(b"\n", b"\r\n")
+    return store
+
+
+def line_of(error: Exception, origin: str) -> int:
+    """The line number an error's `origin:line: ` prefix names."""
+    match = re.match(rf"{re.escape(origin)}:(\d+): ", str(error))
+    assert match, str(error)
+    return int(match[1])
+
+
+@given(STORE_ENTRIES, st.data())
+def test_mutated_store_reads_as_the_text_oracle(entries, data):
+    store = mutate(b"".join(dump_store(entries)), data)
+    origin = "m.store"
+    try:
+        text = store.decode("utf-8")
+    except UnicodeDecodeError as error:
+        # The text reader refused the whole file; this one stops at the bad
+        # line or before it.
+        with pytest.raises(ValueError) as caught:
+            parse_store(store, origin)
+        assert line_of(caught.value, origin) <= store[:error.start].count(b"\n") + 1
+        return
+    # A '\r' that does not end a line, or a multi-byte break that a changed
+    # byte made, is the other property's case.
+    ends = text.replace("\r\n", "\n")
+    assume(not any(mark in ends.removesuffix("\r") for mark in OTHER_BREAKS))
+    try:
+        expected = text_parse_store(text, origin)
+    except ValueError as error:
+        with pytest.raises(ValueError) as caught:
+            parse_store(store, origin)
+        assert line_of(caught.value, origin) == line_of(error, origin)
+    else:
+        assert store_bits(parse_store(store, origin)) == store_bits(expected)
+
+
+@given(STORE_ENTRIES, st.sampled_from(OTHER_BREAKS), st.data())
+def test_other_line_breaks_are_refused_at_their_line(entries, mark, data):
+    lines = b"".join(dump_store(entries)).decode("utf-8").split("\n")[:-1]
+    number = data.draw(st.integers(1, len(lines)), label="line")
+    line = lines[number - 1]
+    # A '\r' at the end of a line would make a CRLF ending.
+    assume(mark != "\r" or line)
+    at = data.draw(st.integers(0, len(line) - (mark == "\r")), label="at")
+    lines[number - 1] = line[:at] + mark + line[at:]
+    with pytest.raises(ValueError, match=f"^s.store:{number}: "):
+        parse_store(("\n".join(lines) + "\n").encode("utf-8"), "s.store")

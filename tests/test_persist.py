@@ -2,6 +2,7 @@
 
 import dataclasses
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,11 @@ from bearface.multiclass import classify, train_multiclass
 from bearface.pca import pca_project
 from bearface.records import write_atomic
 from bearface.registration import LANDMARK_COUNT, LandmarkSet
+
+
+def dumped(entries) -> bytes:
+    """The whole store `dump_store` yields in chunks."""
+    return b"".join(dump_store(entries))
 
 
 def test_store_round_trip_exact(tmp_path):
@@ -58,7 +64,7 @@ def test_failed_write_keeps_previous_store(tmp_path, monkeypatch, payload):
 
         monkeypatch.setattr(records.os, "replace", refuse)
         with pytest.raises(OSError, match="rename refused"):
-            write_atomic(path, dump_store({"weights": np.arange(50000.0)}).encode())
+            write_atomic(path, dumped({"weights": np.arange(50000.0)}))
         monkeypatch.undo()
     assert path.read_bytes() == before
     assert read_store(path)["seed"] == 1
@@ -66,6 +72,47 @@ def test_failed_write_keeps_previous_store(tmp_path, monkeypatch, payload):
     write_atomic(tmp_path / "report.txt", "new\n" if payload == "text" else b"new\n")
     assert (tmp_path / "report.txt").read_text(encoding="utf-8") == "new\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["model.store", "report.txt"]
+
+
+def test_write_failing_mid_stream_keeps_previous_store(tmp_path):
+    # The array's payload is written before the entry after it is refused.
+    path = tmp_path / "model.store"
+    write_store({"seed": 1}, path)
+    before = path.read_bytes()
+    entries = {"weights": np.arange(200000.0), "bad": object()}
+    with pytest.raises(ValueError, match="^entry 'bad' has unsupported type"):
+        write_store(entries, path)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.store"]
+
+
+def _peak_mib(call) -> float:
+    """The peak of traced allocations while `call` runs, what it returns included."""
+    tracemalloc.start()
+    try:
+        kept = call()  # noqa: F841 - counted until the peak is read
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_store_streams_with_bounded_memory(tmp_path):
+    # A features-shaped store: 5.5 MiB on disk, 4.1 MiB of arrays. Writing
+    # holds one array's payload line at a time; reading holds the file, the
+    # arrays read so far and one payload's text and bytes.
+    rng = np.random.default_rng(52)
+    entries = {"kind": "features", "block_hog": rng.normal(size=(72, 3776)),
+               "block_lbph": rng.normal(size=(72, 3776))}
+    path = tmp_path / "features.store"
+    write_store({"warm": np.arange(3.0)}, path)
+    read_store(path)  # one-time costs (imports, caches) before measuring
+    assert _peak_mib(lambda: write_store(entries, path)) <= 5.0
+    assert path.stat().st_size > 5.5 * 2**20
+    assert _peak_mib(lambda: read_store(path)) <= 12.5
+    loaded = read_store(path)
+    for name in ("block_hog", "block_lbph"):
+        assert loaded[name].tobytes() == entries[name].tobytes()
+        assert loaded[name].flags.writeable
 
 
 def test_store_preserves_nan_and_inf(tmp_path):
@@ -79,18 +126,21 @@ def test_store_preserves_nan_and_inf(tmp_path):
 
 def test_store_rejects_bad_input():
     with pytest.raises(ValueError, match="must start"):
-        parse_store("wrong-magic 1\n")
+        parse_store(b"wrong-magic 1\n")
     with pytest.raises(ValueError, match="name"):
-        dump_store({"bad name": 1})
+        dumped({"bad name": 1})
     with pytest.raises(ValueError, match="dtype"):
-        dump_store({"x": np.zeros(3, dtype=np.float32)})
-    text = dump_store({"a": 1}) + "int a 2\n"
+        dumped({"x": np.zeros(3, dtype=np.float32)})
+    data = dumped({"a": 1}) + b"int a 2\n"
     with pytest.raises(ValueError, match="duplicate"):
-        parse_store(text)
-    text = dump_store({"grid": np.zeros((2, 3))})
-    for shape in ("2,4", "-2,-3"):
+        parse_store(data)
+    data = dumped({"grid": np.zeros((2, 3))})
+    for shape in (b"2,4", b"-2,-3"):
         with pytest.raises(ValueError, match="entry 'grid'"):
-            parse_store(text.replace("f8 2,3", f"f8 {shape}"))
+            parse_store(data.replace(b"f8 2,3", b"f8 " + shape))
+    # A dimension numpy cannot hold, of an empty array, is named too.
+    with pytest.raises(ValueError, match="^line 2: entry 'grid': "):
+        parse_store(b"bearface-store 1\narray grid f8 0,99999999999999999999\n\n")
 
 
 # Every character str.splitlines breaks a line on.
@@ -101,14 +151,23 @@ _LINE_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 def test_store_rejects_a_string_it_could_not_read_back(mark):
     for value in (mark, f"a{mark}", f"{mark}b", f"a{mark}b", f"a\r\n{mark}"):
         with pytest.raises(ValueError, match="^string entry 'label' contains a line break$"):
-            dump_store({"label": value})
+            dumped({"label": value})
+
+
+def test_store_rejects_an_array_without_dimensions():
+    # A 0-d array used to be written with the shape text "0", which reads
+    # back as an empty array that its 8-byte payload does not fit.
+    for value in (np.array(1.0), np.array(3, dtype=np.int64), np.array(7, dtype=np.uint8)):
+        with pytest.raises(ValueError, match="^array entry 'scale' has no dimensions$"):
+            dumped({"seed": 1, "scale": value})
+    assert parse_store(dumped({"one": np.array([1.0])}))["one"].shape == (1,)
 
 
 def test_store_strings_without_line_breaks_round_trip():
     values = ["", "a", "  two  spaces ", "tab\tinside", "# not a comment", "\x1f\x1b\u200b",
               "".join(chr(c) for c in range(32, 0x3000) if chr(c) not in _LINE_BREAKS)]
     entries = {f"s{k}": value for k, value in enumerate(values)}
-    assert parse_store(dump_store(entries)) == entries
+    assert parse_store(dumped(entries)) == entries
 
 
 def _small_model():
