@@ -18,9 +18,10 @@ interrupted write never leaves a half-written store that later loads), and
 
 from __future__ import annotations
 
-import base64
 import binascii
 import math
+import re
+import sys
 from pathlib import Path
 from typing import Any, Callable, Iterator, Mapping
 
@@ -61,20 +62,30 @@ def dump_store(entries: Mapping[str, object]) -> Iterator[bytes]:
             raise ValueError(f"entry {name!r} has unsupported type {type(value)!r}")
 
 
-def _lines(data: bytes) -> Iterator[bytes]:
-    """Each line of `data`: it ends at '\\n' or the end, less one '\\r' before that."""
+def _lines(data: bytes) -> Iterator[memoryview]:
+    """A view of each line of `data`: it ends at '\\n' or the end, less one '\\r' before that."""
+    view = memoryview(data)
     start = 0
     while start < len(data):
         end = data.find(b"\n", start)
         end = len(data) if end < 0 else end
-        yield data[start:end - 1 if end > start and data[end - 1] == 0x0D else end]
+        yield view[start:end - 1 if end > start and data[end - 1] == 0x0D else end]
         start = end + 1
 
 
-def _text(line: bytes, where: str) -> str:
+def _b64decode(line: memoryview) -> bytes:
+    """`base64.b64decode(line, validate=True)`, without its copy of the line."""
+    if sys.version_info >= (3, 11):
+        return binascii.a2b_base64(line, strict_mode=True)
+    if not re.fullmatch(rb"[A-Za-z0-9+/]*={0,2}", line):  # 3.10's check
+        raise binascii.Error("Non-base64 digit found")
+    return binascii.a2b_base64(line)
+
+
+def _text(line: memoryview, where: str) -> str:
     """A line that is not a payload, as text."""
     with located(where):
-        text = line.decode("utf-8")
+        text = str(line, "utf-8")
     if text.splitlines() not in ([text], []):
         raise ValueError(f"{where}: a line break other than '\\n' inside the line")
     return text
@@ -113,8 +124,8 @@ def parse_store(data: bytes, origin: str | None = None) -> dict[str, object]:
             if payload is None:
                 raise ValueError(f"{where}: entry {name!r}: missing payload line")
             number += 1
-            try:  # rebinding `payload` frees its text before the array is built
-                payload = base64.b64decode(payload, validate=True)
+            try:
+                payload = _b64decode(payload)
             except ValueError as error:  # binascii.Error is a ValueError
                 raise ValueError(
                     f"{place(origin, number)}: entry {name!r}: bad base64 payload: {error}"

@@ -19,12 +19,13 @@ import numpy as np
 from .config import RunConfig, check_duration, load_config, save_config
 from .dof import ALL_DOFS, Trajectory, dof_label
 from .expressions import Expression, Mode, load_templates, pose_for, trajectory
-from .extraction import describe_faces, extract_dataset, load_features, save_features
+from .extraction import FeatureSet, describe_faces, extract_dataset, load_features, save_features
 from .imitation import ImitationSession, vote_to_intensity, write_imitation_log
 from .lipsync import render_timeline, write_preview_pgms, write_timeline_csv, write_timeline_jsonl
 from .manifest import read_manifest, training_labels
 from .modelio import ModelBundle, load_model, save_model
-from .multiclass import VoteResult, cross_validate, decision_values, train_multiclass, vote
+from .multiclass import CLASS_NAMES, CV_SCHEMES, VoteResult, cross_validate, decision_values
+from .multiclass import train_multiclass, vote
 from .records import count, csv_text, read_records, typed, write_atomic, write_jsonl
 from .registration import read_landmarks
 from .reports import write_report
@@ -36,17 +37,10 @@ class CliError(RuntimeError):
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    config = load_config(args.config)
-    overrides = {}
-    if getattr(args, "seed", None) is not None:
-        overrides["seed"] = args.seed
-    if getattr(args, "mode", None) is not None:
-        overrides["mode"] = args.mode
-    if getattr(args, "scheme", None) is not None:
-        overrides["cv_scheme"] = args.scheme
-    if overrides:
-        config = dataclasses.replace(config, **overrides)
-    return config
+    """The configuration file's settings, overridden by any `--seed`, `--mode` or `--scheme`."""
+    overrides = {key: getattr(args, key) for key in ("seed", "mode", "cv_scheme")
+                 if getattr(args, key, None) is not None}
+    return dataclasses.replace(load_config(args.config), **overrides)
 
 
 def _out_dir(args: argparse.Namespace) -> Path:
@@ -55,7 +49,8 @@ def _out_dir(args: argparse.Namespace) -> Path:
     return out
 
 
-def _require(path: Path, artifact: str, command: str) -> Path:
+def _require(given: str | None, default: Path, artifact: str, command: str) -> Path:
+    path = Path(given) if given else default
     if not path.is_file():
         raise CliError(
             f"{artifact} not found at {path}; run 'bearface {command}' first "
@@ -72,14 +67,14 @@ def _expression(args: argparse.Namespace) -> Expression:
     return typed(Expression, "expression", args.expression, "--expression")
 
 
-def _templates(config: RunConfig):
-    path = None if config.templates == "builtin" else config.templates
-    return load_templates(path)
+def _packaged_or(load, setting: str):
+    """`load` of the file a setting names, or of the packaged file for 'builtin'."""
+    return load(None if setting == "builtin" else setting)
 
 
-def _viseme_table(config: RunConfig):
-    path = None if config.viseme_table == "builtin" else config.viseme_table
-    return load_viseme_table(path)
+def _features(args: argparse.Namespace, out: Path) -> FeatureSet:
+    path = _require(args.features, out / "features.store", "feature cache", "extract")
+    return load_features(path)
 
 
 # ---------------------------------------------------------------------------
@@ -103,8 +98,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
 def cmd_train(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     out = _out_dir(args)
-    features_path = Path(args.features) if args.features else out / "features.store"
-    features = load_features(_require(features_path, "feature cache", "extract"))
+    features = _features(args, out)
     model = train_multiclass(
         features.blocks,
         list(features.labels),
@@ -127,8 +121,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_eval(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     out = _out_dir(args)
-    features_path = Path(args.features) if args.features else out / "features.store"
-    features = load_features(_require(features_path, "feature cache", "extract"))
+    features = _features(args, out)
     result = cross_validate(
         features.blocks,
         list(features.labels),
@@ -150,8 +143,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_classify(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     out = _out_dir(args)
-    model_path = Path(args.model) if args.model else out / "model.store"
-    bundle = load_model(_require(model_path, "model", "train"))
+    bundle = load_model(_require(args.model, out / "model.store", "model", "train"))
     if bundle.reference is None or bundle.feature is None:
         raise CliError("model bundle lacks extraction context; retrain from features")
     manifest = read_manifest(args.manifest)
@@ -184,17 +176,18 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 
 def cmd_animate(args: argparse.Namespace) -> int:
+    if args.intensity is not None and not args.expression:
+        raise CliError(
+            "bearface animate: argument --intensity: not allowed without argument --expression"
+        )
     config = _config_from_args(args)
     out = _out_dir(args)
-    table = _viseme_table(config)
-    if args.transcript:
-        transcript = read_transcript(args.transcript)
-    else:
-        transcript = bundled_transcript()
+    table = _packaged_or(load_viseme_table, config.viseme_table)
+    transcript = read_transcript(args.transcript) if args.transcript else bundled_transcript()
     if args.track:
         track = read_records(args.track, _TRACK_FIELDS)
     elif args.expression:
-        track = [(0.0, _expression(args), args.intensity)]
+        track = [(0.0, _expression(args), 1.0 if args.intensity is None else args.intensity)]
     else:
         track = []
     frames = render_timeline(
@@ -216,8 +209,7 @@ def cmd_animate(args: argparse.Namespace) -> int:
 def cmd_imitate(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     out = _out_dir(args)
-    templates = _templates(config)
-    class_names = tuple(e.value for e in Expression)
+    templates = _packaged_or(load_templates, config.templates)
     session = ImitationSession(
         templates,
         mode=Mode(config.mode),
@@ -233,7 +225,7 @@ def cmd_imitate(args: argparse.Namespace) -> int:
             votes=votes,
             tally=(),
             decisions={},
-            class_names=class_names,
+            class_names=CLASS_NAMES,
         )
         motion = session.consume(result, time)
         if motion is None:
@@ -253,7 +245,7 @@ def cmd_export_servo(args: argparse.Namespace) -> int:
     if args.duration is not None:
         check_duration("--duration", args.duration)
     config = _config_from_args(args)
-    templates = _templates(config)
+    templates = _packaged_or(load_templates, config.templates)
     pose = pose_for(templates.get(_expression(args), Mode(config.mode)), args.intensity)
     calibration = default_calibration()
     if args.duration is None:
@@ -282,17 +274,23 @@ def write_trajectory_csv(frames: Trajectory, path) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(sub: argparse.ArgumentParser, out_default: str | None = "bearface-out") -> None:
+def _add_command(commands, name: str, run, about: str, out_default: str | None = "bearface-out"):
+    """The parser of one command, with the two options every command takes."""
+    sub = commands.add_parser(name, help=about)
+    sub.set_defaults(run=run)
     sub.add_argument("--config", help="configuration file (defaults when omitted)")
-    sub.add_argument("--seed", type=int, help="override the configured seed")
-    sub.add_argument("--mode", choices=("au", "au-animal"), help="expression mode")
     where = "output directory" if out_default else "output directory (omit for stdout)"
     sub.add_argument("--out", default=out_default, help=where)
+    return sub
 
 
 class _Parser(argparse.ArgumentParser):
     """Raises a CliError for a malformed command line instead of exiting,
-    so it reaches the one-line JSON record. Subcommand parsers inherit it."""
+    so it reaches the one-line JSON record. Subcommand parsers inherit it,
+    and take no abbreviations: `classify --mode` is not read as `--model`."""
+
+    def __init__(self, **kwargs) -> None:
+        super().__init__(allow_abbrev=False, **kwargs)
 
     def error(self, message: str):
         raise CliError(f"{self.prog}: {message}")
@@ -305,40 +303,38 @@ def build_parser() -> argparse.ArgumentParser:
         "evaluation, lip-sync animation and imitation.",
     )
     commands = parser.add_subparsers(dest="command", required=True)
+    modes = [m.value for m in Mode]
 
-    p = commands.add_parser("extract", help="extract descriptors from a dataset")
-    _add_common(p)
+    p = _add_command(commands, "extract", cmd_extract, "extract descriptors from a dataset")
     p.add_argument("--manifest", required=True, help="dataset manifest file")
 
-    p = commands.add_parser("train", help="train the expression classifier")
-    _add_common(p)
+    p = _add_command(commands, "train", cmd_train, "train the expression classifier")
     p.add_argument("--features", help="feature cache (default: <out>/features.store)")
 
-    p = commands.add_parser("eval", help="cross-validate and write a report")
-    _add_common(p)
+    p = _add_command(commands, "eval", cmd_eval, "cross-validate and write a report")
     p.add_argument("--features", help="feature cache (default: <out>/features.store)")
-    p.add_argument(
-        "--scheme", choices=("random", "person-independent"), help="fold scheme"
-    )
+    p.add_argument("--scheme", dest="cv_scheme", choices=CV_SCHEMES, help="fold scheme")
+    p.add_argument("--seed", type=int, help="override the configured seed")
 
-    p = commands.add_parser("classify", help="classify manifest images with a model")
-    _add_common(p)
+    p = _add_command(commands, "classify", cmd_classify, "classify manifest images with a model")
     p.add_argument("--manifest", required=True, help="manifest of images to classify")
     p.add_argument("--model", help="model bundle (default: <out>/model.store)")
 
-    p = commands.add_parser("animate", help="render a mouth timeline for a transcript")
-    _add_common(p)
+    p = _add_command(commands, "animate", cmd_animate, "render a mouth timeline for a transcript")
     p.add_argument("--transcript", help="aligned transcript (default: bundled demo)")
-    p.add_argument("--expression", help="constant expression channel to blend in")
-    p.add_argument("--intensity", type=float, default=1.0, help="expression level")
-    p.add_argument("--track", help="expression track file: 'time expression level'")
+    channel = p.add_mutually_exclusive_group()
+    channel.add_argument("--expression", help="constant expression channel to blend in")
+    channel.add_argument("--track", help="expression track file: 'time expression level'")
+    p.add_argument("--intensity", type=float, help="level of --expression (default 1.0)")
 
-    p = commands.add_parser("imitate", help="replay recognition votes into motion")
-    _add_common(p)
+    p = _add_command(commands, "imitate", cmd_imitate, "replay recognition votes into motion")
     p.add_argument("--votes", required=True, help="votes file: 'time winner votes'")
+    p.add_argument("--mode", choices=modes, help="expression mode")
 
-    p = commands.add_parser("export-servo", help="emit servo command bytes for a pose")
-    _add_common(p, out_default=None)
+    p = _add_command(
+        commands, "export-servo", cmd_export_servo, "emit servo command bytes for a pose", None
+    )
+    p.add_argument("--mode", choices=modes, help="expression mode")
     p.add_argument("--expression", required=True, help="expression to pose")
     p.add_argument("--intensity", type=float, default=1.0, help="expression level")
     p.add_argument(
@@ -348,21 +344,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_HANDLERS = {
-    "extract": cmd_extract,
-    "train": cmd_train,
-    "eval": cmd_eval,
-    "classify": cmd_classify,
-    "animate": cmd_animate,
-    "imitate": cmd_imitate,
-    "export-servo": cmd_export_servo,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return _HANDLERS[args.command](args)
+        return args.run(args)
     except (CliError, OSError, ValueError, KeyError, OverflowError) as error:
         record = {"error": str(error), "kind": type(error).__name__}
         print(json.dumps(record, sort_keys=True), file=sys.stderr)

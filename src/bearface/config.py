@@ -11,8 +11,10 @@ import math
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
+from .expressions import Mode
 from .kernels import AutoRbf, KernelPlan, PolyKernel, RbfKernel
 from .modelio import FeatureParams
+from .multiclass import CV_SCHEMES
 from .records import boolean, content_lines, located, place, typed, write_atomic
 
 
@@ -74,10 +76,10 @@ class RunConfig:
             raise ConfigError(f"kernels must be from rbf/poly, got {self.kernels}")
         if isinstance(self.rbf_gamma, str) and self.rbf_gamma != "auto":
             raise ConfigError(f"rbf_gamma must be a number or 'auto', got {self.rbf_gamma!r}")
-        if self.cv_scheme not in ("random", "person-independent"):
-            raise ConfigError(f"cv_scheme must be random or person-independent")
-        if self.mode not in ("au", "au-animal"):
-            raise ConfigError(f"mode must be au or au-animal, got {self.mode!r}")
+        if self.cv_scheme not in CV_SCHEMES:
+            raise ConfigError(f"cv_scheme must be {' or '.join(CV_SCHEMES)}")
+        if self.mode not in {m.value for m in Mode}:
+            raise ConfigError(f"mode must be {' or '.join(Mode)}, got {self.mode!r}")
         for name in ("pca_energy", "svm_c", "frame_rate", "bandwidth_scale"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")

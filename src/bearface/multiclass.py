@@ -40,14 +40,15 @@ def _reduce_block(model: PcaModel, x: np.ndarray) -> np.ndarray:
     """
     return pca_project(model, x) / model.whitening_scales
 
-_CANONICAL = tuple(e.value for e in CLASS_ORDER)
+CLASS_NAMES = tuple(e.value for e in CLASS_ORDER)
+CV_SCHEMES = ("random", "person-independent")
 
 
 def order_classes(labels: Sequence[str]) -> tuple[str, ...]:
     """Canonical expression order first, any extra labels sorted after."""
     present = set(labels)
-    ordered = [name for name in _CANONICAL if name in present]
-    ordered += sorted(present - set(_CANONICAL))
+    ordered = [name for name in CLASS_NAMES if name in present]
+    ordered += sorted(present - set(CLASS_NAMES))
     return tuple(ordered)
 
 
@@ -389,14 +390,14 @@ def cross_validate(
     n = len(labels)
     if n < folds:
         raise ValueError(f"need at least {folds} samples for {folds} folds")
+    if scheme not in CV_SCHEMES:
+        raise ValueError(f"unknown scheme {scheme!r} ({', '.join(CV_SCHEMES)})")
     if scheme == "random":
         assignment = random_folds(labels, folds, np.random.default_rng(seed))
-    elif scheme == "person-independent":
+    else:
         if subjects is None:
             raise ValueError("person-independent scheme requires subject ids")
         assignment = subject_folds(subjects, folds)
-    else:
-        raise ValueError(f"unknown scheme {scheme!r} (random, person-independent)")
 
     names = order_classes(labels)
     index_of = {name: i for i, name in enumerate(names)}

@@ -11,7 +11,7 @@ import pytest
 
 import bearface
 from bearface.arraystore import read_store, write_store
-from bearface.cli import main
+from bearface.cli import build_parser, main
 from bearface.extraction import describe_faces, describe_image
 from bearface.imaging import read_pnm
 from bearface.manifest import read_manifest
@@ -654,8 +654,7 @@ def test_infinite_transcript_time_names_path_and_line(tmp_path, capsys):
     ("argv", "problem"),
     [(["export-servo", "--expression", "joy", "--duration", "abc"],
       "bearface export-servo: argument --duration: invalid float value: 'abc'"),
-     (["export-servo", "--expression", "joy", "--seed", "x"],
-      "bearface export-servo: argument --seed: invalid int value: 'x'"),
+     (["eval", "--seed", "x"], "bearface eval: argument --seed: invalid int value: 'x'"),
      # argparse reads a separate "-1e+16" as an option, not as a value.
      (["export-servo", "--expression", "joy", "--duration", "-1e+16"],
       "bearface export-servo: argument --duration: expected one argument"),
@@ -666,7 +665,12 @@ def test_infinite_transcript_time_names_path_and_line(tmp_path, capsys):
      (["imitate", "--votes", "v", "--extra"], "bearface: unrecognized arguments: --extra"),
      (["bogus"], "bearface: argument command: invalid choice: 'bogus' (choose from "
       "'extract', 'train', 'eval', 'classify', 'animate', 'imitate', 'export-servo')"),
-     ([], "bearface: the following arguments are required: command")],
+     ([], "bearface: the following arguments are required: command"),
+     # animate blends one expression channel, a constant one or a track.
+     (["animate", "--track", "t", "--expression", "joy"],
+      "bearface animate: argument --expression: not allowed with argument --track"),
+     (["animate", "--track", "t", "--intensity", "0.5"],
+      "bearface animate: argument --intensity: not allowed without argument --expression")],
 )
 def test_malformed_command_line_gives_json_record(tmp_path, capsys, monkeypatch, argv, problem):
     monkeypatch.chdir(tmp_path)
@@ -676,6 +680,37 @@ def test_malformed_command_line_gives_json_record(tmp_path, capsys, monkeypatch,
     assert [json.loads(line) for line in captured.err.splitlines()] == [
         {"error": problem, "kind": "CliError"}
     ]
+    assert list(tmp_path.iterdir()) == []
+
+
+# The options each command reads, 31 in all; each changes what it does.
+_OPTIONS = {
+    "extract": {"--config", "--out", "--manifest"},
+    "train": {"--config", "--out", "--features"},
+    "eval": {"--config", "--out", "--features", "--scheme", "--seed"},
+    "classify": {"--config", "--out", "--manifest", "--model"},
+    "animate": {"--config", "--out", "--transcript", "--expression", "--intensity", "--track"},
+    "imitate": {"--config", "--out", "--votes", "--mode"},
+    "export-servo": {"--config", "--out", "--mode", "--expression", "--intensity", "--duration"},
+}
+
+
+@pytest.mark.parametrize("command", list(_OPTIONS))
+def test_command_accepts_only_the_options_it_reads(tmp_path, capsys, monkeypatch, command):
+    commands = next(a for a in build_parser()._actions if a.dest == "command")
+    sub = commands.choices[command]
+    assert {s for a in sub._actions for s in a.option_strings} - {"-h", "--help"} == (
+        _OPTIONS[command]
+    )
+    # Anything else is refused like any unknown argument, not read as the
+    # prefix of an option the command has (classify --mode, --model).
+    monkeypatch.chdir(tmp_path)
+    required = [arg for a in sub._actions if a.required for arg in (a.option_strings[0], "x")]
+    for flag in sorted({"--seed", "--mode"} - _OPTIONS[command]):
+        assert main([command, *required, flag, "au"]) == 2
+        assert _single_error(capsys) == {
+            "error": f"bearface: unrecognized arguments: {flag} au", "kind": "CliError"
+        }
     assert list(tmp_path.iterdir()) == []
 
 
