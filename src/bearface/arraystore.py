@@ -1,27 +1,27 @@
-"""Versioned line-based container for arrays, scalars and strings.
+"""Versioned container for arrays, scalars and strings.
 
 Models and feature caches persist through this one format: a magic first
-line, then one entry per record. Numeric arrays are stored as raw
-little-endian bytes in base64, so every value round-trips bit-exactly. A
-line ends at `\\n` (one `\\r` before it is dropped, so CRLF stores load);
-any other line break is an error at its line, and the writer refuses a
-string holding one. An array has at least one dimension. Stores stay bytes:
-`write_store` streams `dump_store`'s lines into `write_atomic` (so an
-interrupted write never leaves a half-written store that later loads), and
-`parse_store` decodes only the short lines of a file's bytes as text.
+line, then one entry per record. An array's header line is followed by its
+values as raw little-endian bytes, exactly prod(shape) x itemsize of them,
+and one `\\n`, so every value round-trips bit-exactly; the payload counts
+as one line in the line numbers that errors name. Every other line ends at
+`\\n` (or the end of the file) and is UTF-8 text: any other line break, a
+`\\r` before the `\\n` included, is an error at its line, and the writer
+refuses a string holding one. An array has at least one dimension.
+`write_store` streams `dump_store`'s chunks, each array without a copy,
+into `write_atomic` (so an interrupted write never leaves a half-written
+store that later loads); `parse_store` walks the file's bytes with one
+cursor and slices each payload by its length.
 
-    bearface-store 1
+    bearface-store 2
     int seed 42
     array mean f8 1,3776
-    <one base64 line>
+    <30208 bytes>
 """
 
 from __future__ import annotations
 
-import binascii
 import math
-import re
-import sys
 from pathlib import Path
 from typing import Any, Callable, Iterator, Mapping
 
@@ -35,9 +35,12 @@ _DTYPES = {"f8": "<f8", "i8": "<i8", "u1": "|u1"}
 _CODES = {np.dtype(stored).newbyteorder("="): code for code, stored in _DTYPES.items()}
 
 
-def dump_store(entries: Mapping[str, object]) -> Iterator[bytes]:
-    """The store's bytes: each header line, then each array's payload line."""
-    yield b"bearface-store 1\n"
+def dump_store(entries: Mapping[str, object]) -> Iterator[bytes | memoryview]:
+    """The store's bytes: each header line, then each array's payload and its '\\n'.
+
+    A C-ordered little-endian array's payload is a view of its own memory.
+    """
+    yield b"bearface-store 2\n"
     for name, value in entries.items():
         if not name or any(ch.isspace() for ch in name):
             raise ValueError(f"bad store entry name {name!r}")
@@ -57,29 +60,16 @@ def dump_store(entries: Mapping[str, object]) -> Iterator[bytes]:
             if value.ndim == 0:
                 raise ValueError(f"array entry {name!r} has no dimensions")
             yield f"array {name} {code} {','.join(map(str, value.shape))}\n".encode()
-            yield binascii.b2a_base64(np.ascontiguousarray(value, _DTYPES[code]))
+            yield memoryview(np.ascontiguousarray(value, _DTYPES[code]))
+            yield b"\n"
         else:
             raise ValueError(f"entry {name!r} has unsupported type {type(value)!r}")
 
 
-def _lines(data: bytes) -> Iterator[memoryview]:
-    """A view of each line of `data`: it ends at '\\n' or the end, less one '\\r' before that."""
-    view = memoryview(data)
-    start = 0
-    while start < len(data):
-        end = data.find(b"\n", start)
-        end = len(data) if end < 0 else end
-        yield view[start:end - 1 if end > start and data[end - 1] == 0x0D else end]
-        start = end + 1
-
-
-def _b64decode(line: memoryview) -> bytes:
-    """`base64.b64decode(line, validate=True)`, without its copy of the line."""
-    if sys.version_info >= (3, 11):
-        return binascii.a2b_base64(line, strict_mode=True)
-    if not re.fullmatch(rb"[A-Za-z0-9+/]*={0,2}", line):  # 3.10's check
-        raise binascii.Error("Non-base64 digit found")
-    return binascii.a2b_base64(line)
+def _line_end(data: bytes, start: int) -> int:
+    """Where the line from `start` ends: at its '\\n', or at the end of the data."""
+    end = data.find(b"\n", start)
+    return len(data) if end < 0 else end
 
 
 def _text(line: memoryview, where: str) -> str:
@@ -95,16 +85,23 @@ def parse_store(data: bytes, origin: str | None = None) -> dict[str, object]:
     """The entries of a store's bytes; errors name `origin:line`.
 
     The body has its own loop, not `records.content_lines`: a string entry
-    may hold '#', and an array's payload is the line after its header.
+    may hold '#', and an array's payload is the bytes after its header.
     """
-    lines = _lines(data)
-    check_header([_text(next(lines, b""), place(origin, 1))], "store", origin)
+    view = memoryview(data)
+    end = _line_end(data, 0)
+    first = _text(view[:end], place(origin, 1))
+    if first.split() == ["bearface-store", "1"]:
+        raise ValueError(f"{place(origin, 1)}: a format-1 store (base64 arrays) is no longer "
+                         "read; rebuild it with 'bearface extract' or 'bearface train'")
+    check_header([first], "store", origin, version=2)
     entries: dict[str, object] = {}
-    number = 1
-    for line in lines:
+    number, start = 1, end + 1
+    while start < len(data):
         number += 1
         where = place(origin, number)
-        text = _text(line, where)
+        end = _line_end(data, start)
+        text = _text(view[start:end], where)
+        start = end + 1
         if not text.strip():
             continue
         kind, _, rest = text.partition(" ")
@@ -120,27 +117,23 @@ def parse_store(data: bytes, origin: str | None = None) -> dict[str, object]:
             if code not in _DTYPES:
                 raise ValueError(f"{where}: entry {name!r}: unknown dtype code {code!r}")
             shape = tuple(typed(int, "shape", s, where) for s in shape_text.split(",") if s)
-            payload = next(lines, None)
-            if payload is None:
-                raise ValueError(f"{where}: entry {name!r}: missing payload line")
-            number += 1
-            try:
-                payload = _b64decode(payload)
-            except ValueError as error:  # binascii.Error is a ValueError
-                raise ValueError(
-                    f"{place(origin, number)}: entry {name!r}: bad base64 payload: {error}"
-                ) from None
             dtype = np.dtype(_DTYPES[code])
             if any(s < 0 for s in shape):
                 raise ValueError(
                     f"{where}: entry {name!r}: negative dimension in shape {shape_text}"
                 )
             needed = math.prod(shape) * dtype.itemsize
-            if len(payload) != needed:
+            payload = view[start:start + needed]
+            if len(payload) < needed:
                 raise ValueError(
                     f"{where}: entry {name!r}: payload holds {len(payload)} bytes, "
                     f"shape {shape_text} of {code} needs {needed}"
                 )
+            end = start + needed
+            if data[end:end + 1] != b"\n":
+                raise ValueError(f"{where}: entry {name!r}: the {needed}-byte payload "
+                                 "is not followed by a line end")
+            number, start = number + 1, end + 1
             with located(f"{where}: entry {name!r}"):
                 entries[name] = np.frombuffer(payload, dtype=dtype).reshape(shape).copy()
         else:

@@ -44,6 +44,8 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 def _out_dir(args: argparse.Namespace) -> Path:
+    """The output directory, created; a command calls it once its inputs are read,
+    so a run that fails on its inputs leaves no directory behind."""
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
@@ -72,8 +74,8 @@ def _packaged_or(load, setting: str):
     return load(None if setting == "builtin" else setting)
 
 
-def _features(args: argparse.Namespace, out: Path) -> FeatureSet:
-    path = _require(args.features, out / "features.store", "feature cache", "extract")
+def _features(args: argparse.Namespace) -> FeatureSet:
+    path = _require(args.features, Path(args.out) / "features.store", "feature cache", "extract")
     return load_features(path)
 
 
@@ -84,9 +86,9 @@ def _features(args: argparse.Namespace, out: Path) -> FeatureSet:
 
 def cmd_extract(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    out = _out_dir(args)
     manifest = read_manifest(args.manifest)
     features = extract_dataset(manifest, config.feature_params())
+    out = _out_dir(args)
     save_features(features, out / "features.store")
     save_config(config, out / "resolved_config.txt")
     for note in features.diagnostics:
@@ -97,8 +99,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
 
 def cmd_train(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    out = _out_dir(args)
-    features = _features(args, out)
+    features = _features(args)
     model = train_multiclass(
         features.blocks,
         list(features.labels),
@@ -110,6 +111,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     bundle = ModelBundle(
         model=model, reference=features.reference, feature=features.feature
     )
+    out = _out_dir(args)
     save_model(bundle, out / "model.store")
     print(
         f"trained {len(model.pairs)} pairwise classifiers over "
@@ -120,8 +122,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    out = _out_dir(args)
-    features = _features(args, out)
+    features = _features(args)
     result = cross_validate(
         features.blocks,
         list(features.labels),
@@ -134,6 +135,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         pca_energy=config.pca_energy,
         include_bias=config.include_bias,
     )
+    out = _out_dir(args)
     write_report(result, config.to_lines(), out / "report.txt", out / "confusion.csv")
     print(f"overall recognition rate: {result.overall_rate:.1f}%")
     print(f"report -> {out / 'report.txt'}")
@@ -142,8 +144,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_classify(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    out = _out_dir(args)
-    bundle = load_model(_require(args.model, out / "model.store", "model", "train"))
+    bundle = load_model(_require(args.model, Path(args.out) / "model.store", "model", "train"))
     if bundle.reference is None or bundle.feature is None:
         raise CliError("model bundle lacks extraction context; retrain from features")
     manifest = read_manifest(args.manifest)
@@ -167,7 +168,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
                 "tally": dict(zip(result.class_names, result.tally)),
             }
         )
-    path = out / "classifications.jsonl"
+    path = _out_dir(args) / "classifications.jsonl"
     write_jsonl(path, records)
     expected = training_labels(manifest)
     correct = sum(1 for r, label in zip(records, expected) if r["winner"] == label)
@@ -181,7 +182,6 @@ def cmd_animate(args: argparse.Namespace) -> int:
             "bearface animate: argument --intensity: not allowed without argument --expression"
         )
     config = _config_from_args(args)
-    out = _out_dir(args)
     table = _packaged_or(load_viseme_table, config.viseme_table)
     transcript = read_transcript(args.transcript) if args.transcript else bundled_transcript()
     if args.track:
@@ -198,6 +198,7 @@ def cmd_animate(args: argparse.Namespace) -> int:
         bandwidth_scale=config.bandwidth_scale,
         closure_margin=config.closure_margin,
     )
+    out = _out_dir(args)
     write_timeline_csv(frames, out / "timeline.csv")
     write_timeline_jsonl(frames, out / "timeline.jsonl")
     if config.preview_frames:
@@ -208,8 +209,8 @@ def cmd_animate(args: argparse.Namespace) -> int:
 
 def cmd_imitate(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    out = _out_dir(args)
     templates = _packaged_or(load_templates, config.templates)
+    rows = read_records(args.votes, _VOTE_FIELDS)
     session = ImitationSession(
         templates,
         mode=Mode(config.mode),
@@ -218,8 +219,9 @@ def cmd_imitate(args: argparse.Namespace) -> int:
         transition_duration=config.transition_duration,
         hold_duration=config.hold_duration,
     )
+    out = _out_dir(args)
     emitted = 0
-    for time, winner, votes in read_records(args.votes, _VOTE_FIELDS):
+    for time, winner, votes in rows:
         result = VoteResult(
             winner=winner.value,
             votes=votes,
@@ -254,8 +256,7 @@ def cmd_export_servo(args: argparse.Namespace) -> int:
         frames = trajectory(templates.neutral_pose, pose, args.duration, config.frame_rate)
         payload = trajectory_to_servo_commands(frames, calibration)
     if args.out:
-        out = _out_dir(args)
-        path = out / "servo.bin"
+        path = _out_dir(args) / "servo.bin"
         write_atomic(path, payload)
         print(f"wrote {len(payload)} bytes -> {path}")
     else:

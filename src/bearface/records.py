@@ -8,14 +8,17 @@ Every text file bearface reads goes through this module:
 - viseme tables (`bearface-visemes 1`, `id labial phoneme...` lines);
 - expression templates (`bearface-templates 1`, then `[section]` headers
   and `key = value` lines);
-- stores (`bearface-store 1`, then entries; see `arraystore`);
+- stores (`bearface-store 2`, then entries, each array followed by its raw
+  bytes; see `arraystore`);
 - transcripts, landmark files, expression tracks and vote logs, which have
   no header and one whitespace-separated record per line.
 
 The rules are the same for all of them:
 
-- **Header.** A versioned format starts with the line `bearface-<kind> 1`
-  (`check_header`).
+- **Header.** A versioned format starts with the line `bearface-<kind> 1`,
+  or `bearface-store 2` for stores (`check_header`).
+- **Line ends.** A store ends a line at `\\n` only, because its payloads
+  are raw bytes; the text formats also take `\\r\\n`.
 - **Comments and blank lines.** `#` starts a comment that runs to the end
   of the line; trailing whitespace goes with it, and lines left blank are
   skipped (`content_lines`). Leading whitespace stays, because manifest
@@ -83,11 +86,13 @@ def check_finite(array: np.ndarray, what: str) -> None:
         raise ValueError(f"non-finite {what} {index}")
 
 
-def check_header(lines: Sequence[str], kind: str, origin: str | None = None) -> None:
-    """Reject text whose first line is not `bearface-<kind> 1`."""
-    if not lines or lines[0].split() != [f"bearface-{kind}", "1"]:
+def check_header(
+    lines: Sequence[str], kind: str, origin: str | None = None, version: int = 1
+) -> None:
+    """Reject text whose first line is not `bearface-<kind> <version>`."""
+    if not lines or lines[0].split() != [f"bearface-{kind}", str(version)]:
         raise ValueError(
-            f"{place(origin, 1)}: a {kind} file must start with 'bearface-{kind} 1'"
+            f"{place(origin, 1)}: a {kind} file must start with 'bearface-{kind} {version}'"
         )
 
 
@@ -178,7 +183,7 @@ def packaged_text(name: str) -> str:
     return resources.files("bearface").joinpath(f"data/{name}").read_text(encoding="utf-8")
 
 
-def write_atomic(path: str | Path, data: str | bytes | Iterable[bytes]) -> None:
+def write_atomic(path: str | Path, data: str | bytes | Iterable[bytes | memoryview]) -> None:
     """Write text (as UTF-8), bytes or byte chunks so readers see the old file or the new.
 
     The data goes to a temporary file in the same directory, which then

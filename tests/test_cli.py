@@ -146,14 +146,28 @@ def test_config_directory_reports_error(tmp_path, capsys):
     assert _single_error(capsys)["kind"] == "IsADirectoryError"
 
 
+def _header_line(entries, name: str) -> int:
+    """The line of entry `name` in a store: each entry before it is one
+    line, and each array's payload one more."""
+    names = list(entries)
+    return 2 + sum(1 + isinstance(entries[n], np.ndarray) for n in names[:names.index(name)])
+
+
+def _edit_payload(store: Path, name: str, edit) -> tuple[bytes, int]:
+    """The store's bytes with array `name`'s payload edited, and the line of its header."""
+    entries = read_store(store)
+    data = store.read_bytes()
+    begin = data.index(b"\n", data.index(f"\narray {name} ".encode()) + 1) + 1
+    end = begin + entries[name].nbytes
+    return data[:begin] + edit(data[begin:end]) + data[end:], _header_line(entries, name)
+
+
 def test_truncated_model_reports_entry(
     pipeline_out, synthetic_dataset, tmp_path, capsys
 ):
-    lines = (pipeline_out / "model.store").read_text().splitlines()
-    header = next(i for i, line in enumerate(lines) if line.startswith("array dual_coef "))
-    lines[header + 1] = lines[header + 1][:-8]
+    data, line = _edit_payload(pipeline_out / "model.store", "dual_coef", lambda p: p[:-8])
     truncated = tmp_path / "model.store"
-    truncated.write_text("\n".join(lines) + "\n")
+    truncated.write_bytes(data)
     code = main(
         ["classify", "--manifest", str(synthetic_dataset), "--model", str(truncated),
          "--out", str(tmp_path / "cls")]
@@ -161,7 +175,7 @@ def test_truncated_model_reports_entry(
     assert code == 2
     record = _single_error(capsys)
     assert record["kind"] == "ValueError"
-    assert "'dual_coef'" in record["error"]
+    assert record["error"].startswith(f"{truncated}:{line}: entry 'dual_coef': ")
 
 
 @pytest.mark.parametrize(
@@ -413,24 +427,52 @@ def test_non_finite_feature_block_names_file(pipeline_out, fast_config, tmp_path
 
 @pytest.mark.parametrize(
     "edit",
-    [lambda payload: "é" + payload[1:], lambda payload: payload + "!"],
+    [lambda payload: "é".encode() + payload[1:], lambda payload: payload + b"!"],
     ids=["non-ascii", "stray-character"],
 )
 def test_bad_payload_names_path_and_line(pipeline_out, synthetic_dataset, tmp_path, capsys, edit):
-    # Before base64 was decoded with validate=True, the stray character
-    # was dropped silently and the model loaded.
-    lines = (pipeline_out / "model.store").read_text().splitlines()
-    header = lines.index(next(line for line in lines if line.startswith("array pool_hog ")))
-    lines[header + 1] = edit(lines[header + 1])
+    # A payload edited one byte longer is refused at its header's line, not
+    # read shifted by a byte.
+    data, line = _edit_payload(pipeline_out / "model.store", "pool_hog", edit)
     damaged = tmp_path / "model.store"
-    damaged.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    damaged.write_bytes(data)
     code = main(
         ["classify", "--manifest", str(synthetic_dataset), "--model", str(damaged),
          "--out", str(tmp_path / "cls")]
     )
     assert code == 2
     error = _single_error(capsys)["error"]
-    assert error.startswith(f"{damaged}:{header + 2}: entry 'pool_hog': bad base64 payload: ")
+    assert error.startswith(f"{damaged}:{line}: entry 'pool_hog': ")
+    assert error.endswith("payload is not followed by a line end")
+
+
+@pytest.mark.parametrize(
+    ("damage", "line", "problem"),
+    [(lambda data: data.replace(b"bearface-store 2", b"bearface-store 1", 1), 1,
+      "a format-1 store (base64 arrays) is no longer read; "
+      "rebuild it with 'bearface extract' or 'bearface train'"),
+     (lambda data: data.replace(b"\n", b"\r\n"), 1, "a line break other than '\\n' inside the line"),
+     (lambda data: data[:data.index(b"\narray reference ") + 600], "reference",
+      "entry 'reference': payload holds ")],
+    ids=["format-1", "crlf", "truncated"],
+)
+def test_unreadable_store_names_path_and_line(
+    pipeline_out, synthetic_dataset, tmp_path, capsys, damage, line, problem
+):
+    # A format-1 store, a CRLF-converted one and one cut inside the
+    # reference shape's payload each fail at the line named.
+    store = pipeline_out / "model.store"
+    if isinstance(line, str):
+        line = _header_line(read_store(store), line)
+    damaged = tmp_path / "model.store"
+    damaged.write_bytes(damage(store.read_bytes()))
+    out = tmp_path / "cls"
+    argv = ["classify", "--manifest", str(synthetic_dataset), "--model", str(damaged)]
+    assert main(argv + ["--out", str(out)]) == 2
+    record = _single_error(capsys)
+    assert record["kind"] == "ValueError"
+    assert record["error"].startswith(f"{damaged}:{line}: {problem}")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -444,7 +486,7 @@ def test_store_with_invalid_utf8_names_path_and_line(
     # the file nor the line: "'utf-8' codec can't decode byte 0xff in
     # position 29: invalid start byte".
     data = (pipeline_out / store).read_bytes()
-    line = data[:data.index(b"\nstr kind ")].count(b"\n") + 2
+    line = _header_line(read_store(pipeline_out / store), "kind")
     damaged = tmp_path / store
     damaged.write_bytes(data.replace(b"str kind " + word, b"str kind " + word[:3] + b"\xff" + word[4:]))
     if command == "classify":
@@ -465,6 +507,22 @@ def test_classify_missing_model(tmp_path, synthetic_dataset, capsys):
     record = json.loads(capsys.readouterr().err.strip())
     assert record["kind"] == "CliError"
     assert "model not found" in record["error"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["extract", "--manifest", "missing.manifest"], ["train"], ["eval"],
+     ["classify", "--manifest", "missing.manifest", "--model", "nope.store"],
+     ["animate", "--transcript", "missing.txt"], ["imitate", "--votes", "missing.txt"],
+     ["export-servo", "--expression", "nope"]],
+    ids=lambda argv: argv[0],
+)
+def test_failed_command_leaves_no_output_directory(tmp_path, capsys, monkeypatch, argv):
+    # The output directory is made once a command has read its inputs.
+    monkeypatch.chdir(tmp_path)
+    assert main(argv + ["--out", "fresh"]) == 2
+    _single_error(capsys)
+    assert not (tmp_path / "fresh").exists()
 
 
 def test_animate_bundled_demo(tmp_path):

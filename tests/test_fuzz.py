@@ -13,13 +13,12 @@ blank lines, tabs and line endings surround its values. The crop's
 bilinear sampler matches the test suite's fancy-indexing reference bit for
 bit, edges, NaN and infinities included. The PNM header tokenizer returns
 a byte loop's tokens, offsets and errors, and `read_pnm` names the file in
-them. A store is written as the text-based writer wrote it and read as the
-text-based reader read it, mutated stores included, except that a line
-break other than '\\n' is an error at its own line. Run with
-`--hypothesis-profile=ci` for more examples.
+them. A store is written and read as an independent reader and writer of
+its format do, mutated and cut stores included, and a line break other
+than '\\n' is an error at its own line. Run with `--hypothesis-profile=ci`
+for more examples.
 """
 
-import base64
 import io
 import json
 import math
@@ -30,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from bearface.arraystore import dump_store, parse_store, read_store, write_store
@@ -42,7 +41,7 @@ from bearface.kernels import AutoRbf, PolyKernel, parse_kernel
 from bearface.manifest import parse_manifest
 from bearface.modelio import ModelBundle, load_model, save_model
 from bearface.multiclass import train_multiclass
-from bearface.records import check_header, csv_text, packaged_text, parse_records, place, typed
+from bearface.records import csv_text, packaged_text, parse_records, place
 from bearface.registration import LANDMARK_COUNT, LandmarkSet, _bilinear_sample, read_landmarks
 from bearface.visemes import parse_transcript, parse_viseme_table
 from test_registration import reference_sample
@@ -84,10 +83,10 @@ MANIFEST = (
 TEMPLATES = packaged_text("expression_templates.txt") + (
     "[DEFAULT]\n[neutral au]\n[ joy  au ]\n[joy]\n[]\n[neutral\n[fear au-animal]\n"
 )
-STORE = b"".join(dump_store(
-    {"kind": "model", "seed": 3, "c": 0.5, "note": "a # b",
-     "grid": np.arange(6.0).reshape(2, 3), "codes": np.arange(4, dtype=np.uint8)}
-)).decode("utf-8")
+# The lines of a store, each array's payload one line, without their '\n'.
+STORE_LINES = [b"bearface-store 2", b"str kind model", b"int seed 3", b"float c 0.5",
+               b"str note a # b", b"array grid f8 2,3", struct.pack("<6d", *range(6)),
+               b"array codes u1 4", bytes(range(4))]
 
 
 @given(st.text() | text_like("0.0 1.0 x\n1 2 3\n0.5 joy 1\n"))
@@ -129,9 +128,15 @@ def test_parse_templates(text):
     rejects_only_with_value_errors(parse_templates, text)
 
 
-@given(text_like(STORE).map(lambda text: text.encode("utf-8", "surrogatepass")) | st.binary())
-@example(b"bearface-store 1\narray a f8 0\n\n")
-@example(b"bearface-store 1\narray a f8 0,99999999999999999999\n\n")
+@given(
+    st.binary()
+    | st.text().map(lambda text: text.encode("utf-8", "surrogatepass"))
+    | st.lists(st.sampled_from(STORE_LINES[1:]) | RANDOM_LINE.map(str.encode), max_size=30).map(
+        lambda lines: b"\n".join([STORE_LINES[0], *lines]) + b"\n"
+    )
+)
+@example(b"bearface-store 2\narray a f8 0\n\n")
+@example(b"bearface-store 2\narray a f8 0,99999999999999999999\n\n")
 def test_parse_store(data):
     rejects_only_with_value_errors(parse_store, data)
 
@@ -416,82 +421,84 @@ def test_bilinear_sample_matches_reference(data):
     assert value.tobytes() == expected.tobytes()
 
 
-# The store's text writer and reader from before stores became bytes: the
-# oracle for the byte-level ones.
-def text_dump_store(entries) -> str:
-    lines = ["bearface-store 1"]
+# An independent writer and reader of the store format, the oracle for
+# the ones under test: each array's values are packed and unpacked with
+# `struct`, and the reader walks the file at explicit offsets.
+STRUCT_CODES = {"f8": ("d", np.float64), "i8": ("q", np.int64), "u1": ("B", np.uint8)}
+
+
+def oracle_lines(entries) -> list[tuple[bytes, bool]]:
+    """Each line of a store without its '\\n', and whether it is a payload."""
+    lines = [(b"bearface-store 2", False)]
     for name, value in entries.items():
-        if not name or any(ch.isspace() for ch in name):
-            raise ValueError(f"bad store entry name {name!r}")
         if isinstance(value, (int, np.integer)):
-            lines.append(f"int {name} {int(value)}")
+            text = f"int {name} {int(value)}"
         elif isinstance(value, (float, np.floating)):
-            lines.append(f"float {name} {float(value)!r}")
+            text = f"float {name} {float(value)!r}"
         elif isinstance(value, str):
-            if value.splitlines() not in ([value], []):
-                raise ValueError(f"string entry {name!r} contains a line break")
-            lines.append(f"str {name} {value}")
+            text = f"str {name} {value}"
         else:
-            code = {np.dtype(np.float64): "f8", np.dtype(np.int64): "i8",
-                    np.dtype(np.uint8): "u1"}[value.dtype]
-            shape = ",".join(str(s) for s in value.shape) or "0"
-            stored = {"f8": "<f8", "i8": "<i8", "u1": "|u1"}[code]
-            payload = base64.b64encode(
-                np.ascontiguousarray(value).astype(stored).tobytes()
-            ).decode("ascii")
-            lines.append(f"array {name} {code} {shape}")
-            lines.append(payload)
-    return "\n".join(lines) + "\n"
+            code = next(c for c, (_, dtype) in STRUCT_CODES.items() if value.dtype == dtype)
+            text = f"array {name} {code} {','.join(str(s) for s in value.shape)}"
+            values = np.ravel(value).tolist()
+            payload = struct.pack(f"<{len(values)}{STRUCT_CODES[code][0]}", *values)
+        lines.append((text.encode("utf-8"), False))
+        if text.startswith("array "):
+            lines.append((payload, True))
+    return lines
 
 
-def text_parse_store(text: str, origin: str | None = None) -> dict:
-    dtypes = {"f8": "<f8", "i8": "<i8", "u1": "|u1"}
-    lines = text.splitlines()
-    check_header(lines, "store", origin)
+def oracle_dump_store(entries) -> bytes:
+    return b"".join(line + b"\n" for line, _ in oracle_lines(entries))
+
+
+def oracle_parse_store(data: bytes, origin: str | None = None) -> dict:
     entries: dict = {}
-    index = 1
-    while index < len(lines):
-        line = lines[index]
-        index += 1
+    offset, number = 0, 0
+    while number == 0 or offset < len(data):
+        number += 1
+        where = place(origin, number)
+        stop = data.find(b"\n", offset)
+        stop = len(data) if stop == -1 else stop
+        raw, offset = data[offset:stop], stop + 1
+        try:
+            line = raw.decode("utf-8")
+        except UnicodeDecodeError:
+            raise ValueError(f"{where}: not UTF-8") from None
+        if len(line.splitlines()) > 1 or line.endswith(tuple(OTHER_BREAKS)):
+            raise ValueError(f"{where}: a line break inside the line")
+        if number == 1:
+            if line.split() != ["bearface-store", "2"]:
+                raise ValueError(f"{where}: not a format-2 store")
+            continue
         if not line.strip():
             continue
-        where = place(origin, index)
         kind, _, rest = line.partition(" ")
         name, _, tail = rest.partition(" ")
-        if name in entries:
-            raise ValueError(f"{where}: duplicate store entry {name!r}")
-        if kind in ("int", "float"):
-            entries[name] = typed(int if kind == "int" else float, name, tail, where)
-        elif kind == "str":
-            entries[name] = tail
-        elif kind == "array":
-            code, _, shape_text = tail.partition(" ")
-            if code not in dtypes:
-                raise ValueError(f"{where}: entry {name!r}: unknown dtype code {code!r}")
-            shape = tuple(typed(int, "shape", s, where) for s in shape_text.split(",") if s)
-            if index >= len(lines):
-                raise ValueError(f"{where}: entry {name!r}: missing payload line")
-            try:
-                raw = base64.b64decode(lines[index], validate=True)
-            except ValueError as error:
-                raise ValueError(
-                    f"{place(origin, index + 1)}: entry {name!r}: bad base64 payload: {error}"
-                ) from None
-            index += 1
-            dtype = np.dtype(dtypes[code])
-            if any(s < 0 for s in shape):
-                raise ValueError(
-                    f"{where}: entry {name!r}: negative dimension in shape {shape_text}"
-                )
-            needed = math.prod(shape) * dtype.itemsize
-            if len(raw) != needed:
-                raise ValueError(
-                    f"{where}: entry {name!r}: payload holds {len(raw)} bytes, "
-                    f"shape {shape_text} of {code} needs {needed}"
-                )
-            entries[name] = np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
-        else:
-            raise ValueError(f"{where}: unknown store entry kind {kind!r}")
+        try:
+            if name in entries:
+                raise ValueError("duplicate entry")
+            if kind == "int":
+                entries[name] = int(tail)
+            elif kind == "float":
+                entries[name] = float(tail)
+            elif kind == "str":
+                entries[name] = tail
+            elif kind == "array":
+                code, _, shape_text = tail.partition(" ")
+                letter, dtype = STRUCT_CODES[code]
+                shape = [int(s) for s in shape_text.split(",") if s]
+                count = math.prod(shape)
+                end = offset + count * struct.calcsize(letter)
+                if min(shape, default=0) < 0 or data[end:end + 1] != b"\n":
+                    raise ValueError("bad payload")
+                values = struct.unpack_from(f"<{count}{letter}", data, offset)
+                entries[name] = np.array(values, dtype=dtype).reshape(shape)
+                offset, number = end + 1, number + 1
+            else:
+                raise ValueError("unknown kind")
+        except (ValueError, KeyError) as error:
+            raise ValueError(f"{where}: {error}") from None
     return entries
 
 
@@ -533,13 +540,19 @@ STORE_ENTRIES = st.dictionaries(
 )
 
 
+# Payload bytes that read as line ends, a comment and an entry's header.
+TRICKY = b"\n\r\n#array x f8 1\n"
+
+
 @given(STORE_ENTRIES)
 @example({"z": np.zeros((0, 3)), "n": -0.0, "i": math.inf, "e": np.zeros(0, dtype=np.uint8)})
-def test_store_bytes_match_the_text_oracle(entries):
+@example({"raw": np.frombuffer(TRICKY, np.uint8), "wide": np.frombuffer(TRICKY * 8, "<f8"),
+          "s": "array x f8 1", "ends": np.frombuffer(b"\n" * 16, "<i8").reshape(2, 1)})
+def test_store_bytes_match_the_oracle(entries):
     data = b"".join(dump_store(entries))
-    assert data == text_dump_store(entries).encode("utf-8")
+    assert data == oracle_dump_store(entries)
     loaded = parse_store(data, "s.store")
-    assert store_bits(loaded) == store_bits(text_parse_store(data.decode("utf-8"), "s.store"))
+    assert store_bits(loaded) == store_bits(oracle_parse_store(data, "s.store"))
     for name, value in entries.items():
         if isinstance(value, np.ndarray):
             assert loaded[name].dtype == value.dtype and loaded[name].shape == value.shape
@@ -558,9 +571,7 @@ def mutate(store: bytes, data) -> bytes:
             store = store[:data.draw(st.integers(0, len(store)), label="cut at")]
         elif kind == "byte" and store:
             at = data.draw(st.integers(0, len(store) - 1), label="byte at")
-            # A single-byte line break other than '\n' gets its own property.
-            new = data.draw(st.integers(0, 255).filter(lambda b: chr(b) not in OTHER_BREAKS[:6]))
-            store = store[:at] + bytes([new]) + store[at + 1:]
+            store = store[:at] + bytes([data.draw(st.integers(0, 255))]) + store[at + 1:]
         elif kind in ("drop", "repeat") and lines:
             at = data.draw(st.integers(0, len(lines) - 1), label="line")
             lines[at:at + 1] = [] if kind == "drop" else [lines[at]] * 2
@@ -577,41 +588,55 @@ def line_of(error: Exception, origin: str) -> int:
     return int(match[1])
 
 
+def parsed_or_line(parse, store: bytes, origin: str) -> object:
+    """The bits of what `parse` reads from `store`, or the line its error names."""
+    try:
+        return store_bits(parse(store, origin))
+    except ValueError as error:
+        return line_of(error, origin)
+
+
 @given(STORE_ENTRIES, st.data())
-def test_mutated_store_reads_as_the_text_oracle(entries, data):
+def test_mutated_store_reads_as_the_oracle(entries, data):
     store = mutate(b"".join(dump_store(entries)), data)
     origin = "m.store"
-    try:
-        text = store.decode("utf-8")
-    except UnicodeDecodeError as error:
-        # The text reader refused the whole file; this one stops at the bad
-        # line or before it.
-        with pytest.raises(ValueError) as caught:
-            parse_store(store, origin)
-        assert line_of(caught.value, origin) <= store[:error.start].count(b"\n") + 1
-        return
-    # A '\r' that does not end a line, or a multi-byte break that a changed
-    # byte made, is the other property's case.
-    ends = text.replace("\r\n", "\n")
-    assume(not any(mark in ends.removesuffix("\r") for mark in OTHER_BREAKS))
-    try:
-        expected = text_parse_store(text, origin)
-    except ValueError as error:
-        with pytest.raises(ValueError) as caught:
-            parse_store(store, origin)
-        assert line_of(caught.value, origin) == line_of(error, origin)
-    else:
-        assert store_bits(parse_store(store, origin)) == store_bits(expected)
+    assert parsed_or_line(parse_store, store, origin) == parsed_or_line(
+        oracle_parse_store, store, origin
+    )
+
+
+def test_store_cut_inside_an_entry_is_refused_at_a_line():
+    # Only a cut between whole entries loads, and then as the entries
+    # before it; a cut anywhere else, a payload's '\n' included, is an
+    # error naming a line.
+    entries = {"raw": np.frombuffer(TRICKY, np.uint8).copy(), "grid": np.arange(6.0).reshape(2, 3),
+               "wide": np.frombuffer(TRICKY * 8, "<f8").copy()}
+    store = b"".join(dump_store(entries))
+    # The offsets where whole entries end: every entry is an array, a
+    # header line and a payload line.
+    whole = {len(b"bearface-store 2"): {}}
+    offset = 0
+    for number, (line, payload) in enumerate(oracle_lines(entries)):
+        offset += len(line) + 1
+        if payload or number == 0:
+            whole[offset] = dict(list(entries.items())[:number // 2])
+    for cut in range(len(store) + 1):
+        result = parsed_or_line(parse_store, store[:cut], "c.store")
+        assert result == parsed_or_line(oracle_parse_store, store[:cut], "c.store")
+        if cut in whole:
+            assert result == store_bits(whole[cut])
+        else:
+            assert isinstance(result, int), cut
 
 
 @given(STORE_ENTRIES, st.sampled_from(OTHER_BREAKS), st.data())
 def test_other_line_breaks_are_refused_at_their_line(entries, mark, data):
-    lines = b"".join(dump_store(entries)).decode("utf-8").split("\n")[:-1]
-    number = data.draw(st.integers(1, len(lines)), label="line")
-    line = lines[number - 1]
-    # A '\r' at the end of a line would make a CRLF ending.
-    assume(mark != "\r" or line)
-    at = data.draw(st.integers(0, len(line) - (mark == "\r")), label="at")
-    lines[number - 1] = line[:at] + mark + line[at:]
+    lines = oracle_lines(entries)
+    number = data.draw(
+        st.sampled_from([n for n, (_, payload) in enumerate(lines, 1) if not payload]), label="line"
+    )
+    line = lines[number - 1][0].decode("utf-8")
+    at = data.draw(st.integers(0, len(line)), label="at")
+    lines[number - 1] = ((line[:at] + mark + line[at:]).encode("utf-8"), False)
     with pytest.raises(ValueError, match=f"^s.store:{number}: "):
-        parse_store(("\n".join(lines) + "\n").encode("utf-8"), "s.store")
+        parse_store(b"".join(text + b"\n" for text, _ in lines), "s.store")

@@ -97,17 +97,19 @@ def _peak_mib(call) -> float:
 
 
 def test_store_streams_with_bounded_memory(tmp_path):
-    # A features-shaped store: 5.5 MiB on disk, 4.1 MiB of arrays. Writing
-    # holds one array's payload line at a time; reading holds the file, the
-    # arrays read so far and one payload's text and bytes.
+    # A features-shaped store: 4.15 MiB of arrays, stored as their raw
+    # bytes. Writing copies no array; reading holds the file and the arrays
+    # read so far.
     rng = np.random.default_rng(52)
     entries = {"kind": "features", "block_hog": rng.normal(size=(72, 3776)),
                "block_lbph": rng.normal(size=(72, 3776))}
     path = tmp_path / "features.store"
     write_store({"warm": np.arange(3.0)}, path)
     read_store(path)  # one-time costs (imports, caches) before measuring
-    assert _peak_mib(lambda: write_store(entries, path)) <= 5.0
-    assert path.stat().st_size > 5.5 * 2**20
+    assert _peak_mib(lambda: write_store(entries, path)) <= 1.0
+    lines = (b"bearface-store 2\nstr kind features\n"
+             b"array block_hog f8 72,3776\narray block_lbph f8 72,3776\n")
+    assert path.stat().st_size == len(lines) + 2 * (72 * 3776 * 8 + len(b"\n"))
     assert _peak_mib(lambda: read_store(path)) <= 12.5
     loaded = read_store(path)
     for name in ("block_hog", "block_lbph"):
@@ -138,9 +140,15 @@ def test_store_rejects_bad_input():
     for shape in (b"2,4", b"-2,-3"):
         with pytest.raises(ValueError, match="entry 'grid'"):
             parse_store(data.replace(b"f8 2,3", b"f8 " + shape))
+    # A line ends at '\n' only, so a CRLF store fails at its first line.
+    for data, number in ((b"bearface-store 2\r\n", 1), (b"bearface-store 2\nint a 1\r\n", 2)):
+        with pytest.raises(ValueError, match=f"^line {number}: a line break other than "):
+            parse_store(data)
+    with pytest.raises(ValueError, match="^line 1: a format-1 store .* 'bearface train'$"):
+        parse_store(b"bearface-store 1\nint a 1\n")
     # A dimension numpy cannot hold, of an empty array, is named too.
     with pytest.raises(ValueError, match="^line 2: entry 'grid': "):
-        parse_store(b"bearface-store 1\narray grid f8 0,99999999999999999999\n\n")
+        parse_store(b"bearface-store 2\narray grid f8 0,99999999999999999999\n\n")
 
 
 # Every character str.splitlines breaks a line on.
