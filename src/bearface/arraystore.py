@@ -35,6 +35,12 @@ _DTYPES = {"f8": "<f8", "i8": "<i8", "u1": "|u1"}
 _CODES = {np.dtype(stored).newbyteorder("="): code for code, stored in _DTYPES.items()}
 
 
+def _check_name(name: str) -> None:
+    """The one rule of an entry name, for the writer and the reader alike."""
+    if not name or any(ch.isspace() for ch in name):
+        raise ValueError(f"bad store entry name {name!r}")
+
+
 def dump_store(entries: Mapping[str, object]) -> Iterator[bytes | memoryview]:
     """The store's bytes: each header line, then each array's payload and its '\\n'.
 
@@ -42,8 +48,7 @@ def dump_store(entries: Mapping[str, object]) -> Iterator[bytes | memoryview]:
     """
     yield b"bearface-store 2\n"
     for name, value in entries.items():
-        if not name or any(ch.isspace() for ch in name):
-            raise ValueError(f"bad store entry name {name!r}")
+        _check_name(name)
         if isinstance(value, (int, np.integer)):  # a bool is an int
             yield f"int {name} {int(value)}\n".encode()
         elif isinstance(value, (float, np.floating)):
@@ -106,22 +111,27 @@ def parse_store(data: bytes, origin: str | None = None) -> dict[str, object]:
             continue
         kind, _, rest = text.partition(" ")
         name, _, tail = rest.partition(" ")
+        if kind not in ("int", "float", "str", "array"):
+            raise ValueError(f"{where}: unknown store entry kind {kind!r}")
+        with located(where):
+            _check_name(name)
         if name in entries:
             raise ValueError(f"{where}: duplicate store entry {name!r}")
         if kind in ("int", "float"):
             entries[name] = typed(int if kind == "int" else float, name, tail, where)
         elif kind == "str":
             entries[name] = tail
-        elif kind == "array":
+        else:
             code, _, shape_text = tail.partition(" ")
             if code not in _DTYPES:
                 raise ValueError(f"{where}: entry {name!r}: unknown dtype code {code!r}")
-            shape = tuple(typed(int, "shape", s, where) for s in shape_text.split(",") if s)
+            fields = shape_text.split(",")
+            if not all(field.isascii() and field.isdigit() for field in fields):
+                raise ValueError(f"{where}: entry {name!r}: shape must be counts joined "
+                                 f"by ',', got {shape_text!r}")
+            with located(f"{where}: entry {name!r}"):  # past int()'s digit limit
+                shape = tuple(map(int, fields))
             dtype = np.dtype(_DTYPES[code])
-            if any(s < 0 for s in shape):
-                raise ValueError(
-                    f"{where}: entry {name!r}: negative dimension in shape {shape_text}"
-                )
             needed = math.prod(shape) * dtype.itemsize
             payload = view[start:start + needed]
             if len(payload) < needed:
@@ -136,8 +146,6 @@ def parse_store(data: bytes, origin: str | None = None) -> dict[str, object]:
             number, start = number + 1, end + 1
             with located(f"{where}: entry {name!r}"):
                 entries[name] = np.frombuffer(payload, dtype=dtype).reshape(shape).copy()
-        else:
-            raise ValueError(f"{where}: unknown store entry kind {kind!r}")
     return entries
 
 

@@ -26,7 +26,7 @@ from .manifest import read_manifest, training_labels
 from .modelio import ModelBundle, load_model, save_model
 from .multiclass import CLASS_NAMES, CV_SCHEMES, VoteResult, cross_validate, decision_values
 from .multiclass import train_multiclass, vote
-from .records import count, csv_text, read_records, typed, write_atomic, write_jsonl
+from .records import count, csv_text, located, read_records, typed, write_atomic, write_jsonl
 from .registration import read_landmarks
 from .reports import write_report
 from .visemes import bundled_transcript, load_viseme_table, read_transcript
@@ -40,7 +40,9 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     """The configuration file's settings, overridden by any `--seed`, `--mode` or `--scheme`."""
     overrides = {key: getattr(args, key) for key in ("seed", "mode", "cv_scheme")
                  if getattr(args, key, None) is not None}
-    return dataclasses.replace(load_config(args.config), **overrides)
+    config = load_config(args.config)
+    with located("command line"):
+        return dataclasses.replace(config, **overrides)
 
 
 def _out_dir(args: argparse.Namespace) -> Path:
@@ -74,9 +76,9 @@ def _packaged_or(load, setting: str):
     return load(None if setting == "builtin" else setting)
 
 
-def _features(args: argparse.Namespace) -> FeatureSet:
+def _features(args: argparse.Namespace) -> tuple[Path, FeatureSet]:
     path = _require(args.features, Path(args.out) / "features.store", "feature cache", "extract")
-    return load_features(path)
+    return path, load_features(path)
 
 
 # ---------------------------------------------------------------------------
@@ -99,20 +101,21 @@ def cmd_extract(args: argparse.Namespace) -> int:
 
 def cmd_train(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    features = _features(args)
-    model = train_multiclass(
-        features.blocks,
-        list(features.labels),
-        config.kernel_plans(),
-        config.svm_c,
-        pca_energy=config.pca_energy,
-        include_bias=config.include_bias,
-    )
-    bundle = ModelBundle(
-        model=model, reference=features.reference, feature=features.feature
-    )
+    path, features = _features(args)
+    with located(path):  # a training error names the features it read
+        model = train_multiclass(
+            features.blocks,
+            list(features.labels),
+            config.kernel_plans(),
+            config.svm_c,
+            pca_energy=config.pca_energy,
+            include_bias=config.include_bias,
+        )
+    # A query is described by the blocks the bank reads, and no others.
+    read = tuple(dict.fromkeys(entry.block for entry in model.bank))
+    feature = dataclasses.replace(features.feature, descriptors=read)
     out = _out_dir(args)
-    save_model(bundle, out / "model.store")
+    save_model(ModelBundle(model, features.reference, feature), out / "model.store")
     print(
         f"trained {len(model.pairs)} pairwise classifiers over "
         f"{len(model.class_names)} classes -> {out / 'model.store'}"
@@ -122,19 +125,20 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    features = _features(args)
-    result = cross_validate(
-        features.blocks,
-        list(features.labels),
-        config.kernel_plans(),
-        config.svm_c,
-        folds=config.cv_folds,
-        scheme=config.cv_scheme,
-        subjects=list(features.subjects),
-        seed=config.seed,
-        pca_energy=config.pca_energy,
-        include_bias=config.include_bias,
-    )
+    path, features = _features(args)
+    with located(path):  # a training error names the features it read
+        result = cross_validate(
+            features.blocks,
+            list(features.labels),
+            config.kernel_plans(),
+            config.svm_c,
+            folds=config.cv_folds,
+            scheme=config.cv_scheme,
+            subjects=list(features.subjects),
+            seed=config.seed,
+            pca_energy=config.pca_energy,
+            include_bias=config.include_bias,
+        )
     out = _out_dir(args)
     write_report(result, config.to_lines(), out / "report.txt", out / "confusion.csv")
     print(f"overall recognition rate: {result.overall_rate:.1f}%")

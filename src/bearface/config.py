@@ -91,6 +91,8 @@ class RunConfig:
             )
         if not (0.0 < self.pca_energy <= 1.0):
             raise ConfigError("pca_energy must be in (0, 1]")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be at least 0, got {self.seed}")
         if self.cv_folds < 2:
             raise ConfigError("cv_folds must be at least 2")
         if self.debounce < 1:

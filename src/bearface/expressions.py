@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable
 
 import numpy as np
 
@@ -199,10 +198,6 @@ class TemplateSet:
 
     def get(self, expression: Expression, mode: Mode) -> ExpressionTemplate:
         return self._templates[(expression, mode)]
-
-    def __iter__(self) -> Iterable[ExpressionTemplate]:
-        return iter(self._templates.values())
-
 
 def _section(name: str) -> tuple[Expression, Mode]:
     expression, _, mode = name.partition(" ")

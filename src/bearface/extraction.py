@@ -27,12 +27,12 @@ from .registration import LandmarkSet, mean_reference, read_landmarks, register_
 
 @dataclass(frozen=True)
 class FeatureSet:
-    """Extracted descriptor blocks for a labeled sample set; every block finite."""
+    """Descriptor blocks of a labeled sample set, one per descriptor of `feature`
+    and each finite; the class order is not stored, it comes from the labels."""
 
     blocks: Mapping[str, np.ndarray]   # name -> (n, d)
     labels: tuple[str, ...]
     subjects: tuple[str, ...]
-    class_names: tuple[str, ...]
     reference: LandmarkSet
     feature: FeatureParams
     diagnostics: tuple[str, ...] = ()
@@ -106,7 +106,6 @@ def extract_dataset(manifest: DatasetManifest, feature: FeatureParams) -> Featur
         blocks=blocks,
         labels=tuple(s.label for s in samples),
         subjects=tuple(s.subject for s in samples),
-        class_names=manifest.class_names,
         reference=reference,
         feature=feature,
         diagnostics=tuple(diagnostics),
@@ -116,11 +115,9 @@ def extract_dataset(manifest: DatasetManifest, feature: FeatureParams) -> Featur
 def save_features(features: FeatureSet, path: str | Path) -> None:
     entries: dict[str, object] = {
         "kind": "features",
-        "classes": " ".join(features.class_names),
         "labels": " ".join(features.labels),
         # subjects may contain spaces; tabs separate them
         "subjects": "\t".join(features.subjects),
-        "blocks": " ".join(sorted(features.blocks)),
         "reference": features.reference.points,
         **features.feature.entries(),
         "diagnostic_count": len(features.diagnostics),
@@ -136,17 +133,17 @@ def load_features(path: str | Path) -> FeatureSet:
     entries = read_store(path)
     if entries.get("kind") != "features":
         raise ValueError(f"{path} is not a feature cache")
+    feature = FeatureParams.from_entries(entries)
     return entries.build(
         FeatureSet,
         blocks={
             name: entries.typed(f"block_{name}", np.ndarray)
-            for name in entries.typed("blocks", str).split()
+            for name in sorted(feature.descriptors)
         },
         labels=tuple(entries.typed("labels", str).split()),
         subjects=tuple(entries.typed("subjects", str).split("\t")),
-        class_names=tuple(entries.typed("classes", str).split()),
         reference=entries.build(LandmarkSet, entries.typed("reference", np.ndarray)),
-        feature=FeatureParams.from_entries(entries),
+        feature=feature,
         diagnostics=tuple(
             entries.typed(f"diagnostic{i}", str)
             for i in range(entries.typed("diagnostic_count", int))

@@ -41,11 +41,6 @@ class GrayImage:
     def from_array(cls, array: np.ndarray) -> "GrayImage":
         return cls(np.asarray(array, dtype=np.uint8))
 
-    @classmethod
-    def constant(cls, height: int, width: int, value: int = 0) -> "GrayImage":
-        return cls(np.full((height, width), value, dtype=np.uint8))
-
-
 # One header token, after any whitespace and `#` comments. A comment runs to
 # the end of its line and a token never starts with `#`, so no match can end
 # a comment early to find a token inside it.

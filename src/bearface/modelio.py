@@ -18,7 +18,7 @@ import numpy as np
 from .arraystore import StoreEntries, read_store, write_store
 from .kernels import format_kernel, parse_kernel
 from .lbp import MIN_WINDOW
-from .multiclass import BankEntry, MulticlassModel, class_pairs
+from .multiclass import BankEntry, MulticlassModel
 from .pca import PcaModel
 from .records import located
 from .registration import CROP_SIZE, LandmarkSet
@@ -89,7 +89,6 @@ def save_model(bundle: ModelBundle, path: str | Path) -> None:
     entries: dict[str, object] = {
         "kind": "model",
         "classes": " ".join(model.class_names),
-        "include_bias": int(model.include_bias),
         "bank_count": len(model.bank),
     }
     for m, entry in enumerate(model.bank):
@@ -99,7 +98,6 @@ def save_model(bundle: ModelBundle, path: str | Path) -> None:
     for name in sorted(model.pca):
         for key, _ in _PCA_ENTRIES:
             entries[f"pca_{name}_{key}"] = getattr(model.pca[name], key)
-    entries["pairs"] = np.asarray(model.pairs, dtype=np.int64).reshape(-1, 2)
     entries["bias"] = model.bias
     entries["kernel_weights"] = model.kernel_weights
     entries["dual_coef"] = model.dual_coef
@@ -116,11 +114,6 @@ def load_model(path: str | Path) -> ModelBundle:
     entries = read_store(path)
     if entries.get("kind") != "model":
         raise ValueError(f"{path} is not a model bundle")
-    class_names = tuple(entries.typed("classes", str).split())
-    pairs = class_pairs(len(class_names))
-    if entries.typed("pairs", np.ndarray).tolist() != [list(pair) for pair in pairs]:
-        raise ValueError(f"{path}: pairs: expected the {len(pairs)} pairs (a, b), a < b, "
-                         f"of {len(class_names)} classes in lexicographic order")
     bank = []
     for m in range(entries.typed("bank_count", int)):
         block, spec = entries.typed(f"bank{m}_block", str), entries.typed(f"bank{m}_spec", str)
@@ -134,7 +127,7 @@ def load_model(path: str | Path) -> ModelBundle:
     }
     model = entries.build(
         MulticlassModel,
-        class_names=class_names,
+        class_names=tuple(entries.typed("classes", str).split()),
         bank=tuple(bank),
         kernel_weights=entries.typed("kernel_weights", np.ndarray),
         bias=entries.typed("bias", np.ndarray),
@@ -144,7 +137,6 @@ def load_model(path: str | Path) -> ModelBundle:
         },
         dual_coef=entries.typed("dual_coef", np.ndarray),
         pca=pca,
-        include_bias=bool(entries.typed("include_bias", int)),
     )
     reference = None
     if "reference" in entries:

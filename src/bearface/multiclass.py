@@ -90,7 +90,6 @@ class MulticlassModel:
     pool: Mapping[str, np.ndarray]       # block -> (S, d_block)
     dual_coef: np.ndarray                # (S, pairs)
     pca: Mapping[str, PcaModel] = field(default_factory=dict)
-    include_bias: bool = True
 
     def __post_init__(self) -> None:
         for name in ("kernel_weights", "bias", "dual_coef"):
@@ -183,21 +182,18 @@ def train_multiclass(
     pca_energy: float | None = None,
     include_bias: bool = True,
 ) -> MulticlassModel:
-    """Train every pairwise classifier over the feature blocks.
+    """Train every pairwise classifier over the feature blocks the bank reads.
 
     Kernel plans resolve against the training data (auto RBF widths use the
-    full training set of their block). Each block must be finite: a NaN or
-    inf is named by its block and row. With `pca_energy` set, each block is
-    reduced first and the projections are stored in the model so queries go
-    through the same mapping.
+    full training set of their block). Each block the bank reads must be
+    given and finite; other blocks are ignored. With `pca_energy` set, each
+    read block is reduced first and the projections are stored in the model
+    so queries go through the same mapping.
     """
     labels = list(labels)
     n = len(labels)
     if n == 0:
         raise ValueError("empty training set")
-    for name, data in blocks.items():
-        if data.shape[0] != n:
-            raise ValueError(f"block {name!r} has {data.shape[0]} rows, expected {n}")
     names = tuple(class_names) if class_names is not None else order_classes(labels)
     index_of = {name: i for i, name in enumerate(names)}
     unknown = sorted(set(labels) - set(names))
@@ -207,8 +203,13 @@ def train_multiclass(
 
     pca_models: dict[str, PcaModel] = {}
     used: dict[str, np.ndarray] = {}
-    for name, data in blocks.items():
-        data = np.asarray(data, dtype=np.float64)
+    for name in dict.fromkeys(block for block, _ in bank_plans):
+        if name not in blocks:
+            raise ValueError(f"the kernel bank reads block {name!r}, which the features "
+                             f"lack (blocks held: {' '.join(blocks)})")
+        data = np.asarray(blocks[name], dtype=np.float64)
+        if data.shape[0] != n:
+            raise ValueError(f"block {name!r} has {data.shape[0]} rows, expected {n}")
         check_finite(data, f"values in block {name!r} row")
         if pca_energy is not None:
             model = fit_pca(data, pca_energy)
@@ -239,16 +240,14 @@ def train_multiclass(
         if include_bias:
             bias[p] = solution.bias
     in_pool = np.nonzero(coef.any(axis=1))[0]
-    blocks_used = sorted({entry.block for entry in bank})
     return MulticlassModel(
         class_names=names,
         bank=bank,
         kernel_weights=weights,
         bias=bias,
-        pool={block: used[block][in_pool] for block in blocks_used},
+        pool={block: used[block][in_pool] for block in sorted(used)},
         dual_coef=coef[in_pool],
         pca=pca_models,
-        include_bias=include_bias,
     )
 
 

@@ -218,7 +218,7 @@ def test_criterion_7_feature_dimensions_and_oracles():
         )
         assert table[code] == expected
 
-    assert not hog(GrayImage.constant(128, 128, 57)).any()
+    assert not hog(GrayImage(np.full((128, 128), 57, dtype=np.uint8))).any()
 
     data = rng.normal(size=(120, 30)) * np.linspace(6, 0.05, 30)
     model = fit_pca(data, energy=0.95)

@@ -499,6 +499,56 @@ def test_store_with_invalid_utf8_names_path_and_line(
     assert record["error"].startswith(f"{damaged}:{line}: 'utf-8' codec can't decode byte 0xff")
 
 
+def test_negative_seed_option_is_refused(pipeline_out, tmp_path, capsys):
+    # It used to fail in the fold shuffle, with numpy's message.
+    code = main(["eval", "--seed", "-1", "--features", str(pipeline_out / "features.store"),
+                 "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert _single_error(capsys) == {"error": "command line: seed must be at least 0, got -1",
+                                     "kind": "ValueError"}
+    assert not (tmp_path / "o").exists()
+
+
+def _one_block_cache(pipeline_out, path, block):
+    """The pipeline's feature cache cut down to one descriptor block."""
+    entries = dict(read_store(pipeline_out / "features.store"))
+    del entries["block_lbph" if block == "hog" else "block_hog"]
+    entries["feature_descriptors"] = block
+    write_store(entries, path)
+    return path
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_cache_lacking_a_bank_block_names_file(pipeline_out, tmp_path, capsys, command):
+    # A bank block the cache lacks used to end in a bare KeyError: 'hog'.
+    cache = _one_block_cache(pipeline_out, tmp_path / "lbph.store", "lbph")
+    code = main([command, "--features", str(cache), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert _single_error(capsys) == {
+        "error": f"{cache}: the kernel bank reads block 'hog', which the features lack "
+                 "(blocks held: lbph)",
+        "kind": "ValueError",
+    }
+
+
+def test_model_holds_only_the_blocks_its_bank_reads(pipeline_out, synthetic_dataset, tmp_path):
+    # A hog-only bank on an lbph+hog cache used to store an unread LBPH PCA
+    # model, and classify described LBPH for every face.
+    config = tmp_path / "hog.config"
+    config.write_text("bearface-config 1\ncv_folds = 5\npca_energy = 0.9\ndescriptors = hog\n")
+    hog_only = _one_block_cache(pipeline_out, tmp_path / "hog.store", "hog")
+    for name, cache in (("both", pipeline_out / "features.store"), ("hog", hog_only)):
+        argv = ["train", "--config", str(config), "--features", str(cache)]
+        assert main(argv + ["--out", str(tmp_path / name)]) == 0
+    model = tmp_path / "both" / "model.store"
+    entries = read_store(model)
+    assert entries["feature_descriptors"] == "hog"
+    assert [name for name in entries if "lbph" in name] == []
+    assert model.read_bytes() == (tmp_path / "hog" / "model.store").read_bytes()
+    argv = ["classify", "--manifest", str(synthetic_dataset), "--model", str(model)]
+    assert main(argv + ["--out", str(tmp_path / "both")]) == 0
+
+
 def test_classify_missing_model(tmp_path, synthetic_dataset, capsys):
     code = main(
         ["classify", "--manifest", str(synthetic_dataset), "--out", str(tmp_path)]
@@ -655,12 +705,14 @@ def test_bad_record_line_names_path_and_line(tmp_path, capsys, command, option, 
          "grid must divide the 128-px crop into windows of at least 3 px, got 64"),
         ("bad.config", "bearface-config 1\nseed = 1\ngrid = 129\n", 3,
          "grid must divide the 128-px crop into windows of at least 3 px, got 129"),
+        ("bad.config", "bearface-config 1\nseed = -1\n", 2, "seed must be at least 0, got -1"),
     ],
     ids=["manifest-frame", "config-seed", "viseme-id", "config-hold-inf", "config-c-nan",
          "config-gamma-inf", "config-gamma-negative", "config-gamma-negative-unused",
          "config-gamma-zero-first", "config-gamma-zero-unused", "config-poly-unused",
          "config-hold-long", "config-transition-long", "config-frame-rate-high",
-         "config-hog-bins-high", "config-grid-small-windows", "config-grid-not-dividing"],
+         "config-hog-bins-high", "config-grid-small-windows", "config-grid-not-dividing",
+         "config-seed-negative"],
 )
 def test_bad_input_value_names_path_and_line(tmp_path, capsys, name, text, line, problem):
     path = tmp_path / name

@@ -48,8 +48,13 @@ def template_set():
     return load_templates()
 
 
+def _all_templates(template_set):
+    """The fourteen (expression, mode) templates, in `EXPRESSION_DOFS` order."""
+    return [template_set.get(expression, mode) for expression, mode in EXPRESSION_DOFS]
+
+
 def test_pose_for_endpoints_exact(template_set):
-    for template in template_set:
+    for template in _all_templates(template_set):
         assert pose_for(template, 0.0) == template.neutral_pose
         assert pose_for(template, 1.0) == template.max_pose
 
@@ -72,7 +77,7 @@ def test_pose_for_matches_the_per_axis_formula(template_set):
     # pose_for goes through dof.lerp, which passes equal endpoints through
     # unchanged; on the shipped templates (no active axis peaks at its
     # neutral value) it gives the per-axis formula bit for bit.
-    for template in template_set:
+    for template in _all_templates(template_set):
         for intensity in [k / 64 for k in range(65)] + [0.1, 1 / 3, 0.7]:
             pose = pose_for(template, intensity)
             for dof in ALL_DOFS:
@@ -134,9 +139,9 @@ def test_expression_table_contents():
 
 
 def test_template_active_dofs_are_the_table_entries(template_set):
-    templates = list(template_set)
+    templates = _all_templates(template_set)
     assert len(templates) == 14
-    assert {(t.expression, t.mode) for t in templates} == set(EXPRESSION_DOFS)
+    assert [(t.expression, t.mode) for t in templates] == list(EXPRESSION_DOFS)
     for template in templates:
         assert template.active_dofs == EXPRESSION_DOFS[(template.expression, template.mode)]
 
@@ -355,8 +360,8 @@ def test_template_lines_take_inline_comments(template_set):
     )
     parsed = parse_templates(text)
     assert parsed.neutral_pose == template_set.neutral_pose
-    for template in template_set:
-        assert parsed.get(template.expression, template.mode) == template
+    for expression, mode in EXPRESSION_DOFS:
+        assert parsed.get(expression, mode) == template_set.get(expression, mode)
 
 
 def test_joy_animal_uses_oscillation(template_set):

@@ -476,6 +476,8 @@ def oracle_parse_store(data: bytes, origin: str | None = None) -> dict:
         kind, _, rest = line.partition(" ")
         name, _, tail = rest.partition(" ")
         try:
+            if re.fullmatch(r"\S+", name) is None:
+                raise ValueError("bad name")
             if name in entries:
                 raise ValueError("duplicate entry")
             if kind == "int":
@@ -487,10 +489,12 @@ def oracle_parse_store(data: bytes, origin: str | None = None) -> dict:
             elif kind == "array":
                 code, _, shape_text = tail.partition(" ")
                 letter, dtype = STRUCT_CODES[code]
-                shape = [int(s) for s in shape_text.split(",") if s]
+                if re.fullmatch(r"[0-9]+(,[0-9]+)*", shape_text) is None:
+                    raise ValueError("bad shape")
+                shape = [int(s) for s in shape_text.split(",")]
                 count = math.prod(shape)
                 end = offset + count * struct.calcsize(letter)
-                if min(shape, default=0) < 0 or data[end:end + 1] != b"\n":
+                if data[end:end + 1] != b"\n":
                     raise ValueError("bad payload")
                 values = struct.unpack_from(f"<{count}{letter}", data, offset)
                 entries[name] = np.array(values, dtype=dtype).reshape(shape)

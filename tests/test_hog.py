@@ -159,7 +159,7 @@ def test_gradient_field_rejects_non_8bit_input(pixels):
 
 
 def test_constant_image_all_zero():
-    feature = hog(GrayImage.constant(128, 128, 123))
+    feature = hog(GrayImage(np.full((128, 128), 123, dtype=np.uint8)))
     assert feature.shape == (3776,)
     assert not feature.any()
 
@@ -214,6 +214,6 @@ def test_gradient_field_ranges():
 
 def test_hog_rejects_bad_sizes():
     with pytest.raises(ValueError, match="divide"):
-        hog(GrayImage.constant(100, 128, 0))
+        hog(GrayImage(np.full((100, 128), 0, dtype=np.uint8)))
     with pytest.raises(ValueError, match="bins"):
-        hog(GrayImage.constant(128, 128, 0), bins=0)
+        hog(GrayImage(np.full((128, 128), 0, dtype=np.uint8)), bins=0)

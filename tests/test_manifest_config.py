@@ -139,6 +139,8 @@ def test_config_rejects_unknown_and_duplicate_keys():
     [
         ("pca_energy = 2", "pca_energy must be in (0, 1]"),
         ("include_bias = maybe", "include_bias must be boolean, got 'maybe'"),
+        # A negative seed used to fail only in eval, with numpy's message.
+        ("seed = -1", "seed must be at least 0, got -1"),
         ("rbf_gamma = fast", "rbf_gamma must be float, got 'fast'"),
         ("wibble = 3", "unknown configuration key 'wibble'"),
     ],

@@ -7,8 +7,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from bearface import records
-from bearface.arraystore import dump_store, parse_store, read_store, write_store
+from bearface import extraction, modelio, records
+from bearface.arraystore import StoreEntries, dump_store, parse_store, read_store, write_store
+from bearface.extraction import FeatureSet, load_features, save_features
 from bearface.kernels import AutoRbf, PolyKernel
 from bearface.modelio import FeatureParams, ModelBundle, load_model, save_model
 from bearface.multiclass import classify, train_multiclass
@@ -149,6 +150,18 @@ def test_store_rejects_bad_input():
     # A dimension numpy cannot hold, of an empty array, is named too.
     with pytest.raises(ValueError, match="^line 2: entry 'grid': "):
         parse_store(b"bearface-store 2\narray grid f8 0,99999999999999999999\n\n")
+    # Headers the writer never writes: a missing or empty shape field used
+    # to be skipped (a 0-d array, a (1, 2) one), and an empty name read.
+    for header, problem in (
+        (b"array x f8 ", "entry 'x': shape must be counts joined by ',', got ''"),
+        (b"array x f8 1,,2", "entry 'x': shape must be counts joined by ',', got '1,,2'"),
+        (b"array x f8 2, 1", "entry 'x': shape must be counts joined by ',', got '2, 1'"),
+        (b"int  x 3", "bad store entry name ''"),
+        (b"str  x", "bad store entry name ''"),
+        (b"int a\tb 3", "bad store entry name 'a\\tb'"),
+    ):
+        with pytest.raises(ValueError, match=f"^line 2: {re.escape(problem)}$"):
+            parse_store(b"bearface-store 2\n" + header + b"\n" + bytes(16) + b"\n")
 
 
 # Every character str.splitlines breaks a line on.
@@ -202,7 +215,6 @@ def test_model_bundle_round_trip(tmp_path):
     loaded = load_model(path)
 
     assert loaded.model.class_names == model.class_names
-    assert loaded.model.include_bias == model.include_bias
     assert loaded.feature == feature
     assert np.array_equal(loaded.reference.points, reference.points)
     assert loaded.model.pairs == model.pairs
@@ -243,7 +255,7 @@ def test_model_without_shared_pool_is_rejected(tmp_path):
     model, _ = _small_model()
     path = tmp_path / "model.store"
     save_model(ModelBundle(model=model), path)
-    pooled = ("pairs", "bias", "kernel_weights", "dual_coef", "pool_")
+    pooled = ("bias", "kernel_weights", "dual_coef", "pool_")
     entries = {
         name: value
         for name, value in read_store(path).items()
@@ -253,21 +265,9 @@ def test_model_without_shared_pool_is_rejected(tmp_path):
     entries["pair0_alphas"] = np.ones(3)
     old = tmp_path / "old.store"
     write_store(entries, old)
-    with pytest.raises(ValueError, match="old.store: model store lacks the 'pairs' entry"):
+    with pytest.raises(ValueError,
+                       match="old.store: model store lacks the 'kernel_weights' entry"):
         load_model(old)
-
-
-@pytest.mark.parametrize("edit", ["permuted", "short"])
-def test_pair_table_must_be_the_class_pairs(tmp_path, edit):
-    # A permuted table used to load, because the check compared sets.
-    model, _ = _small_model()
-    path = tmp_path / "model.store"
-    save_model(ModelBundle(model=model), path)
-    entries = dict(read_store(path))
-    entries["pairs"] = entries["pairs"][::-1].copy() if edit == "permuted" else entries["pairs"][1:]
-    write_store(entries, path)
-    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: pairs: "):
-        load_model(path)
 
 
 def test_model_shapes_must_agree():
@@ -308,3 +308,66 @@ def test_loaded_model_derives_the_same_live_entries(tmp_path):
         path = tmp_path / f"model{index}.store"
         save_model(ModelBundle(model=built), path)
         assert load_model(path).model.live_entries == built.live_entries
+
+
+def _saved_stores(tmp_path):
+    """A model bundle and a feature cache with every optional entry, saved."""
+    model, blocks = _small_model()
+    reference = LandmarkSet(np.random.default_rng(2).uniform(0, 127, (LANDMARK_COUNT, 2)))
+    feature = FeatureParams(descriptors=("lbph", "hog"))
+    features = FeatureSet(blocks=blocks, labels=("anger",) * 6 + ("joy",) * 6 + ("fear",) * 6,
+                          subjects=tuple(f"s {i % 4}" for i in range(18)),
+                          reference=reference, feature=feature, diagnostics=("one", "two"))
+    save_model(ModelBundle(model, reference, feature), tmp_path / "model.store")
+    save_features(features, tmp_path / "features.store")
+    return tmp_path / "model.store", tmp_path / "features.store"
+
+
+class _RecordedEntries(StoreEntries):
+    """Store entries that note the name of every lookup."""
+
+    def __init__(self, entries, path):
+        super().__init__(entries, path)
+        self.looked_up = set()
+
+    def __getitem__(self, name):
+        self.looked_up.add(name)
+        return super().__getitem__(name)
+
+    def get(self, name, default=None):
+        self.looked_up.add(name)
+        return super().get(name, default)
+
+
+def test_loaders_read_every_entry_the_writers_write(tmp_path, monkeypatch):
+    recorded = []
+
+    def recording_read_store(path):
+        recorded.append(_RecordedEntries(read_store(path), path))
+        return recorded[-1]
+
+    monkeypatch.setattr(modelio, "read_store", recording_read_store)
+    monkeypatch.setattr(extraction, "read_store", recording_read_store)
+    model_path, features_path = _saved_stores(tmp_path)
+    load_model(model_path)
+    load_features(features_path)
+    assert [entries.path for entries in recorded] == [model_path, features_path]
+    for entries in recorded:
+        assert sorted(set(entries) - entries.looked_up) == [], entries.path
+
+
+def test_stores_with_dropped_entries_still_load(tmp_path):
+    # Earlier writers also stored each model's pair table and bias flag, and
+    # each cache's class and block lists; the loaders no longer read them.
+    model_path, features_path = _saved_stores(tmp_path)
+    dropped = {
+        model_path: {"include_bias": 1, "pairs": np.array([[0, 1], [0, 2], [1, 2]])},
+        features_path: {"classes": "anger joy fear", "blocks": "hog lbph"},
+    }
+    for path, (load, save) in ((model_path, (load_model, save_model)),
+                               (features_path, (load_features, save_features))):
+        old = tmp_path / f"old_{path.name}"
+        write_store({**read_store(path), **dropped[path]}, old)
+        resaved = tmp_path / f"resaved_{path.name}"
+        save(load(old), resaved)
+        assert resaved.read_bytes() == path.read_bytes()

@@ -567,7 +567,7 @@ def test_register_and_crop_idempotent():
 
 
 def test_register_and_crop_output_size_and_constants():
-    image = GrayImage.constant(300, 200, 77)
+    image = GrayImage(np.full((300, 200), 77, dtype=np.uint8))
     reference = _spread_landmarks(size=CROP_SIZE - 1)
     # A geometrically related source: scaled down and shifted into the frame.
     source = LandmarkSet(reference.points * 0.6 + np.array([30.0, 40.0]))
@@ -577,7 +577,7 @@ def test_register_and_crop_output_size_and_constants():
 
 
 def test_register_and_crop_out_of_bounds_warns():
-    image = GrayImage.constant(40, 40, 200)
+    image = GrayImage(np.full((40, 40), 200, dtype=np.uint8))
     rng = np.random.default_rng(6)
     source = LandmarkSet(rng.uniform(0, 39, (LANDMARK_COUNT, 2)) + 30)
     reference = _spread_landmarks(size=CROP_SIZE - 1)
