@@ -74,6 +74,8 @@ class RunConfig:
                 raise ConfigError(f"{spec.name} must be finite, got {value!r}")
         if any(k not in ("rbf", "poly") for k in self.kernels) or not self.kernels:
             raise ConfigError(f"kernels must be from rbf/poly, got {self.kernels}")
+        if len(set(self.kernels)) < len(self.kernels):
+            raise ConfigError(f"kernels must not repeat, got {self.kernels}")
         if isinstance(self.rbf_gamma, str) and self.rbf_gamma != "auto":
             raise ConfigError(f"rbf_gamma must be a number or 'auto', got {self.rbf_gamma!r}")
         if self.cv_scheme not in CV_SCHEMES:

@@ -42,6 +42,8 @@ class FeatureParams:
     def __post_init__(self) -> None:
         if any(d not in ("lbph", "hog") for d in self.descriptors) or not self.descriptors:
             raise ValueError(f"descriptors must be from lbph/hog, got {self.descriptors}")
+        if len(set(self.descriptors)) < len(self.descriptors):
+            raise ValueError(f"descriptors must not repeat, got {self.descriptors}")
         if self.grid < 1:
             raise ValueError(f"grid must be at least 1, got {self.grid}")
         if CROP_SIZE % self.grid or CROP_SIZE // self.grid < MIN_WINDOW:

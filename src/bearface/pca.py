@@ -130,7 +130,8 @@ def fit_pca(samples: np.ndarray, energy: float = DEFAULT_ENERGY) -> PcaModel:
     if d > n:
         # Never retain or divide by a sigma that is zero to rounding.
         k = min(k, int(np.count_nonzero(singular > 1e-12 * singular[0])))
-        components = (centered.T @ u[:, :k]) / singular[:k]
+        product = centered.T @ u[:, :k]
+        components = np.divide(product, singular[:k], out=product)  # no second (d, k) array
     else:
         components = vt[:k].T.copy()
     # Deterministic sign: largest-magnitude entry of each component positive.

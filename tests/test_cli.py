@@ -241,6 +241,9 @@ def test_bad_kernel_spec_names_store_entry(
         ("feature_hog_bins", 181, "hog_bins must be at most 180, got 181"),
         ("feature_descriptors", "lbph sift",
          "descriptors must be from lbph/hog, got ('lbph', 'sift')"),
+        # A repeated descriptor built every Gram twice and split each pair's
+        # weight between the copies.
+        ("feature_descriptors", "hog hog", "descriptors must not repeat, got ('hog', 'hog')"),
     ],
 )
 @pytest.mark.parametrize("store", ["model.store", "features.store"])
@@ -706,13 +709,17 @@ def test_bad_record_line_names_path_and_line(tmp_path, capsys, command, option, 
         ("bad.config", "bearface-config 1\nseed = 1\ngrid = 129\n", 3,
          "grid must divide the 128-px crop into windows of at least 3 px, got 129"),
         ("bad.config", "bearface-config 1\nseed = -1\n", 2, "seed must be at least 0, got -1"),
+        ("bad.config", "bearface-config 1\nseed = 1\ndescriptors = hog lbph hog\n", 3,
+         "descriptors must not repeat, got ('hog', 'lbph', 'hog')"),
+        ("bad.config", "bearface-config 1\nkernels = rbf rbf\n", 2,
+         "kernels must not repeat, got ('rbf', 'rbf')"),
     ],
     ids=["manifest-frame", "config-seed", "viseme-id", "config-hold-inf", "config-c-nan",
          "config-gamma-inf", "config-gamma-negative", "config-gamma-negative-unused",
          "config-gamma-zero-first", "config-gamma-zero-unused", "config-poly-unused",
          "config-hold-long", "config-transition-long", "config-frame-rate-high",
          "config-hog-bins-high", "config-grid-small-windows", "config-grid-not-dividing",
-         "config-seed-negative"],
+         "config-seed-negative", "config-descriptor-repeated", "config-kernel-repeated"],
 )
 def test_bad_input_value_names_path_and_line(tmp_path, capsys, name, text, line, problem):
     path = tmp_path / name

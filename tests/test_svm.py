@@ -6,9 +6,14 @@ import warnings
 import numpy as np
 import pytest
 
+from bearface import mkl
+from bearface.config import RunConfig
 from bearface.diagnostics import NumericsWarning
+from bearface.extraction import extract_dataset
 from bearface.kernels import PolyKernel, RbfKernel, kernel_matrix
+from bearface.manifest import read_manifest
 from bearface.mkl import train_binary_mkl
+from bearface.multiclass import train_multiclass
 from bearface.svm import DEFAULT_KKT_TOL, dual_objective, ensure_psd, solve_svm_dual
 
 _TAU = 1e-12
@@ -460,6 +465,58 @@ def test_loop_matches_reference_on_asymmetric_matrices():
         assert not np.array_equal(K, K.T)
         for C in (1.0, 10.0):
             assert_matches_reference(K, y, C)
+
+
+def test_loop_matches_reference_when_a_multiplier_leaves_and_reenters_i_up():
+    # alpha_0 (y = +1) reaches C at the first step, which takes it out of
+    # I_up, and drops back below C at the third, which puts it back: its
+    # scores are rewritten twice within one solve.
+    rng = np.random.default_rng(1)
+    n = int(rng.integers(5, 10))
+    y = random_labels(rng, n)
+    K = kernel_matrix(RbfKernel(gamma=0.5), rng.normal(size=(n, 2)) + 0.3 * y[:, None])
+    path = [reference_solve(K, y, 1.0, max_iter=steps)[0]["alpha"][0] for steps in (1, 2, 3)]
+    assert y[0] > 0 and path[0] == path[1] == 1.0 > path[2]
+    assert_matches_reference(K, y, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NumericsWarning)  # the cap
+        for steps in (1, 2, 3):
+            assert_matches_reference(K, y, 1.0, max_iter=steps)
+
+
+def test_loop_matches_reference_past_convergence():
+    # With tol <= 0 the loop goes on once no candidate is left, and both
+    # loops then pair i with index 0, which may lie outside I_low.
+    for seed in range(12):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(4, 12))
+        y = random_labels(rng, n)
+        K = kernel_matrix(RbfKernel(gamma=0.5), rng.normal(size=(n, 2)) + 0.3 * y[:, None])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NumericsWarning)  # the cap
+            for tol in (0.0, -1.0):
+                assert_matches_reference(K, y, 1.0, tol=tol, max_iter=60)
+
+
+def test_every_solve_of_a_face_training_matches_reference(synthetic_dataset, monkeypatch):
+    # The Grams, labels, C and warm starts the MKL trainer passes to the
+    # solver while training on the face set, cold and warm, at two tolerances.
+    config = RunConfig()
+    features = extract_dataset(read_manifest(synthetic_dataset), config.feature_params())
+    problems = []
+
+    def recording(K, y, C, **options):
+        problems.append((np.array(K), np.array(y), C, options.get("warm_alpha")))
+        return solve_svm_dual(K, y, C, **options)
+
+    monkeypatch.setattr(mkl, "solve_svm_dual", recording)
+    train_multiclass(features.blocks, features.labels, config.kernel_plans(), config.svm_c,
+                     pca_energy=config.pca_energy)
+    assert len(problems) > 100
+    assert sum(warm is None for *_, warm in problems) == 21  # one cold start per pair
+    for K, y, C, warm in problems:
+        for tol in (1e-3, 1e-6):
+            assert_matches_reference(K, y, C, tol=tol, warm_alpha=warm)
 
 
 def test_objective_agrees_with_scipy_on_medium_problems():
