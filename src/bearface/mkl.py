@@ -148,7 +148,7 @@ def bound_rejects(
 
 
 def _curvature_direction(
-    grams: Sequence[np.ndarray],
+    grams: np.ndarray,
     combined: np.ndarray,
     y: np.ndarray,
     alpha: np.ndarray,
@@ -172,15 +172,14 @@ def _curvature_direction(
     v = alpha * y
     y_free = y[free]
     # The bordered system S [dalpha; db] = [U; 0]. U's column m is
-    # u_m = (yy' o K^m) alpha on the free set, written in place.
+    # u_m = (yy' o K^m) alpha on the free set, one gemv per Gram, in place.
     sensitivity = np.zeros((count + 1, M))
     U = sensitivity[:count]
-    for m, K in enumerate(grams):
-        np.multiply(y_free, K.take(free, axis=0) @ v, out=U[:, m])
+    np.multiply(y_free, grams.take(free, axis=1) @ v, out=U.T)
     # The bordered KKT matrix uses the current combined kernel on the free set.
     S = np.zeros((count + 1, count + 1))
-    np.multiply(np.multiply.outer(y_free, y_free), combined[free[:, None], free],
-                out=S[:count, :count])
+    np.multiply(np.multiply.outer(y_free, y_free),
+                combined.take(free, axis=0).take(free, axis=1), out=S[:count, :count])
     S[:count, count] = y_free
     S[count, :count] = y_free
     try:
@@ -207,7 +206,7 @@ def _curvature_direction(
 
 
 def train_binary_mkl(
-    grams: Sequence[np.ndarray],
+    grams: np.ndarray | Sequence[np.ndarray],
     labels: np.ndarray,
     C: float = DEFAULT_C,
 ) -> BinaryMklSolution:
@@ -220,19 +219,22 @@ def train_binary_mkl(
     solver's default KKT tolerance; the outer loop stops on a step below
     STEP_TOL, a decrease below OBJECTIVE_TOL or MAX_OUTER_ITERATIONS.
     """
-    if not grams:
+    if len(grams) == 0:
         raise ValueError("need at least one Gram matrix")
-    grams = [ensure_psd(np.asarray(K, dtype=np.float64)) for K in grams]
-    n = grams[0].shape[0]
+    # One C-ordered (M, n, n) copy for the whole fit, whatever the input's
+    # strides, so no inner solve or curvature step re-stacks the Grams, and
+    # one (M, n * n) view of it to combine.
+    try:
+        grams = np.array(grams, dtype=np.float64, order="C")
+    except ValueError:  # numpy refuses a ragged sequence
+        grams = np.empty(0)
+    if grams.ndim != 3 or grams.shape[1] != grams.shape[2]:
+        raise ValueError("Gram matrices must share one square shape")
+    M, n, _ = grams.shape
     for K in grams:
-        if K.shape != (n, n):
-            raise ValueError("Gram matrices must share one square shape")
-    # One (M, n, n) stack for the whole fit, so no inner solve or curvature
-    # step re-stacks the Grams, and one (M, n * n) view of it to combine.
-    grams = np.stack(grams)
-    flat = grams.reshape(len(grams), n * n)
+        K[...] = ensure_psd(K)
+    flat = grams.reshape(M, n * n)
     y = np.asarray(labels, dtype=np.float64)
-    M = len(grams)
     d = np.full(M, 1.0 / M)
 
     def inner(

@@ -223,7 +223,9 @@ def train_multiclass(
     )
     if not bank:
         raise ValueError("kernel bank is empty")
-    grams = [kernel_matrix(entry.spec, used[entry.block]) for entry in bank]
+    grams = np.empty((len(bank), n, n))  # filled in place: no second copy of the bank
+    for K, entry in zip(grams, bank):
+        K[...] = kernel_matrix(entry.spec, used[entry.block])
 
     pairs = class_pairs(len(names))
     weights = np.zeros((len(pairs), len(bank)))
@@ -232,8 +234,7 @@ def train_multiclass(
     for p, (a, b) in enumerate(pairs):
         subset = np.nonzero((y_index == a) | (y_index == b))[0]
         y = np.where(y_index[subset] == a, 1.0, -1.0)
-        pair_grams = [K[np.ix_(subset, subset)] for K in grams]
-        solution = train_binary_mkl(pair_grams, y, C)
+        solution = train_binary_mkl(grams[:, subset[:, None], subset], y, C)
         sv = solution.support_indices
         coef[subset[sv], p] = solution.alphas[sv] * solution.labels[sv]
         weights[p] = solution.kernel_weights

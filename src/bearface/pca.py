@@ -135,10 +135,9 @@ def fit_pca(samples: np.ndarray, energy: float = DEFAULT_ENERGY) -> PcaModel:
     else:
         components = vt[:k].T.copy()
     # Deterministic sign: largest-magnitude entry of each component positive.
-    for j in range(k):
-        pivot = int(np.argmax(np.abs(components[:, j])))
-        if components[pivot, j] < 0:
-            components[:, j] = -components[:, j]
+    pivots = np.abs(components).argmax(axis=0)
+    flip = components[pivots, np.arange(k)] < 0
+    np.negative(components, out=components, where=flip)
     return PcaModel(
         mean=mean,
         components=components,

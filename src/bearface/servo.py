@@ -27,20 +27,15 @@ class ServoChannel:
 
     channel: int
     minimum: int   # quarter-microseconds at normalized position 0
-    neutral: int
     maximum: int   # quarter-microseconds at normalized position 1
 
     def __post_init__(self) -> None:
         if not (0 <= self.channel <= 11):
             raise ValueError(f"channel {self.channel} outside 0..11")
-        if not (self.minimum < self.neutral < self.maximum):
+        if not (0 <= self.minimum < self.maximum <= TARGET_MAX):
             raise ValueError(
-                f"channel {self.channel}: need minimum < neutral < maximum, "
-                f"got {self.minimum}/{self.neutral}/{self.maximum}"
-            )
-        if self.minimum < 0 or self.maximum > TARGET_MAX:
-            raise ValueError(
-                f"channel {self.channel}: pulse range outside 0..{TARGET_MAX}"
+                f"channel {self.channel}: need 0 <= minimum < maximum <= {TARGET_MAX}, "
+                f"got {self.minimum}/{self.maximum}"
             )
 
 
@@ -66,7 +61,7 @@ def default_calibration() -> ServoCalibration:
     """Axes f1..f10 on channels 0..9, symmetric 1000-2000 us range."""
     return ServoCalibration(
         {
-            dof: ServoChannel(channel=int(dof) - 1, minimum=4000, neutral=6000, maximum=8000)
+            dof: ServoChannel(channel=int(dof) - 1, minimum=4000, maximum=8000)
             for dof in ALL_DOFS
         }
     )

@@ -272,6 +272,8 @@ def solve_svm_dual(
         yg = y  # -y * (Q @ 0 - 1.0) == y bit for bit (module docstring)
     else:
         alpha = np.clip(np.asarray(warm_alpha, dtype=np.float64), 0.0, C)
+        if alpha.shape != (n,):
+            raise ValueError(f"warm_alpha has shape {alpha.shape}, expected ({n},) for n = {n}")
         ya = y * alpha
         # -y * (Q @ alpha - 1.0) with Q = yy' o K: each product and partial
         # sum of Q's rows is K's times y_k, an exact sign flip, and so is

@@ -242,7 +242,7 @@ def test_servo_rounds_exact_halves_to_even():
     # 1/4096) exactly on a half quarter-us, where rounding must go to even.
     calibration = ServoCalibration({
         dof: ServoChannel(int(dof) - 1, 4096 if dof % 2 else 5120,
-                          6000, 8192 if dof % 2 else 7168)
+                          8192 if dof % 2 else 7168)
         for dof in ALL_DOFS
     })
     values = (2 * np.arange(400) + 1) / 8192.0

@@ -1,6 +1,7 @@
 """Kernel-weight learning: reductions, synthetic selection, invariants."""
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -250,8 +251,36 @@ def test_train_input_validation():
     with pytest.raises(ValueError, match="at least one"):
         train_binary_mkl([], np.array([1.0, -1.0]), C=1.0)
     K = np.eye(4)
-    with pytest.raises(ValueError, match="share"):
-        train_binary_mkl([K, np.eye(3)], np.array([1.0, 1.0, -1.0, -1.0]), C=1.0)
+    for grams in ([K, np.eye(3)], K, np.ones((2, 4, 3))):
+        with pytest.raises(ValueError, match="share one square shape"):
+            train_binary_mkl(grams, np.array([1.0, 1.0, -1.0, -1.0]), C=1.0)
+
+
+def test_pair_fit_reads_any_layout_of_its_grams_bit_for_bit():
+    # `train_multiclass` hands each pair the one-index gather
+    # grams[:, s[:, None], s], which is not C-ordered. The fit works on its
+    # own C-ordered copy, so it must equal the fit on a contiguous copy of
+    # the gather and on a list of per-Gram gathers, byte for byte.
+    fits = 0
+    for seed in range(3):
+        grams, y = _mkl_problem(seed, 4)
+        stack = np.stack(grams)
+        rng = np.random.default_rng(seed)
+        subset = np.flatnonzero(rng.random(len(y)) < 0.7)
+        gathered = stack[:, subset[:, None], subset]
+        assert not gathered.flags.c_contiguous
+        layouts = (np.ascontiguousarray(gathered),
+                   [K[np.ix_(subset, subset)] for K in stack])
+        for C in (0.5, 10.0):
+            expected = train_binary_mkl(gathered, y[subset], C)
+            fits += len(expected.history) > 1
+            for grams in layouts:
+                solution = train_binary_mkl(grams, y[subset], C)
+                assert solution.alphas.tobytes() == expected.alphas.tobytes()
+                assert solution.kernel_weights.tobytes() == expected.kernel_weights.tobytes()
+                for name in ("bias", "objective", "history"):
+                    assert getattr(solution, name) == getattr(expected, name), name
+    assert fits >= 3  # most fits take outer steps, so the Newton path runs
 
 
 # ---------------------------------------------------------------------------
@@ -304,11 +333,13 @@ def reference_curvature_direction(grams, combined, y, alpha, C, gradient):
 def test_newton_direction_matches_reference_bit_for_bit(M):
     # Duals with no free entry, one, several and all of them, on weights
     # off the barycenter, so every column of U and of the bordered system
-    # counts.
+    # counts. The sizes are `_mkl_problem`'s own draw (20 to 48 rows) and
+    # the pair sizes of the benchmark's `cli` (12, 18, 27) and `train`
+    # (60, 90) runs.
     C = 2.0
     steps = 0
-    for seed in range(4):
-        grams, y = _mkl_problem(seed, M)
+    for seed, n in itertools.product(range(4), (None, 12, 18, 27, 60, 90)):
+        grams, y = _mkl_problem(seed, M, n)
         grams = np.stack(grams)
         n = len(y)
         rng = np.random.default_rng([seed, M])
@@ -326,7 +357,7 @@ def test_newton_direction_matches_reference_bit_for_bit(M):
             if expected is not None:
                 assert ours.tobytes() == expected.tobytes()
                 steps += 1
-    assert steps >= 12
+    assert steps >= 72
 
 
 def reference_train_binary_mkl(grams, labels, C, trial_hook=None):
@@ -406,11 +437,14 @@ def reference_train_binary_mkl(grams, labels, C, trial_hook=None):
     return fields, events
 
 
-def _mkl_problem(seed, M):
+def _mkl_problem(seed, M, n=None):
     """Two noisy blobs under M basis kernels: RBFs of several widths, and a
-    quadratic kernel on a second, weakly informative block."""
+    quadratic kernel on a second, weakly informative block. With `n` given,
+    the first n of 2 * ceil(n / 2) samples; otherwise 20 to 48."""
     rng = np.random.default_rng(seed)
-    X, y = _blob_problem(rng, per_class=int(rng.integers(10, 25)), dims=4, gap=2.0)
+    per_class = int(rng.integers(10, 25)) if n is None else (n + 1) // 2
+    X, y = _blob_problem(rng, per_class=per_class, dims=4, gap=2.0)
+    X, y = X[:n], y[:n]
     noise = 0.5 * y[:, None] + rng.normal(size=(len(y), 3))
     specs = [
         (X, RbfKernel(gamma=0.3)),

@@ -35,7 +35,7 @@ def test_target_range_validation():
 
 
 def test_pose_boundaries_hit_calibrated_limits():
-    spec = ServoChannel(channel=2, minimum=4200, neutral=6100, maximum=7900)
+    spec = ServoChannel(channel=2, minimum=4200, maximum=7900)
     assert pose_target(0.0, spec) == 4200
     assert pose_target(1.0, spec) == 7900
     assert pose_target(0.5, spec) == 6050
@@ -62,15 +62,16 @@ def test_to_servo_commands_varied_pose():
 
 def test_calibration_validation():
     channels = {
-        dof: ServoChannel(channel=int(dof) - 1, minimum=4000, neutral=6000, maximum=8000)
+        dof: ServoChannel(channel=int(dof) - 1, minimum=4000, maximum=8000)
         for dof in ALL_DOFS
     }
     broken = dict(channels)
-    broken[Dof.NECK_YAW] = ServoChannel(channel=0, minimum=4000, neutral=6000, maximum=8000)
+    broken[Dof.NECK_YAW] = ServoChannel(channel=0, minimum=4000, maximum=8000)
     with pytest.raises(ValueError, match="reuses"):
         ServoCalibration(broken)
-    with pytest.raises(ValueError):
-        ServoChannel(channel=0, minimum=6000, neutral=6000, maximum=8000)
+    for minimum, maximum in ((8000, 8000), (8000, 6000), (-1, 8000), (4000, 16384)):
+        with pytest.raises(ValueError, match="need 0 <= minimum < maximum <= 16383"):
+            ServoChannel(channel=0, minimum=minimum, maximum=maximum)
     incomplete = dict(channels)
     del incomplete[Dof.EAR_R]
     with pytest.raises(ValueError, match="missing"):

@@ -1,6 +1,7 @@
 """Dual solver against analytic solutions, an exhaustive-search oracle, the
 plain reference loop and a general-purpose optimizer."""
 
+import re
 import warnings
 
 import numpy as np
@@ -265,6 +266,16 @@ def test_warm_start_reaches_same_objective():
     warm = solve_svm_dual(K, y, C, tol=1e-6, warm_alpha=cold.alpha)
     assert warm.objective == pytest.approx(cold.objective, abs=1e-8)
     assert warm.iterations <= cold.iterations
+
+
+def test_warm_start_of_the_wrong_shape_is_rejected():
+    # A one-element start used to broadcast into the loop and fail there
+    # with an IndexError, a seven-element one with numpy's broadcast error.
+    K, y, C = random_problem(np.random.default_rng(17), n=6, C=1.0)
+    for warm in (np.full(1, 0.5), np.zeros(7), np.zeros((6, 1))):
+        text = f"warm_alpha has shape {warm.shape}, expected (6,) for n = 6"
+        with pytest.raises(ValueError, match=re.escape(text)):
+            solve_svm_dual(K, y, C, warm_alpha=warm)
 
 
 def test_single_class_rejected():
