@@ -135,7 +135,8 @@ def fit_pca(samples: np.ndarray, energy: float = DEFAULT_ENERGY) -> PcaModel:
     else:
         components = vt[:k].T.copy()
     # Deterministic sign: largest-magnitude entry of each component positive.
-    pivots = np.abs(components).argmax(axis=0)
+    # The magnitudes are laid out (k, d), so argmax scans rows without a copy.
+    pivots = np.abs(components.T, order="C").argmax(axis=1)
     flip = components[pivots, np.arange(k)] < 0
     np.negative(components, out=components, where=flip)
     return PcaModel(
