@@ -221,9 +221,8 @@ def train_binary_mkl(
     """
     if len(grams) == 0:
         raise ValueError("need at least one Gram matrix")
-    # One C-ordered (M, n, n) copy for the whole fit, whatever the input's
-    # strides, so no inner solve or curvature step re-stacks the Grams, and
-    # one (M, n * n) view of it to combine.
+    # One C-ordered (M, n, n) copy for the whole fit, whatever the input's strides:
+    # no inner solve or curvature step re-stacks it, and one (M, n * n) view combines it.
     try:
         grams = np.array(grams, dtype=np.float64, order="C")
     except ValueError:  # numpy refuses a ragged sequence

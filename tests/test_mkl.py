@@ -338,8 +338,8 @@ def test_newton_direction_matches_reference_bit_for_bit(M):
     # (60, 90) runs.
     C = 2.0
     steps = 0
-    for seed, n in itertools.product(range(4), (None, 12, 18, 27, 60, 90)):
-        grams, y = _mkl_problem(seed, M, n)
+    for seed, size in itertools.product(range(4), (None, 12, 18, 27, 60, 90)):
+        grams, y = _mkl_problem(seed, M, size)
         grams = np.stack(grams)
         n = len(y)
         rng = np.random.default_rng([seed, M])

@@ -269,8 +269,8 @@ def test_warm_start_reaches_same_objective():
 
 
 def test_warm_start_of_the_wrong_shape_is_rejected():
-    # A one-element start used to broadcast into the loop and fail there
-    # with an IndexError, a seven-element one with numpy's broadcast error.
+    # A start shorter or longer than n, or not 1-D, is refused before the
+    # loop, with an error that names the argument and n.
     K, y, C = random_problem(np.random.default_rng(17), n=6, C=1.0)
     for warm in (np.full(1, 0.5), np.zeros(7), np.zeros((6, 1))):
         text = f"warm_alpha has shape {warm.shape}, expected (6,) for n = 6"
