@@ -112,8 +112,7 @@ def cmd_train(args: argparse.Namespace) -> int:
             include_bias=config.include_bias,
         )
     # A query is described by the blocks the bank reads, and no others.
-    read = tuple(dict.fromkeys(entry.block for entry in model.bank))
-    feature = dataclasses.replace(features.feature, descriptors=read)
+    feature = dataclasses.replace(features.feature, descriptors=tuple(model.pool))
     out = _out_dir(args)
     save_model(ModelBundle(model, features.reference, feature), out / "model.store")
     print(

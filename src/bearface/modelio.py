@@ -144,4 +144,8 @@ def load_model(path: str | Path) -> ModelBundle:
     if "reference" in entries:
         reference = entries.build(LandmarkSet, entries.typed("reference", np.ndarray))
     feature = FeatureParams.from_entries(entries) if "feature_descriptors" in entries else None
+    lacking = [b for b in model.pool if feature is not None and b not in feature.descriptors]
+    if lacking:  # checked after pruning: a block only dead entries read may be absent
+        raise ValueError(f"{path}: feature_descriptors: lacks block {lacking[0]!r}, "
+                         "which the kernel bank reads")
     return ModelBundle(model=model, reference=reference, feature=feature)

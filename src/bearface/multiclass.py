@@ -71,16 +71,15 @@ class MulticlassModel:
     """All pairwise classifiers plus everything needed to score new samples.
 
     The pairs share one support-vector pool, stored once: `pool` holds, per
-    feature block, the reduced training rows that are a support vector of
-    at least one pair (in training order), and column p of `dual_coef`
-    holds alpha_i * y_i of pair p over those rows (zero where a row is not
-    one of that pair's support vectors). Pair p is `class_pairs(P)[p]`.
+    feature block in the order the bank first reads them, the reduced
+    training rows that are a support vector of at least one pair (in
+    training order), and column p of `dual_coef` holds alpha_i * y_i of
+    pair p over those rows (zero where a row is not one of that pair's
+    support vectors). Pair p is `class_pairs(P)[p]`.
 
     Every array must be finite, which is checked when the model is built.
-
-    `live_entries` lists, in bank order, the bank entries whose column of
-    `kernel_weights` has a nonzero value. It is worked out from the weights
-    when the model is built; it is not a field and is never stored.
+    Then bank entries with an all-zero weight column are dropped, with the
+    pool and PCA blocks no live entry reads: a model holds live kernels only.
     """
 
     class_names: tuple[str, ...]
@@ -95,7 +94,6 @@ class MulticlassModel:
         for name in ("kernel_weights", "bias", "dual_coef"):
             object.__setattr__(self, name, frozen(getattr(self, name), np.float64))
         pool = {name: frozen(rows, np.float64) for name, rows in self.pool.items()}
-        object.__setattr__(self, "pool", pool)
         count = len(self.pairs)
         if self.kernel_weights.shape != (count, len(self.bank)):
             raise ValueError(
@@ -109,9 +107,6 @@ class MulticlassModel:
                 f"dual coefficients have shape {self.dual_coef.shape}, "
                 f"expected (pool rows, {count})"
             )
-        for entry in self.bank:
-            if entry.block not in pool:
-                raise ValueError(f"support-vector pool lacks block {entry.block!r}")
         for name, rows in pool.items():
             if rows.ndim != 2 or rows.shape[0] != self.dual_coef.shape[0]:
                 raise ValueError(
@@ -127,8 +122,16 @@ class MulticlassModel:
         check_finite(self.kernel_weights, "values in kernel_weights row")
         check_finite(self.bias, "values in bias entry")
         check_finite(self.dual_coef, "values in dual_coef row")
-        live = np.flatnonzero(self.kernel_weights.any(axis=0)).tolist()
-        object.__setattr__(self, "live_entries", tuple(live))
+        live = self.kernel_weights.any(axis=0)
+        if not live.any():
+            raise ValueError("kernel_weights has no nonzero weight: no bank entry is live")
+        bank = tuple(itertools.compress(self.bank, live))
+        live_pool = {e.block: _read_block(pool, e.block, "the support-vector pool lacks")
+                     for e in bank}
+        object.__setattr__(self, "bank", bank)
+        object.__setattr__(self, "kernel_weights", frozen(self.kernel_weights[:, live]))
+        object.__setattr__(self, "pool", live_pool)
+        object.__setattr__(self, "pca", {n: p for n, p in self.pca.items() if n in live_pool})
 
     @property
     def class_count(self) -> int:
@@ -172,6 +175,14 @@ def tally_votes(class_count: int, row: Sequence[float]) -> tuple[np.ndarray, int
     return votes, best
 
 
+def _read_block(blocks: FeatureBlocks, name: str, lack: str) -> np.ndarray:
+    """`blocks[name]` as float64; a missing block is named with the blocks held."""
+    if name not in blocks:
+        raise ValueError(f"the kernel bank reads block {name!r}, which {lack} "
+                         f"(blocks held: {' '.join(blocks)})")
+    return np.asarray(blocks[name], dtype=np.float64)
+
+
 def train_multiclass(
     blocks: FeatureBlocks,
     labels: Sequence[str],
@@ -192,8 +203,8 @@ def train_multiclass(
     """
     labels = list(labels)
     n = len(labels)
-    if n == 0:
-        raise ValueError("empty training set")
+    if len(set(labels)) < 2:  # a model of no class pairs would have no live kernel
+        raise ValueError(f"training needs two classes or more, got {sorted(set(labels))}")
     names = tuple(class_names) if class_names is not None else order_classes(labels)
     index_of = {name: i for i, name in enumerate(names)}
     unknown = sorted(set(labels) - set(names))
@@ -204,10 +215,7 @@ def train_multiclass(
     pca_models: dict[str, PcaModel] = {}
     used: dict[str, np.ndarray] = {}
     for name in dict.fromkeys(block for block, _ in bank_plans):
-        if name not in blocks:
-            raise ValueError(f"the kernel bank reads block {name!r}, which the features "
-                             f"lack (blocks held: {' '.join(blocks)})")
-        data = np.asarray(blocks[name], dtype=np.float64)
+        data = _read_block(blocks, name, "the features lack")
         if data.shape[0] != n:
             raise ValueError(f"block {name!r} has {data.shape[0]} rows, expected {n}")
         check_finite(data, f"values in block {name!r} row")
@@ -257,34 +265,22 @@ def decision_values(model: MulticlassModel, x_blocks: FeatureBlocks) -> np.ndarr
 
     h_p(x) = sum_m w[p, m] * sum_i dual_coef[i, p] * k_m(x, pool_i) + bias[p];
     a single query may be given as 1-D block vectors. h >= 0 is a vote for
-    the pair's first class.
+    the pair's first class. Blocks the bank does not read are ignored; the
+    others are checked for NaN and inf once reduced, in bank order.
 
     A single query's 1-D block is projected as 1-D, through gemv, which
     gives the bits of the (1, d) product; a batch goes through gemm, whose
     rows need not have those bits, so each keeps its own path.
-
-    Only the live bank entries (`MulticlassModel.live_entries`) are scored.
-    A dead entry adds w[:, m] * (K @ dual_coef) with every w[p, m] a zero,
-    and `total` is never -0.0: it starts at +0.0, and a sum of nonzero
-    terms that cancels exactly rounds to +0.0. So skipping the term
-    changes no bit whenever K @ dual_coef is finite. Where it is not (a
-    dead polynomial kernel that overflows on a query far from the pool),
-    the full sum would give 0 * inf = NaN; the row is the finite sum of
-    the live entries. Every reduced query block is checked for NaN and
-    inf, in the order the bank first names the blocks, a block whose
-    entries are all dead included; the pool, weights and PCA models were
-    checked when the model was built.
     """
-    x = {name: np.asarray(x_blocks[name], dtype=np.float64) for name in model.pool}
-    for name in model.pca:
-        if name in x:
+    x = {}
+    for name in model.pool:
+        x[name] = _read_block(x_blocks, name, "the query lacks")
+        if name in model.pca:
             x[name] = _reduce_block(model.pca[name], x[name])
-    for name in dict.fromkeys(entry.block for entry in model.bank):
         check_finite(np.atleast_2d(x[name]), "feature values in left sample")
     n = len(np.atleast_2d(next(iter(x.values()))))
     total = np.zeros((n, len(model.pairs)))
-    for m in model.live_entries:
-        entry = model.bank[m]
+    for m, entry in enumerate(model.bank):
         K = kernel_matrix(entry.spec, x[entry.block], model.pool[entry.block])
         total += model.kernel_weights[:, m] * (K @ model.dual_coef)
     return total + model.bias

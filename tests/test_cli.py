@@ -265,6 +265,24 @@ def test_bad_feature_setting_names_store_entry(
     assert _single_error(capsys)["error"] == f"{damaged}: {entry}: {problem}"
 
 
+def test_model_descriptors_lacking_a_read_block_name_file(
+    pipeline_out, synthetic_dataset, tmp_path, capsys
+):
+    # Such a bundle used to load, and classify failed with a bare KeyError: 'hog'.
+    entries = dict(read_store(pipeline_out / "model.store"))
+    assert {entries[f"bank{m}_block"] for m in range(entries["bank_count"])} == {"hog", "lbph"}
+    entries["feature_descriptors"] = "lbph"
+    damaged = tmp_path / "model.store"
+    write_store(entries, damaged)
+    argv = ["classify", "--manifest", str(synthetic_dataset), "--model", str(damaged)]
+    assert main(argv + ["--out", str(tmp_path / "o")]) == 2
+    assert _single_error(capsys) == {
+        "error": f"{damaged}: feature_descriptors: lacks block 'hog', which the kernel bank reads",
+        "kind": "ValueError",
+    }
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize(
     ("store", "entry", "value", "problem"),
     [

@@ -1,14 +1,16 @@
 """One-vs-one voting, tie-breaks and cross-validation."""
 
-import dataclasses
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from bearface import multiclass
-from bearface.kernels import AutoRbf, PolyKernel, RbfKernel, sq_distances
+from bearface.kernels import AutoRbf, PolyKernel, RbfKernel, resolve_kernel, sq_distances
 from bearface.multiclass import (
+    BankEntry,
+    MulticlassModel,
     class_pairs,
     classify,
     cross_validate,
@@ -20,6 +22,7 @@ from bearface.multiclass import (
     train_multiclass,
     vote,
 )
+from bearface.pca import fit_pca
 
 
 def make_blobs(rng, class_names, per_class=12, dims=6, spread=8.0):
@@ -159,21 +162,22 @@ def test_single_query_projection_matches_one_row_product():
         assert np.array_equal(single.view(np.int64), as_row.view(np.int64))
 
 
-def reference_decision_values(model, x_blocks):
-    """h_p(x) summed over every bank entry, dead ones included."""
-    x = {name: np.asarray(x_blocks[name], dtype=np.float64) for name in model.pool}
-    for name, pca in model.pca.items():
+def reference_decision_values(fields, x_blocks):
+    """h_p(x) summed over every bank entry of a model's fields, dead ones included."""
+    x = {name: np.asarray(x_blocks[name], dtype=np.float64) for name in fields["pool"]}
+    for name, pca in fields["pca"].items():
         x[name] = multiclass._reduce_block(pca, x[name])
     n = len(np.atleast_2d(next(iter(x.values()))))
-    total = np.zeros((n, len(model.pairs)))
-    for m, entry in enumerate(model.bank):
-        K = multiclass.kernel_matrix(entry.spec, x[entry.block], model.pool[entry.block])
-        total += model.kernel_weights[:, m] * (K @ model.dual_coef)
-    return total + model.bias
+    total = np.zeros((n, len(fields["bias"])))
+    for m, entry in enumerate(fields["bank"]):
+        K = multiclass.kernel_matrix(entry.spec, x[entry.block], fields["pool"][entry.block])
+        total += fields["kernel_weights"][:, m] * (K @ fields["dual_coef"])
+    return total + fields["bias"]
 
 
-def _model_with_dead_entries():
-    """Two live kernels on block x; both kernels on block y dead.
+def _fields_with_dead_entries():
+    """The fields of a model whose two kernels on block x are live and whose
+    two on block y are dead, with queries.
 
     The dead columns mix +0.0 and -0.0, and a live column has a zero.
     """
@@ -181,67 +185,93 @@ def _model_with_dead_entries():
     names = ["anger", "joy", "fear", "sadness"]
     X, labels = make_blobs(rng, names, per_class=8, dims=12, spread=2.0)
     blocks = {"x": X, "y": np.abs(X[:, :6]) * 3.0}
+    pca = {name: fit_pca(data, 0.95) for name, data in blocks.items()}
+    pool = {name: multiclass._reduce_block(pca[name], data) for name, data in blocks.items()}
     plans = [("x", AutoRbf()), ("y", PolyKernel(degree=3)), ("x", PolyKernel()), ("y", AutoRbf())]
-    model = train_multiclass(blocks, labels, plans, C=10.0, pca_energy=0.95)
-    pairs = len(model.pairs)
+    pairs = len(class_pairs(len(names)))
     weights = np.zeros((pairs, 4))
     weights[:, 0] = rng.uniform(0.2, 0.8, pairs)
     weights[:, 2] = 1.0 - weights[:, 0]
     weights[0, 0] = 0.0
     weights[1::2, 1] = -0.0
     weights[::3, 3] = -0.0
-    model = dataclasses.replace(model, kernel_weights=weights)
+    fields = dict(
+        class_names=tuple(names),
+        bank=tuple(BankEntry(block, resolve_kernel(plan, pool[block])) for block, plan in plans),
+        kernel_weights=weights,
+        bias=rng.normal(size=pairs),
+        pool=pool,
+        dual_coef=rng.normal(size=(len(labels), pairs)),
+        pca=pca,
+    )
     queries = {name: data + rng.normal(size=data.shape) for name, data in blocks.items()}
-    return model, queries
+    return fields, queries
 
 
-def test_decision_values_score_only_live_entries():
-    model, queries = _model_with_dead_entries()
-    assert model.live_entries == (0, 2)
+def test_dead_entries_are_pruned_and_score_as_before():
+    fields, queries = _fields_with_dead_entries()
+    model = MulticlassModel(**fields)
+    assert model.bank == (fields["bank"][0], fields["bank"][2])
+    assert np.array_equal(model.kernel_weights, fields["kernel_weights"][:, [0, 2]])
+    assert model.pool.keys() == model.pca.keys() == {"x"}
+    assert np.array_equal(model.pool["x"], fields["pool"]["x"])
+    # A block that only dead entries read need not be held at all.
+    held = {**fields, "pool": {"x": fields["pool"]["x"]}, "pca": {"x": fields["pca"]["x"]}}
+    assert MulticlassModel(**held).bank == model.bank
+    # Pruning adds only exact zeros to the reference sum, so no bit moves.
     batch = decision_values(model, queries)
-    expected = reference_decision_values(model, queries)
+    expected = reference_decision_values(fields, queries)
     assert np.array_equal(batch.view(np.int64), expected.view(np.int64))
     for i in range(len(batch)):
         query = {name: data[i] for name, data in queries.items()}
         single = decision_values(model, query)
-        expected = reference_decision_values(model, query)
+        expected = reference_decision_values(fields, query)
         assert np.array_equal(single.view(np.int64), expected.view(np.int64))
 
 
-def test_live_entries_are_kernels_with_a_nonzero_weight():
-    model, _ = _model_with_dead_entries()
-    weights = model.kernel_weights.copy()
+def test_an_entry_with_any_nonzero_weight_is_kept():
+    fields, _ = _fields_with_dead_entries()
+    weights = fields["kernel_weights"].copy()
     weights[4, 1] = -1e-300
-    weights[2, 3] = 5e-324
-    assert dataclasses.replace(model, kernel_weights=weights).live_entries == (0, 1, 2, 3)
-    assert dataclasses.replace(model, kernel_weights=-np.zeros_like(weights)).live_entries == ()
-    # A NaN weight, which would count as nonzero, no longer builds a model.
+    weights[2, 3] = 5e-324  # the smallest subnormal is not a zero
+    model = MulticlassModel(**{**fields, "kernel_weights": weights})
+    assert model.bank == fields["bank"]
+    assert model.pool.keys() == model.pca.keys() == {"x", "y"}
+    with pytest.raises(ValueError, match=re.escape(
+        "the kernel bank reads block 'y', which the support-vector pool lacks (blocks held: x)"
+    )):
+        MulticlassModel(**{**fields, "kernel_weights": weights, "pool": {"x": fields["pool"]["x"]}})
+    with pytest.raises(ValueError, match="^kernel_weights has no nonzero weight"):
+        MulticlassModel(**{**fields, "kernel_weights": -np.zeros_like(weights)})
+    # A NaN weight, which would count as nonzero, builds no model.
     weights[2, 3] = np.nan
     with pytest.raises(ValueError, match="^non-finite values in kernel_weights row 2$"):
-        dataclasses.replace(model, kernel_weights=weights)
+        MulticlassModel(**{**fields, "kernel_weights": weights})
 
 
 def test_dead_kernel_overflow_leaves_the_row_finite():
-    # The cubic kernel on y overflows on this query; it is dead, so the
-    # row is that of any finite y. The full sum gives 0 * inf = NaN.
-    model, queries = _model_with_dead_entries()
-    query = {"x": queries["x"][:3], "y": np.full((3, 6), 1e120)}
-    rows = decision_values(model, query)
-    assert np.isfinite(rows).all()
-    tame = decision_values(model, {"x": query["x"], "y": queries["y"][:3]})
-    assert np.array_equal(rows.view(np.int64), tame.view(np.int64))
-    single = decision_values(model, {"x": query["x"][1], "y": query["y"][1]})
-    tame = decision_values(model, {"x": query["x"][1], "y": queries["y"][1]})
-    assert np.isfinite(single).all()
-    assert np.array_equal(single.view(np.int64), tame.view(np.int64))
+    # A query block outside the model is ignored. The cubic kernel on y
+    # would overflow on this query; it is dead, so the model holds no y and
+    # the row is that of any y, or of none. The full sum gives 0 * inf = NaN.
+    fields, queries = _fields_with_dead_entries()
+    model = MulticlassModel(**fields)
+    tame = decision_values(model, {"x": queries["x"][:3]})
+    tame_single = decision_values(model, {"x": queries["x"][1]})
+    for y in (np.full((3, 6), 1e120), np.full((3, 6), np.nan), queries["y"][:3]):
+        rows = decision_values(model, {"x": queries["x"][:3], "y": y})
+        assert np.array_equal(rows.view(np.int64), tame.view(np.int64))
+        single = decision_values(model, {"x": queries["x"][1], "y": y[1]})
+        assert np.array_equal(single.view(np.int64), tame_single.view(np.int64))
+    assert np.isfinite(tame).all()
     with np.errstate(over="ignore", invalid="ignore"):
-        assert np.isnan(reference_decision_values(model, query)).all()
+        overflow = {"x": queries["x"][:3], "y": np.full((3, 6), 1e120)}
+        assert np.isnan(reference_decision_values(fields, overflow)).all()
 
 
-@pytest.mark.parametrize("block", ["x", "y"])
+@pytest.mark.parametrize("block", ["x"])
 def test_non_finite_query_is_rejected(block):
-    # Block y has only dead kernels, and is still checked.
-    model, queries = _model_with_dead_entries()
+    fields, queries = _fields_with_dead_entries()
+    model = MulticlassModel(**fields)
     batch = {name: data[:5].copy() for name, data in queries.items()}
     batch[block][3, 1] = np.nan
     with pytest.raises(ValueError, match="^non-finite feature values in left sample 3$"):
@@ -252,6 +282,18 @@ def test_non_finite_query_is_rejected(block):
     single[block] = np.where(np.isnan(single[block]), np.inf, single[block])
     with pytest.raises(ValueError, match="^non-finite feature values in left sample 0$"):
         classify(model, single)
+
+
+def test_query_lacking_a_block_the_model_reads_is_rejected():
+    # It used to fail with a bare KeyError: 'x'.
+    fields, queries = _fields_with_dead_entries()
+    model = MulticlassModel(**{**fields, "kernel_weights": np.ones((6, 4))})
+    for query in ({"y": queries["y"]}, {"y": queries["y"][0], "z": queries["y"][0]}):
+        held = " ".join(query)
+        with pytest.raises(ValueError, match=re.escape(
+            f"the kernel bank reads block 'x', which the query lacks (blocks held: {held})"
+        )):
+            decision_values(model, query)
 
 
 def test_pool_holds_each_support_vector_once(monkeypatch):
@@ -387,6 +429,10 @@ def test_train_multiclass_validates_labels():
         train_multiclass({"x": X[:-1]}, labels, [("x", RbfKernel(1.0))])
     with pytest.raises(ValueError, match="bank is empty"):
         train_multiclass({"x": X}, labels, [])
+    # One class gives no pairs, so no kernel would be live; it used to train.
+    for few in ([], ["joy"] * 4):
+        with pytest.raises(ValueError, match=re.escape(f"two classes or more, got {few[:1]}")):
+            train_multiclass({"x": X[:len(few)]}, few, [("x", RbfKernel(1.0))])
 
 
 @pytest.mark.parametrize("pca_energy", [None, 0.95])

@@ -297,17 +297,36 @@ def test_loaded_model_classifies_identically(tmp_path):
         assert restored.decisions[key] == value  # bit-identical decisions
 
 
-def test_loaded_model_derives_the_same_live_entries(tmp_path):
-    model, _ = _small_model()
-    weights = model.kernel_weights.copy()
-    weights[:, 0] = 0.0
-    weights[1, 0] = -0.0
-    dead = dataclasses.replace(model, kernel_weights=weights)
-    assert dead.live_entries == (1,)
-    for index, built in enumerate((model, dead)):
-        path = tmp_path / f"model{index}.store"
-        save_model(ModelBundle(model=built), path)
-        assert load_model(path).model.live_entries == built.live_entries
+def test_a_store_with_dead_entries_loads_pruned(tmp_path):
+    # MKL leaves the lbph entry of _small_model dead, so its model holds hog
+    # only. A store written before models were pruned also held the dead
+    # entry, here as entry 0 with a pool and PCA model on block lbph.
+    model, blocks = _small_model()
+    assert [entry.block for entry in model.bank] == ["hog"]
+    feature = FeatureParams(descriptors=("lbph", "hog"))
+    path = tmp_path / "model.store"
+    save_model(ModelBundle(model=model, feature=feature), path)
+    stored = read_store(path)
+    dead = np.zeros((len(model.pairs), 1))
+    dead[1] = -0.0
+    old = tmp_path / "old.store"
+    write_store({
+        **stored, "bank_count": 2, "bank0_block": "lbph", "bank0_spec": "rbf gamma=0.5",
+        "bank1_block": "hog", "bank1_spec": stored["bank0_spec"], "pca_blocks": "hog lbph",
+        **{key.replace("hog", "lbph"): value for key, value in stored.items()
+           if key.startswith(("pca_hog_", "pool_hog"))},
+        "kernel_weights": np.hstack([dead, model.kernel_weights]),
+    }, old)
+    loaded = load_model(old)
+    assert loaded.model.bank == model.bank
+    assert loaded.model.pool.keys() == loaded.model.pca.keys() == {"hog"}
+    assert np.array_equal(loaded.model.kernel_weights, model.kernel_weights)
+    assert loaded.feature == feature  # the descriptors may name a block no entry reads
+    query = {name: data[7] for name, data in blocks.items()}
+    assert classify(loaded.model, query).decisions == classify(model, query).decisions
+    resaved = tmp_path / "resaved.store"
+    save_model(loaded, resaved)
+    assert resaved.read_bytes() == path.read_bytes()
 
 
 def _saved_stores(tmp_path):
