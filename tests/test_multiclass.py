@@ -268,10 +268,18 @@ def test_dead_kernel_overflow_leaves_the_row_finite():
         assert np.isnan(reference_decision_values(fields, overflow)).all()
 
 
-@pytest.mark.parametrize("block", ["x"])
+@pytest.mark.parametrize("block", ["x", "y"])
 def test_non_finite_query_is_rejected(block):
+    # Each block the model reads is checked. Block y is read only once one
+    # of its kernels has a nonzero weight; with both dead it is pruned and
+    # a NaN there is ignored (test_dead_kernel_overflow_leaves_the_row_finite).
     fields, queries = _fields_with_dead_entries()
+    if block == "y":
+        weights = fields["kernel_weights"].copy()
+        weights[:, 3] = 0.25
+        fields = {**fields, "kernel_weights": weights}
     model = MulticlassModel(**fields)
+    assert block in model.pool
     batch = {name: data[:5].copy() for name, data in queries.items()}
     batch[block][3, 1] = np.nan
     with pytest.raises(ValueError, match="^non-finite feature values in left sample 3$"):
