@@ -26,7 +26,8 @@ from .manifest import read_manifest, training_labels
 from .modelio import ModelBundle, load_model, save_model
 from .multiclass import CLASS_NAMES, CV_SCHEMES, VoteResult, cross_validate, decision_values
 from .multiclass import train_multiclass, vote
-from .records import count, csv_text, located, read_records, typed, write_atomic, write_jsonl
+from .records import count, csv_text, finite, located, read_records, typed, write_atomic
+from .records import write_jsonl
 from .registration import read_landmarks
 from .reports import write_report
 from .visemes import bundled_transcript, load_viseme_table, read_transcript
@@ -64,7 +65,7 @@ def _require(given: str | None, default: Path, artifact: str, command: str) -> P
 
 
 _TRACK_FIELDS = (("time", float), ("expression", Expression), ("level", float))
-_VOTE_FIELDS = (("time", float), ("winner", Expression), ("votes", count))
+_VOTE_FIELDS = (("time", finite), ("winner", Expression), ("votes", count))
 
 
 def _expression(args: argparse.Namespace) -> Expression:

@@ -14,8 +14,6 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .records import typed
-
 
 @dataclass(frozen=True)
 class RbfKernel:
@@ -52,6 +50,12 @@ class AutoRbf:
 
 KernelSpec = Union[RbfKernel, PolyKernel]
 KernelPlan = Union[RbfKernel, PolyKernel, AutoRbf]
+
+# Each kind's kernel class and parameter types, as a model store holds them.
+KINDS = {
+    "rbf": (RbfKernel, {"gamma": float}),
+    "poly": (PolyKernel, {"degree": int, "offset": float, "scale": float}),
+}
 
 
 def sq_distances(X: np.ndarray, Z: np.ndarray) -> np.ndarray:
@@ -111,47 +115,6 @@ def resolve_kernel(plan: KernelPlan, X: np.ndarray) -> KernelSpec:
     if isinstance(plan, AutoRbf):
         return RbfKernel(gamma=auto_gamma(X))
     return plan
-
-
-# ---------------------------------------------------------------------------
-# Text round-trip (model files, config echo)
-# ---------------------------------------------------------------------------
-
-
-def format_kernel(spec: KernelSpec) -> str:
-    if isinstance(spec, RbfKernel):
-        return f"rbf gamma={spec.gamma!r}"
-    return f"poly degree={spec.degree} offset={spec.offset!r} scale={spec.scale!r}"
-
-
-# Kernel class and parameter types of each kind `format_kernel` writes.
-_KINDS = {
-    "rbf": (RbfKernel, {"gamma": float}),
-    "poly": (PolyKernel, {"degree": int, "offset": float, "scale": float}),
-}
-
-
-def parse_kernel(text: str) -> KernelSpec:
-    """The kernel `format_kernel` wrote as `text`: a kind, then name=value fields.
-
-    Unknown, repeated or malformed fields raise ValueError; rbf needs its
-    gamma, poly parameters left out take their defaults.
-    """
-    kind, *fields = text.split() or [""]
-    if kind not in _KINDS:
-        raise ValueError(f"unknown kernel kind {kind!r}")
-    spec, kinds = _KINDS[kind]
-    params: dict[str, object] = {}
-    for field in fields:
-        name, sep, value = field.partition("=")
-        if not sep:
-            raise ValueError(f"{kind} kernel: field {field!r} is not name=value")
-        if name not in kinds or name in params:
-            raise ValueError(f"{kind} kernel: unknown or repeated parameter {name!r}")
-        params[name] = typed(kinds[name], name, value, f"{kind} kernel")
-    if kind == "rbf" and "gamma" not in params:
-        raise ValueError("rbf kernel: no gamma field")
-    return spec(**params)
 
 
 def combine_grams(grams: Sequence[np.ndarray], weights: np.ndarray) -> np.ndarray:

@@ -4,8 +4,9 @@ A bundle carries everything classification of a fresh image needs: the
 pairwise kernel weights and biases, the shared support-vector pool with its
 (pool rows x pairs) dual coefficients, the per-block PCA models, the
 registration reference shape and the descriptor settings used at
-extraction time. Arrays are stored as raw bytes, so a save/load round trip
-is bit-exact.
+extraction time. Bank entry m is stored as `bank<m>_block`, `bank<m>_kernel`
+and a typed `bank<m>_<param>` per kernel parameter (`kernels.KINDS`), for each
+column m of `kernel_weights`. Arrays are raw bytes: a round trip is bit-exact.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .arraystore import StoreEntries, read_store, write_store
-from .kernels import format_kernel, parse_kernel
+from .kernels import KINDS
 from .lbp import MIN_WINDOW
 from .multiclass import BankEntry, MulticlassModel
 from .pca import PcaModel
@@ -88,14 +89,13 @@ class ModelBundle:
 
 def save_model(bundle: ModelBundle, path: str | Path) -> None:
     model = bundle.model
-    entries: dict[str, object] = {
-        "kind": "model",
-        "classes": " ".join(model.class_names),
-        "bank_count": len(model.bank),
-    }
+    entries: dict[str, object] = {"kind": "model", "classes": " ".join(model.class_names)}
     for m, entry in enumerate(model.bank):
-        entries[f"bank{m}_block"] = entry.block
-        entries[f"bank{m}_spec"] = format_kernel(entry.spec)
+        kind = next(k for k, (make, _) in KINDS.items() if isinstance(entry.spec, make))
+        entries.update({f"bank{m}_block": entry.block, f"bank{m}_kernel": kind})
+        for name, convert in KINDS[kind][1].items():
+            value = getattr(entry.spec, name)  # kept where converting loses it (degree 2.5)
+            entries[f"bank{m}_{name}"] = convert(value) if convert(value) == value else value
     entries["pca_blocks"] = " ".join(sorted(model.pca))
     for name in sorted(model.pca):
         for key, _ in _PCA_ENTRIES:
@@ -116,11 +116,17 @@ def load_model(path: str | Path) -> ModelBundle:
     entries = read_store(path)
     if entries.get("kind") != "model":
         raise ValueError(f"{path} is not a model bundle")
+    if "bank0_spec" in entries:
+        raise ValueError(f"{path}: bank0_spec: a text kernel spec; retrain with 'bearface train'")
     bank = []
-    for m in range(entries.typed("bank_count", int)):
-        block, spec = entries.typed(f"bank{m}_block", str), entries.typed(f"bank{m}_spec", str)
-        with located(f"{path}: bank{m}_spec"):
-            bank.append(BankEntry(block=block, spec=parse_kernel(spec)))
+    for m in range(entries.typed("kernel_weights", np.ndarray).shape[-1]):
+        block, kind = entries.typed(f"bank{m}_block", str), entries.typed(f"bank{m}_kernel", str)
+        if kind not in KINDS:
+            raise ValueError(f"{path}: bank{m}_kernel: unknown kernel kind {kind!r}")
+        make, params = KINDS[kind]
+        values = {name: entries.typed(f"bank{m}_{name}", t) for name, t in params.items()}
+        with located(f"{path}: bank{m}"):
+            bank.append(BankEntry(block=block, spec=make(**values)))
     pca = {
         name: entries.build(
             PcaModel, *(entries.typed(f"pca_{name}_{key}", kind) for key, kind in _PCA_ENTRIES)

@@ -41,6 +41,7 @@ interrupted run leaves the previous file or the whole new one.
 from __future__ import annotations
 
 import json
+import math
 import os
 import secrets
 from contextlib import contextmanager
@@ -131,11 +132,21 @@ def count(text: str) -> int:
     return value
 
 
+def finite(text: str) -> float:
+    """A float that is neither NaN nor infinite, such as a vote time."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(text)
+    return value
+
+
 def typed(kind: Callable[[str], object], name: str, value: str, where: str) -> object:
     """`kind(value)`, or a ValueError naming the place, the field and the value."""
     try:
         return kind(value)
     except ValueError:
+        if kind is finite:  # a text that is no number at all is named a float
+            typed(float, name, value, where)
         raise ValueError(f"{where}: {name} must be {kind.__name__}, got {value!r}") from None
 
 

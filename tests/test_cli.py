@@ -207,20 +207,25 @@ def test_missing_store_entry_names_file(
 
 
 @pytest.mark.parametrize(
-    ("spec", "problem"),
+    ("changes", "problem"),
     [
-        ("rbf gamma", "rbf kernel: field 'gamma' is not name=value"),
-        ("rbf gamma=1e400", "rbf gamma must be positive and finite, got inf"),
-        ("rbf gamma=1 gamma=2", "rbf kernel: unknown or repeated parameter 'gamma'"),
-        ("poly degree=2 colour=1", "poly kernel: unknown or repeated parameter 'colour'"),
-        ("poly offset=nan", "poly offset must be >= 0 and finite, got nan"),
+        ({"bank0_kernel": "sigmoid"}, "bank0_kernel: unknown kernel kind 'sigmoid'"),
+        ({"bank0_degree": 2.0}, "bank0_degree: stored as float, expected int"),
+        ({"bank0_kernel": "rbf", "bank0_gamma": float("inf")},
+         "bank0: rbf gamma must be positive and finite, got inf"),
+        ({"bank0_offset": float("nan")}, "bank0: poly offset must be >= 0 and finite, got nan"),
+        ({"bank0_scale": None}, "model store lacks the 'bank0_scale' entry"),
     ],
+    ids=["unknown-kind", "float-degree", "infinite-gamma", "nan-offset", "missing-scale"],
 )
-def test_bad_kernel_spec_names_store_entry(
-    pipeline_out, synthetic_dataset, tmp_path, capsys, spec, problem
+def test_bad_kernel_entry_names_store_entry(
+    pipeline_out, synthetic_dataset, tmp_path, capsys, changes, problem
 ):
+    # Entry 0 of the pipeline's model is a polynomial kernel; None drops an entry.
     entries = dict(read_store(pipeline_out / "model.store"))
-    entries["bank0_spec"] = spec
+    assert entries["bank0_kernel"] == "poly"
+    entries.update(changes)
+    entries = {name: value for name, value in entries.items() if value is not None}
     damaged = tmp_path / "model.store"
     write_store(entries, damaged)
     code = main(
@@ -228,7 +233,26 @@ def test_bad_kernel_spec_names_store_entry(
          "--out", str(tmp_path / "cls")]
     )
     assert code == 2
-    assert _single_error(capsys)["error"] == f"{damaged}: bank0_spec: {problem}"
+    assert _single_error(capsys)["error"] == f"{damaged}: {problem}"
+
+
+def test_a_model_with_text_kernel_specs_is_refused(
+    pipeline_out, synthetic_dataset, tmp_path, capsys
+):
+    # The layout before typed bank entries: `bank_count` and a text spec per entry.
+    entries = {name: value for name, value in read_store(pipeline_out / "model.store").items()
+               if not name.startswith("bank")}
+    entries.update({"bank_count": 2, "bank0_block": "lbph", "bank1_block": "hog",
+                    "bank0_spec": "poly degree=2 offset=1.0 scale=1.0",
+                    "bank1_spec": "poly degree=2 offset=1.0 scale=1.0"})
+    old = tmp_path / "model.store"
+    write_store(entries, old)
+    argv = ["classify", "--manifest", str(synthetic_dataset), "--model", str(old)]
+    assert main(argv + ["--out", str(tmp_path / "o")]) == 2
+    assert _single_error(capsys) == {
+        "error": f"{old}: bank0_spec: a text kernel spec; retrain with 'bearface train'",
+        "kind": "ValueError",
+    }
 
 
 @pytest.mark.parametrize(
@@ -270,7 +294,8 @@ def test_model_descriptors_lacking_a_read_block_name_file(
 ):
     # Such a bundle used to load, and classify failed with a bare KeyError: 'hog'.
     entries = dict(read_store(pipeline_out / "model.store"))
-    assert {entries[f"bank{m}_block"] for m in range(entries["bank_count"])} == {"hog", "lbph"}
+    bank_size = entries["kernel_weights"].shape[1]
+    assert {entries[f"bank{m}_block"] for m in range(bank_size)} == {"hog", "lbph"}
     entries["feature_descriptors"] = "lbph"
     damaged = tmp_path / "model.store"
     write_store(entries, damaged)
@@ -288,7 +313,7 @@ def test_model_descriptors_lacking_a_read_block_name_file(
     [
         ("model.store", "feature_grid", np.array([8, 8]),
          "feature_grid: stored as array, expected int"),
-        ("model.store", "bank_count", "two", "bank_count: stored as str, expected int"),
+        ("model.store", "bank0_kernel", 7, "bank0_kernel: stored as int, expected str"),
         ("model.store", "classes", np.arange(7), "classes: stored as array, expected str"),
         ("model.store", "bias", 0.5, "bias: stored as float, expected array"),
         ("model.store", "pca_hog_energy", 1, "pca_hog_energy: stored as int, expected float"),
@@ -609,6 +634,26 @@ def test_animate_bundled_demo(tmp_path):
     assert all(r["expressions"].get("joy") == 1.0 for r in records)
 
 
+def test_animate_preview_frames(tmp_path):
+    # One graymap per timeline row, the same bytes on every run, and none
+    # without the setting.
+    config = tmp_path / "preview.config"
+    config.write_text("bearface-config 1\npreview_frames = true\n")
+    runs = []
+    for name in ("a", "b"):
+        out = tmp_path / name
+        argv = ["animate", "--expression", "joy", "--config", str(config), "--out", str(out)]
+        assert main(argv) == 0
+        rows = len((out / "timeline.csv").read_text().splitlines()) - 1
+        assert rows == 86  # the 1 s demo at 85 fps
+        frames = sorted((out / "preview").iterdir())
+        assert [path.name for path in frames] == [f"frame_{i:05d}.pgm" for i in range(rows)]
+        runs.append([path.read_bytes() for path in frames])
+    assert runs[0] == runs[1]
+    assert main(["animate", "--expression", "joy", "--out", str(tmp_path / "c")]) == 0
+    assert not (tmp_path / "c" / "preview").exists()
+
+
 def test_animate_custom_transcript_and_track(tmp_path):
     transcript = tmp_path / "speech.align"
     transcript.write_text("0.0 0.4 m\n0.4 0.9 ɑ\n")
@@ -672,6 +717,10 @@ def test_export_servo_trajectory_file(tmp_path):
         ("imitate", "--votes", "0.0 joy", "expected 'time winner votes', got 2 fields"),
         ("imitate", "--votes", "0.0 joy six", "votes must be count, got 'six'"),
         ("imitate", "--votes", "0.0 joy -1", "votes must be count, got '-1'"),
+        # A non-finite vote time used to reach imitation_log.jsonl as bare
+        # NaN or Infinity, which is not JSON.
+        ("imitate", "--votes", "nan joy 6", "time must be finite, got 'nan'"),
+        ("imitate", "--votes", "inf joy 6", "time must be finite, got 'inf'"),
         ("animate", "--track", "0.0 anger", "expected 'time expression level', got 2 fields"),
         ("animate", "--track", "soon anger 0.5", "time must be float, got 'soon'"),
         ("animate", "--track", "0.0 Joy 1.0", "expression must be Expression, got 'Joy'"),

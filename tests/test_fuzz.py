@@ -8,15 +8,16 @@ so that the fuzzer gets past the header. Settings that size what a command
 allocates (durations, frame rate, descriptor sizes) must be rejected where
 they are parsed; large values are only ever parsed here, never run. A
 saved model with a NaN or inf written into it must be refused when it
-loads, naming the file. A landmark file reads the same whatever comments,
-blank lines, tabs and line endings surround its values. The crop's
-bilinear sampler matches the test suite's fancy-indexing reference bit for
-bit, edges, NaN and infinities included. The PNM header tokenizer returns
-a byte loop's tokens, offsets and errors, and `read_pnm` names the file in
-them. A store is written and read as an independent reader and writer of
-its format do, mutated and cut stores included, and a line break other
-than '\\n' is an error at its own line. Run with `--hypothesis-profile=ci`
-for more examples.
+loads, naming the file, and so must one whose kernel kind or parameter
+entries hold text or numbers its kernels refuse. A landmark file reads the
+same whatever comments, blank lines, tabs and line endings surround its
+values. The crop's bilinear sampler matches the test suite's
+fancy-indexing reference bit for bit, edges, NaN and infinities included.
+The PNM header tokenizer returns a byte loop's tokens, offsets and errors,
+and `read_pnm` names the file in them. A store is written and read as an
+independent reader and writer of its format do, mutated and cut stores
+included, and a line break other than '\\n' is an error at its own line.
+Run with `--hypothesis-profile=ci` for more examples.
 """
 
 import io
@@ -37,7 +38,7 @@ from bearface.cli import main
 from bearface.config import MAX_DURATION, RunConfig, parse_config
 from bearface.expressions import parse_templates
 from bearface.imaging import _read_pnm_tokens, read_pnm
-from bearface.kernels import AutoRbf, PolyKernel, parse_kernel
+from bearface.kernels import KINDS, AutoRbf, PolyKernel
 from bearface.manifest import parse_manifest
 from bearface.modelio import ModelBundle, load_model, save_model
 from bearface.multiclass import train_multiclass
@@ -139,13 +140,6 @@ def test_parse_templates(text):
 @example(b"bearface-store 2\narray a f8 0,99999999999999999999\n\n")
 def test_parse_store(data):
     rejects_only_with_value_errors(parse_store, data)
-
-
-@given(text_like("\nrbf gamma=0.5\npoly degree=3 offset=1 scale=0.5\nrbf\npoly degree=x\n"))
-@example("rbf gamma")
-@example("poly degree=2 degree=3 colour=red")
-def test_parse_kernel(text):
-    rejects_only_with_value_errors(parse_kernel, text)
 
 
 PNM_HEADER = st.builds(
@@ -345,12 +339,34 @@ def test_non_finite_model_value_names_file(tmp_path, model_entries, data, bad):
     assert str(caught.value).startswith(f"{path}: ")
 
 
+# The entries of bank entry 0 that `load_model` reads as a kernel.
+BANK_ENTRIES = ["bank0_kernel", *sorted({f"bank0_{name}" for _, params in KINDS.values()
+                                         for name in params})]
+# Text of one line: anything but the characters that str.splitlines breaks at.
+ONE_LINE_TEXT = st.text(st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp")), max_size=8)
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture], deadline=None)
+@given(st.dictionaries(
+    st.sampled_from(BANK_ENTRIES),
+    st.sampled_from(["rbf", "poly", ""]) | ONE_LINE_TEXT | st.integers() | st.floats(),
+))
+@example({"bank0_kernel": "rbf", "bank0_gamma": -1.0})
+@example({"bank0_kernel": "poly", "bank0_degree": 0, "bank0_offset": 1, "bank0_scale": "1"})
+def test_mutated_kernel_entries_raise_only_value_errors(tmp_path, model_entries, changes):
+    # Text, int and float values in place of a kernel's kind and parameters:
+    # the model loads, or a ValueError names the file.
+    path = tmp_path / "model.store"
+    write_store({**model_entries, **changes}, path)
+    try:
+        load_model(path)
+    except ValueError as error:
+        assert str(error).startswith(f"{path}: ")
+
+
 # A landmark file's values, written with every digit.
 LANDMARK_POINTS = np.random.default_rng(9).uniform(-5.0, 130.0, (LANDMARK_COUNT, 2)).tolist()
-# Comment text: anything but the characters that str.splitlines breaks at.
-COMMENT = st.text(st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp")), max_size=8).map(
-    lambda text: "#" + text
-)
+COMMENT = ONE_LINE_TEXT.map(lambda text: "#" + text)
 SPACES = st.sampled_from(["", " ", "\t", " \t "])
 # Values that no landmark file may hold; each must name its line.
 CORRUPT = st.sampled_from(["nan", "-inf", "inf", "1e10", "-2e9", "abc", "1,5", "0x10", "--1", ""])

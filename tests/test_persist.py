@@ -299,8 +299,8 @@ def test_loaded_model_classifies_identically(tmp_path):
 
 def test_a_store_with_dead_entries_loads_pruned(tmp_path):
     # MKL leaves the lbph entry of _small_model dead, so its model holds hog
-    # only. A store written before models were pruned also held the dead
-    # entry, here as entry 0 with a pool and PCA model on block lbph.
+    # only. This store also holds the dead entry, as entry 0 (an rbf kernel)
+    # with a pool and PCA model on block lbph; the saved hog entry is entry 1.
     model, blocks = _small_model()
     assert [entry.block for entry in model.bank] == ["hog"]
     feature = FeatureParams(descriptors=("lbph", "hog"))
@@ -310,9 +310,12 @@ def test_a_store_with_dead_entries_loads_pruned(tmp_path):
     dead = np.zeros((len(model.pairs), 1))
     dead[1] = -0.0
     old = tmp_path / "old.store"
+    hog = {key: value for key, value in stored.items() if key.startswith("bank0_")}
     write_store({
-        **stored, "bank_count": 2, "bank0_block": "lbph", "bank0_spec": "rbf gamma=0.5",
-        "bank1_block": "hog", "bank1_spec": stored["bank0_spec"], "pca_blocks": "hog lbph",
+        **{key: value for key, value in stored.items() if key not in hog},
+        "bank0_block": "lbph", "bank0_kernel": "rbf", "bank0_gamma": 0.5,
+        **{key.replace("bank0_", "bank1_"): value for key, value in hog.items()},
+        "pca_blocks": "hog lbph",
         **{key.replace("hog", "lbph"): value for key, value in stored.items()
            if key.startswith(("pca_hog_", "pool_hog"))},
         "kernel_weights": np.hstack([dead, model.kernel_weights]),
@@ -327,6 +330,30 @@ def test_a_store_with_dead_entries_loads_pruned(tmp_path):
     resaved = tmp_path / "resaved.store"
     save_model(loaded, resaved)
     assert resaved.read_bytes() == path.read_bytes()
+
+
+def test_bank_entries_are_typed_store_entries(tmp_path):
+    # A library PolyKernel may hold an int offset; it is stored as the
+    # float its schema names, so it loads, and the entries say so.
+    model, _ = _small_model()
+    int_offset = dataclasses.replace(model.bank[0], spec=PolyKernel(degree=2, offset=1, scale=2))
+    model = dataclasses.replace(model, bank=(int_offset,))
+    path = tmp_path / "model.store"
+    save_model(ModelBundle(model=model), path)
+    stored = read_store(path)
+    assert {key: value for key, value in stored.items() if key.startswith("bank")} == {
+        "bank0_block": "hog", "bank0_kernel": "poly",
+        "bank0_degree": 2, "bank0_offset": 1.0, "bank0_scale": 2.0,
+    }
+    assert [type(stored[f"bank0_{name}"]) for name in ("degree", "offset", "scale")] == [
+        int, float, float]
+    assert load_model(path).model.bank == model.bank
+    # A degree that is no whole number is not cut to one: the store keeps
+    # it, and loading refuses it.
+    half = dataclasses.replace(int_offset, spec=PolyKernel(degree=2.5))
+    save_model(ModelBundle(model=dataclasses.replace(model, bank=(half,))), path)
+    with pytest.raises(ValueError, match="bank0_degree: stored as float, expected int"):
+        load_model(path)
 
 
 def _saved_stores(tmp_path):
