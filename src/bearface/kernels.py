@@ -35,8 +35,9 @@ class PolyKernel:
     scale: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.degree < 1:
-            raise ValueError(f"poly degree must be >= 1, got {self.degree}")
+        # (scale * <x, z> + offset) ** 2.5 is NaN wherever the base is negative.
+        if not (self.degree >= 1 and float(self.degree).is_integer()):
+            raise ValueError(f"poly degree must be a whole number >= 1, got {self.degree}")
         if not (self.offset >= 0 and math.isfinite(self.offset)):
             raise ValueError(f"poly offset must be >= 0 and finite, got {self.offset}")
         if not (self.scale > 0 and math.isfinite(self.scale)):

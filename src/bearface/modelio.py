@@ -94,8 +94,7 @@ def save_model(bundle: ModelBundle, path: str | Path) -> None:
         kind = next(k for k, (make, _) in KINDS.items() if isinstance(entry.spec, make))
         entries.update({f"bank{m}_block": entry.block, f"bank{m}_kernel": kind})
         for name, convert in KINDS[kind][1].items():
-            value = getattr(entry.spec, name)  # kept where converting loses it (degree 2.5)
-            entries[f"bank{m}_{name}"] = convert(value) if convert(value) == value else value
+            entries[f"bank{m}_{name}"] = convert(getattr(entry.spec, name))
     entries["pca_blocks"] = " ".join(sorted(model.pca))
     for name in sorted(model.pca):
         for key, _ in _PCA_ENTRIES:

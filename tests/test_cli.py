@@ -762,7 +762,7 @@ def test_bad_record_line_names_path_and_line(tmp_path, capsys, command, option, 
         ("bad.config", "bearface-config 1\nkernels = poly\nrbf_gamma = 0\n", 3,
          "rbf gamma must be positive and finite, got 0.0"),
         ("bad.config", "bearface-config 1\nkernels = rbf\npoly_degree = 0\n", 3,
-         "poly degree must be >= 1, got 0"),
+         "poly degree must be a whole number >= 1, got 0"),
         ("bad.config", "bearface-config 1\nhold_duration = 1e9\n", 2,
          "hold_duration must be at most 60 s, got 1000000000.0"),
         ("bad.config", "bearface-config 1\nframe_rate = 30\ntransition_duration = 60.5\n", 3,

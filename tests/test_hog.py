@@ -4,14 +4,20 @@ import numpy as np
 import pytest
 
 from bearface import hog as hog_module
-from bearface.hog import DEFAULT_HOG_BINS, gradient_field, hog
+from bearface.hog import DEFAULT_HOG_BINS, hog
 from bearface.imaging import GrayImage
 
 
-def reference_gradient_field(pixels: np.ndarray):
-    """The float ``np.gradient`` + ``np.hypot`` field `gradient_field` must reproduce."""
-    gy, gx = np.gradient(np.asarray(pixels, dtype=np.float64))
-    return np.hypot(gx, gy), np.mod(np.arctan2(gy, gx), np.pi)
+def reference_votes(gy: np.ndarray, gx: np.ndarray, bins: int):
+    """(lower bin, upper bin, lower weight, upper weight) of float gradients."""
+    magnitude = np.hypot(gx, gy)
+    orientation = np.mod(np.arctan2(gy, gx), np.pi)
+    position = orientation * (bins / np.pi)
+    lower = np.floor(position)
+    fraction = position - lower
+    bin_lo = lower.astype(np.int64) % bins
+    bin_hi = (bin_lo + 1) % bins
+    return bin_lo, bin_hi, magnitude * (1.0 - fraction), magnitude * fraction
 
 
 def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
@@ -25,15 +31,7 @@ def reference_hog(image: GrayImage, grid=(8, 8), bins=DEFAULT_HOG_BINS) -> np.nd
     win_h = height // grid_y
     win_w = width // grid_x
     gy, gx = np.gradient(np.asarray(image.pixels, dtype=np.float64))
-    magnitude = np.hypot(gx, gy)
-    orientation = np.mod(np.arctan2(gy, gx), np.pi)
-    position = orientation * (bins / np.pi)
-    lower = np.floor(position)
-    fraction = position - lower
-    bin_lo = lower.astype(np.int64) % bins
-    bin_hi = (bin_lo + 1) % bins
-    weight_lo = magnitude * (1.0 - fraction)
-    weight_hi = magnitude * fraction
+    bin_lo, bin_hi, weight_lo, weight_hi = reference_votes(gy, gx, bins)
     feature = np.zeros(grid_y * grid_x * bins, dtype=np.float64)
     for wy in range(grid_y):
         for wx in range(grid_x):
@@ -106,44 +104,90 @@ def test_batched_window_norms_match_per_row_dot(bins, grid):
         assert _same_bits(np.sqrt(batched), np.array([np.linalg.norm(row) for row in hist]))
 
 
-def test_orientation_fold_matches_mod_on_all_8bit_gradients():
-    # Doubled central differences of 8-bit pixels lie in [-510, 510]
-    # (interior ones in [-255, 255]): every pair is on this lattice.
+@pytest.mark.parametrize("bins", [1, 9, 59, 180, 300])
+def test_vote_table_matches_float_reference(bins):
+    # Every interior gradient of an 8-bit image: 511^2 doubled pairs.
+    doubled = np.arange(-255, 256)
+    dy, dx = np.meshgrid(doubled, doubled, indexing="ij")
+    bin_lo, weight_lo, weight_hi = hog_module._vote_table(bins)
+    assert bin_lo.dtype == (np.uint8 if bins <= 256 else np.uint16)
+    assert bin_lo.shape == weight_lo.shape == weight_hi.shape == (511 * 511,)
+    flat = (dy + 255) * 511 + dx + 255
+    expected_lo, _, expected_weight_lo, expected_weight_hi = reference_votes(
+        dy.ravel() / 2.0, dx.ravel() / 2.0, bins
+    )
+    assert np.array_equal(bin_lo[flat.ravel()], expected_lo)
+    assert _same_bits(weight_lo[flat.ravel()], expected_weight_lo)
+    assert _same_bits(weight_hi[flat.ravel()], expected_weight_hi)
+
+
+def test_direct_votes_match_float_reference_on_all_8bit_gradients():
+    # Doubled differences of 8-bit pixels lie in [-510, 510] (border ones
+    # beyond +-255 take `_votes` directly): every pair is on this lattice.
     doubled = np.arange(-510, 511, dtype=np.int32)
     dy, dx = np.meshgrid(doubled, doubled, indexing="ij")
     assert dy.size == 1_042_441
-    expected = np.mod(np.arctan2(dy / 2.0, dx / 2.0), np.pi)
-    assert _same_bits(hog_module._orientation(dy, dx), expected)
+    bin_lo, weight_lo, weight_hi = hog_module._votes(dy, dx, DEFAULT_HOG_BINS)
+    expected_lo, _, expected_weight_lo, expected_weight_hi = reference_votes(
+        dy / 2.0, dx / 2.0, DEFAULT_HOG_BINS
+    )
+    assert np.array_equal(bin_lo, expected_lo)
+    assert _same_bits(weight_lo, expected_weight_lo)
+    assert _same_bits(weight_hi, expected_weight_hi)
+
+
+def _edge_steps(shape):
+    """0/255 images whose border differences 2 * (p[1] - p[0]) reach +-510."""
+    rows, cols = np.indices(shape)
+    yield ((rows == 0) * 255).astype(np.uint8)
+    yield ((cols == shape[1] - 1) * 255).astype(np.uint8)
+    yield (((rows == 0) ^ (cols == 0)) * 255).astype(np.uint8)
+    yield ((rows + cols) % 2 * 255).astype(np.uint8)
 
 
 @pytest.mark.parametrize(
-    "shape", [(2, 2), (2, 9), (11, 2), (3, 3), (17, 31), (128, 128), (64, 200)]
+    "shape", [(2, 2), (2, 9), (11, 2), (3, 3), (17, 31), (128, 128), (64, 200), (2, 16), (16, 2)]
 )
 def test_gradient_field_matches_float_reference(shape):
+    # The votes `hog` gathers or computes are those of the float
+    # np.gradient field. In the 2-px shapes every pixel is a border pixel,
+    # and random pixels and the 0/255 steps put many beyond the table.
     rng = np.random.default_rng(sum(shape))
+    grids = [grid for grid in [(1, 1), (2, 1), (1, 2)]
+             if shape[0] % grid[0] == 0 and shape[1] % grid[1] == 0]
     for pixels in (
-        rng.integers(0, 256, shape, dtype=np.uint8),
-        (np.indices(shape).sum(axis=0) % 2 * 255).astype(np.uint8),
+        *(rng.integers(0, 256, shape, dtype=np.uint8) for _ in range(3)),
         np.full(shape, 255, dtype=np.uint8),
+        *_edge_steps(shape),
     ):
-        magnitude, orientation = gradient_field(pixels)
-        expected_magnitude, expected_orientation = reference_gradient_field(pixels)
-        assert _same_bits(magnitude, expected_magnitude)
-        assert _same_bits(orientation, expected_orientation)
-        # Wider integer types with 8-bit values give the same field.
-        wide_magnitude, wide_orientation = gradient_field(pixels.astype(np.int64))
-        assert _same_bits(wide_magnitude, magnitude)
-        assert _same_bits(wide_orientation, orientation)
+        image = GrayImage(pixels)
+        for grid in grids:
+            for bins in (1, 9, 59, 180, 300):
+                assert _same_bits(hog(image, grid, bins), reference_hog(image, grid, bins))
 
 
-def test_magnitude_table_matches_hypot_on_the_signed_lattice():
-    # Every (doubled) gradient pair of an 8-bit image: 1021^2 of them.
-    doubled = np.arange(-510, 511)
-    dy, dx = np.meshgrid(doubled, doubled, indexing="ij")
-    assert dx.size == 1021**2
-    table = hog_module._magnitude_table()
-    looked_up = table.take(np.abs(dx) * 511 + np.abs(dy))
-    assert _same_bits(looked_up, np.hypot(dx / 2.0, dy / 2.0))
+def test_only_pixels_beyond_the_table_are_computed(monkeypatch):
+    hog_module._vote_table(DEFAULT_HOG_BINS)  # built before counting
+    sizes = []
+    votes = hog_module._votes
+
+    def counted(dy, dx, bins):
+        sizes.append(dy.size)
+        return votes(dy, dx, bins)
+
+    monkeypatch.setattr(hog_module, "_votes", counted)
+    smooth = (np.add.outer(np.arange(128), np.arange(128)) % 256).astype(np.uint8)
+    hog(GrayImage(smooth))
+    assert sizes == []
+    # Row 0 steps by 255 and column 0 by 200, so 127 pixels of row 0 (not
+    # the corner, whose dy is 2 * 55) and 127 of column 0 lie beyond +-255;
+    # row 1's interior dy is exactly 255 and comes from the table.
+    pixels = np.full((128, 128), 255, dtype=np.uint8)
+    pixels[0] = 0
+    pixels[1:, 0] = 55
+    image = GrayImage(pixels)
+    assert _same_bits(hog(image), reference_hog(image))
+    assert sizes == [254]
 
 
 @pytest.mark.parametrize(
@@ -154,8 +198,10 @@ def test_magnitude_table_matches_hypot_on_the_signed_lattice():
     ids=["float", "above-255", "negative", "bool", "one-row", "one-column", "3-d", "1-d"],
 )
 def test_gradient_field_rejects_non_8bit_input(pixels):
-    with pytest.raises(ValueError):
-        gradient_field(pixels)
+    # A non-8-bit or non-2-D array is no GrayImage; `hog` refuses an image
+    # with no two pixels along an axis to difference.
+    with pytest.raises(ValueError, match="image must be|at least 2x2"):
+        hog(GrayImage(pixels), (1, 1))
 
 
 def test_constant_image_all_zero():
@@ -206,10 +252,12 @@ def test_conventional_bin_count():
 
 
 def test_gradient_field_ranges():
+    bin_lo, weight_lo, weight_hi = hog_module._vote_table(DEFAULT_HOG_BINS)
+    assert bin_lo.max() == DEFAULT_HOG_BINS - 1
+    assert (weight_lo >= 0).all() and (weight_hi >= 0).all()
     rng = np.random.default_rng(10)
-    magnitude, orientation = gradient_field(rng.integers(0, 256, (32, 32)))
-    assert (magnitude >= 0).all()
-    assert (orientation >= 0).all() and (orientation < np.pi).all()
+    feature = hog(GrayImage(rng.integers(0, 256, (32, 32), dtype=np.uint8)))
+    assert np.isfinite(feature).all() and (feature >= 0).all() and (feature <= 1).all()
 
 
 def test_hog_rejects_bad_sizes():

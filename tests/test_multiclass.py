@@ -466,3 +466,18 @@ def test_rbf_squared_distances_are_floored_at_zero():
     assert (np.sum(X * X, axis=1)[:, None] + np.sum(X * X, axis=1) - 2.0 * (X @ X.T)).min() < 0
     assert sq_distances(X, X).min() == 0.0
     assert multiclass.kernel_matrix(RbfKernel(1.0), X).max() == 1.0
+
+
+@pytest.mark.parametrize("degree", [2.5, 0.5, 0, -1, float("inf"), float("nan")])
+def test_poly_degree_must_be_a_whole_number(degree):
+    # A fractional power of a negative base is NaN: kernel_matrix would
+    # return NaN wherever scale * <x, z> + offset < 0.
+    with pytest.raises(ValueError, match=f"^poly degree must be a whole number >= 1, got {degree}$"):
+        PolyKernel(degree=degree)
+
+
+def test_whole_float_poly_degree_is_the_int_degree():
+    X = np.array([[1.0, 0.0], [-3.0, 0.5]])
+    assert PolyKernel(degree=3.0) == PolyKernel(degree=3)
+    assert np.array_equal(multiclass.kernel_matrix(PolyKernel(degree=3.0), X),
+                          multiclass.kernel_matrix(PolyKernel(degree=3), X))

@@ -124,6 +124,20 @@ def test_deterministic_sign():
         assert a.components[pivot, j] > 0
 
 
+@pytest.mark.parametrize("shape", [(3776, 156), (40, 7), (5, 1)])
+def test_sign_vector_flips_like_masked_negative(shape):
+    # fit_pca flips a component by multiplying it by -1.0; that must give
+    # the bits of np.negative, +-0.0 entries included.
+    rng = np.random.default_rng(shape[0])
+    block = rng.normal(size=shape)
+    block[:2] = [[0.0], [-0.0]]  # zeros of both signs in every column
+    flip = rng.random(shape[1]) < 0.5
+    flip[0] = True
+    masked = np.negative(block, out=block.copy(), where=flip)
+    multiplied = block * np.where(flip, -1.0, 1.0)
+    assert np.array_equal(masked.view(np.int64), multiplied.view(np.int64))
+
+
 def test_errors():
     with pytest.raises(ZeroVarianceError):
         fit_pca(np.ones((10, 4)))

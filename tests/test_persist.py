@@ -348,10 +348,12 @@ def test_bank_entries_are_typed_store_entries(tmp_path):
     assert [type(stored[f"bank0_{name}"]) for name in ("degree", "offset", "scale")] == [
         int, float, float]
     assert load_model(path).model.bank == model.bank
-    # A degree that is no whole number is not cut to one: the store keeps
-    # it, and loading refuses it.
-    half = dataclasses.replace(int_offset, spec=PolyKernel(degree=2.5))
-    save_model(ModelBundle(model=dataclasses.replace(model, bank=(half,))), path)
+    # A whole float degree is stored as the int its schema names; a stored
+    # float degree is refused.
+    whole = dataclasses.replace(int_offset, spec=PolyKernel(degree=2.0, offset=1, scale=2))
+    save_model(ModelBundle(model=dataclasses.replace(model, bank=(whole,))), path)
+    assert type(read_store(path)["bank0_degree"]) is int
+    write_store({**read_store(path), "bank0_degree": 2.0}, path)
     with pytest.raises(ValueError, match="bank0_degree: stored as float, expected int"):
         load_model(path)
 
