@@ -24,7 +24,8 @@ order as a per-window loop, so the features are bit for bit those of one
   takes some 20 ms to build; `sqrt(gx**2 + gy**2)` is not a substitute
   for its ``np.hypot``: with glibc it rounds differently on 5 964 of the
   1 042 441 pairs of the +-510 lattice.
-- Every pixel gets the key ``window * bins + lower bin``, and one
+- Every pixel gets the key ``window * bins + lower bin``, where
+  `imaging.window_index` numbers the windows and states the grid rule. One
   ``bincount`` over the image in row-major order adds each key's votes in
   the order its window's own row-major scan would. The upper bin is the
   lower bin plus one, wrapped, so the upper-weight ``bincount`` over the
@@ -45,7 +46,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .imaging import GrayImage
+from .imaging import GrayImage, window_index
 
 DEFAULT_HOG_BINS = 59
 _NORM_EPS = 1e-6
@@ -84,17 +85,6 @@ def _vote_table(bins: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return table
 
 
-@lru_cache(maxsize=8)
-def _window_key(height: int, width: int, grid_y: int, grid_x: int, bins: int) -> np.ndarray:
-    """``window * bins`` for each pixel of a height x width image."""
-    key = bins * (
-        (np.arange(height) // (height // grid_y) * grid_x)[:, None]
-        + np.arange(width) // (width // grid_x)
-    )
-    key.setflags(write=False)
-    return key
-
-
 def hog(
     image: GrayImage, grid: tuple[int, int] = (8, 8), bins: int = DEFAULT_HOG_BINS
 ) -> np.ndarray:
@@ -104,16 +94,14 @@ def hog(
     and 59 bins on a 128x128 crop; pass bins=9 for the conventional
     variant). Each window is normalized to unit L2 norm with a small
     epsilon, so zero-gradient windows stay exactly zero. The image must be
-    at least 2 px along each axis.
+    at least 2 px along each axis, and the grid must divide it
+    (`imaging.window_index`).
     """
-    if bins < 1:
-        raise ValueError("bins must be at least 1")
+    if not (isinstance(bins, (int, np.integer)) and bins >= 1):
+        raise ValueError(f"hog bins must be an int >= 1, got {bins!r}")
     grid_y, grid_x = grid
     height, width = image.pixels.shape
-    if height % grid_y or width % grid_x:
-        raise ValueError(
-            f"image {width}x{height} does not divide into a {grid_x}x{grid_y} grid"
-        )
+    window = window_index(height, width, grid_y, grid_x)
     if min(height, width) < 2:
         raise ValueError(f"need an image at least 2x2, got shape {image.pixels.shape}")
 
@@ -144,7 +132,7 @@ def hog(
         bin_lo[far], weight_lo[far], weight_hi[far] = _votes(dy[far], dx[far], bins)
 
     windows = grid_y * grid_x
-    key = (_window_key(height, width, grid_y, grid_x, bins) + bin_lo).ravel()
+    key = (window * bins + bin_lo).ravel()
     size = windows * bins
     hist_lo = np.bincount(key, weight_lo.ravel(), size).reshape(windows, bins)
     hist_hi = np.bincount(key, weight_hi.ravel(), size).reshape(windows, bins)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +41,28 @@ class GrayImage:
     @classmethod
     def from_array(cls, array: np.ndarray) -> "GrayImage":
         return cls(np.asarray(array, dtype=np.uint8))
+
+
+@lru_cache(maxsize=8, typed=True)
+def window_index(height: int, width: int, grid_y: int, grid_x: int) -> np.ndarray:
+    """Row-major window number of each pixel of a height x width image cut
+    into a grid_y x grid_x grid of equal windows; read-only and cached.
+
+    This is the window-grid rule of the descriptors: both grid sizes are
+    ints >= 1 that divide the image (the typed cache checks 2.0 apart from 2).
+    """
+    sizes = (grid_y, grid_x)
+    ints = all(isinstance(size, (int, np.integer)) and size >= 1 for size in sizes)
+    if not ints or height % grid_y or width % grid_x:
+        raise ValueError(
+            f"grid {sizes} must be two ints >= 1 that divide the image's"
+            f" {height} rows and {width} columns"
+        )
+    rows = np.arange(height) // (height // grid_y) * grid_x
+    index = rows[:, None] + np.arange(width) // (width // grid_x)
+    index.setflags(write=False)
+    return index
+
 
 # One header token, after any whitespace and `#` comments. A comment runs to
 # the end of its line and a token never starts with `#`, so no match can end

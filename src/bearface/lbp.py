@@ -10,12 +10,15 @@ Windows are independent: each window's histogram counts only the pixels
 whose full 3x3 neighbourhood lies inside that window, so a 16x16 window
 contributes exactly 14x14 codes no matter where it sits in the image.
 
-All windows are counted in one pass: each valid code position gets the key
-``window * 59 + bin`` and a single integer ``bincount`` over those keys
-gives every window's histogram. Counts are integers, so the result is
-exactly that of one ``bincount`` per window. The valid positions and their
-keys depend only on the image shape and the grid, so they are built once
-per shape and gathered by flat index.
+All windows are counted in one pass. `imaging.window_index` numbers the
+window of every pixel and states the grid rule. A code is counted when the
+first and the last pixel of its 3x3 neighbourhood (top left, bottom right)
+share a window, which puts the whole neighbourhood in that window; it gets
+the key ``window * 59 + bin``, and a single integer ``bincount`` over those
+keys gives every window's histogram. Counts are integers, so the result is
+exactly that of one ``bincount`` per window. The counted positions and
+their keys depend only on the image shape and the grid, so they are found
+once per shape and gathered by flat index.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .imaging import GrayImage
+from .imaging import GrayImage, window_index
 
 #: Ring neighbours in clockwise order starting at the top-left corner;
 #: neighbour p contributes bit value 2**p. The order is circular, which is
@@ -79,48 +82,32 @@ def lbp_codes(pixels: np.ndarray) -> np.ndarray:
     return codes
 
 
-@lru_cache(maxsize=8)
-def _code_layout(
-    height: int, width: int, grid_y: int, grid_x: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Flat indices of the counted codes of a height x width image, and
-    ``window * 59`` for each, in row-major code order."""
-    win_h = height // grid_y
-    win_w = width // grid_x
-    # Code row r belongs to window row r // win_h; its last two rows and
-    # columns need pixels from the next window, so they are left out.
-    rows = np.arange(height - 2)
-    rows = rows[rows % win_h < win_h - 2]
-    cols = np.arange(width - 2)
-    cols = cols[cols % win_w < win_w - 2]
-    positions = (rows[:, None] * (width - 2) + cols).ravel()
-    window_key = (
-        UNIFORM_BIN_COUNT * ((rows // win_h * grid_x)[:, None] + cols // win_w)
-    ).ravel()
+@lru_cache(maxsize=8, typed=True)  # a float grid is checked, not served an int grid's entry
+def _counted_codes(height: int, width: int, grid_y: int, grid_x: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat indices of the counted codes, and ``window * 59`` for each."""
+    window = window_index(height, width, grid_y, grid_x)
+    positions = np.flatnonzero(window[:-2, :-2] == window[2:, 2:])
+    key = window[1:-1, 1:-1].ravel()[positions] * UNIFORM_BIN_COUNT
     positions.setflags(write=False)
-    window_key.setflags(write=False)
-    return positions, window_key
+    key.setflags(write=False)
+    return positions, key
 
 
 def lbph(image: GrayImage, grid: tuple[int, int] = (8, 8)) -> np.ndarray:
     """Concatenated per-window uniform-LBP histograms.
 
     The image is split into a grid_y x grid_x grid of equal, non-overlapping
-    windows (image dimensions must divide evenly). Feature length is
+    windows (`imaging.window_index`). Feature length is
     grid_y * grid_x * 59; with the default 8x8 grid on a 128x128 crop that
     is 3776. Histogram entries are raw counts.
     """
     grid_y, grid_x = grid
     height, width = image.pixels.shape
-    if height % grid_y or width % grid_x:
-        raise ValueError(
-            f"image {width}x{height} does not divide into a {grid_x}x{grid_y} grid"
-        )
+    positions, key = _counted_codes(height, width, grid_y, grid_x)
     win_h = height // grid_y
     win_w = width // grid_x
     if win_h < MIN_WINDOW or win_w < MIN_WINDOW:
         raise ValueError(f"windows of {win_w}x{win_h} px are too small for LBP")
-    positions, window_key = _code_layout(height, width, grid_y, grid_x)
     bins = _BIN_TABLE.take(lbp_codes(image.pixels).ravel().take(positions))
-    counts = np.bincount(window_key + bins, minlength=grid_y * grid_x * UNIFORM_BIN_COUNT)
+    counts = np.bincount(key + bins, minlength=grid_y * grid_x * UNIFORM_BIN_COUNT)
     return counts.astype(np.float64)

@@ -17,7 +17,9 @@ The PNM header tokenizer returns a byte loop's tokens, offsets and errors,
 and `read_pnm` names the file in them. A store is written and read as an
 independent reader and writer of its format do, mutated and cut stores
 included, and a line break other than '\\n' is an error at its own line.
-Run with `--hypothesis-profile=ci` for more examples.
+The descriptors refuse, with a ValueError, a grid that does not cut the
+image into equal windows. Run with `--hypothesis-profile=ci` for more
+examples.
 """
 
 import io
@@ -37,8 +39,10 @@ from bearface.arraystore import dump_store, parse_store, read_store, write_store
 from bearface.cli import main
 from bearface.config import MAX_DURATION, RunConfig, parse_config
 from bearface.expressions import parse_templates
-from bearface.imaging import _read_pnm_tokens, read_pnm
+from bearface.hog import DEFAULT_HOG_BINS, hog
+from bearface.imaging import GrayImage, _read_pnm_tokens, read_pnm
 from bearface.kernels import KINDS, AutoRbf, PolyKernel
+from bearface.lbp import UNIFORM_BIN_COUNT, lbph
 from bearface.manifest import parse_manifest
 from bearface.modelio import ModelBundle, load_model, save_model
 from bearface.multiclass import train_multiclass
@@ -305,6 +309,26 @@ def test_config_size_fields(tmp_path, key, value):
     assert config.frame_rate * max(config.transition_duration, config.hold_duration) <= 240 * 60
     assert 128 % config.grid == 0 and 128 // config.grid >= 3
     assert 1 <= config.hog_bins <= 180
+
+
+@settings(deadline=None)
+@given(
+    arrays(np.uint8, array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=24)),
+    st.integers(-3, 20),
+    st.integers(-3, 20),
+)
+def test_descriptor_grids(pixels, grid_y, grid_x):
+    # Called from the library, with no config to check the grid first: a
+    # grid that does not cut the image into windows is a ValueError.
+    image = GrayImage(pixels)
+    height, width = pixels.shape
+    for describe, bins in ((hog, DEFAULT_HOG_BINS), (lbph, UNIFORM_BIN_COUNT)):
+        try:
+            feature = describe(image, (grid_y, grid_x))
+        except ValueError:
+            continue
+        assert grid_y >= 1 and grid_x >= 1 and height % grid_y == 0 and width % grid_x == 0
+        assert feature.shape == (grid_y * grid_x * bins,) and np.isfinite(feature).all()
 
 
 @pytest.fixture(scope="module")

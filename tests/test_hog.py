@@ -1,5 +1,7 @@
 """Gradient-orientation histograms."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -265,3 +267,17 @@ def test_hog_rejects_bad_sizes():
         hog(GrayImage(np.full((100, 128), 0, dtype=np.uint8)))
     with pytest.raises(ValueError, match="bins"):
         hog(GrayImage(np.full((128, 128), 0, dtype=np.uint8)), bins=0)
+
+
+@pytest.mark.parametrize("grid", [(0, 1), (-2, -2), (2.0, 2)])
+def test_hog_refuses_grids_that_are_not_positive_ints(grid):
+    image = GrayImage(np.zeros((16, 16), dtype=np.uint8))
+    with pytest.raises(ValueError, match=re.escape(f"grid {grid} must be")):
+        hog(image, grid)
+
+
+@pytest.mark.parametrize("bins", [0, -3, 2.5, 2.0, "9"])
+def test_hog_refuses_bins_that_are_not_positive_ints(bins):
+    image = GrayImage(np.zeros((16, 16), dtype=np.uint8))
+    with pytest.raises(ValueError, match=re.escape(f"hog bins must be an int >= 1, got {bins!r}")):
+        hog(image, (2, 2), bins)

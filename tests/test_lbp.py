@@ -1,5 +1,7 @@
 """Local binary patterns against independent brute-force oracles."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -198,3 +200,11 @@ def test_lbph_rejects_bad_sizes():
         lbph(GrayImage(np.full((16, 16), 0, dtype=np.uint8)))
     with pytest.raises(ValueError, match="3x3"):
         lbp_codes(np.zeros((2, 5), dtype=np.uint8))
+
+
+@pytest.mark.parametrize("grid", [(0, 1), (-2, -2), (2.0, 2)])
+def test_lbph_refuses_grids_that_are_not_positive_ints(grid):
+    image = GrayImage(np.zeros((16, 16), dtype=np.uint8))
+    lbph(image, (2, 2))  # cached, so (2.0, 2) must not be served its layout
+    with pytest.raises(ValueError, match=re.escape(f"grid {grid} must be")):
+        lbph(image, grid)

@@ -10,7 +10,7 @@ import pytest
 
 from bearface import registration
 from bearface.diagnostics import CropBoundsWarning
-from bearface.imaging import GrayImage, read_pnm, write_pgm
+from bearface.imaging import GrayImage, read_pnm, window_index, write_pgm
 from bearface.registration import (
     CROP_SIZE,
     DegenerateLandmarksError,
@@ -416,6 +416,30 @@ def test_pnm_sample_above_maxval_is_rejected(tmp_path):
     ppm.write_bytes(b"P6 1 1 100\n\x00\x65\x00")
     with pytest.raises(ValueError, match=re.escape(f"{ppm}: sample 101 above maxval 100")):
         read_pnm(ppm)
+
+
+@pytest.mark.parametrize(
+    ("shape", "grid"),
+    [((96, 160), (4, 10)), ((96, 160), (3, 5)), ((9, 12), (3, 4)), ((3, 3), (1, 1))],
+)
+def test_window_index_matches_per_window_loop(shape, grid):
+    height, width = shape
+    grid_y, grid_x = grid
+    win_h, win_w = height // grid_y, width // grid_x
+    expected = np.full(shape, -1)
+    for wy in range(grid_y):
+        for wx in range(grid_x):
+            expected[wy * win_h : (wy + 1) * win_h, wx * win_w : (wx + 1) * win_w] = (
+                wy * grid_x + wx
+            )
+    index = window_index(height, width, grid_y, grid_x)
+    assert np.array_equal(index, expected)
+    assert not index.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        index[0, 0] = 1
+    # The int grid's entry is cached now; an equal float grid is still refused.
+    with pytest.raises(ValueError, match=re.escape(f"grid ({float(grid_y)}, {grid_x}) must be")):
+        window_index(height, width, float(grid_y), grid_x)
 
 
 def test_landmark_file_round_trip(tmp_path):
